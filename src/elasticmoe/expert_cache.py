@@ -22,6 +22,11 @@ from scipy.optimize import brentq
 
 SLICE_KINDS = ("msb", "full")
 
+# Exponential draws per Monte Carlo block in expected_unique_experts.  The
+# Generator fills draws in order, so the estimate does not depend on it;
+# it only bounds the memory a block holds.
+_MC_BLOCK_ELEMENTS = 1 << 12
+
 
 @dataclass(frozen=True)
 class AccessTrace:
@@ -185,14 +190,15 @@ def expected_unique_experts(
         raise ValueError("popularity must be n_experts nonnegative weights")
     p = p / p.sum()
     rng = np.random.default_rng(seed)
+    per_block = max(1, _MC_BLOCK_ELEMENTS // (batch * n_experts))
     total = 0
-    for _ in range(mc_samples):
-        seen: set[int] = set()
-        scores = p * rng.exponential(1.0, size=(batch, n_experts))
-        for row in scores:
-            top = np.argpartition(-row, top_k - 1)[:top_k]
-            seen.update(top.tolist())
-        total += len(seen)
+    for start in range(0, mc_samples, per_block):
+        m = min(per_block, mc_samples - start)
+        scores = p * rng.exponential(1.0, size=(m, batch, n_experts))
+        top = np.argpartition(-scores, top_k - 1, axis=-1)[..., :top_k]
+        seen = np.zeros((m, n_experts), dtype=bool)
+        seen[np.arange(m)[:, None], top.reshape(m, -1)] = True
+        total += int(seen.sum())
     return total / mc_samples
 
 

@@ -1,13 +1,18 @@
 """Experiment orchestration: config files, scenario sweeps, CSV/JSON output.
 
 A scenario bundles a toy model, a routing trace, a hardware config, and a
-list of decoding schemes.  Functional schemes actually run the toy model:
-speculative sessions measure accept lengths and routing decisions, the
-cache simulator turns those decisions into hit rates, and the hardware
-model prices the resulting workloads.  Analytic schemes are parameterized
-comparisons: their accept length and relative draft/verify costs come from
-the config (defaults are illustrative), with only the cache-footprint
-effect computed.
+list of decoding schemes priced over a list of batch sizes.  Evaluation
+has two parts.  First a per-scenario context does the work every scheme
+shares, once: it builds the model, routing traces and prompt, runs the
+AR greedy decode, and per batch size derives the AR unique-expert count,
+the XPU baseline latency, and the AR step's cache hit rate and cost at
+each cache footprint the schemes use.  Then each scheme adds its own
+speculative step on top of that AR step: ar_only adds none, the
+functional schemes measure one with an SdSession (accept lengths,
+verify routing, pool transfers priced through the cache simulator and
+the hardware model), and the analytic schemes scale the AR step by their
+configured accept length and draft/verify cost ratios (defaults are
+illustrative) at their configured cache footprint.
 
 Everything is deterministic given the config file: seeds are explicit,
 scenario evaluation is pure, and rows are sorted before emission so
@@ -328,6 +333,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     model_data = dict(_MODEL_DEFAULTS)
     _check_keys("model", _sub(data, "model"), _MODEL_DEFAULTS)
     model_data.update(_sub(data, "model"))
+    for key, value in model_data.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"model.{key} must be an integer")
     try:
         shape = MoEShape(**model_data)
     except ValueError as exc:
@@ -437,18 +445,6 @@ def dump_config(configs: list[ScenarioConfig]) -> str:
 # Scenario execution
 
 
-@dataclass(frozen=True)
-class _FunctionalStats:
-    """Measurements from the toy runs, shared across batch sizes."""
-
-    mean_accept: Optional[float]
-    mean_verify_tokens: float
-    mean_transfers: float
-    ar_steps: list[list[elastic_sd.LayerDecision]]
-    verify_steps: list[list[elastic_sd.LayerDecision]]
-    ar_popularity: np.ndarray
-
-
 def _make_prompt(cfg: ScenarioConfig) -> list[int]:
     rng = np.random.default_rng(cfg.trace.seed + 1_000_003)
     return [int(t) for t in rng.integers(0, cfg.shape.vocab, size=cfg.run.prompt_len)]
@@ -466,70 +462,6 @@ def _popularity_from_steps(
     if total == 0:
         return np.full(n_experts, 1.0 / n_experts)
     return counts / total
-
-
-def _run_functional(cfg: ScenarioConfig, scheme: str) -> _FunctionalStats:
-    model = toymoe.gen_model(cfg.shape, seed=cfg.run.model_seed)
-    layer_traces = [
-        toymoe.gen_routing_trace(
-            cfg.trace.n_tokens,
-            cfg.shape.n_experts,
-            cfg.shape.top_k,
-            cfg.trace.zipf_exponent,
-            cfg.trace.correlation,
-            cfg.trace.seed + 17 * layer,
-        )
-        for layer in range(cfg.shape.n_layers)
-    ]
-    traces = toymoe.trace_scores(layer_traces)
-    prompt = _make_prompt(cfg)
-    _, ar_decisions = toymoe.greedy_decode(
-        model, prompt, cfg.run.n_new_tokens, PrecisionMode.INT8_FULL,
-        score_traces=traces,
-    )
-    ar_steps = [
-        [(layer, d) for layer, d in enumerate(step)] for step in ar_decisions
-    ]
-    popularity = _popularity_from_steps(ar_steps, cfg.shape.n_experts)
-    if scheme == "ar_only":
-        return _FunctionalStats(
-            mean_accept=None,
-            mean_verify_tokens=1.0,
-            mean_transfers=0.0,
-            ar_steps=ar_steps,
-            verify_steps=[],
-            ar_popularity=popularity,
-        )
-    sd_config = elastic_sd.SdConfig(
-        width=cfg.sd.width,
-        depth=cfg.sd.depth,
-        pool_capacity=cfg.sd.pool_capacity,
-        hotness_decay=cfg.sd.hotness_decay_factor,
-        draft_reconstruct=_RECONSTRUCT_NAMES[cfg.sd.draft_reconstruct],
-        pool_strategy="random" if scheme == "random_pool_sd" else "hotness",
-        seed=cfg.sd.seed,
-    )
-    session = elastic_sd.SdSession(model, sd_config, prompt, score_traces=traces)
-    accepts: list[int] = []
-    verify_tokens: list[int] = []
-    transfers: list[int] = []
-    verify_steps: list[list[elastic_sd.LayerDecision]] = []
-    emitted = 0
-    while emitted < cfg.run.n_new_tokens:
-        step = session.step()
-        accepts.append(step.accept_length)
-        verify_tokens.append(step.verify_token_count)
-        transfers.append(len(step.transfers))
-        verify_steps.append(list(step.verify_decisions))
-        emitted += len(step.emitted)
-    return _FunctionalStats(
-        mean_accept=float(np.mean(accepts)),
-        mean_verify_tokens=float(np.mean(verify_tokens)),
-        mean_transfers=float(np.mean(transfers)),
-        ar_steps=ar_steps,
-        verify_steps=verify_steps,
-        ar_popularity=popularity,
-    )
 
 
 def _lru_hit_rate(
@@ -555,7 +487,7 @@ def _lru_hit_rate(
 
 
 def _unique_experts(
-    draws: int, shape: MoEShape, popularity: np.ndarray, seed: int
+    draws: float, shape: MoEShape, popularity: np.ndarray, seed: int
 ) -> float:
     draws = max(1, int(round(draws)))
     return expert_cache.expected_unique_experts(
@@ -563,187 +495,203 @@ def _unique_experts(
     )
 
 
-def _energy_fields(cost: hwmodel.StepCost) -> dict[str, float]:
-    per_token = {k: v / cost.tokens for k, v in cost.energy.items()}
-    return {
-        "energy_compute_j": per_token["compute"],
-        "energy_hb_mem_j": per_token["hb_mem"],
-        "energy_ext_mem_j": per_token["ext_mem"],
-        "energy_comm_j": per_token["comm"],
-        "energy_static_j": per_token["static"],
-    }
+def _footprint(cfg: ScenarioConfig, scheme: str) -> float:
+    """Per-expert cache footprint relative to one full INT8 expert."""
+    if scheme in ANALYTIC_SCHEMES:
+        return cfg.analytic[scheme].footprint_multiplier
+    return 1.0
 
 
-def _xpu_per_token_latency(
-    cfg: ScenarioConfig, batch: int, ar_unique: float
-) -> float:
+def _ar_cost(
+    cfg: ScenarioConfig, arch: Arch, batch: int, hit_rate: float, unique: float
+) -> hwmodel.StepCost:
     wl = hwmodel.build_workloads(
-        cfg.hw,
-        Arch.XPU,
-        cfg.shape,
-        batch,
+        cfg.hw, arch, cfg.shape, batch,
         seq_len=cfg.run.seq_len,
-        ar_hit_rate=0.0,
-        ar_unique_experts=ar_unique,
+        ar_hit_rate=hit_rate,
+        ar_unique_experts=unique,
         kv_coeff=cfg.run.kv_coeff,
     )
-    return hwmodel.step_cost(cfg.hw, Arch.XPU, wl, "ar", batch).per_token_latency
+    return hwmodel.step_cost(cfg.hw, arch, wl, "ar", batch)
 
 
-def _row(
-    cfg: ScenarioConfig,
-    scheme: str,
-    batch: int,
-    mode: str,
-    chosen: hwmodel.StepCost,
-    accept: Optional[float],
-    ar_hit: float,
-    verify_hit: Optional[float],
-    xpu_per_token: float,
-) -> ResultRow:
-    fields = _energy_fields(chosen)
-    return ResultRow(
-        scenario_id=cfg.scenario_id,
-        scheme=scheme,
-        arch=cfg.arch.value,
-        batch=batch,
-        mode=mode,
-        accept_length_mean=_opt_round9(accept),
-        ar_hit_rate=_round9(ar_hit),
-        verify_msb_hit_rate=_opt_round9(verify_hit),
-        per_token_latency_s=_round9(chosen.per_token_latency),
-        per_token_energy_j=_round9(chosen.per_token_energy),
-        energy_compute_j=_round9(fields["energy_compute_j"]),
-        energy_hb_mem_j=_round9(fields["energy_hb_mem_j"]),
-        energy_ext_mem_j=_round9(fields["energy_ext_mem_j"]),
-        energy_comm_j=_round9(fields["energy_comm_j"]),
-        energy_static_j=_round9(fields["energy_static_j"]),
-        speedup_vs_xpu=_round9(xpu_per_token / chosen.per_token_latency),
+@dataclass(frozen=True)
+class _ScenarioContext:
+    """The scheme-independent work of one scenario, done once."""
+
+    cfg: ScenarioConfig
+    model: toymoe.MoEModel
+    traces: list[list[np.ndarray]]
+    prompt: list[int]
+    # batch -> expected distinct experts one AR step activates
+    ar_unique: dict[int, float]
+    # batch -> per-token latency of the AR step on the XPU baseline
+    xpu_per_token: dict[int, float]
+    # (batch, footprint) -> (AR hit rate, AR step cost) on cfg.arch
+    ar: dict[tuple[int, float], tuple[float, hwmodel.StepCost]]
+
+
+def _build_context(cfg: ScenarioConfig) -> _ScenarioContext:
+    model = toymoe.gen_model(cfg.shape, seed=cfg.run.model_seed)
+    traces = toymoe.trace_scores([
+        toymoe.gen_routing_trace(
+            cfg.trace.n_tokens,
+            cfg.shape.n_experts,
+            cfg.shape.top_k,
+            cfg.trace.zipf_exponent,
+            cfg.trace.correlation,
+            cfg.trace.seed + 17 * layer,
+        )
+        for layer in range(cfg.shape.n_layers)
+    ])
+    prompt = _make_prompt(cfg)
+    _, ar_decisions = toymoe.greedy_decode(
+        model, prompt, cfg.run.n_new_tokens, PrecisionMode.INT8_FULL,
+        score_traces=traces,
+    )
+    ar_steps = [list(enumerate(step)) for step in ar_decisions]
+    popularity = _popularity_from_steps(ar_steps, cfg.shape.n_experts)
+    full_item = hwmodel.expert_bytes_full(cfg.shape)
+    footprints = sorted({_footprint(cfg, s) for s in cfg.schemes})
+    ar_unique, xpu_per_token, ar = {}, {}, {}
+    for batch in cfg.batch_sizes:
+        capacity = hwmodel.hb_headroom_bytes(
+            cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff
+        ) if cfg.arch in (Arch.OURS, Arch.HB_XPU) else 0.0
+        unique = _unique_experts(batch, cfg.shape, popularity, cfg.trace.seed)
+        ar_unique[batch] = unique
+        xpu_per_token[batch] = _ar_cost(
+            cfg, Arch.XPU, batch, 0.0, unique
+        ).per_token_latency
+        for footprint in footprints:
+            hit = _lru_hit_rate(ar_steps, "full", full_item * footprint, capacity)
+            ar[batch, footprint] = hit, _ar_cost(cfg, cfg.arch, batch, hit, unique)
+    return _ScenarioContext(
+        cfg=cfg,
+        model=model,
+        traces=traces,
+        prompt=prompt,
+        ar_unique=ar_unique,
+        xpu_per_token=xpu_per_token,
+        ar=ar,
     )
 
 
-def _functional_rows(cfg: ScenarioConfig, scheme: str) -> list[ResultRow]:
-    stats = _run_functional(cfg, scheme)
+def _measured_sd(
+    ctx: _ScenarioContext, scheme: str
+) -> tuple[float, dict[int, tuple[float, hwmodel.StepCost]]]:
+    """Run the scheme's speculative session once, then price its SD step
+    per batch.  Returns (mean accept length, batch -> (verify MSB hit
+    rate, SD step cost))."""
+    cfg = ctx.cfg
+    sd_config = elastic_sd.SdConfig(
+        width=cfg.sd.width,
+        depth=cfg.sd.depth,
+        pool_capacity=cfg.sd.pool_capacity,
+        hotness_decay=cfg.sd.hotness_decay_factor,
+        draft_reconstruct=_RECONSTRUCT_NAMES[cfg.sd.draft_reconstruct],
+        pool_strategy="random" if scheme == "random_pool_sd" else "hotness",
+        seed=cfg.sd.seed,
+    )
+    run = elastic_sd.SdSession(
+        ctx.model, sd_config, ctx.prompt, score_traces=ctx.traces
+    ).run(cfg.run.n_new_tokens)
+    verify_steps = [list(step.verify_decisions) for step in run.steps]
+    verify_pop = _popularity_from_steps(verify_steps, cfg.shape.n_experts)
+    sd = hwmodel.SdParams(
+        width=cfg.sd.width,
+        depth=cfg.sd.depth,
+        verify_tokens=float(np.mean([s.verify_token_count for s in run.steps])),
+        pool_size=cfg.sd.pool_capacity,
+        mean_accept=run.mean_accept_length,
+        transfer_pieces_per_step=float(np.mean([len(s.transfers) for s in run.steps])),
+    )
     full_item = hwmodel.expert_bytes_full(cfg.shape)
-    rows = []
+    priced = {}
     for batch in cfg.batch_sizes:
-        ar_capacity = hwmodel.hb_headroom_bytes(
-            cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff, 0
-        ) if cfg.arch in (Arch.OURS, Arch.HB_XPU) else 0.0
-        ar_hit = _lru_hit_rate(stats.ar_steps, "full", full_item, ar_capacity)
-        ar_unique = _unique_experts(
-            batch, cfg.shape, stats.ar_popularity, cfg.trace.seed
-        )
-        if scheme == "ar_only":
-            wl = hwmodel.build_workloads(
-                cfg.hw, cfg.arch, cfg.shape, batch,
-                seq_len=cfg.run.seq_len,
-                ar_hit_rate=ar_hit,
-                ar_unique_experts=ar_unique,
-                kv_coeff=cfg.run.kv_coeff,
-            )
-            cost = hwmodel.step_cost(cfg.hw, cfg.arch, wl, "ar", batch)
-            rows.append(
-                _row(
-                    cfg, scheme, batch, "ar", cost, None, ar_hit, None,
-                    _xpu_per_token_latency(cfg, batch, ar_unique),
-                )
-            )
-            continue
-        verify_capacity = hwmodel.hb_headroom_bytes(
+        capacity = hwmodel.hb_headroom_bytes(
             cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff,
             cfg.sd.pool_capacity,
         )
-        verify_hit = _lru_hit_rate(
-            stats.verify_steps, "msb", full_item, verify_capacity
-        )
-        verify_pop = _popularity_from_steps(stats.verify_steps, cfg.shape.n_experts)
+        verify_hit = _lru_hit_rate(verify_steps, "msb", full_item, capacity)
         verify_unique = _unique_experts(
-            batch * stats.mean_verify_tokens, cfg.shape, verify_pop, cfg.trace.seed + 1
-        )
-        sd_params = hwmodel.SdParams(
-            width=cfg.sd.width,
-            depth=cfg.sd.depth,
-            verify_tokens=stats.mean_verify_tokens,
-            pool_size=cfg.sd.pool_capacity,
-            mean_accept=stats.mean_accept,
-            transfer_pieces_per_step=stats.mean_transfers,
+            batch * sd.verify_tokens, cfg.shape, verify_pop, cfg.trace.seed + 1
         )
         wl = hwmodel.build_workloads(
             cfg.hw, cfg.arch, cfg.shape, batch,
             seq_len=cfg.run.seq_len,
-            ar_hit_rate=ar_hit,
-            ar_unique_experts=ar_unique,
-            sd=sd_params,
+            ar_hit_rate=ctx.ar[batch, 1.0][0],
+            ar_unique_experts=ctx.ar_unique[batch],
+            sd=sd,
             verify_msb_hit_rate=verify_hit,
             verify_unique_experts=verify_unique,
             kv_coeff=cfg.run.kv_coeff,
         )
-        ar_cost = hwmodel.step_cost(cfg.hw, cfg.arch, wl, "ar", batch)
-        sd_cost = hwmodel.step_cost(cfg.hw, cfg.arch, wl, "sd", batch, sd=sd_params)
-        mode, chosen = hwmodel.mode_select(ar_cost, sd_cost)
-        rows.append(
-            _row(
-                cfg, scheme, batch, mode, chosen, stats.mean_accept,
-                ar_hit, verify_hit,
-                _xpu_per_token_latency(cfg, batch, ar_unique),
-            )
+        priced[batch] = verify_hit, hwmodel.step_cost(
+            cfg.hw, cfg.arch, wl, "sd", batch, sd=sd
         )
-    return rows
+    return sd.mean_accept, priced
 
 
-def _analytic_rows(cfg: ScenarioConfig, scheme: str) -> list[ResultRow]:
-    """Parameterized scheme: AR workloads priced at a footprint-adjusted
-    hit rate, then scaled by the configured draft/verify cost ratios."""
-    params = cfg.analytic[scheme]
-    stats = _run_functional(cfg, "ar_only")
-    full_item = hwmodel.expert_bytes_full(cfg.shape) * params.footprint_multiplier
+def _scheme_rows(ctx: _ScenarioContext, scheme: str) -> list[ResultRow]:
+    """One scheme's rows.  Every scheme starts from the shared AR step at
+    its cache footprint; ar_only stops there, the functional SD schemes add
+    an SD step measured by a session, and the analytic schemes one scaled
+    from the AR step by their configured cost ratios.  Per batch the mode
+    with the lower per-token latency is reported."""
+    cfg = ctx.cfg
+    params = cfg.analytic[scheme] if scheme in ANALYTIC_SCHEMES else None
+    accept, measured = None, {}
+    if params is not None:
+        accept = params.mean_accept
+    elif scheme != "ar_only":
+        accept, measured = _measured_sd(ctx, scheme)
     rows = []
     for batch in cfg.batch_sizes:
-        capacity = hwmodel.hb_headroom_bytes(
-            cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff, 0
-        )
-        ar_hit = _lru_hit_rate(stats.ar_steps, "full", full_item, capacity)
-        ar_unique = _unique_experts(
-            batch, cfg.shape, stats.ar_popularity, cfg.trace.seed
-        )
-        wl = hwmodel.build_workloads(
-            cfg.hw, cfg.arch, cfg.shape, batch,
-            seq_len=cfg.run.seq_len,
-            ar_hit_rate=ar_hit,
-            ar_unique_experts=ar_unique,
-            kv_coeff=cfg.run.kv_coeff,
-        )
-        ar_cost = hwmodel.step_cost(cfg.hw, cfg.arch, wl, "ar", batch)
-        scale = params.depth * params.draft_cost_ratio + params.verify_cost_ratio
-        sd_cost = hwmodel.StepCost(
-            latency=ar_cost.latency * scale,
-            tokens=batch * (1.0 + params.mean_accept),
-            energy={k: v * scale for k, v in ar_cost.energy.items()},
-        )
-        mode, chosen = hwmodel.mode_select(ar_cost, sd_cost)
-        rows.append(
-            _row(
-                cfg, scheme, batch, mode, chosen, params.mean_accept,
-                ar_hit, None,
-                _xpu_per_token_latency(cfg, batch, ar_unique),
+        ar_hit, ar_cost = ctx.ar[batch, _footprint(cfg, scheme)]
+        verify_hit, sd_cost = measured.get(batch, (None, None))
+        if params is not None:
+            scale = params.depth * params.draft_cost_ratio + params.verify_cost_ratio
+            sd_cost = hwmodel.StepCost(
+                latency=ar_cost.latency * scale,
+                tokens=batch * (1.0 + accept),
+                energy={k: v * scale for k, v in ar_cost.energy.items()},
             )
+        mode, chosen = (
+            ("ar", ar_cost) if sd_cost is None
+            else hwmodel.mode_select(ar_cost, sd_cost)
         )
+        energy = {k: _round9(v / chosen.tokens) for k, v in chosen.energy.items()}
+        rows.append(ResultRow(
+            scenario_id=cfg.scenario_id,
+            scheme=scheme,
+            arch=cfg.arch.value,
+            batch=batch,
+            mode=mode,
+            accept_length_mean=_opt_round9(accept),
+            ar_hit_rate=_round9(ar_hit),
+            verify_msb_hit_rate=_opt_round9(verify_hit),
+            per_token_latency_s=_round9(chosen.per_token_latency),
+            per_token_energy_j=_round9(chosen.per_token_energy),
+            energy_compute_j=energy["compute"],
+            energy_hb_mem_j=energy["hb_mem"],
+            energy_ext_mem_j=energy["ext_mem"],
+            energy_comm_j=energy["comm"],
+            energy_static_j=energy["static"],
+            speedup_vs_xpu=_round9(
+                ctx.xpu_per_token[batch] / chosen.per_token_latency
+            ),
+        ))
     return rows
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     """All rows for one scenario, ordered by (scheme, batch) as configured."""
-    rows = []
     try:
-        for scheme in cfg.schemes:
-            if scheme in FUNCTIONAL_SCHEMES:
-                rows.extend(_functional_rows(cfg, scheme))
-            else:
-                rows.extend(_analytic_rows(cfg, scheme))
+        ctx = _build_context(cfg)
+        return [row for scheme in cfg.schemes for row in _scheme_rows(ctx, scheme)]
     except (ValueError, KeyError) as exc:
         raise RunnerError(f"scenario {cfg.scenario_id!r}: {exc}") from exc
-    return rows
 
 
 def run_scenarios(
@@ -767,10 +715,6 @@ def run_scenarios(
 # Emission
 
 
-def _row_to_record(row: ResultRow) -> dict:
-    return dataclasses.asdict(row)
-
-
 def render_csv(rows: list[ResultRow]) -> str:
     if not rows:
         raise RunnerError("no result rows to emit")
@@ -778,7 +722,7 @@ def render_csv(rows: list[ResultRow]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        record = _row_to_record(row)
+        record = dataclasses.asdict(row)
         line = []
         for col in CSV_COLUMNS:
             value = record[col]
@@ -795,7 +739,7 @@ def render_csv(rows: list[ResultRow]) -> str:
 def render_json(rows: list[ResultRow]) -> str:
     if not rows:
         raise RunnerError("no result rows to emit")
-    return json.dumps([_row_to_record(r) for r in rows], indent=2) + "\n"
+    return json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n"
 
 
 def emit(rows: list[ResultRow], fmt: str, path: str) -> None:

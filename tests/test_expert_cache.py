@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elasticmoe.expert_cache import (
     AccessTrace,
@@ -18,6 +19,23 @@ def full_trace(ids, step_ids=None):
     entries = tuple((0, int(e), "full") for e in ids)
     steps = tuple(step_ids) if step_ids is not None else ()
     return AccessTrace(entries=entries, steps=steps)
+
+
+def _unique_experts_reference(batch, top_k, n_experts, popularity, mc_samples, seed):
+    """The one-sample-at-a-time Monte Carlo loop the blocked estimate
+    must reproduce exactly."""
+    p = np.asarray(popularity, dtype=np.float64)
+    p = p / p.sum()
+    rng = np.random.default_rng(seed)
+    total = 0
+    for _ in range(mc_samples):
+        seen: set[int] = set()
+        scores = p * rng.exponential(1.0, size=(batch, n_experts))
+        for row in scores:
+            top = np.argpartition(-row, top_k - 1)[:top_k]
+            seen.update(top.tolist())
+        total += len(seen)
+    return total / mc_samples
 
 
 class TestSimulateLru:
@@ -178,6 +196,26 @@ class TestExpectedUnique:
         skewed = expected_unique_experts(8, 4, 32, popularity=pop, seed=5)
         flat = expected_unique_experts(8, 4, 32)
         assert skewed < flat
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mc_matches_per_sample_loop(self, data):
+        n = data.draw(st.integers(1, 24), label="n_experts")
+        top_k = data.draw(st.integers(1, n), label="top_k")
+        batch = data.draw(st.integers(1, 200), label="batch")
+        # Zero weights tie at score 0, so the top-k choice among them has
+        # to match the per-row argpartition too.
+        pop = data.draw(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n, max_size=n)
+            .filter(lambda p: sum(p) > 0),
+            label="popularity",
+        )
+        mc = data.draw(st.integers(1, 40), label="mc_samples")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        got = expected_unique_experts(
+            batch, top_k, n, popularity=pop, mc_samples=mc, seed=seed
+        )
+        assert got == _unique_experts_reference(batch, top_k, n, pop, mc, seed)
 
     def test_validation(self):
         with pytest.raises(ValueError):

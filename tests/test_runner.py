@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from elasticmoe import runner
+from elasticmoe import expert_cache, runner, toymoe
 from elasticmoe.cli import main as cli_main
 from elasticmoe.hwmodel import Arch
 from elasticmoe.runner import (
@@ -235,6 +235,29 @@ def test_speedup_definition_consistency():
         assert r.speedup_vs_xpu == pytest.approx(1.0, rel=1e-9)
 
 
+def test_shared_work_runs_once_per_scenario(monkeypatch):
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(toymoe, "gen_model")
+    counted(toymoe, "greedy_decode")
+    counted(expert_cache, "expected_unique_experts")
+    (cfg,) = load_config(example_config_path())
+    run_scenario(cfg)
+    # 3 batch sizes x (AR, elastic_sd verify, random_pool_sd verify).
+    assert calls == {
+        "gen_model": 1, "greedy_decode": 1, "expected_unique_experts": 9
+    }
+
+
 def test_ablation_suite_names():
     with pytest.raises(ConfigError, match="unknown ablation suite"):
         ablation_suite("no_such_suite")
@@ -296,6 +319,19 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     cfg_path.write_text(json.dumps(data))
     assert cli_main(["run", str(cfg_path)]) == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model", [{"d_model": "64"}, {"d_model": 64.0}, {"top_k": True}]
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_non_integer_model_fields(tmp_path, capsys, command, model):
+    data = json.loads(json.dumps(FAST))
+    data["model"].update(model)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main([command, str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: model.")
 
 
 def test_cli_ablate_unknown_suite(capsys):
