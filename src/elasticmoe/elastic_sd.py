@@ -10,12 +10,15 @@ fetched while verification runs.
 
 Greedy verification makes the emitted stream equal the full-precision
 model's greedy autoregressive stream token for token, whatever the draft
-quality; drafting only changes how many tokens each step yields.
+quality; drafting only changes how many tokens each step yields.  A
+session ingests its prompt through ``toymoe.prefill``, and every phase
+reads routing overrides through ``toymoe.trace_row``, so the positions
+line up with ``greedy_decode``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -27,9 +30,10 @@ from .toymoe import (
     PrecisionMode,
     RoutingDecision,
     greedy_token,
-    init_state,
     log_softmax,
+    prefill,
     step,
+    trace_row,
 )
 
 LayerDecision = tuple[int, RoutingDecision]
@@ -178,16 +182,9 @@ def sd_speedup(
     return (1.0 + accept_len) * lat_ar / (draft_term + lat_verify)
 
 
-def _overrides(score_traces, pos: int):
-    if score_traces is None:
-        return None
-    return score_traces[pos % len(score_traces)]
-
-
 @dataclass(frozen=True)
 class DraftResult:
     tree: DraftTree
-    pre_states: tuple[DecodeState, ...]
     decisions: tuple[LayerDecision, ...]
     original_decisions: tuple[LayerDecision, ...]
     step_calls: int
@@ -209,11 +206,11 @@ def draft_phase(
 
     Node scores are cumulative log-probabilities; each depth keeps the
     top-w candidates, always retaining the draft-greedy chain node.
-    pre_states[i] is the decode state before node i's token is processed.
     """
     if w < 1 or d < 0:
         raise ValueError("need w >= 1 and d >= 0")
     nodes = [TreeNode(parent=-1, token=int(root_token), score=0.0, depth=0)]
+    # pre_states[i] is the decode state before node i's token is processed.
     pre_states = [root_state]
     decisions: list[LayerDecision] = []
     originals: list[LayerDecision] = []
@@ -231,14 +228,12 @@ def draft_phase(
                 nodes[idx].token,
                 draft_mode,
                 permitted=pool.experts,
-                score_overrides=_overrides(score_traces, start_pos + nodes[idx].depth),
+                score_overrides=trace_row(score_traces, start_pos + nodes[idx].depth),
                 draft_reconstruct=draft_reconstruct,
             )
             calls += 1
-            for layer, dec in enumerate(out.decisions):
-                decisions.append((layer, dec))
-            for layer, dec in enumerate(out.original_decisions):
-                originals.append((layer, dec))
+            decisions.extend(enumerate(out.decisions))
+            originals.extend(enumerate(out.original_decisions))
             lp = log_softmax(out.logits)
             order = np.argsort(-lp, kind="stable")[:w]
             for tok in order.tolist():
@@ -265,7 +260,6 @@ def draft_phase(
     tree = DraftTree(nodes=tuple(nodes), width=w, depth=d, chain=tuple(chain))
     return DraftResult(
         tree=tree,
-        pre_states=tuple(pre_states),
         decisions=tuple(decisions),
         original_decisions=tuple(originals),
         step_calls=calls,
@@ -273,20 +267,15 @@ def draft_phase(
 
 
 @dataclass(frozen=True)
-class SdStepResult:
+class VerifyResult:
+    """final_state is the decode state after the last accepted token."""
+
     accept_length: int
     bonus_token: int
-    verify_token_count: int
     emitted: tuple[int, ...]
-    draft_decisions: tuple[LayerDecision, ...]
-    draft_original_decisions: tuple[LayerDecision, ...]
+    verify_token_count: int
     verify_decisions: tuple[LayerDecision, ...]
-    pool: Optional[ExpertPool]
-    next_pool: Optional[ExpertPool]
-    transfers: tuple[tuple[int, int], ...]
-    tree: DraftTree
-    draft_step_calls: int
-    final_state: DecodeState = field(repr=False, compare=False, default=None)
+    final_state: DecodeState
 
 
 def verify_phase(
@@ -296,7 +285,7 @@ def verify_phase(
     verify_count: Optional[int] = None,
     score_traces=None,
     start_pos: int = 0,
-) -> SdStepResult:
+) -> VerifyResult:
     """Verify the top-scoring tree nodes with the full-precision model.
 
     The verify set is the verify_count highest cumulative-score non-root
@@ -317,28 +306,18 @@ def verify_phase(
     selected = set(ranked[:verify_count]) | set(tree.chain)
     order = sorted(selected)
     decisions: list[LayerDecision] = []
-
-    def run(state, token, pos):
+    post_state: dict[int, DecodeState] = {}
+    logits: dict[int, np.ndarray] = {}
+    for idx in [0] + order:
+        node = tree.nodes[idx]
         out = step(
             model,
-            state,
-            token,
+            root_state if idx == 0 else post_state[node.parent],
+            node.token,
             PrecisionMode.INT8_FULL,
-            permitted=None,
-            score_overrides=_overrides(score_traces, pos),
+            score_overrides=trace_row(score_traces, start_pos + node.depth),
         )
-        for layer, dec in enumerate(out.decisions):
-            decisions.append((layer, dec))
-        return out
-
-    root = tree.nodes[0]
-    out0 = run(root_state, root.token, start_pos)
-    post_state = {0: out0.state}
-    logits = {0: out0.logits}
-    for idx in order:
-        node = tree.nodes[idx]
-        parent_state = post_state[node.parent]
-        out = run(parent_state, node.token, start_pos + node.depth)
+        decisions.extend(enumerate(out.decisions))
         post_state[idx] = out.state
         logits[idx] = out.logits
     children: dict[int, list[int]] = {}
@@ -359,19 +338,12 @@ def verify_phase(
         cur = nxt
     bonus = greedy_token(logits[cur])
     emitted = tuple(tree.nodes[i].token for i in accepted) + (bonus,)
-    return SdStepResult(
+    return VerifyResult(
         accept_length=len(accepted),
         bonus_token=bonus,
-        verify_token_count=1 + len(order),
         emitted=emitted,
-        draft_decisions=(),
-        draft_original_decisions=(),
+        verify_token_count=1 + len(order),
         verify_decisions=tuple(decisions),
-        pool=None,
-        next_pool=None,
-        transfers=(),
-        tree=tree,
-        draft_step_calls=0,
         final_state=post_state[cur],
     )
 
@@ -400,6 +372,23 @@ class SdConfig:
         if self.verify_count is not None:
             return self.verify_count
         return self.width * self.depth
+
+
+@dataclass(frozen=True)
+class SdStepResult:
+    """One session step: its verify outcome, draft side and pool refresh."""
+
+    accept_length: int
+    bonus_token: int
+    verify_token_count: int
+    emitted: tuple[int, ...]
+    draft_decisions: tuple[LayerDecision, ...]
+    verify_decisions: tuple[LayerDecision, ...]
+    pool: ExpertPool
+    next_pool: ExpertPool
+    transfers: tuple[tuple[int, int], ...]
+    tree: DraftTree
+    draft_step_calls: int
 
 
 @dataclass(frozen=True)
@@ -437,32 +426,18 @@ class SdSession:
         self.score_traces = score_traces
         self.rng = np.random.default_rng(config.seed)
         shape = model.shape
-        self.hotness = new_accumulator(shape.n_layers, shape.n_experts)
-        state = init_state(model)
-        pos = 0
-        prompt_decisions: list[LayerDecision] = []
-        for tok in prompt[:-1]:
-            out = step(
-                model,
-                state,
-                tok,
-                PrecisionMode.INT8_FULL,
-                score_overrides=_overrides(score_traces, pos),
-            )
-            state = out.state
-            for layer, dec in enumerate(out.decisions):
-                prompt_decisions.append((layer, dec))
-            pos += 1
-        self.hotness = accumulate_hotness(self.hotness, prompt_decisions)
-        self.root_state = state
+        # The last prompt token is the first draft root, so only the
+        # tokens before it are ingested here.
+        self.root_state, _, prompt_decisions = prefill(
+            model, prompt[:-1], PrecisionMode.INT8_FULL, score_traces
+        )
+        self.hotness = accumulate_hotness(
+            new_accumulator(shape.n_layers, shape.n_experts),
+            [pair for decs in prompt_decisions for pair in enumerate(decs)],
+        )
         self.root_token = int(prompt[-1])
-        self.pos = pos
+        self.pos = len(prompt) - 1
         self.pool = self._pick_pool()
-        self.cached = {
-            (layer, e)
-            for layer, experts in enumerate(self.pool.experts)
-            for e in experts
-        }
 
     def _pick_pool(self) -> ExpertPool:
         shape = self.model.shape
@@ -502,31 +477,26 @@ class SdSession:
             start_pos=self.pos,
         )
         self.hotness = accumulate_hotness(self.hotness, verify.verify_decisions)
-        transfers = pool_update_plan(next_pool, self.cached)
+        current = enumerate(self.pool.experts)
+        resident = {(layer, e) for layer, experts in current for e in experts}
+        transfers = pool_update_plan(next_pool, resident)
         result = SdStepResult(
             accept_length=verify.accept_length,
             bonus_token=verify.bonus_token,
             verify_token_count=verify.verify_token_count,
             emitted=verify.emitted,
             draft_decisions=draft.decisions,
-            draft_original_decisions=draft.original_decisions,
             verify_decisions=verify.verify_decisions,
             pool=self.pool,
             next_pool=next_pool,
             transfers=tuple(transfers),
             tree=draft.tree,
             draft_step_calls=draft.step_calls,
-            final_state=verify.final_state,
         )
         self.root_state = verify.final_state
         self.root_token = verify.bonus_token
         self.pos += verify.accept_length + 1
         self.pool = next_pool
-        self.cached = {
-            (layer, e)
-            for layer, experts in enumerate(next_pool.experts)
-            for e in experts
-        }
         return result
 
     def run(self, n_tokens: int) -> SdRunResult:

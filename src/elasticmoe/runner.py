@@ -25,6 +25,7 @@ import csv
 import dataclasses
 import io
 import json
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from dataclasses import dataclass, field
@@ -259,7 +260,8 @@ _HW_KEY_MAP = {
     "nmp_internal_multiplier": ("nmp_internal_multiplier", 1),
 }
 
-_INT_HW_FIELDS = {"hb_banks", "macs_per_pe_per_cycle", "nmp_channels", "total_channels"}
+_HW_TYPES = typing.get_type_hints(HwConfig)
+_INT_HW_FIELDS = {name for name, typ in _HW_TYPES.items() if typ is int}
 
 
 def _check_keys(section: str, data: dict, allowed) -> None:
@@ -275,9 +277,22 @@ def _sub(data: dict, key: str) -> dict:
     return value
 
 
+def _check_number(label: str, value, typ) -> None:
+    """int fields take an int, float fields an int or float; a bool is
+    neither, though Python counts it as an int."""
+    kinds, kind = ((int,), "an integer") if typ is int else ((int, float), "a number")
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ConfigError(f"{label} must be {kind}")
+
+
 def _build_dataclass(section: str, cls, data: dict):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    _check_keys(section, data, fields)
+    """Build cls from a config section, checking keys and the type of every
+    int or float field against the field annotations first."""
+    types = typing.get_type_hints(cls)
+    _check_keys(section, data, types)
+    for key, value in data.items():
+        if types[key] in (int, float):
+            _check_number(f"{section}.{key}", value, types[key])
     try:
         return cls(**data)
     except ConfigError:
@@ -291,14 +306,8 @@ def _hw_from_dict(data: dict) -> HwConfig:
     kwargs = {}
     for key, raw in data.items():
         fname, scale = _HW_KEY_MAP[key]
-        if fname in _INT_HW_FIELDS:
-            if not isinstance(raw, int) or isinstance(raw, bool):
-                raise ConfigError(f"hw.{key} must be an integer")
-            kwargs[fname] = raw
-        else:
-            if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-                raise ConfigError(f"hw.{key} must be a number")
-            kwargs[fname] = float(raw) * scale
+        _check_number(f"hw.{key}", raw, _HW_TYPES[fname])
+        kwargs[fname] = raw if fname in _INT_HW_FIELDS else float(raw) * scale
     try:
         return HwConfig(**kwargs)
     except ValueError as exc:
@@ -330,16 +339,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     _check_keys("scenario", data, _SCENARIO_KEYS)
     if "scenario_id" not in data or not isinstance(data["scenario_id"], str):
         raise ConfigError("scenario_id is required and must be a string")
-    model_data = dict(_MODEL_DEFAULTS)
-    _check_keys("model", _sub(data, "model"), _MODEL_DEFAULTS)
-    model_data.update(_sub(data, "model"))
-    for key, value in model_data.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"model.{key} must be an integer")
-    try:
-        shape = MoEShape(**model_data)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    shape = _build_dataclass(
+        "model", MoEShape, {**_MODEL_DEFAULTS, **_sub(data, "model")}
+    )
     arch_name = data.get("arch", "ours")
     try:
         arch = Arch(arch_name)

@@ -7,6 +7,9 @@ group-quantized INT8 codes; the precision mode picks real reference weights,
 the full 8-bit codes, or the 4-bit MSB surrogate used for drafting.  Dense
 parts (embedding, context map, router, output head) stay real in all modes.
 
+``step`` processes one token; ``prefill`` feeds a token sequence from a
+fresh state, and ``trace_row`` picks the routing overrides a position reads.
+
 Determinism rules: every matrix product is an index-ordered einsum over
 fixed 32-wide input groups followed by a group-axis sum, so results never
 depend on how many tokens are evaluated together; routing and sampling ties
@@ -16,7 +19,7 @@ break toward lower ids.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,6 +61,9 @@ class QuantizedMatrix:
 
     codes: np.ndarray
     scales: np.ndarray
+    _surrogates: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def out_dim(self) -> int:
@@ -73,8 +79,15 @@ class QuantizedMatrix:
         return w.reshape(self.out_dim, self.in_dim)
 
     def surrogate(self, mode: ReconstructMode) -> np.ndarray:
-        """Codes rebuilt from slices under the given reconstruction mode."""
-        return surrogate_codes(self.codes, mode)
+        """Codes rebuilt from slices under the given reconstruction mode,
+        built on first use per mode and kept read-only.  They stay int64:
+        int8 storage makes the group einsum slower."""
+        codes = self._surrogates.get(mode)
+        if codes is None:
+            codes = surrogate_codes(self.codes, mode)
+            codes.flags.writeable = False
+            codes = self._surrogates.setdefault(mode, codes)
+        return codes
 
 
 def quantize_matrix(w: np.ndarray) -> QuantizedMatrix:
@@ -321,8 +334,6 @@ def _normalize_permitted(permitted, n_layers: int):
     if isinstance(permitted, (set, frozenset)):
         return [permitted] * n_layers
     seq = list(permitted)
-    if len(seq) and isinstance(seq[0], (int, np.integer)):
-        return [seq] * n_layers
     if len(seq) != n_layers:
         raise ValueError(f"need one permitted set per layer ({n_layers})")
     return seq
@@ -389,29 +400,33 @@ def greedy_token(logits: np.ndarray) -> int:
     return int(np.argmax(logits))
 
 
-def forward_step(
-    model: MoEModel,
-    context: Sequence[int],
-    mode: PrecisionMode,
-    permitted=None,
-    score_traces: Optional[Sequence[Sequence[Optional[np.ndarray]]]] = None,
-    draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
-) -> tuple[np.ndarray, tuple[RoutingDecision, ...]]:
-    """Replay a token context from scratch; return the final logits and the
-    last position's routing decisions.
+def trace_row(score_traces, pos: int):
+    """Per-layer score overrides for position pos: the trace row indexed
+    modulo its length, or None when there is no trace (None or empty)."""
+    return score_traces[pos % len(score_traces)] if score_traces else None
 
-    score_traces, when given, supplies per-position per-layer routing score
-    vectors (indexed modulo its length) that replace the router outputs.
-    """
-    if len(context) == 0:
-        raise ValueError("context must be nonempty")
+
+def prefill(
+    model: MoEModel,
+    tokens: Sequence[int],
+    mode: PrecisionMode,
+    score_traces=None,
+    draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
+) -> tuple[DecodeState, Optional[np.ndarray], list[tuple[RoutingDecision, ...]]]:
+    """Feed tokens from a fresh state at positions 0, 1, ...; return the
+    last state, its logits (None when tokens is empty), and each position's
+    routing decisions.  Trace rows (see trace_row) replace router scores."""
     state = init_state(model)
-    out = None
-    for pos, tok in enumerate(context):
-        ov = score_traces[pos % len(score_traces)] if score_traces else None
-        out = step(model, state, tok, mode, permitted, ov, draft_reconstruct)
-        state = out.state
-    return out.logits, out.decisions
+    logits = None
+    decisions = []
+    for pos, tok in enumerate(tokens):
+        out = step(
+            model, state, tok, mode, None, trace_row(score_traces, pos),
+            draft_reconstruct,
+        )
+        state, logits = out.state, out.logits
+        decisions.append(out.decisions)
+    return state, logits, decisions
 
 
 def greedy_decode(
@@ -426,25 +441,19 @@ def greedy_decode(
     routing decisions for every processed position)."""
     if len(prompt) == 0:
         raise ValueError("prompt must be nonempty")
-    state = init_state(model)
-    decisions_log = []
-    logits = None
-    pos = 0
-    for tok in prompt:
-        ov = score_traces[pos % len(score_traces)] if score_traces else None
-        out = step(model, state, tok, mode, None, ov, draft_reconstruct)
-        state, logits = out.state, out.logits
-        decisions_log.append(out.decisions)
-        pos += 1
+    state, logits, decisions_log = prefill(
+        model, prompt, mode, score_traces, draft_reconstruct
+    )
     tokens = []
-    for _ in range(n_new):
+    for pos in range(len(prompt), len(prompt) + n_new):
         nxt = greedy_token(logits)
         tokens.append(nxt)
-        ov = score_traces[pos % len(score_traces)] if score_traces else None
-        out = step(model, state, nxt, mode, None, ov, draft_reconstruct)
+        out = step(
+            model, state, nxt, mode, None, trace_row(score_traces, pos),
+            draft_reconstruct,
+        )
         state, logits = out.state, out.logits
         decisions_log.append(out.decisions)
-        pos += 1
     return tokens, decisions_log
 
 
@@ -488,7 +497,7 @@ def gen_routing_trace(
 
 def trace_scores(trace: Sequence[Sequence[RoutingDecision]]) -> list[list[np.ndarray]]:
     """Reshape per-layer traces [layer][pos] into per-position override rows
-    [pos][layer] for forward_step/greedy_decode."""
+    [pos][layer] for prefill/greedy_decode."""
     n_layers = len(trace)
     n_tokens = min(len(t) for t in trace)
     return [

@@ -1,6 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from elasticmoe import toymoe
+from elasticmoe.bitnest import ReconstructMode
 from elasticmoe.elastic_sd import (
     DraftTree,
     ExpertPool,
@@ -335,10 +340,12 @@ class TestSdSession:
     def test_stream_equals_greedy_ar(self):
         model = gen_model(SHAPE, seed=17)
         cfg = SdConfig(width=2, depth=3, pool_capacity=4)
-        session = SdSession(model, cfg, prompt=[3, 5])
-        got = session.run(40).tokens
         ar, _ = greedy_decode(model, [3, 5], 40, PrecisionMode.INT8_FULL)
-        assert list(got) == ar
+        # An empty trace means no trace, as it does for greedy_decode.
+        for traces in (None, []):
+            session = SdSession(model, cfg, prompt=[3, 5], score_traces=traces)
+            got = session.run(40).tokens
+            assert list(got) == ar
 
     def test_stream_equality_with_trace_overrides(self):
         model = gen_model(SHAPE, seed=18)
@@ -424,3 +431,77 @@ class TestSdSession:
             SdSession(model, SdConfig(pool_capacity=1), prompt=[1])
         with pytest.raises(ValueError):
             SdSession(model, SdConfig(), prompt=[])
+
+    def test_draft_steps_reuse_surrogate_codes(self, monkeypatch):
+        calls = Counter()
+        build = toymoe.surrogate_codes
+
+        def counting(codes, mode):
+            calls[mode] += 1
+            return build(codes, mode)
+
+        monkeypatch.setattr(toymoe, "surrogate_codes", counting)
+        model = gen_model(SHAPE, seed=25)
+        modes = (ReconstructMode.LSB_AUGMENT, ReconstructMode.TRUNCATE)
+        for mode in modes:
+            cfg = SdConfig(width=2, depth=3, pool_capacity=4, draft_reconstruct=mode)
+            run = SdSession(model, cfg, prompt=[4, 2]).run(16)
+            assert sum(s.draft_step_calls for s in run.steps) > 10
+        # Each (layer, expert, matrix) is built at most once per mode.
+        assert set(calls) == set(modes)
+        assert max(calls.values()) <= 3 * SHAPE.n_layers * SHAPE.n_experts
+        matrix = model.experts[0][0].up
+        codes = matrix.surrogate(ReconstructMode.TRUNCATE)
+        assert codes is matrix.surrogate(ReconstructMode.TRUNCATE)
+        assert not codes.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stream_equals_greedy_property(data):
+    n_experts = data.draw(st.integers(1, 6), label="n_experts")
+    shape = MoEShape(
+        d_model=32,
+        d_ff=data.draw(st.sampled_from([32, 64]), label="d_ff"),
+        n_experts=n_experts,
+        top_k=data.draw(st.integers(1, min(n_experts, 3)), label="top_k"),
+        n_layers=data.draw(st.integers(1, 2), label="n_layers"),
+        vocab=data.draw(st.integers(2, 24), label="vocab"),
+    )
+    model = gen_model(shape, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    width = data.draw(st.integers(1, 3), label="width")
+    depth = data.draw(st.integers(0, 3), label="depth")
+    cfg = SdConfig(
+        width=width,
+        depth=depth,
+        verify_count=data.draw(
+            st.none() | st.integers(0, width * depth), label="verify_count"
+        ),
+        pool_capacity=data.draw(
+            st.integers(shape.top_k, n_experts + 1), label="pool_capacity"
+        ),
+        draft_reconstruct=data.draw(
+            st.sampled_from(list(ReconstructMode)), label="reconstruct"
+        ),
+        pool_strategy=data.draw(
+            st.sampled_from(["hotness", "random"]), label="pool_strategy"
+        ),
+    )
+    traces = None
+    n_trace = data.draw(st.integers(0, 8), label="trace_tokens")
+    if n_trace:
+        # Short traces wrap around, so positions past the end reuse rows.
+        traces = trace_scores([
+            gen_routing_trace(n_trace, n_experts, shape.top_k, 1.0, 0.5, seed=layer)
+            for layer in range(shape.n_layers)
+        ])
+    prompt = data.draw(
+        st.lists(st.integers(0, shape.vocab - 1), min_size=1, max_size=3),
+        label="prompt",
+    )
+    n_new = data.draw(st.integers(1, 10), label="n_new")
+    got = SdSession(model, cfg, prompt, score_traces=traces).run(n_new).tokens
+    ar, _ = greedy_decode(
+        model, prompt, n_new, PrecisionMode.INT8_FULL, score_traces=traces
+    )
+    assert list(got) == ar

@@ -321,17 +321,31 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+# Each case is (section, field overrides); the parameter name fixes the
+# test ids (model0, model1, ...).
 @pytest.mark.parametrize(
-    "model", [{"d_model": "64"}, {"d_model": 64.0}, {"top_k": True}]
+    "model",
+    [
+        ("model", {"d_model": "64"}),
+        ("model", {"d_model": 64.0}),
+        ("model", {"top_k": True}),
+        ("trace", {"n_tokens": 2.5}),
+        ("trace", {"seed": 7.5}),
+        ("sd", {"width": 2.0}),
+        ("sd", {"depth": 1.5}),
+        ("run", {"n_new_tokens": True}),
+        ("analytic", {"eagle_sd": {"mean_accept": True}}),
+    ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_rejects_non_integer_model_fields(tmp_path, capsys, command, model):
+    section, fields = model
     data = json.loads(json.dumps(FAST))
-    data["model"].update(model)
+    data.setdefault(section, {}).update(fields)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
     assert cli_main([command, str(cfg_path)]) == 1
-    assert capsys.readouterr().err.startswith("config error: model.")
+    assert capsys.readouterr().err.startswith(f"config error: {section}.")
 
 
 def test_cli_ablate_unknown_suite(capsys):

@@ -8,12 +8,12 @@ from elasticmoe.toymoe import (
     PrecisionMode,
     QuantizedMatrix,
     expert_forward,
-    forward_step,
     gen_model,
     gen_routing_trace,
     greedy_decode,
     greedy_token,
     init_state,
+    prefill,
     quantize_activations,
     quantize_matrix,
     route,
@@ -273,8 +273,8 @@ class TestStep:
         assert np.array_equal(a.state.ctx, b.state.ctx)
 
     def test_greedy_next_token_deterministic(self):
-        logits, _ = forward_step(self.model, [3, 1, 4], PrecisionMode.INT8_FULL)
-        logits2, _ = forward_step(self.model, [3, 1, 4], PrecisionMode.INT8_FULL)
+        _, logits, _ = prefill(self.model, [3, 1, 4], PrecisionMode.INT8_FULL)
+        _, logits2, _ = prefill(self.model, [3, 1, 4], PrecisionMode.INT8_FULL)
         assert greedy_token(logits) == greedy_token(logits2)
         assert np.array_equal(logits, logits2)
 
@@ -393,8 +393,9 @@ class TestOverrideIntegration:
             for i in range(SHAPE.n_layers)
         ]
         per_pos = trace_scores(layer_traces)
-        _, decisions = forward_step(
+        _, _, decisions = prefill(
             model, [1, 2, 3], PrecisionMode.INT8_FULL, score_traces=per_pos
         )
-        for layer in range(SHAPE.n_layers):
-            assert decisions[layer].selected == layer_traces[layer][2].selected
+        for pos in range(3):
+            for layer in range(SHAPE.n_layers):
+                assert decisions[pos][layer].selected == layer_traces[layer][pos].selected
