@@ -1,13 +1,15 @@
 """Analytical latency and energy model for tiered-memory MoE decoding.
 
-Two memory tiers feed a PE array: a high-bandwidth on-package tier whose
-usable bandwidth scales with the fraction of active PEs (bandwidth and
-compute are coupled, less a fixed utilization derate) and a conventional
-external tier whose bandwidth is independent of PE activity.  Phase
-latencies compose by full overlap: the slowest of memory, compute, and
-communication binds.  Baseline architectures without the high-bandwidth
-tier get an in/near-memory internal tier instead, with expert work split
-between that tier and the host so that step latency is minimized.
+Every phase is priced by one full-overlap roofline (`phase_latency`): its
+latency is the largest of four resource times, namely reads from the
+stacked high-bandwidth (HB) tier, reads from external memory, compute, and
+link traffic.  Each tier's usable bandwidth is its raw bandwidth less a
+fixed utilization derate.  Architectures with the HB tier (`Arch.has_hb`)
+compute at the PE array's peak rate; the plain xPU reads everything from
+external memory and computes at its own rate.  The in/near-memory
+baselines get an internal tier instead, with expert work split between
+that tier and the host so that step latency is minimized
+(`offload_split`).
 
 Workload tallies count weight traffic in code bytes (scale metadata is
 excluded, so an MSB slice is exactly half an expert) and compute in
@@ -36,17 +38,10 @@ class Arch(enum.Enum):
     HB_XPU = "hb_xpu"
     OURS = "ours"
 
-
-class Parallelism(enum.Enum):
-    HB_TP = "hb_tp"
-    HB_TP_EXT_DP = "hb_tp_ext_dp"
-    EXT_ONLY = "ext_only"
-    INTERNAL = "internal"
-
-
-class CommStrategy(enum.Enum):
-    SLICE_EXCHANGE = "slice_exchange"
-    PSUM_SYNC = "psum_sync"
+    @property
+    def has_hb(self) -> bool:
+        """Whether the architecture has the stacked high-bandwidth tier."""
+        return self in (Arch.HB_XPU, Arch.OURS)
 
 
 class CommOverlapWarning(UserWarning):
@@ -105,9 +100,22 @@ class HwConfig:
             "xpu_compute_macs",
             "pim_compute_macs",
             "nmp_compute_macs",
+            "pim_bw_multiplier",
+            "logic_pim_bw_multiplier",
+            "logic_pim_compute_multiplier",
+            "nmp_internal_multiplier",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in (
+            "hb_energy_per_bit",
+            "ext_energy_per_bit",
+            "comm_energy_per_bit",
+            "compute_energy_per_mac",
+            "static_power_w",
+        ):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not 0 <= self.hb_derate < 1 or not 0 <= self.ext_derate < 1:
             raise ValueError("derates must be in [0, 1)")
         if not 0 < self.nmp_channels < self.total_channels:
@@ -118,25 +126,15 @@ class HwConfig:
         """One PE per bank: banks * per-PE MAC rate * clock."""
         return self.hb_banks * self.macs_per_pe_per_cycle * self.clock_hz
 
+    @property
+    def usable_hb_bw(self) -> float:
+        """All banks' bandwidth less the HB derate."""
+        return self.hb_banks * self.hb_bw_per_bank * (1 - self.hb_derate)
 
-def coupled_roofline(cfg: HwConfig, active_pe_fraction: float) -> tuple[float, float]:
-    """(effective HB bandwidth, effective compute): both scale with the
-    active PE fraction; bandwidth additionally loses the HB derate."""
-    if not 0 < active_pe_fraction <= 1:
-        raise ValueError("active_pe_fraction must be in (0, 1]")
-    bw = cfg.hb_banks * cfg.hb_bw_per_bank * active_pe_fraction * (1 - cfg.hb_derate)
-    compute = cfg.peak_compute_macs * active_pe_fraction
-    return bw, compute
-
-
-def decoupled_roofline(cfg: HwConfig, active_pe_fraction: float) -> tuple[float, float]:
-    """(effective external bandwidth, effective compute): bandwidth is flat
-    in PE activity, compute still scales."""
-    if not 0 < active_pe_fraction <= 1:
-        raise ValueError("active_pe_fraction must be in (0, 1]")
-    bw = cfg.ext_bw * (1 - cfg.ext_derate)
-    compute = cfg.peak_compute_macs * active_pe_fraction
-    return bw, compute
+    @property
+    def usable_ext_bw(self) -> float:
+        """External bandwidth less the external derate."""
+        return self.ext_bw * (1 - self.ext_derate)
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,6 @@ class PhaseWorkload:
     macs: float = 0.0
     comm_bytes_aggr: float = 0.0
     comm_bytes_streamline: float = 0.0
-    active_pe_fraction: float = 1.0
     offload_expert_bytes: float = 0.0
     offload_expert_macs: float = 0.0
 
@@ -219,64 +216,32 @@ class PhaseWorkload:
         ):
             if getattr(self, f_name) < 0:
                 raise ValueError(f"{f_name} must be nonnegative")
-        if not 0 < self.active_pe_fraction <= 1:
-            raise ValueError("active_pe_fraction must be in (0, 1]")
         if self.offload_expert_bytes > self.ext_bytes:
             raise ValueError("offloadable bytes exceed external bytes")
         if self.offload_expert_macs > self.macs:
             raise ValueError("offloadable MACs exceed total MACs")
 
 
-def phase_latency(
-    cfg: HwConfig,
-    workload: PhaseWorkload,
-    parallelism: Parallelism,
-    internal: Optional[InternalTier] = None,
-) -> float:
-    """Full-overlap phase latency: the max over binding resources.
-
-    HB_TP forbids external traffic (the draft phase never leaves the
-    high-bandwidth tier); EXT_ONLY forbids HB traffic; INTERNAL reads
-    hb_bytes as internal-tier bytes.  Under HB_TP_EXT_DP a
-    CommOverlapWarning is issued when communication takes longer than the
-    external fetch it is meant to overlap with.
-    """
+def phase_latency(cfg: HwConfig, workload: PhaseWorkload, compute_macs: float) -> float:
+    """Full-overlap phase latency: the largest of the HB read, external read,
+    compute (at compute_macs MACs/s) and link times.  Warns with
+    CommOverlapWarning when the phase reads external memory and its link
+    time exceeds that read, which the links should hide under."""
     w = workload
-    comm_time = max(
+    hb_time = w.hb_bytes / cfg.usable_hb_bw
+    ext_time = w.ext_bytes / cfg.usable_ext_bw
+    link_time = max(
         w.comm_bytes_aggr / cfg.aggr_link_bw,
         w.comm_bytes_streamline / cfg.streamline_bw,
     )
-    if parallelism is Parallelism.HB_TP:
-        if w.ext_bytes:
-            raise ValueError(f"{w.name}: HB_TP phase cannot touch external memory")
-        hb_bw, compute = coupled_roofline(cfg, w.active_pe_fraction)
-        return max(w.hb_bytes / hb_bw, w.macs / compute, comm_time)
-    if parallelism is Parallelism.HB_TP_EXT_DP:
-        hb_bw, compute = coupled_roofline(cfg, w.active_pe_fraction)
-        ext_bw, _ = decoupled_roofline(cfg, w.active_pe_fraction)
-        ext_time = w.ext_bytes / ext_bw
-        if comm_time > ext_time and comm_time > 0:
-            warnings.warn(
-                f"{w.name}: communication time {comm_time:.3e}s exceeds the "
-                f"external fetch time {ext_time:.3e}s it should hide under",
-                CommOverlapWarning,
-                stacklevel=2,
-            )
-        return max(w.hb_bytes / hb_bw, ext_time, w.macs / compute, comm_time)
-    if parallelism is Parallelism.EXT_ONLY:
-        if w.hb_bytes:
-            raise ValueError(f"{w.name}: EXT_ONLY phase cannot touch the HB tier")
-        ext_bw, _ = decoupled_roofline(cfg, 1.0)
-        return max(w.ext_bytes / ext_bw, w.macs / cfg.xpu_compute_macs, comm_time)
-    if parallelism is Parallelism.INTERNAL:
-        if internal is None:
-            raise ValueError("INTERNAL parallelism needs an internal tier")
-        return max(
-            w.hb_bytes / internal.internal_bw,
-            w.macs / internal.internal_compute,
-            comm_time,
+    if w.ext_bytes > 0 and link_time > ext_time:
+        warnings.warn(
+            f"{w.name}: communication time {link_time:.3e}s exceeds the "
+            f"external fetch time {ext_time:.3e}s it should hide under",
+            CommOverlapWarning,
+            stacklevel=2,
         )
-    raise ValueError(f"unknown parallelism {parallelism!r}")
+    return max(hb_time, ext_time, w.macs / compute_macs, link_time)
 
 
 def expert_bytes_full(shape: MoEShape) -> float:
@@ -322,28 +287,12 @@ def kv_bytes(shape: MoEShape, tokens: float, seq_len: int, kv_coeff: float = 2.0
     return kv_coeff * tokens * seq_len * shape.n_layers * shape.d_model
 
 
-def comm_cost(
-    strategy: CommStrategy,
-    shape: MoEShape,
-    batch_tokens: int,
-    unique_experts: float = 0.0,
-) -> float:
-    """Bytes moved between PEs to combine partial results.
-
-    SLICE_EXCHANGE rebuilds full-precision weights by shipping the MSB
-    slices of every active expert; PSUM_SYNC ships only the partial-sum
-    vectors at projection boundaries (per token, per layer, per routed
-    expert) and is independent of weight size.  Doubling the batch doubles
-    PSUM_SYNC bytes and leaves SLICE_EXCHANGE unchanged.
-    """
-    if batch_tokens < 0 or unique_experts < 0:
-        raise ValueError("counts must be nonnegative")
-    if strategy is CommStrategy.SLICE_EXCHANGE:
-        return shape.n_layers * unique_experts * expert_bytes_msb(shape)
-    if strategy is CommStrategy.PSUM_SYNC:
-        per_token_layer = shape.top_k * (2 * shape.d_ff + shape.d_model) * PSUM_BYTES
-        return float(batch_tokens * shape.n_layers * per_token_layer)
-    raise ValueError(f"unknown strategy {strategy!r}")
+def psum_bytes(shape: MoEShape, tokens: float) -> float:
+    """Partial-sum bytes the PEs exchange to combine their results: one
+    vector per projection boundary, per token, layer and routed expert,
+    independent of weight size (aggregation link)."""
+    per_token_layer = shape.top_k * (2 * shape.d_ff + shape.d_model) * PSUM_BYTES
+    return float(tokens * shape.n_layers * per_token_layer)
 
 
 def scatter_bytes(shape: MoEShape, batch_tokens: int) -> float:
@@ -410,7 +359,6 @@ def build_workloads(
     verify_msb_hit_rate: float = 0.0,
     verify_unique_experts: float = 0.0,
     kv_coeff: float = 2.0,
-    draft_pe_fraction: float = 1.0,
 ) -> dict[str, PhaseWorkload]:
     """Per-phase byte/MAC/communication tallies for one decoding step.
 
@@ -432,7 +380,6 @@ def build_workloads(
         raise ValueError("ar_unique_experts out of range")
     if not 0 <= verify_unique_experts <= shape.n_experts:
         raise ValueError("verify_unique_experts out of range")
-    has_hb = arch in (Arch.HB_XPU, Arch.OURS)
     d_bytes = dense_bytes(shape)
     kv_ar = kv_bytes(shape, batch, seq_len, kv_coeff)
     full = expert_bytes_full(shape)
@@ -440,14 +387,14 @@ def build_workloads(
     expert_total = shape.n_layers * ar_unique_experts * full
     d_macs = batch * dense_macs_per_token(shape)
     e_macs = batch * expert_macs_per_token(shape)
-    if has_hb:
+    if arch.has_hb:
         hb_headroom_bytes(cfg, shape, batch, seq_len, kv_coeff, sd.pool_size if sd else 0)
         ar = PhaseWorkload(
             name="ar_step",
             hb_bytes=ar_hit_rate * expert_total + d_bytes + kv_ar,
             ext_bytes=(1 - ar_hit_rate) * expert_total,
             macs=d_macs + e_macs,
-            comm_bytes_aggr=comm_cost(CommStrategy.PSUM_SYNC, shape, batch),
+            comm_bytes_aggr=psum_bytes(shape, batch),
             comm_bytes_streamline=scatter_bytes(shape, batch),
         )
     else:
@@ -474,9 +421,8 @@ def build_workloads(
         ext_bytes=0.0,
         macs=0.5 * draft_tokens * expert_macs_per_token(shape)
         + draft_tokens * dense_macs_per_token(shape),
-        comm_bytes_aggr=comm_cost(CommStrategy.PSUM_SYNC, shape, draft_tokens),
+        comm_bytes_aggr=psum_bytes(shape, draft_tokens),
         comm_bytes_streamline=scatter_bytes(shape, draft_tokens),
-        active_pe_fraction=draft_pe_fraction,
     )
     verify_tokens = batch * sd.verify_tokens
     verify_expert_msb = shape.n_layers * verify_unique_experts * msb
@@ -488,7 +434,7 @@ def build_workloads(
         ext_bytes=(1 - verify_msb_hit_rate) * verify_expert_msb + verify_expert_msb,
         macs=verify_tokens * expert_macs_per_token(shape)
         + verify_tokens * dense_macs_per_token(shape),
-        comm_bytes_aggr=comm_cost(CommStrategy.PSUM_SYNC, shape, verify_tokens),
+        comm_bytes_aggr=psum_bytes(shape, verify_tokens),
         comm_bytes_streamline=scatter_bytes(shape, verify_tokens),
     )
     workloads["pool_update"] = PhaseWorkload(
@@ -514,7 +460,7 @@ def pool_update_overlap(
         raise ValueError("inputs must be nonnegative")
     if transfer_bytes == 0:
         return 0.0
-    ext_bw, _ = decoupled_roofline(cfg, 1.0)
+    ext_bw = cfg.usable_ext_bw
     if verify_latency == 0:
         return transfer_bytes / ext_bw
     residual = ext_bw - verify_ext_bytes / verify_latency
@@ -610,13 +556,12 @@ def step_cost(
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    tier = internal_tier(arch, cfg)
     if mode == "ar":
         w = workloads["ar_step"]
-        if arch in (Arch.HB_XPU, Arch.OURS):
-            latency = phase_latency(cfg, w, Parallelism.HB_TP_EXT_DP)
-        elif arch is Arch.XPU:
-            latency = phase_latency(cfg, w, Parallelism.EXT_ONLY)
+        tier = internal_tier(arch, cfg)
+        if tier is None:
+            compute = cfg.peak_compute_macs if arch.has_hb else cfg.xpu_compute_macs
+            latency = phase_latency(cfg, w, compute)
         else:
             latency, _ = offload_split(
                 cfg,
@@ -638,16 +583,12 @@ def step_cost(
             raise ValueError("speculative stepping is only modeled for OURS")
         draft = workloads["draft_step"]
         verify = workloads["verify"]
-        pool = workloads.get("pool_update")
-        draft_lat = phase_latency(cfg, draft, Parallelism.HB_TP)
-        verify_lat = phase_latency(cfg, verify, Parallelism.HB_TP_EXT_DP)
-        stall = pool_update_overlap(
-            cfg, verify_lat, pool.ext_bytes if pool else 0.0, verify.ext_bytes
-        )
+        pool = workloads["pool_update"]
+        draft_lat = phase_latency(cfg, draft, cfg.peak_compute_macs)
+        verify_lat = phase_latency(cfg, verify, cfg.peak_compute_macs)
+        stall = pool_update_overlap(cfg, verify_lat, pool.ext_bytes, verify.ext_bytes)
         latency = sd.depth * draft_lat + verify_lat + stall
-        phases = [(draft, float(sd.depth)), (verify, 1.0)]
-        if pool is not None:
-            phases.append((pool, 1.0))
+        phases = [(draft, float(sd.depth)), (verify, 1.0), (pool, 1.0)]
         return StepCost(
             latency=latency,
             tokens=batch * (1.0 + sd.mean_accept),

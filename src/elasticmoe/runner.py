@@ -25,6 +25,7 @@ import csv
 import dataclasses
 import io
 import json
+import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
@@ -279,10 +280,13 @@ def _sub(data: dict, key: str) -> dict:
 
 def _check_number(label: str, value, typ) -> None:
     """int fields take an int, float fields an int or float; a bool is
-    neither, though Python counts it as an int."""
+    neither, though Python counts it as an int.  Either must be finite and
+    within float range (NaN fails the comparison)."""
     kinds, kind = ((int,), "an integer") if typ is int else ((int, float), "a number")
     if not isinstance(value, kinds) or isinstance(value, bool):
         raise ConfigError(f"{label} must be {kind}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{label} must be finite and within float range")
 
 
 def _build_dataclass(section: str, cls, data: dict):
@@ -308,6 +312,7 @@ def _hw_from_dict(data: dict) -> HwConfig:
         fname, scale = _HW_KEY_MAP[key]
         _check_number(f"hw.{key}", raw, _HW_TYPES[fname])
         kwargs[fname] = raw if fname in _INT_HW_FIELDS else float(raw) * scale
+        _check_number(f"hw.{key}", kwargs[fname], _HW_TYPES[fname])
     try:
         return HwConfig(**kwargs)
     except ValueError as exc:
@@ -559,7 +564,7 @@ def _build_context(cfg: ScenarioConfig) -> _ScenarioContext:
     for batch in cfg.batch_sizes:
         capacity = hwmodel.hb_headroom_bytes(
             cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff
-        ) if cfg.arch in (Arch.OURS, Arch.HB_XPU) else 0.0
+        ) if cfg.arch.has_hb else 0.0
         unique = _unique_experts(batch, cfg.shape, popularity, cfg.trace.seed)
         ar_unique[batch] = unique
         xpu_per_token[batch] = _ar_cost(
@@ -692,7 +697,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     try:
         ctx = _build_context(cfg)
         return [row for scheme in cfg.schemes for row in _scheme_rows(ctx, scheme)]
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ArithmeticError) as exc:
         raise RunnerError(f"scenario {cfg.scenario_id!r}: {exc}") from exc
 
 

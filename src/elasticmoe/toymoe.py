@@ -375,8 +375,14 @@ def step(
             scores = np.asarray(score_overrides[layer], dtype=np.float64)
         else:
             scores = _softmax(_blocked_matvec(model.w_router[layer], r))
-        dec = route(scores, shape.top_k, permitted[layer])
-        orig = dec if permitted[layer] is None else route(scores, shape.top_k, None)
+        # A pool holding the whole unrestricted selection has the same top-k,
+        # in the same order and with the same gates, so route only once then.
+        orig = route(scores, shape.top_k, None)
+        pool = permitted[layer]
+        if pool is None or all(e in pool for e in orig.selected):
+            dec = orig
+        else:
+            dec = route(scores, shape.top_k, pool)
         decisions.append(dec)
         originals.append(orig)
         ffn = np.zeros(shape.d_model)

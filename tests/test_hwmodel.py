@@ -1,21 +1,18 @@
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elasticmoe.hwmodel import (
     Arch,
     CommOverlapWarning,
-    CommStrategy,
     GIB,
     HwConfig,
-    Parallelism,
     PhaseWorkload,
     SdParams,
     StepCost,
     build_workloads,
-    comm_cost,
-    coupled_roofline,
-    decoupled_roofline,
     dense_bytes,
     dense_macs_per_token,
     expert_bytes_full,
@@ -28,9 +25,11 @@ from elasticmoe.hwmodel import (
     offload_split,
     phase_latency,
     pool_update_overlap,
+    psum_bytes,
     scatter_bytes,
     step_cost,
 )
+from elasticmoe.runner import ConfigError, scenario_from_dict
 from elasticmoe.toymoe import MoEShape
 
 CFG = HwConfig()
@@ -39,37 +38,24 @@ SHAPE = MoEShape(d_model=64, d_ff=128, n_experts=8, top_k=2, n_layers=2, vocab=3
 
 
 def test_coupled_roofline_32_banks():
-    bw, compute = coupled_roofline(CFG, 1.0)
-    assert bw == pytest.approx(1589.248e9, rel=1e-12)
-    assert compute == pytest.approx(32 * 16384 * 1e9, rel=1e-12)
+    # HB bandwidth and compute both scale with the bank count.
+    assert CFG.usable_hb_bw == pytest.approx(1589.248e9, rel=1e-12)
+    assert CFG.peak_compute_macs == pytest.approx(32 * 16384 * 1e9, rel=1e-12)
 
 
 def test_coupled_roofline_16_banks():
-    bw, compute = coupled_roofline(CFG16, 1.0)
-    assert bw == pytest.approx(794.624e9, rel=1e-12)
-    assert compute == pytest.approx(16 * 16384 * 1e9, rel=1e-12)
-
-
-def test_coupled_roofline_scales_with_active_fraction():
-    bw_full, comp_full = coupled_roofline(CFG, 1.0)
-    bw_half, comp_half = coupled_roofline(CFG, 0.5)
-    assert bw_half == pytest.approx(bw_full / 2, rel=1e-12)
-    assert comp_half == pytest.approx(comp_full / 2, rel=1e-12)
+    assert CFG16.usable_hb_bw == pytest.approx(794.624e9, rel=1e-12)
+    assert CFG16.peak_compute_macs == pytest.approx(16 * 16384 * 1e9, rel=1e-12)
 
 
 def test_decoupled_roofline_flat_bandwidth():
-    bw_full, comp_full = decoupled_roofline(CFG, 1.0)
-    bw_half, comp_half = decoupled_roofline(CFG, 0.5)
-    assert bw_full == pytest.approx(101.376e9, rel=1e-12)
-    assert bw_half == bw_full
-    assert comp_half == pytest.approx(comp_full / 2, rel=1e-12)
+    # External bandwidth does not depend on the bank count.
+    assert CFG.usable_ext_bw == pytest.approx(101.376e9, rel=1e-12)
+    assert CFG16.usable_ext_bw == CFG.usable_ext_bw
 
 
-def test_roofline_rejects_bad_fraction():
-    with pytest.raises(ValueError):
-        coupled_roofline(CFG, 0.0)
-    with pytest.raises(ValueError):
-        decoupled_roofline(CFG, 1.5)
+def test_arch_has_hb():
+    assert {a for a in Arch if a.has_hb} == {Arch.HB_XPU, Arch.OURS}
 
 
 def test_hwconfig_validation():
@@ -79,34 +65,53 @@ def test_hwconfig_validation():
         HwConfig(hb_derate=1.0)
     with pytest.raises(ValueError):
         HwConfig(nmp_channels=8, total_channels=8)
+    for name in (
+        "pim_bw_multiplier",
+        "logic_pim_bw_multiplier",
+        "logic_pim_compute_multiplier",
+        "nmp_internal_multiplier",
+    ):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=name):
+                HwConfig(**{name: bad})
+    for name in (
+        "hb_energy_per_bit",
+        "ext_energy_per_bit",
+        "comm_energy_per_bit",
+        "compute_energy_per_mac",
+        "static_power_w",
+    ):
+        HwConfig(**{name: 0.0})
+        for bad in (-1e-12, math.nan):
+            with pytest.raises(ValueError, match=name):
+                HwConfig(**{name: bad})
 
 
 def test_phase_latency_hb_bandwidth_bound():
     w = PhaseWorkload(name="p", hb_bytes=1.589248e12, macs=1.0)
-    assert phase_latency(CFG, w, Parallelism.HB_TP) == pytest.approx(1.0, rel=1e-12)
+    got = phase_latency(CFG, w, CFG.peak_compute_macs)
+    assert got == pytest.approx(1.0, rel=1e-12)
 
 
 def test_phase_latency_compute_bound():
     w = PhaseWorkload(name="p", hb_bytes=1.0, macs=2 * 32 * 16384 * 1e9)
-    assert phase_latency(CFG, w, Parallelism.HB_TP) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_phase_latency_hb_tp_rejects_ext_traffic():
-    w = PhaseWorkload(name="p", hb_bytes=1.0, ext_bytes=1.0)
-    with pytest.raises(ValueError):
-        phase_latency(CFG, w, Parallelism.HB_TP)
+    got = phase_latency(CFG, w, CFG.peak_compute_macs)
+    assert got == pytest.approx(2.0, rel=1e-12)
 
 
 def test_phase_latency_ext_only():
     w = PhaseWorkload(name="p", ext_bytes=101.376e9)
-    assert phase_latency(CFG, w, Parallelism.EXT_ONLY) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        phase_latency(CFG, PhaseWorkload(name="p", hb_bytes=1.0), Parallelism.EXT_ONLY)
+    got = phase_latency(CFG, w, CFG.xpu_compute_macs)
+    assert got == pytest.approx(1.0, rel=1e-12)
+    # Compute is timed at the rate the caller passes.
+    w = PhaseWorkload(name="p", macs=3 * CFG.xpu_compute_macs)
+    got = phase_latency(CFG, w, CFG.xpu_compute_macs)
+    assert got == pytest.approx(3.0, rel=1e-12)
 
 
 def test_phase_latency_mixed_takes_max():
     w = PhaseWorkload(name="p", hb_bytes=1.589248e12, ext_bytes=2 * 101.376e9)
-    got = phase_latency(CFG, w, Parallelism.HB_TP_EXT_DP)
+    got = phase_latency(CFG, w, CFG.peak_compute_macs)
     assert got == pytest.approx(2.0, rel=1e-12)
 
 
@@ -118,7 +123,7 @@ def test_phase_latency_warns_when_comm_uncovered():
         comm_bytes_aggr=CFG.aggr_link_bw,
     )
     with pytest.warns(CommOverlapWarning):
-        got = phase_latency(CFG, w, Parallelism.HB_TP_EXT_DP)
+        got = phase_latency(CFG, w, CFG.peak_compute_macs)
     assert got == pytest.approx(1.0, rel=1e-9)
 
 
@@ -129,21 +134,19 @@ def test_phase_latency_no_warning_when_comm_hidden():
         ext_bytes=101.376e9,
         comm_bytes_aggr=CFG.aggr_link_bw / 2,
     )
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error")
-        got = phase_latency(CFG, w, Parallelism.HB_TP_EXT_DP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = phase_latency(CFG, w, CFG.peak_compute_macs)
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
-def test_phase_latency_internal_tier():
-    tier = internal_tier(Arch.XPU_PIM, CFG)
-    w = PhaseWorkload(name="p", hb_bytes=tier.internal_bw)
-    got = phase_latency(CFG, w, Parallelism.INTERNAL, internal=tier)
+def test_phase_latency_no_warning_without_external_read():
+    # Link time is then bound only against HB reads and compute.
+    w = PhaseWorkload(name="p", hb_bytes=1.0, comm_bytes_aggr=CFG.aggr_link_bw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = phase_latency(CFG, w, CFG.peak_compute_macs)
     assert got == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        phase_latency(CFG, w, Parallelism.INTERNAL)
 
 
 def test_internal_tier_parameters():
@@ -174,20 +177,9 @@ def test_dense_and_kv_accounting():
 
 
 def test_comm_cost_batch_scaling():
-    one = comm_cost(CommStrategy.PSUM_SYNC, SHAPE, 4)
-    two = comm_cost(CommStrategy.PSUM_SYNC, SHAPE, 8)
-    assert two == 2 * one
-    ex_one = comm_cost(CommStrategy.SLICE_EXCHANGE, SHAPE, 4, unique_experts=3)
-    ex_two = comm_cost(CommStrategy.SLICE_EXCHANGE, SHAPE, 8, unique_experts=3)
-    assert ex_one == ex_two == 2 * 3 * expert_bytes_msb(SHAPE)
-
-
-def test_psum_sync_cheaper_than_slice_exchange_per_token():
-    psum = comm_cost(CommStrategy.PSUM_SYNC, SHAPE, 1)
-    exchange = comm_cost(
-        CommStrategy.SLICE_EXCHANGE, SHAPE, 1, unique_experts=SHAPE.top_k
-    )
-    assert psum < exchange
+    one = psum_bytes(SHAPE, 4)
+    assert one == 4 * 2 * 2 * (2 * 128 + 64) * 4
+    assert psum_bytes(SHAPE, 8) == 2 * one
 
 
 def test_hb_headroom_ordering_and_error():
@@ -384,7 +376,7 @@ def test_step_cost_ar_ours_matches_phase_latency():
     wl = full_workloads()
     cost = step_cost(CFG, Arch.OURS, wl, "ar", batch=2)
     assert cost.latency == pytest.approx(
-        phase_latency(CFG, wl["ar_step"], Parallelism.HB_TP_EXT_DP), rel=1e-12
+        phase_latency(CFG, wl["ar_step"], CFG.peak_compute_macs), rel=1e-12
     )
     assert cost.tokens == 2.0
     assert cost.per_token_latency == pytest.approx(cost.latency / 2, rel=1e-12)
@@ -393,8 +385,8 @@ def test_step_cost_ar_ours_matches_phase_latency():
 def test_step_cost_sd_composition():
     wl = full_workloads()
     cost = step_cost(CFG, Arch.OURS, wl, "sd", batch=2, sd=SD)
-    draft_lat = phase_latency(CFG, wl["draft_step"], Parallelism.HB_TP)
-    verify_lat = phase_latency(CFG, wl["verify"], Parallelism.HB_TP_EXT_DP)
+    draft_lat = phase_latency(CFG, wl["draft_step"], CFG.peak_compute_macs)
+    verify_lat = phase_latency(CFG, wl["verify"], CFG.peak_compute_macs)
     stall = pool_update_overlap(
         CFG, verify_lat, wl["pool_update"].ext_bytes, wl["verify"].ext_bytes
     )
@@ -478,8 +470,6 @@ def test_phase_workload_validation():
     with pytest.raises(ValueError):
         PhaseWorkload(name="p", hb_bytes=-1.0)
     with pytest.raises(ValueError):
-        PhaseWorkload(name="p", active_pe_fraction=0.0)
-    with pytest.raises(ValueError):
         PhaseWorkload(name="p", ext_bytes=1.0, offload_expert_bytes=2.0)
 
 
@@ -496,3 +486,72 @@ def test_hb_cached_ar_beats_ext_only_at_high_hit_rate():
     hb = step_cost(CFG, Arch.HB_XPU, wl_hb, "ar", batch=1)
     x = step_cost(CFG, Arch.XPU, wl_x, "ar", batch=1)
     assert x.per_token_latency / hb.per_token_latency >= 2.0
+
+
+def test_step_cost_xpu_computes_at_xpu_rate():
+    wl = build_workloads(
+        CFG, Arch.XPU, SHAPE, 2, seq_len=50, ar_hit_rate=0.0, ar_unique_experts=4.0
+    )
+    cost = step_cost(CFG, Arch.XPU, wl, "ar", batch=2)
+    assert cost.latency == phase_latency(CFG, wl["ar_step"], CFG.xpu_compute_macs)
+
+
+# An hw section of ordinary values with up to two keys overwritten by a
+# draw that may be zero, negative or non-finite.
+_SCALAR_KEYS = (
+    "pim_bw_multiplier",
+    "logic_pim_bw_multiplier",
+    "logic_pim_compute_multiplier",
+    "nmp_internal_multiplier",
+    "hb_energy_pj_per_bit",
+    "ext_energy_pj_per_bit",
+    "comm_energy_pj_per_bit",
+    "compute_energy_pj_per_mac",
+    "static_power_w",
+    "hb_bw_per_bank_gbps",
+    "ext_bw_gbps",
+    "pim_compute_tmacs",
+    "nmp_compute_tmacs",
+    "xpu_compute_tmacs",
+)
+_ORDINARY = {key: st.floats(0.5, 64.0) for key in _SCALAR_KEYS} | {
+    "hb_derate": st.floats(0.0, 0.5),
+    "ext_derate": st.floats(0.0, 0.5),
+    "hb_banks": st.integers(1, 64),
+    "nmp_channels": st.integers(1, 3),
+    "total_channels": st.integers(4, 9),
+}
+_ODD = st.one_of(
+    st.sampled_from([0, -1, -0.5, math.nan, math.inf]),
+    st.floats(-2.0, 64.0),
+    st.integers(-2, 64),
+)
+_HW_SECTION = st.builds(
+    lambda ordinary, odd: ordinary | odd,
+    st.fixed_dictionaries({}, optional=_ORDINARY),
+    st.dictionaries(st.sampled_from(sorted(_ORDINARY)), _ODD, max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hw=_HW_SECTION, hit=st.floats(0.0, 1.0))
+def test_accepted_hw_prices_finite_positive_steps(hw, hit):
+    try:
+        cfg = scenario_from_dict({"scenario_id": "p", "hw": hw}).hw
+    except ConfigError:
+        return
+    kw = dict(seq_len=50, ar_hit_rate=hit, ar_unique_experts=4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CommOverlapWarning)
+        costs = [
+            step_cost(cfg, arch, build_workloads(cfg, arch, SHAPE, 2, **kw), "ar", 2)
+            for arch in Arch
+        ]
+        wl = build_workloads(
+            cfg, Arch.OURS, SHAPE, 2, sd=SD,
+            verify_msb_hit_rate=hit, verify_unique_experts=5.0, **kw,
+        )
+        costs.append(step_cost(cfg, Arch.OURS, wl, "sd", 2, sd=SD))
+    for cost in costs:
+        assert math.isfinite(cost.latency) and cost.latency > 0
+        assert all(v >= 0 for v in cost.energy.values())

@@ -348,6 +348,47 @@ def test_cli_rejects_non_integer_model_fields(tmp_path, capsys, command, model):
     assert capsys.readouterr().err.startswith(f"config error: {section}.")
 
 
+@pytest.mark.parametrize(
+    "hw",
+    [
+        {"pim_bw_multiplier": 0},
+        {"pim_bw_multiplier": -1},
+        {"logic_pim_compute_multiplier": 0},
+        {"nmp_internal_multiplier": 0},
+        {"hb_energy_pj_per_bit": -1},
+        {"static_power_w": -5},
+        {"hb_bw_per_bank_gbps": float("nan")},
+        {"ext_bw_gbps": float("inf")},
+        {"ext_bw_gbps": 10**400},
+        {"ext_bw_gbps": 1e300},
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_unpriceable_hw_numbers(tmp_path, capsys, command, hw):
+    data = json.loads(json.dumps(FAST))
+    data["hw"].update(hw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main([command, str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: hw")
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_run_overflow_is_runtime_error(tmp_path, capsys):
+    # Valid on its own, but the PE array's peak rate overflows a float.
+    data = json.loads(json.dumps(FAST))
+    data["hw"].update(hb_banks=10**300, macs_per_pe_per_cycle=10**300)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["validate", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: scenario 'fast'")
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_ablate_unknown_suite(capsys):
     assert cli_main(["ablate", "bogus"]) == 1
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from elasticmoe import toymoe
 from elasticmoe.bitnest import GROUP_SIZE, ReconstructMode, quantize_group
 from elasticmoe.toymoe import (
     ExpertWeights,
@@ -300,6 +301,29 @@ class TestStep:
         for layer, orig in enumerate(out_pool.original_decisions):
             scores = out_pool.decisions[layer].scores
             assert orig.selected == route(scores, SHAPE.top_k).selected
+
+    def test_pool_holding_selection_routes_once(self, monkeypatch):
+        calls = []
+
+        def counting_route(*args, **kwargs):
+            calls.append(args)
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(toymoe, "route", counting_route)
+        st = init_state(self.model)
+        full = step(
+            self.model, st, 7, PrecisionMode.MSB4_DRAFT, permitted=set(range(8))
+        )
+        assert len(calls) == SHAPE.n_layers
+        free = step(self.model, st, 7, PrecisionMode.MSB4_DRAFT)
+        assert np.array_equal(full.logits, free.logits)
+        # A pool missing part of the selection still gets its own top-k.
+        pool = {0, 2, 4, 6}
+        out = step(self.model, st, 7, PrecisionMode.MSB4_DRAFT, permitted=pool)
+        for dec, orig in zip(out.decisions, out.original_decisions):
+            again = route(dec.scores, SHAPE.top_k, pool)
+            assert (dec.selected, dec.gates) == (again.selected, again.gates)
+            assert (dec is orig) == (set(orig.selected) <= pool)
 
     def test_score_override_controls_routing(self):
         st = init_state(self.model)
