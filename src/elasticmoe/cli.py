@@ -51,24 +51,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(rows, fmt: str, output: str) -> None:
-    if output == "-":
-        text = runner.render_csv(rows) if fmt == "csv" else runner.render_json(rows)
-        sys.stdout.write(text)
-    else:
-        runner.emit(rows, fmt, output)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             configs = runner.load_config(args.config)
             rows = runner.run_scenarios(configs, max_workers=args.jobs)
-            _write(rows, args.format, args.output)
+            runner.emit(rows, args.format, args.output)
         elif args.command == "ablate":
             rows = runner.ablation_suite(args.suite, max_workers=args.jobs)
-            _write(rows, args.format, args.output)
+            runner.emit(rows, args.format, args.output)
         elif args.command == "validate":
             configs = runner.load_config(args.config)
             print(f"OK: {len(configs)} scenario(s) valid")

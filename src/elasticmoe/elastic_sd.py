@@ -4,9 +4,12 @@ A width-w, depth-d token tree is drafted with the 4-bit MSB weight
 surrogate while routing is confined to a per-layer expert pool; the full
 INT8 model then verifies the top-scoring tree nodes and accepts the longest
 root path that matches its own greedy choices, emitting one bonus token.
-Expert hotness (accumulated unrestricted routing counts with decay) picks
-the next pool before each verification so the MSB pieces it needs can be
-fetched while verification runs.
+The pool's MSB pieces are pinned, so the pool is both the draft model's
+expert set and an expert cache.  Expert hotness, a session-owned
+(n_layers, n_experts) count of unrestricted routing selections decayed
+once per step, picks the next pool before each verification, so the
+pieces it adds (the step's transfers) can be fetched while verification
+runs.
 
 Greedy verification makes the emitted stream equal the full-precision
 model's greedy autoregressive stream token for token, whatever the draft
@@ -75,38 +78,18 @@ class DraftTree:
 
 
 @dataclass(frozen=True)
-class HotnessAccumulator:
-    """Per (layer, expert) selection counts; decays at each pool refresh."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.counts, dtype=np.float64, copy=True)
-        if c.ndim != 2:
-            raise ValueError("counts must be (n_layers, n_experts)")
-        if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
-
-
-@dataclass(frozen=True)
 class ExpertPool:
     """Per-layer expert id sets, each of size min(capacity, n_experts)."""
 
     experts: tuple[frozenset[int], ...]
-    capacity: int
-
-
-def new_accumulator(n_layers: int, n_experts: int) -> HotnessAccumulator:
-    return HotnessAccumulator(counts=np.zeros((n_layers, n_experts)))
 
 
 def accumulate_hotness(
-    acc: HotnessAccumulator, decisions: Iterable[LayerDecision]
-) -> HotnessAccumulator:
-    """Add one count per selected expert per decision; order-independent."""
-    counts = np.array(acc.counts, copy=True)
+    counts: np.ndarray, decisions: Iterable[LayerDecision]
+) -> np.ndarray:
+    """counts plus one per selected expert per decision, as a new
+    (n_layers, n_experts) float64 array; order-independent."""
+    counts = np.array(counts, dtype=np.float64)
     n_layers, n_experts = counts.shape
     for layer, dec in decisions:
         if not 0 <= layer < n_layers:
@@ -115,28 +98,17 @@ def accumulate_hotness(
             if not 0 <= e < n_experts:
                 raise ValueError(f"expert {e} out of range")
             counts[layer, e] += 1.0
-    return HotnessAccumulator(counts=counts)
+    return counts
 
 
-def decay_hotness(acc: HotnessAccumulator, factor: float) -> HotnessAccumulator:
-    if not 0.0 <= factor <= 1.0:
-        raise ValueError("decay factor must be in [0, 1]")
-    return HotnessAccumulator(counts=acc.counts * factor)
-
-
-def select_pool(
-    acc: HotnessAccumulator, capacity: int, top_k: int = 1
-) -> ExpertPool:
+def select_pool(counts: np.ndarray, capacity: int, top_k: int = 1) -> ExpertPool:
     """Per layer, the capacity highest-count experts; ties to lower id."""
     if capacity < top_k:
         raise ValueError(f"pool capacity {capacity} below top_k {top_k}")
-    n_layers, n_experts = acc.counts.shape
-    size = min(capacity, n_experts)
-    pools = []
-    for layer in range(n_layers):
-        order = sorted(range(n_experts), key=lambda e: (-acc.counts[layer, e], e))
-        pools.append(frozenset(order[:size]))
-    return ExpertPool(experts=tuple(pools), capacity=capacity)
+    order = np.argsort(-np.asarray(counts), axis=1, kind="stable")
+    return ExpertPool(
+        experts=tuple(frozenset(row[:capacity].tolist()) for row in order)
+    )
 
 
 def random_pool(
@@ -146,24 +118,18 @@ def random_pool(
     if capacity < top_k:
         raise ValueError(f"pool capacity {capacity} below top_k {top_k}")
     size = min(capacity, n_experts)
-    pools = tuple(
-        frozenset(rng.choice(n_experts, size=size, replace=False).tolist())
-        for _ in range(n_layers)
-    )
-    return ExpertPool(experts=pools, capacity=capacity)
+    pools = (rng.choice(n_experts, size=size, replace=False) for _ in range(n_layers))
+    return ExpertPool(experts=tuple(frozenset(p.tolist()) for p in pools))
 
 
-def pool_update_plan(
-    next_pool: ExpertPool, cached: Iterable[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """(layer, expert) MSB pieces needed by the next pool and not resident."""
-    cached_set = set(cached)
-    plan = []
-    for layer, experts in enumerate(next_pool.experts):
-        for e in sorted(experts):
-            if (layer, e) not in cached_set:
-                plan.append((layer, e))
-    return plan
+def pool_update_plan(next_pool: ExpertPool, pool: ExpertPool) -> list[tuple[int, int]]:
+    """(layer, expert) MSB pieces next_pool needs that pool does not hold,
+    by layer, then expert id."""
+    return [
+        (layer, e)
+        for layer, (experts, held) in enumerate(zip(next_pool.experts, pool.experts))
+        for e in sorted(experts - held)
+    ]
 
 
 def sd_speedup(
@@ -368,18 +334,12 @@ class SdConfig:
         if not 0.0 <= self.hotness_decay <= 1.0:
             raise ValueError("hotness_decay must be in [0, 1]")
 
-    def resolved_verify_count(self) -> int:
-        if self.verify_count is not None:
-            return self.verify_count
-        return self.width * self.depth
-
 
 @dataclass(frozen=True)
 class SdStepResult:
     """One session step: its verify outcome, draft side and pool refresh."""
 
     accept_length: int
-    bonus_token: int
     verify_token_count: int
     emitted: tuple[int, ...]
     draft_decisions: tuple[LayerDecision, ...]
@@ -387,7 +347,6 @@ class SdStepResult:
     pool: ExpertPool
     next_pool: ExpertPool
     transfers: tuple[tuple[int, int], ...]
-    tree: DraftTree
     draft_step_calls: int
 
 
@@ -432,7 +391,7 @@ class SdSession:
             model, prompt[:-1], PrecisionMode.INT8_FULL, score_traces
         )
         self.hotness = accumulate_hotness(
-            new_accumulator(shape.n_layers, shape.n_experts),
+            np.zeros((shape.n_layers, shape.n_experts)),
             [pair for decs in prompt_decisions for pair in enumerate(decs)],
         )
         self.root_token = int(prompt[-1])
@@ -440,16 +399,12 @@ class SdSession:
         self.pool = self._pick_pool()
 
     def _pick_pool(self) -> ExpertPool:
-        shape = self.model.shape
+        shape, capacity = self.model.shape, self.config.pool_capacity
         if self.config.pool_strategy == "random":
             return random_pool(
-                shape.n_layers,
-                shape.n_experts,
-                self.config.pool_capacity,
-                self.rng,
-                shape.top_k,
+                shape.n_layers, shape.n_experts, capacity, self.rng, shape.top_k
             )
-        return select_pool(self.hotness, self.config.pool_capacity, shape.top_k)
+        return select_pool(self.hotness, capacity, shape.top_k)
 
     def step(self) -> SdStepResult:
         cfg = self.config
@@ -465,32 +420,28 @@ class SdSession:
             score_traces=self.score_traces,
             start_pos=self.pos,
         )
-        self.hotness = decay_hotness(self.hotness, cfg.hotness_decay)
-        self.hotness = accumulate_hotness(self.hotness, draft.original_decisions)
+        self.hotness = accumulate_hotness(
+            self.hotness * cfg.hotness_decay, draft.original_decisions
+        )
         next_pool = self._pick_pool()
         verify = verify_phase(
             self.model,
             draft.tree,
             self.root_state,
-            cfg.resolved_verify_count(),
+            cfg.verify_count,
             score_traces=self.score_traces,
             start_pos=self.pos,
         )
         self.hotness = accumulate_hotness(self.hotness, verify.verify_decisions)
-        current = enumerate(self.pool.experts)
-        resident = {(layer, e) for layer, experts in current for e in experts}
-        transfers = pool_update_plan(next_pool, resident)
         result = SdStepResult(
             accept_length=verify.accept_length,
-            bonus_token=verify.bonus_token,
             verify_token_count=verify.verify_token_count,
             emitted=verify.emitted,
             draft_decisions=draft.decisions,
             verify_decisions=verify.verify_decisions,
             pool=self.pool,
             next_pool=next_pool,
-            transfers=tuple(transfers),
-            tree=draft.tree,
+            transfers=tuple(pool_update_plan(next_pool, self.pool)),
             draft_step_calls=draft.step_calls,
         )
         self.root_state = verify.final_state

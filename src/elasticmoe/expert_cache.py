@@ -155,7 +155,10 @@ def powerlaw_lru_hitrate(
     def occupancy_gap(t: float) -> float:
         return float(np.sum(-np.expm1(-p * t)) - capacity_items)
 
+    # A capacity so small that T lies below 1e-12 brackets from 0 instead.
     lo, hi = 1e-12, float(capacity_items) + 1.0
+    if occupancy_gap(lo) > 0.0:
+        lo = 0.0
     while occupancy_gap(hi) < 0.0:
         hi *= 2.0
         if hi > 1e18:

@@ -359,10 +359,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes):
         raise ConfigError("schemes must be a list of strings")
     batches = data.get("batch_sizes", [1, 2, 4, 8])
-    if not isinstance(batches, list) or not all(
-        isinstance(b, int) and not isinstance(b, bool) for b in batches
-    ):
+    if not isinstance(batches, list):
         raise ConfigError("batch_sizes must be a list of integers")
+    for b in batches:
+        _check_number("batch_sizes", b, int)
     analytic = dict(_ANALYTIC_DEFAULTS)
     analytic_data = _sub(data, "analytic")
     _check_keys("analytic", analytic_data, ANALYTIC_SCHEMES)
@@ -458,29 +458,29 @@ def _make_prompt(cfg: ScenarioConfig) -> list[int]:
 
 
 def _popularity_from_steps(
-    steps: list[list[elastic_sd.LayerDecision]], n_experts: int
+    steps: list[list[elastic_sd.LayerDecision]], shape: MoEShape
 ) -> np.ndarray:
-    counts = np.zeros(n_experts, dtype=np.float64)
-    for step in steps:
-        for _, decision in step:
-            for e in decision.selected:
-                counts[e] += 1.0
+    """Each expert's share of the selections, summed over layers."""
+    counts = elastic_sd.accumulate_hotness(
+        np.zeros((shape.n_layers, shape.n_experts)),
+        [pair for step in steps for pair in step],
+    ).sum(axis=0)
     total = counts.sum()
     if total == 0:
-        return np.full(n_experts, 1.0 / n_experts)
+        return np.full(shape.n_experts, 1.0 / shape.n_experts)
     return counts / total
 
 
 def _lru_hit_rate(
     steps: list[list[elastic_sd.LayerDecision]],
     slice_kind: str,
-    full_item_bytes: float,
+    item_bytes: float,
     capacity_bytes: float,
 ) -> float:
-    """Weighted LRU hit rate of the decision stream; a capacity below one
-    item means nothing is cacheable."""
-    item_bytes = {"full": full_item_bytes, "msb": full_item_bytes / 2}
-    if not steps or capacity_bytes < item_bytes[slice_kind]:
+    """Weighted LRU hit rate of the decision stream, every access one
+    slice_kind item of item_bytes; a capacity below one item means nothing
+    is cacheable."""
+    if not steps or capacity_bytes < item_bytes:
         return 0.0
     records = [
         (i, [(layer, e) for layer, d in step for e in d.selected])
@@ -488,7 +488,7 @@ def _lru_hit_rate(
     ]
     trace = expert_cache.decisions_to_trace(records, slice_kind)
     config = expert_cache.CacheConfig(
-        capacity_bytes=capacity_bytes, item_bytes=item_bytes
+        capacity_bytes=capacity_bytes, item_bytes={slice_kind: item_bytes}
     )
     return expert_cache.simulate_lru(trace, config).hit_rate
 
@@ -557,7 +557,7 @@ def _build_context(cfg: ScenarioConfig) -> _ScenarioContext:
         score_traces=traces,
     )
     ar_steps = [list(enumerate(step)) for step in ar_decisions]
-    popularity = _popularity_from_steps(ar_steps, cfg.shape.n_experts)
+    popularity = _popularity_from_steps(ar_steps, cfg.shape)
     full_item = hwmodel.expert_bytes_full(cfg.shape)
     footprints = sorted({_footprint(cfg, s) for s in cfg.schemes})
     ar_unique, xpu_per_token, ar = {}, {}, {}
@@ -604,7 +604,7 @@ def _measured_sd(
         ctx.model, sd_config, ctx.prompt, score_traces=ctx.traces
     ).run(cfg.run.n_new_tokens)
     verify_steps = [list(step.verify_decisions) for step in run.steps]
-    verify_pop = _popularity_from_steps(verify_steps, cfg.shape.n_experts)
+    verify_pop = _popularity_from_steps(verify_steps, cfg.shape)
     sd = hwmodel.SdParams(
         width=cfg.sd.width,
         depth=cfg.sd.depth,
@@ -613,14 +613,14 @@ def _measured_sd(
         mean_accept=run.mean_accept_length,
         transfer_pieces_per_step=float(np.mean([len(s.transfers) for s in run.steps])),
     )
-    full_item = hwmodel.expert_bytes_full(cfg.shape)
+    msb_item = hwmodel.expert_bytes_msb(cfg.shape)
     priced = {}
     for batch in cfg.batch_sizes:
         capacity = hwmodel.hb_headroom_bytes(
             cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff,
             cfg.sd.pool_capacity,
         )
-        verify_hit = _lru_hit_rate(verify_steps, "msb", full_item, capacity)
+        verify_hit = _lru_hit_rate(verify_steps, "msb", msb_item, capacity)
         verify_unique = _unique_experts(
             batch * sd.verify_tokens, cfg.shape, verify_pop, cfg.trace.seed + 1
         )
@@ -750,13 +750,17 @@ def render_json(rows: list[ResultRow]) -> str:
 
 
 def emit(rows: list[ResultRow], fmt: str, path: str) -> None:
-    """Write rows to path as csv or json; empty results are an error."""
+    """Write rows to path ("-" for stdout) as csv or json; empty results
+    are an error."""
     if fmt == "csv":
         text = render_csv(rows)
     elif fmt == "json":
         text = render_json(rows)
     else:
         raise RunnerError(f"unknown output format {fmt!r}")
+    if path == "-":
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 

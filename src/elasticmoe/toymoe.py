@@ -104,6 +104,8 @@ def quantize_matrix(w: np.ndarray) -> QuantizedMatrix:
     vals = w.reshape(out_dim, -1, GROUP_SIZE)
     amax = np.abs(vals).max(axis=2)
     scales = np.float16(amax / 127.0).astype(np.float64)
+    if np.isinf(scales).any():
+        raise ValueError(f"group magnitude {amax.max()} overflows fp16 scaling")
     scales = np.maximum(scales, float(np.float16(2.0**-24)))
     scales = np.where(amax == 0.0, 1.0, scales)
     codes = np.clip(np.rint(vals / scales[:, :, None]), -127, 127).astype(np.int64)

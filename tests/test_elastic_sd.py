@@ -13,9 +13,7 @@ from elasticmoe.elastic_sd import (
     SdSession,
     TreeNode,
     accumulate_hotness,
-    decay_hotness,
     draft_phase,
-    new_accumulator,
     pool_update_plan,
     random_pool,
     sd_speedup,
@@ -48,18 +46,23 @@ def make_decision(selected, n=4):
     )
 
 
+def zeros(n_layers, n_experts):
+    return np.zeros((n_layers, n_experts))
+
+
 class TestHotness:
     def test_one_hot_sums(self):
-        acc = new_accumulator(1, 4)
-        acc = accumulate_hotness(
-            acc, [(0, make_decision([0, 2])), (0, make_decision([0, 1]))]
+        counts = accumulate_hotness(
+            zeros(1, 4), [(0, make_decision([0, 2])), (0, make_decision([0, 1]))]
         )
-        assert acc.counts[0].tolist() == [2.0, 1.0, 1.0, 0.0]
+        assert counts[0].tolist() == [2.0, 1.0, 1.0, 0.0]
 
     def test_empty_is_noop(self):
-        acc = new_accumulator(2, 4)
-        acc2 = accumulate_hotness(acc, [])
-        assert np.array_equal(acc.counts, acc2.counts)
+        counts = zeros(2, 4)
+        counts[1, 3] = 0.5
+        again = accumulate_hotness(counts, [])
+        assert np.array_equal(counts, again)
+        assert again is not counts
 
     def test_order_independent(self):
         rng = np.random.default_rng(3)
@@ -67,54 +70,45 @@ class TestHotness:
             (int(rng.integers(0, 2)), make_decision(sorted(rng.choice(4, 2, replace=False).tolist())))
             for _ in range(30)
         ]
-        a = accumulate_hotness(new_accumulator(2, 4), pairs)
+        a = accumulate_hotness(zeros(2, 4), pairs)
         perm = [pairs[i] for i in rng.permutation(len(pairs))]
-        b = accumulate_hotness(new_accumulator(2, 4), perm)
-        assert np.array_equal(a.counts, b.counts)
+        b = accumulate_hotness(zeros(2, 4), perm)
+        assert np.array_equal(a, b)
 
     def test_out_of_range_rejected(self):
-        acc = new_accumulator(1, 4)
+        counts = zeros(1, 4)
         with pytest.raises(ValueError):
-            accumulate_hotness(acc, [(1, make_decision([0]))])
+            accumulate_hotness(counts, [(1, make_decision([0]))])
         with pytest.raises(ValueError):
-            accumulate_hotness(acc, [(0, make_decision([4]))])
-
-    def test_decay(self):
-        acc = accumulate_hotness(new_accumulator(1, 2), [(0, make_decision([0, 1], 2))])
-        dec = decay_hotness(acc, 0.5)
-        assert dec.counts[0].tolist() == [0.5, 0.5]
-        with pytest.raises(ValueError):
-            decay_hotness(acc, 1.5)
+            accumulate_hotness(counts, [(0, make_decision([4]))])
+        assert not counts.any()
 
 
 class TestSelectPool:
     def test_top_by_count(self):
-        acc = accumulate_hotness(
-            new_accumulator(1, 4),
-            [(0, make_decision([0, 2]))] * 5 + [(0, make_decision([1, 2]))] * 0,
-        )
+        counts = accumulate_hotness(zeros(1, 4), [(0, make_decision([0, 2]))] * 5)
         # counts [5, 0, 5, 0]
-        pool = select_pool(acc, 2)
+        pool = select_pool(counts, 2)
         assert pool.experts[0] == frozenset({0, 2})
 
     def test_tie_breaks_low_id(self):
-        acc = new_accumulator(1, 3)
-        acc = accumulate_hotness(
-            acc, [(0, make_decision([0, 1], 3))] * 3 + [(0, make_decision([2], 3))]
+        counts = accumulate_hotness(
+            zeros(1, 3), [(0, make_decision([0, 1], 3))] * 3 + [(0, make_decision([2], 3))]
         )
         # counts [3, 3, 1]
-        pool = select_pool(acc, 1)
+        pool = select_pool(counts, 1)
         assert pool.experts[0] == frozenset({0})
+        # Unseen experts tie at zero and fill the pool from the lowest id.
+        assert select_pool(zeros(1, 5), 3).experts[0] == frozenset({0, 1, 2})
 
     def test_full_capacity(self):
-        acc = new_accumulator(2, 4)
-        pool = select_pool(acc, 4)
+        pool = select_pool(zeros(2, 4), 4)
         assert all(p == frozenset(range(4)) for p in pool.experts)
+        assert select_pool(zeros(2, 4), 9).experts == pool.experts
 
     def test_capacity_below_topk(self):
-        acc = new_accumulator(1, 4)
         with pytest.raises(ValueError):
-            select_pool(acc, 1, top_k=2)
+            select_pool(zeros(1, 4), 1, top_k=2)
 
     def test_random_pool_sized_and_seeded(self):
         rng = np.random.default_rng(7)
@@ -124,19 +118,22 @@ class TestSelectPool:
         assert p1.experts == p2.experts
 
 
+def one_layer_pool(*experts):
+    return ExpertPool(experts=(frozenset(experts),))
+
+
 class TestPoolUpdatePlan:
     def test_cached_superset_means_empty(self):
-        pool = ExpertPool(experts=(frozenset({1, 2}),), capacity=2)
-        assert pool_update_plan(pool, {(0, 1), (0, 2), (0, 3)}) == []
+        plan = pool_update_plan(one_layer_pool(1, 2), one_layer_pool(1, 2, 3))
+        assert plan == []
 
     def test_disjoint_fetches_everything(self):
-        pool = ExpertPool(experts=(frozenset({1, 2}), frozenset({0, 3})), capacity=2)
-        plan = pool_update_plan(pool, set())
-        assert plan == [(0, 1), (0, 2), (1, 0), (1, 3)]
+        pool = ExpertPool(experts=(frozenset({1, 2}), frozenset({0, 3})))
+        held = ExpertPool(experts=(frozenset({0, 3}), frozenset({1, 2})))
+        assert pool_update_plan(pool, held) == [(0, 1), (0, 2), (1, 0), (1, 3)]
 
     def test_partial(self):
-        pool = ExpertPool(experts=(frozenset({1, 2}),), capacity=2)
-        assert pool_update_plan(pool, {(0, 2)}) == [(0, 1)]
+        assert pool_update_plan(one_layer_pool(1, 2), one_layer_pool(2)) == [(0, 1)]
 
 
 class TestSdSpeedup:
@@ -192,9 +189,7 @@ class TestDraftTreeInvariants:
 class TestDraftPhase:
     def setup_method(self):
         self.model = gen_model(SHAPE, seed=11)
-        self.full_pool = ExpertPool(
-            experts=tuple(frozenset(range(8)) for _ in range(2)), capacity=8
-        )
+        self.full_pool = ExpertPool(experts=(frozenset(range(8)),) * 2)
 
     def test_single_chain_node_is_greedy(self):
         st = init_state(self.model)
@@ -213,9 +208,7 @@ class TestDraftPhase:
         assert res.step_calls == 0
 
     def test_throttling_audit(self):
-        pool = ExpertPool(
-            experts=(frozenset({0, 1, 2, 3}), frozenset({2, 3, 4, 5})), capacity=4
-        )
+        pool = ExpertPool(experts=(frozenset({0, 1, 2, 3}), frozenset({2, 3, 4, 5})))
         st = init_state(self.model)
         res = draft_phase(self.model, 9, st, pool, w=2, d=3)
         assert res.decisions
@@ -242,9 +235,7 @@ class TestDraftPhase:
 class TestVerifyPhase:
     def setup_method(self):
         self.model = gen_model(SHAPE, seed=11)
-        self.full_pool = ExpertPool(
-            experts=tuple(frozenset(range(8)) for _ in range(2)), capacity=8
-        )
+        self.full_pool = ExpertPool(experts=(frozenset(range(8)),) * 2)
 
     def test_self_agreement_reaches_full_depth(self):
         # Full-precision draft with the full pool is the target model, so
@@ -288,9 +279,7 @@ class TestVerifyPhase:
         assert ver.bonus_token == greedy_token(out.logits)
 
     def test_accept_matches_path_replay_oracle(self):
-        pool = ExpertPool(
-            experts=(frozenset({0, 1, 2, 5}), frozenset({1, 3, 4, 6})), capacity=4
-        )
+        pool = ExpertPool(experts=(frozenset({0, 1, 2, 5}), frozenset({1, 3, 4, 6})))
         for seed in (1, 2, 3, 4):
             model = gen_model(SHAPE, seed=seed)
             st = init_state(model)
@@ -427,6 +416,8 @@ class TestSdSession:
             SdConfig(width=0)
         with pytest.raises(ValueError):
             SdConfig(pool_strategy="magic")
+        with pytest.raises(ValueError):
+            SdConfig(hotness_decay=1.5)
         with pytest.raises(ValueError):
             SdSession(model, SdConfig(pool_capacity=1), prompt=[1])
         with pytest.raises(ValueError):

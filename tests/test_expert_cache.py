@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from elasticmoe.expert_cache import (
     AccessTrace,
@@ -156,6 +156,12 @@ class TestPowerlawApproximation:
         b = powerlaw_lru_hitrate(64, 1.0, 16.0)
         assert 0 < a <= b < 1
 
+    def test_capacity_below_bracket_start(self):
+        # T for these capacities lies below 1e-12, where the bracket of
+        # larger capacities starts.
+        tiny = [powerlaw_lru_hitrate(64, 1.0, c) for c in (5e-324, 1e-13, 9e-13)]
+        assert 0.0 <= tiny[0] <= tiny[1] <= tiny[2] < 1e-12
+
     def test_validation(self):
         with pytest.raises(ValueError):
             powerlaw_lru_hitrate(0, 1.0, 0)
@@ -163,6 +169,26 @@ class TestPowerlawApproximation:
             powerlaw_lru_hitrate(8, 1.0, 9)
         with pytest.raises(ValueError):
             powerlaw_lru_hitrate(8, -0.5, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    zipf=st.floats(0.0, 3.0),
+    fractions=st.lists(
+        st.floats(0.0, 1.0) | st.floats(-15.0, 0.0).map(lambda e: 10.0**e),
+        min_size=2,
+        max_size=2,
+    ),
+)
+@example(n=64, zipf=1.0, fractions=[9e-13 / 64, 1e-12 / 64])
+def test_powerlaw_hitrate_bounded_and_monotone(n, zipf, fractions):
+    low, high = sorted(min(f * n, n) for f in fractions)
+    a = powerlaw_lru_hitrate(n, zipf, low)
+    b = powerlaw_lru_hitrate(n, zipf, high)
+    assert 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0
+    # The root solve leaves 1-ulp inversions between close capacities.
+    assert a <= b + 1e-12
 
 
 class TestExpectedUnique:

@@ -1,10 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from elasticmoe import expert_cache, runner, toymoe
+from elasticmoe import expert_cache, hwmodel, runner, toymoe
 from elasticmoe.cli import main as cli_main
-from elasticmoe.hwmodel import Arch
+from elasticmoe.hwmodel import Arch, GIB
 from elasticmoe.runner import (
     ConfigError,
     CSV_COLUMNS,
@@ -75,6 +76,8 @@ def test_config_rejects_bad_values():
         scenario_from_dict({"scenario_id": "m", "schemes": ["warp_sd"]})
     with pytest.raises(ConfigError, match="batch_sizes"):
         scenario_from_dict({"scenario_id": "m", "batch_sizes": [0]})
+    with pytest.raises(ConfigError, match="batch_sizes"):
+        scenario_from_dict({"scenario_id": "m", "batch_sizes": [10**400]})
     with pytest.raises(ConfigError, match="draft_reconstruct"):
         scenario_from_dict({"scenario_id": "m", "sd": {"draft_reconstruct": "chop"}})
 
@@ -96,6 +99,79 @@ def test_config_round_trip():
     text = dump_config(configs)
     again = parse_config_text(text)
     assert again == configs
+
+
+# Positive floats spread over 18 decades, so unit scaling meets mantissas
+# of every size.
+_MAGNITUDE = st.builds(
+    lambda m, e: m * 10.0**e, st.floats(1.0, 10.0, exclude_max=True), st.integers(-9, 9)
+)
+
+
+@st.composite
+def _accepted_scenarios(draw):
+    n_experts = draw(st.integers(1, 16))
+    top_k = draw(st.integers(1, n_experts))
+    schemes = draw(st.lists(st.sampled_from(runner.ALL_SCHEMES), min_size=1, unique=True))
+    arch = "ours" if set(schemes) - {"ar_only"} else draw(st.sampled_from([a.value for a in Arch]))
+    hw_keys = draw(st.lists(st.sampled_from(sorted(runner._HW_KEY_MAP)), unique=True))
+    hw = {}
+    for key in hw_keys:
+        if key in ("nmp_channels", "total_channels"):
+            continue
+        if key in ("hb_derate", "ext_derate"):
+            hw[key] = draw(st.floats(0.0, 1.0, exclude_max=True))
+        elif key in ("hb_banks", "macs_per_pe_per_cycle"):
+            hw[key] = draw(st.integers(1, 2**20))
+        else:
+            hw[key] = draw(_MAGNITUDE)
+    if "total_channels" in hw_keys:
+        hw["total_channels"] = draw(st.integers(3, 16))
+        hw["nmp_channels"] = draw(st.integers(1, hw["total_channels"] - 1))
+    return {
+        "scenario_id": draw(st.text(min_size=1, max_size=8)),
+        "model": {
+            "d_model": draw(st.sampled_from([32, 64])),
+            "d_ff": draw(st.sampled_from([32, 64, 128])),
+            "n_experts": n_experts,
+            "top_k": top_k,
+            "n_layers": draw(st.integers(1, 3)),
+            "vocab": draw(st.integers(1, 64)),
+        },
+        "hw": hw,
+        "arch": arch,
+        "schemes": schemes,
+        "batch_sizes": draw(st.lists(st.integers(1, 64), min_size=1, max_size=4)),
+        "trace": {
+            "n_tokens": draw(st.integers(1, 500)),
+            "zipf_exponent": draw(st.floats(0.0, 3.0)),
+            "correlation": draw(st.floats(0.0, 1.0)),
+            "seed": draw(st.integers(0, 2**31)),
+        },
+        "sd": {
+            "width": draw(st.integers(1, 4)),
+            "depth": draw(st.integers(0, 4)),
+            "pool_capacity": draw(st.integers(top_k, n_experts + 2)),
+            "hotness_decay_factor": draw(st.floats(0.0, 1.0)),
+            "draft_reconstruct": draw(st.sampled_from(["truncate", "lsb_augment", "msb_round"])),
+        },
+        "run": {
+            "prompt_len": draw(st.integers(1, 16)),
+            "kv_coeff": draw(_MAGNITUDE),
+        },
+        "analytic": {
+            name: {"mean_accept": draw(st.floats(0.0, 8.0)), "footprint_multiplier": draw(st.floats(1.0, 4.0))}
+            for name in draw(st.lists(st.sampled_from(runner.ANALYTIC_SCHEMES), unique=True))
+        },
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_accepted_scenarios())
+def test_config_round_trip_property(data):
+    cfg = scenario_from_dict(data)
+    assert scenario_from_dict(runner.scenario_to_dict(cfg)) == cfg
+    assert parse_config_text(dump_config([cfg])) == [cfg]
 
 
 def test_hw_unit_conversion():
@@ -188,6 +264,27 @@ def test_runner_error_carries_scenario_id():
         run_scenario(cfg)
 
 
+def test_verify_cache_holds_msb_pieces_below_a_full_expert():
+    # HB headroom after the draft pool fits one MSB piece but not a full
+    # expert.  The verify stream caches MSB pieces only, so the scenario
+    # runs; a cache sized for full experts rejected it.
+    probe = scenario_from_dict({"scenario_id": "probe", "batch_sizes": [1]})
+    headroom = hwmodel.hb_headroom_bytes(
+        probe.hw, probe.shape, 1, probe.run.seq_len, probe.run.kv_coeff,
+        probe.sd.pool_capacity,
+    )
+    msb = hwmodel.expert_bytes_msb(probe.shape)
+    full = hwmodel.expert_bytes_full(probe.shape)
+    used = probe.hw.hb_capacity_bytes - headroom
+    cfg = scenario_from_dict({
+        "scenario_id": "tight",
+        "batch_sizes": [1],
+        "hw": {"hb_capacity_gib": (used + (msb + full) / 2) / GIB},
+    })
+    (sd_row,) = [r for r in run_scenario(cfg) if r.scheme == "elastic_sd"]
+    assert 0.0 <= sd_row.verify_msb_hit_rate <= 1.0
+
+
 def test_render_csv_stable_header_and_precision():
     rows = run_scenario(fast_config())
     text = render_csv(rows)
@@ -226,6 +323,12 @@ def test_emit_writes_files(tmp_path):
     runner.emit(rows, "json", str(json_path))
     assert csv_path.read_text().startswith(CSV_COLUMNS[0])
     assert rows_from_json(json_path.read_text()) == rows
+
+
+def test_emit_dash_writes_stdout(capsys):
+    rows = run_scenario(fast_config())
+    runner.emit(rows, "json", "-")
+    assert rows_from_json(capsys.readouterr().out) == rows
 
 
 def test_speedup_definition_consistency():

@@ -148,6 +148,17 @@ class TestQuantizeMatrix:
         with pytest.raises(ValueError):
             quantize_matrix(np.zeros((4, 33)))
 
+    def test_rejects_fp16_scale_overflow(self):
+        # The same groups quantize_group rejects, instead of inf scales.
+        w = np.full((1, GROUP_SIZE), 1e7)
+        with pytest.raises(ValueError, match="overflows fp16"):
+            quantize_group(w[0])
+        with pytest.raises(ValueError, match="overflows fp16"):
+            quantize_matrix(w)
+        # The largest fp16 scale still quantizes, as it does per group.
+        edge = np.full((1, GROUP_SIZE), 65504.0 * 127.0)
+        assert quantize_matrix(edge).scales[0, 0] == quantize_group(edge[0]).scale
+
 
 class TestGenModel:
     def test_determinism(self):
