@@ -74,18 +74,25 @@ class BitSlicePair:
         return 16 * self.msb + self.lsb
 
 
-def fp16_scale(amax: float) -> float:
-    """Scale for a group with absolute maximum ``amax``, at fp16 precision.
+def fp16_scale(amax: float | np.ndarray) -> float | np.ndarray:
+    """Scale fp16(amax / 127) for groups with absolute maximum ``amax``: a
+    float for a scalar, a float64 array for an array.
 
     An all-zero group gets scale 1; underflow clamps to the smallest
-    positive fp16 subnormal so the scale stays positive.
+    positive fp16 subnormal so the scale stays positive; a scale beyond
+    the largest finite fp16 raises ValueError.  The cast runs with numpy
+    raising on overflow, so no warning is printed and no pass looks for
+    inf afterwards (this runs once per activation vector).
     """
-    if amax == 0.0:
-        return 1.0
-    s = float(np.float16(amax / 127.0))
-    if np.isinf(s):
-        raise ValueError(f"group magnitude {amax} overflows fp16 scaling")
-    return max(s, _FP16_TINY)
+    try:
+        with np.errstate(over="raise"):
+            s = np.float64(np.float16(amax / 127.0))
+    except FloatingPointError:
+        raise ValueError(
+            f"group magnitude {np.max(amax)} overflows fp16 scaling"
+        ) from None
+    s = np.where(amax == 0.0, 1.0, np.maximum(s, _FP16_TINY))
+    return float(s) if s.ndim == 0 else s
 
 
 def quantize_group(values) -> QuantGroup:
@@ -123,13 +130,6 @@ def split_slices(code: int) -> BitSlicePair:
     return BitSlicePair(msb=code >> 4, lsb=code & 0x0F)
 
 
-def _round_half_even_div16(value: int) -> int:
-    q, r = divmod(value, 16)
-    if r > 8 or (r == 8 and q % 2 == 1):
-        return q + 1
-    return q
-
-
 def reconstruct(pair: BitSlicePair, mode: ReconstructMode) -> int:
     """Rebuild a code-scale integer from a slice pair.
 
@@ -145,8 +145,8 @@ def reconstruct(pair: BitSlicePair, mode: ReconstructMode) -> int:
     if mode is ReconstructMode.FULL:
         return pair.code
     if mode is ReconstructMode.MSB_ROUND:
-        rounded = _round_half_even_div16(pair.code)
-        return 16 * min(max(rounded, -8), 7)
+        # code / 16 is exact, and round() breaks ties to even.
+        return 16 * min(max(round(pair.code / 16), -8), 7)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -159,17 +159,15 @@ def split_slices_array(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def surrogate_codes(codes: np.ndarray, mode: ReconstructMode) -> np.ndarray:
-    """Vectorized reconstruct() over a code array, returning int64 codes."""
-    msb, lsb = split_slices_array(codes)
-    msb = msb.astype(np.int64)
+    """Vectorized reconstruct() over a code array, returning new int64 codes."""
+    msb, _ = split_slices_array(codes)
+    msb, codes = msb.astype(np.int64), np.array(codes, dtype=np.int64)
     if mode is ReconstructMode.TRUNCATE:
         return 16 * msb
     if mode is ReconstructMode.LSB_AUGMENT:
         return 16 * msb + 8
     if mode is ReconstructMode.FULL:
-        return 16 * msb + lsb.astype(np.int64)
+        return codes
     if mode is ReconstructMode.MSB_ROUND:
-        full = 16 * msb + lsb.astype(np.int64)
-        rounded = np.rint(full / 16.0).astype(np.int64)
-        return 16 * np.clip(rounded, -8, 7)
+        return 16 * np.clip(np.rint(codes / 16.0).astype(np.int64), -8, 7)
     raise ValueError(f"unknown mode {mode!r}")

@@ -59,7 +59,6 @@ class DraftTree:
     """
 
     nodes: tuple[TreeNode, ...]
-    width: int
     depth: int
     chain: tuple[int, ...]
 
@@ -223,7 +222,7 @@ def draft_phase(
             if chain_key is not None and (parent, tok) == chain_key:
                 chain_node = len(nodes) - 1
         chain.append(chain_node)
-    tree = DraftTree(nodes=tuple(nodes), width=w, depth=d, chain=tuple(chain))
+    tree = DraftTree(nodes=tuple(nodes), depth=d, chain=tuple(chain))
     return DraftResult(
         tree=tree,
         decisions=tuple(decisions),

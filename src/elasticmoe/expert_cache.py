@@ -164,7 +164,8 @@ def powerlaw_lru_hitrate(
         if hi > 1e18:
             raise RuntimeError("characteristic time bracket failed")
     t = brentq(occupancy_gap, lo, hi, xtol=1e-12, rtol=1e-12)
-    return float(np.sum(p * -np.expm1(-p * t)))
+    # Near full capacity the rounded sum can land an ulp above 1.
+    return min(1.0, float(np.sum(p * -np.expm1(-p * t))))
 
 
 def expected_unique_experts(

@@ -139,14 +139,12 @@ class HwConfig:
 
 @dataclass(frozen=True)
 class InternalTier:
-    """Bandwidth/compute/capacity of a baseline's in/near-memory tier and
-    what remains to the host."""
+    """Bandwidth and compute of a baseline's in/near-memory tier, and the
+    external bandwidth that remains to the host."""
 
     internal_bw: float
     internal_compute: float
-    internal_capacity: float
     host_ext_bw: float
-    host_ext_capacity: float
 
 
 def internal_tier(arch: Arch, cfg: HwConfig) -> Optional[InternalTier]:
@@ -162,26 +160,20 @@ def internal_tier(arch: Arch, cfg: HwConfig) -> Optional[InternalTier]:
         return InternalTier(
             internal_bw=cfg.pim_bw_multiplier * cfg.ext_bw,
             internal_compute=cfg.pim_compute_macs,
-            internal_capacity=cfg.ext_capacity_bytes,
             host_ext_bw=cfg.ext_bw,
-            host_ext_capacity=cfg.ext_capacity_bytes,
         )
     if arch is Arch.XPU_LOGIC_PIM:
         return InternalTier(
             internal_bw=cfg.logic_pim_bw_multiplier * cfg.ext_bw,
             internal_compute=cfg.logic_pim_compute_multiplier * cfg.pim_compute_macs,
-            internal_capacity=cfg.ext_capacity_bytes,
             host_ext_bw=cfg.ext_bw,
-            host_ext_capacity=cfg.ext_capacity_bytes,
         )
     if arch is Arch.XPU_NMP:
         share = cfg.nmp_channels / cfg.total_channels
         return InternalTier(
             internal_bw=share * cfg.ext_bw * cfg.nmp_internal_multiplier,
             internal_compute=cfg.nmp_compute_macs,
-            internal_capacity=share * cfg.ext_capacity_bytes,
             host_ext_bw=(1 - share) * cfg.ext_bw,
-            host_ext_capacity=(1 - share) * cfg.ext_capacity_bytes,
         )
     return None
 

@@ -52,13 +52,6 @@ FUNCTIONAL_SCHEMES = ("ar_only", "elastic_sd", "random_pool_sd")
 ANALYTIC_SCHEMES = ("eagle_sd", "slm_sd", "quant_sd")
 ALL_SCHEMES = FUNCTIONAL_SCHEMES + ANALYTIC_SCHEMES
 
-_RECONSTRUCT_NAMES = {
-    "truncate": ReconstructMode.TRUNCATE,
-    "lsb_augment": ReconstructMode.LSB_AUGMENT,
-    "msb_round": ReconstructMode.MSB_ROUND,
-}
-
-
 @dataclass(frozen=True)
 class TraceParams:
     """Synthetic routing-trace generator knobs."""
@@ -95,10 +88,10 @@ class SdSchemeParams:
             raise ConfigError("sd.pool_capacity must be >= 1")
         if not 0 <= self.hotness_decay_factor <= 1:
             raise ConfigError("sd.hotness_decay_factor must be in [0, 1]")
-        if self.draft_reconstruct not in _RECONSTRUCT_NAMES:
-            raise ConfigError(
-                f"sd.draft_reconstruct must be one of {sorted(_RECONSTRUCT_NAMES)}"
-            )
+        # A draft reads the MSB slice, so FULL is no draft mode.
+        drafts = [m.value for m in ReconstructMode if m is not ReconstructMode.FULL]
+        if self.draft_reconstruct not in drafts:
+            raise ConfigError(f"sd.draft_reconstruct must be one of {sorted(drafts)}")
 
 
 @dataclass(frozen=True)
@@ -471,22 +464,28 @@ def _popularity_from_steps(
     return counts / total
 
 
-def _lru_hit_rate(
-    steps: list[list[elastic_sd.LayerDecision]],
-    slice_kind: str,
-    item_bytes: float,
-    capacity_bytes: float,
-) -> float:
-    """Weighted LRU hit rate of the decision stream, every access one
-    slice_kind item of item_bytes; a capacity below one item means nothing
-    is cacheable."""
-    if not steps or capacity_bytes < item_bytes:
-        return 0.0
+def _access_trace(
+    steps: list[list[elastic_sd.LayerDecision]], slice_kind: str
+) -> expert_cache.AccessTrace:
+    """The decision stream as one slice_kind access per selected expert."""
     records = [
         (i, [(layer, e) for layer, d in step for e in d.selected])
         for i, step in enumerate(steps)
     ]
-    trace = expert_cache.decisions_to_trace(records, slice_kind)
+    return expert_cache.decisions_to_trace(records, slice_kind)
+
+
+def _lru_hit_rate(
+    trace: expert_cache.AccessTrace,
+    slice_kind: str,
+    item_bytes: float,
+    capacity_bytes: float,
+) -> float:
+    """Weighted LRU hit rate of a slice_kind access trace, every access one
+    item of item_bytes; a capacity below one item means nothing is
+    cacheable."""
+    if not trace or capacity_bytes < item_bytes:
+        return 0.0
     config = expert_cache.CacheConfig(
         capacity_bytes=capacity_bytes, item_bytes={slice_kind: item_bytes}
     )
@@ -558,6 +557,7 @@ def _build_context(cfg: ScenarioConfig) -> _ScenarioContext:
     )
     ar_steps = [list(enumerate(step)) for step in ar_decisions]
     popularity = _popularity_from_steps(ar_steps, cfg.shape)
+    ar_trace = _access_trace(ar_steps, "full")
     full_item = hwmodel.expert_bytes_full(cfg.shape)
     footprints = sorted({_footprint(cfg, s) for s in cfg.schemes})
     ar_unique, xpu_per_token, ar = {}, {}, {}
@@ -571,7 +571,7 @@ def _build_context(cfg: ScenarioConfig) -> _ScenarioContext:
             cfg, Arch.XPU, batch, 0.0, unique
         ).per_token_latency
         for footprint in footprints:
-            hit = _lru_hit_rate(ar_steps, "full", full_item * footprint, capacity)
+            hit = _lru_hit_rate(ar_trace, "full", full_item * footprint, capacity)
             ar[batch, footprint] = hit, _ar_cost(cfg, cfg.arch, batch, hit, unique)
     return _ScenarioContext(
         cfg=cfg,
@@ -596,7 +596,7 @@ def _measured_sd(
         depth=cfg.sd.depth,
         pool_capacity=cfg.sd.pool_capacity,
         hotness_decay=cfg.sd.hotness_decay_factor,
-        draft_reconstruct=_RECONSTRUCT_NAMES[cfg.sd.draft_reconstruct],
+        draft_reconstruct=ReconstructMode(cfg.sd.draft_reconstruct),
         pool_strategy="random" if scheme == "random_pool_sd" else "hotness",
         seed=cfg.sd.seed,
     )
@@ -605,6 +605,7 @@ def _measured_sd(
     ).run(cfg.run.n_new_tokens)
     verify_steps = [list(step.verify_decisions) for step in run.steps]
     verify_pop = _popularity_from_steps(verify_steps, cfg.shape)
+    verify_trace = _access_trace(verify_steps, "msb")
     sd = hwmodel.SdParams(
         width=cfg.sd.width,
         depth=cfg.sd.depth,
@@ -620,7 +621,7 @@ def _measured_sd(
             cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff,
             cfg.sd.pool_capacity,
         )
-        verify_hit = _lru_hit_rate(verify_steps, "msb", msb_item, capacity)
+        verify_hit = _lru_hit_rate(verify_trace, "msb", msb_item, capacity)
         verify_unique = _unique_experts(
             batch * sd.verify_tokens, cfg.shape, verify_pop, cfg.trace.seed + 1
         )

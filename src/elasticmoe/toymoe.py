@@ -1,11 +1,13 @@
 """A tiny deterministic MoE language model with switchable weight precision.
 
 The model is small enough to run exhaustive decoding experiments in tests:
-random fixed weights, a decayed-context stand-in for attention, top-k routed
-SiLU-gated experts, and greedy sampling everywhere.  Expert weights live as
-group-quantized INT8 codes; the precision mode picks real reference weights,
-the full 8-bit codes, or the 4-bit MSB surrogate used for drafting.  Dense
-parts (embedding, context map, router, output head) stay real in all modes.
+random fixed weights, a decayed-context stand-in for attention (each layer
+keeps CONTEXT_DECAY times its previous context plus the new input), top-k
+routed SiLU-gated experts, and greedy sampling everywhere.  Expert weights
+live as group-quantized INT8 codes; the precision mode picks real reference
+weights or one code set through QuantizedMatrix.surrogate: the stored 8-bit
+codes (FULL) or the 4-bit MSB surrogate used for drafting.  Dense parts
+(embedding, context map, router, output head) stay real in all modes.
 
 ``step`` processes one token; ``prefill`` feeds a token sequence from a
 fresh state, and ``trace_row`` picks the routing overrides a position reads.
@@ -19,14 +21,24 @@ break toward lower ids.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitnest import GROUP_SIZE, ReconstructMode, fp16_scale, surrogate_codes
+from .bitnest import (
+    CODE_MAX,
+    CODE_MIN,
+    GROUP_SIZE,
+    ReconstructMode,
+    fp16_scale,
+    surrogate_codes,
+)
 
 RMSNORM_EPS = 1e-6
+# Weight of a layer's previous context in its decayed-context accumulator.
+CONTEXT_DECAY = 0.5
 
 
 class PrecisionMode(enum.Enum):
@@ -79,9 +91,12 @@ class QuantizedMatrix:
         return w.reshape(self.out_dim, self.in_dim)
 
     def surrogate(self, mode: ReconstructMode) -> np.ndarray:
-        """Codes rebuilt from slices under the given reconstruction mode,
-        built on first use per mode and kept read-only.  They stay int64:
-        int8 storage makes the group einsum slower."""
+        """Codes rebuilt from slices under the given reconstruction mode:
+        the stored codes themselves for FULL, otherwise built on first use
+        per mode and kept read-only.  They stay int64: int8 storage makes
+        the group einsum slower."""
+        if mode is ReconstructMode.FULL:
+            return self.codes
         codes = self._surrogates.get(mode)
         if codes is None:
             codes = surrogate_codes(self.codes, mode)
@@ -93,7 +108,8 @@ class QuantizedMatrix:
 def quantize_matrix(w: np.ndarray) -> QuantizedMatrix:
     """Group-quantize a real matrix along its input dimension.
 
-    Same code/scale rule as bitnest.quantize_group, applied per (row, group).
+    Same code/scale rule as bitnest.quantize_group, applied per (row, group);
+    codes and scales come back read-only.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] % GROUP_SIZE:
@@ -102,24 +118,26 @@ def quantize_matrix(w: np.ndarray) -> QuantizedMatrix:
         raise ValueError("non-finite weight")
     out_dim = w.shape[0]
     vals = w.reshape(out_dim, -1, GROUP_SIZE)
-    amax = np.abs(vals).max(axis=2)
-    scales = np.float16(amax / 127.0).astype(np.float64)
-    if np.isinf(scales).any():
-        raise ValueError(f"group magnitude {amax.max()} overflows fp16 scaling")
-    scales = np.maximum(scales, float(np.float16(2.0**-24)))
-    scales = np.where(amax == 0.0, 1.0, scales)
-    codes = np.clip(np.rint(vals / scales[:, :, None]), -127, 127).astype(np.int64)
+    scales = fp16_scale(np.abs(vals).max(axis=2))
+    codes = np.clip(np.rint(vals / scales[:, :, None]), CODE_MIN, CODE_MAX)
+    codes = codes.astype(np.int64)
+    codes.flags.writeable = False
+    scales.flags.writeable = False
     return QuantizedMatrix(codes=codes, scales=scales)
 
 
 def quantize_activations(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-tensor symmetric INT8: returns (codes, scale)."""
+    """Per-tensor symmetric INT8 by the bitnest.quantize_group rule:
+    returns (codes, scale)."""
     v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
+    # A NaN or inf anywhere makes the magnitude non-finite.
+    amax = float(np.abs(v).max()) if v.size else 0.0
+    if not math.isfinite(amax):
         raise ValueError("non-finite activation")
-    scale = fp16_scale(float(np.max(np.abs(v))) if v.size else 0.0)
-    codes = np.clip(np.rint(v / scale), -127, 127).astype(np.int64)
-    return codes, scale
+    scale = fp16_scale(amax)
+    # Two ufuncs, not np.clip: its wrapper costs more on this hot path.
+    codes = np.minimum(np.maximum(np.rint(v / scale), CODE_MIN), CODE_MAX)
+    return codes.astype(np.int64), scale
 
 
 @dataclass(frozen=True)
@@ -152,17 +170,6 @@ class MoEModel:
     w_router: np.ndarray
     experts: tuple[tuple[ExpertWeights, ...], ...]
     w_out: np.ndarray
-    gamma: float
-
-    def param_count(self) -> int:
-        s = self.shape
-        expert = s.n_layers * s.n_experts * (2 * s.d_model * s.d_ff + s.d_ff * s.d_model)
-        dense = (
-            2 * s.vocab * s.d_model
-            + s.n_layers * s.d_model * s.d_model
-            + s.n_layers * s.n_experts * s.d_model
-        )
-        return expert + dense
 
 
 @dataclass(frozen=True)
@@ -256,7 +263,7 @@ def route(
     return RoutingDecision(scores=s.copy(), selected=selected, gates=gates)
 
 
-def gen_model(shape: MoEShape, seed: int, gamma: float = 0.5) -> MoEModel:
+def gen_model(shape: MoEShape, seed: int) -> MoEModel:
     """Build a model with fixed random weights; same seed, same model."""
     rng = np.random.default_rng(seed)
     d, f = shape.d_model, shape.d_ff
@@ -291,7 +298,6 @@ def gen_model(shape: MoEShape, seed: int, gamma: float = 0.5) -> MoEModel:
         w_router=w_router,
         experts=tuple(layers),
         w_out=w_out,
-        gamma=gamma,
     )
 
 
@@ -304,8 +310,9 @@ def expert_forward(
     """down(SiLU(gate @ x) * (up @ x)) at the requested weight precision.
 
     Quantized modes run integer group dots on per-tensor INT8 activations
-    with dequantization fused at the group accumulator; draft mode swaps in
-    the reconstructed 4-bit surrogate codes.
+    with dequantization fused at the group accumulator, on the codes
+    QuantizedMatrix.surrogate gives: FULL at INT8_FULL, draft_reconstruct
+    at MSB4_DRAFT.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (e.up.in_dim,):
@@ -315,30 +322,17 @@ def expert_forward(
         g = _blocked_matvec(e.gate_ref, x)
         return _blocked_matvec(e.down_ref, _silu(g) * u)
     if mode is PrecisionMode.INT8_FULL:
-        up_c, gate_c, down_c = e.up.codes, e.gate.codes, e.down.codes
+        rec = ReconstructMode.FULL
     elif mode is PrecisionMode.MSB4_DRAFT:
-        up_c = e.up.surrogate(draft_reconstruct)
-        gate_c = e.gate.surrogate(draft_reconstruct)
-        down_c = e.down.surrogate(draft_reconstruct)
+        rec = draft_reconstruct
     else:
         raise ValueError(f"unknown mode {mode!r}")
     a, sa = quantize_activations(x)
-    u = _quant_matvec(up_c, e.up.scales, a, sa)
-    g = _quant_matvec(gate_c, e.gate.scales, a, sa)
+    u = _quant_matvec(e.up.surrogate(rec), e.up.scales, a, sa)
+    g = _quant_matvec(e.gate.surrogate(rec), e.gate.scales, a, sa)
     h = _silu(g) * u
     hq, sh = quantize_activations(h)
-    return _quant_matvec(down_c, e.down.scales, hq, sh)
-
-
-def _normalize_permitted(permitted, n_layers: int):
-    if permitted is None:
-        return [None] * n_layers
-    if isinstance(permitted, (set, frozenset)):
-        return [permitted] * n_layers
-    seq = list(permitted)
-    if len(seq) != n_layers:
-        raise ValueError(f"need one permitted set per layer ({n_layers})")
-    return seq
+    return _quant_matvec(e.down.surrogate(rec), e.down.scales, hq, sh)
 
 
 def init_state(model: MoEModel) -> DecodeState:
@@ -358,18 +352,22 @@ def step(
 ) -> StepOutput:
     """Process one token from a decode state; return the next state, the
     logits for the following position, and the per-layer routing decisions
-    (both the ones applied and the unrestricted originals)."""
+    (both the ones applied and the unrestricted originals).  permitted is
+    None or one expert-id set per layer."""
     shape = model.shape
     token = int(token)
     if not 0 <= token < shape.vocab:
         raise ValueError(f"token {token} outside vocab {shape.vocab}")
-    permitted = _normalize_permitted(permitted, shape.n_layers)
+    if permitted is None:
+        permitted = (None,) * shape.n_layers
+    elif len(permitted) != shape.n_layers:
+        raise ValueError(f"need one permitted set per layer ({shape.n_layers})")
     x = model.embed[token].copy()
     ctx_rows = []
     decisions = []
     originals = []
     for layer in range(shape.n_layers):
-        c = model.gamma * state.ctx[layer] + x
+        c = CONTEXT_DECAY * state.ctx[layer] + x
         ctx_rows.append(c)
         x = x + _blocked_matvec(model.w_attn[layer], _rmsnorm(c))
         r = _rmsnorm(x)
@@ -419,7 +417,6 @@ def prefill(
     tokens: Sequence[int],
     mode: PrecisionMode,
     score_traces=None,
-    draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
 ) -> tuple[DecodeState, Optional[np.ndarray], list[tuple[RoutingDecision, ...]]]:
     """Feed tokens from a fresh state at positions 0, 1, ...; return the
     last state, its logits (None when tokens is empty), and each position's
@@ -428,10 +425,7 @@ def prefill(
     logits = None
     decisions = []
     for pos, tok in enumerate(tokens):
-        out = step(
-            model, state, tok, mode, None, trace_row(score_traces, pos),
-            draft_reconstruct,
-        )
+        out = step(model, state, tok, mode, None, trace_row(score_traces, pos))
         state, logits = out.state, out.logits
         decisions.append(out.decisions)
     return state, logits, decisions
@@ -443,23 +437,17 @@ def greedy_decode(
     n_new: int,
     mode: PrecisionMode,
     score_traces=None,
-    draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
 ) -> tuple[list[int], list[tuple[RoutingDecision, ...]]]:
     """Pure greedy autoregressive decoding; returns (new tokens, per-step
     routing decisions for every processed position)."""
     if len(prompt) == 0:
         raise ValueError("prompt must be nonempty")
-    state, logits, decisions_log = prefill(
-        model, prompt, mode, score_traces, draft_reconstruct
-    )
+    state, logits, decisions_log = prefill(model, prompt, mode, score_traces)
     tokens = []
     for pos in range(len(prompt), len(prompt) + n_new):
         nxt = greedy_token(logits)
         tokens.append(nxt)
-        out = step(
-            model, state, nxt, mode, None, trace_row(score_traces, pos),
-            draft_reconstruct,
-        )
+        out = step(model, state, nxt, mode, None, trace_row(score_traces, pos))
         state, logits = out.state, out.logits
         decisions_log.append(out.decisions)
     return tokens, decisions_log

@@ -268,3 +268,12 @@ class TestTypeInvariants:
         for amax in [1.27, 3.0, 0.001, 127.0]:
             s = fp16_scale(amax)
             assert s == float(np.float16(s))
+
+    def test_fp16_scale_array_is_elementwise(self):
+        # Zero group, subnormal floor, ordinary and largest finite scales.
+        amax = np.array([[0.0, 1e-9], [3.0, 65504.0 * 127.0]])
+        got = fp16_scale(amax)
+        assert got.dtype == np.float64 and got.shape == amax.shape
+        want = [fp16_scale(float(a)) for a in amax.ravel()]
+        assert got.ravel().tolist() == want
+        assert want[:2] == [1.0, 2.0**-24]

@@ -168,7 +168,6 @@ class TestDraftTreeInvariants:
                     TreeNode(-1, 0, 0.0, 0),
                     TreeNode(2, 1, -0.1, 1),
                 ),
-                width=1,
                 depth=1,
                 chain=(),
             )
@@ -180,7 +179,6 @@ class TestDraftTreeInvariants:
                     TreeNode(-1, 0, 0.0, 0),
                     TreeNode(0, 1, -0.1, 2),
                 ),
-                width=1,
                 depth=2,
                 chain=(),
             )
@@ -260,7 +258,6 @@ class TestVerifyPhase:
         wrong = (greedy_token(out.logits) + 1) % SHAPE.vocab
         tree = DraftTree(
             nodes=(TreeNode(-1, 5, 0.0, 0), TreeNode(0, wrong, -0.5, 1)),
-            width=1,
             depth=1,
             chain=(1,),
         )

@@ -182,6 +182,7 @@ class TestPowerlawApproximation:
     ),
 )
 @example(n=64, zipf=1.0, fractions=[9e-13 / 64, 1e-12 / 64])
+@example(n=21, zipf=1.0, fractions=[0.0, 0.9999999999999999])
 def test_powerlaw_hitrate_bounded_and_monotone(n, zipf, fractions):
     low, high = sorted(min(f * n, n) for f in fractions)
     a = powerlaw_lru_hitrate(n, zipf, low)

@@ -157,7 +157,6 @@ def test_internal_tier_parameters():
     assert logic.internal_bw == pytest.approx(4 * 102.4e9, rel=1e-12)
     assert logic.internal_compute == pytest.approx(4 * 1.64e12, rel=1e-12)
     nmp = internal_tier(Arch.XPU_NMP, CFG)
-    assert nmp.internal_capacity == pytest.approx(16 * GIB, rel=1e-12)
     assert nmp.internal_compute == pytest.approx(13.1e12, rel=1e-12)
     assert nmp.host_ext_bw == pytest.approx(0.75 * 102.4e9, rel=1e-12)
     assert internal_tier(Arch.XPU, CFG) is None

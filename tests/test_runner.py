@@ -82,6 +82,18 @@ def test_config_rejects_bad_values():
         scenario_from_dict({"scenario_id": "m", "sd": {"draft_reconstruct": "chop"}})
 
 
+def test_config_rejects_full_draft_reconstruct(capsys, tmp_path):
+    # A draft reads the MSB slice; the message lists the three draft modes.
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(
+        {"scenario_id": "m", "sd": {"draft_reconstruct": "full"}}
+    ))
+    assert cli_main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "['lsb_augment', 'msb_round', 'truncate']" in err
+
+
 def test_sd_schemes_require_ours_arch():
     with pytest.raises(ConfigError, match="require arch"):
         scenario_from_dict(
@@ -353,11 +365,14 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     counted(toymoe, "gen_model")
     counted(toymoe, "greedy_decode")
     counted(expert_cache, "expected_unique_experts")
+    counted(expert_cache, "decisions_to_trace")
     (cfg,) = load_config(example_config_path())
     run_scenario(cfg)
-    # 3 batch sizes x (AR, elastic_sd verify, random_pool_sd verify).
+    # 3 batch sizes x (AR, elastic_sd verify, random_pool_sd verify), and
+    # one access trace per decision stream: AR and the two sessions' verify.
     assert calls == {
-        "gen_model": 1, "greedy_decode": 1, "expected_unique_experts": 9
+        "gen_model": 1, "greedy_decode": 1, "expected_unique_experts": 9,
+        "decisions_to_trace": 3,
     }
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elasticmoe import toymoe
 from elasticmoe.bitnest import GROUP_SIZE, ReconstructMode, quantize_group
@@ -23,6 +25,25 @@ from elasticmoe.toymoe import (
 )
 
 SHAPE = MoEShape(d_model=64, d_ff=128, n_experts=8, top_k=2, n_layers=2, vocab=64)
+
+# Group magnitude whose scale is the largest finite fp16, 65504.
+FP16_MAX_AMAX = 65504.0 * 127.0
+GROUP_KINDS = ("zero", "floor", "max", "decades")
+
+
+def draw_group(rng, kind):
+    """32 values whose fp16 scale falls in one regime of the scale rule."""
+    if kind == "zero":
+        return np.zeros(GROUP_SIZE)
+    v = rng.uniform(-1.0, 1.0, GROUP_SIZE)
+    if kind == "floor":
+        # amax / 127 rounds to 0 in fp16, so the subnormal floor applies.
+        return v * 10.0 ** rng.uniform(-12, -6)
+    if kind == "max":
+        v[rng.integers(GROUP_SIZE)] = rng.choice([-1.0, 1.0])
+        return v * FP16_MAX_AMAX
+    # Magnitudes spread over 16 decades within the group.
+    return v * 10.0 ** rng.uniform(-10, 6, GROUP_SIZE)
 
 
 def silu(v):
@@ -112,15 +133,49 @@ class TestRoute:
 
 
 class TestQuantizeMatrix:
-    def test_matches_group_quantizer_bitwise(self):
-        rng = np.random.default_rng(9)
-        w = rng.normal(size=(6, 2 * GROUP_SIZE))
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_group_quantizer_bitwise(self, data):
+        # quantize_matrix per (row, group) and quantize_activations of one
+        # 32-vector both equal quantize_group bit for bit, in every regime
+        # of the fp16 scale rule.
+        rows = data.draw(st.integers(1, 4), label="rows")
+        groups = data.draw(st.integers(1, 4), label="groups")
+        kinds = data.draw(
+            st.lists(
+                st.sampled_from(GROUP_KINDS),
+                min_size=rows * groups,
+                max_size=rows * groups,
+            ),
+            label="kinds",
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        w = np.concatenate([draw_group(rng, k) for k in kinds])
+        w = w.reshape(rows, groups * GROUP_SIZE)
         qm = quantize_matrix(w)
-        for row in range(6):
-            for g in range(2):
-                ref = quantize_group(w[row, g * GROUP_SIZE : (g + 1) * GROUP_SIZE])
+        for row in range(rows):
+            for g in range(groups):
+                vals = w[row, g * GROUP_SIZE : (g + 1) * GROUP_SIZE]
+                ref = quantize_group(vals)
                 assert ref.scale == qm.scales[row, g]
                 assert np.array_equal(ref.codes, qm.codes[row, g])
+                codes, scale = quantize_activations(vals)
+                assert type(scale) is float and scale == ref.scale
+                assert np.array_equal(codes, ref.codes)
+
+    def test_codes_and_scales_read_only(self):
+        qm = quantize_matrix(np.ones((2, GROUP_SIZE)))
+        assert not qm.codes.flags.writeable
+        assert not qm.scales.flags.writeable
+
+    def test_full_surrogate_is_the_stored_codes(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("FULL codes rebuilt from slices")
+
+        monkeypatch.setattr(toymoe, "surrogate_codes", unexpected)
+        qm = quantize_matrix(np.random.default_rng(9).normal(size=(3, GROUP_SIZE)))
+        assert qm.surrogate(ReconstructMode.FULL) is qm.codes
 
     def test_dequant_is_exact_product(self):
         rng = np.random.default_rng(10)
@@ -148,16 +203,22 @@ class TestQuantizeMatrix:
         with pytest.raises(ValueError):
             quantize_matrix(np.zeros((4, 33)))
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_fp16_scale_overflow(self):
-        # The same groups quantize_group rejects, instead of inf scales.
-        w = np.full((1, GROUP_SIZE), 1e7)
-        with pytest.raises(ValueError, match="overflows fp16"):
-            quantize_group(w[0])
-        with pytest.raises(ValueError, match="overflows fp16"):
-            quantize_matrix(w)
+        # Every quantizer raises the ValueError, and numpy warns of nothing.
+        # amax / 127 = 65520 is the tie that rounds to fp16 inf.
+        for amax in (1e7, 65520.0 * 127.0):
+            w = np.full((1, GROUP_SIZE), amax)
+            with pytest.raises(ValueError, match="overflows fp16"):
+                quantize_group(w[0])
+            with pytest.raises(ValueError, match="overflows fp16"):
+                quantize_matrix(w)
+            with pytest.raises(ValueError, match="overflows fp16"):
+                quantize_activations(w[0])
         # The largest fp16 scale still quantizes, as it does per group.
-        edge = np.full((1, GROUP_SIZE), 65504.0 * 127.0)
+        edge = np.full((1, GROUP_SIZE), FP16_MAX_AMAX)
         assert quantize_matrix(edge).scales[0, 0] == quantize_group(edge[0]).scale
+        assert quantize_activations(edge[0])[1] == 65504.0
 
 
 class TestGenModel:
@@ -175,18 +236,6 @@ class TestGenModel:
         m1 = gen_model(SHAPE, seed=1)
         m2 = gen_model(SHAPE, seed=2)
         assert not np.array_equal(m1.embed, m2.embed)
-
-    def test_param_count_formula(self):
-        m = gen_model(SHAPE, seed=0)
-        s = SHAPE
-        expert = s.n_layers * s.n_experts * (2 * s.d_model * s.d_ff + s.d_ff * s.d_model)
-        dense = (
-            s.vocab * s.d_model
-            + s.vocab * s.d_model
-            + s.n_layers * s.d_model * s.d_model
-            + s.n_layers * s.n_experts * s.d_model
-        )
-        assert m.param_count() == expert + dense
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -272,7 +321,8 @@ class TestStep:
         st = init_state(self.model)
         a = step(self.model, st, 5, PrecisionMode.INT8_FULL)
         b = step(
-            self.model, st, 5, PrecisionMode.INT8_FULL, permitted=set(range(8))
+            self.model, st, 5, PrecisionMode.INT8_FULL,
+            permitted=[set(range(8))] * SHAPE.n_layers,
         )
         assert np.array_equal(a.logits, b.logits)
         assert a.decisions[0].selected == b.decisions[0].selected
@@ -293,15 +343,24 @@ class TestStep:
     def test_throttled_decisions_stay_in_pool(self):
         st = init_state(self.model)
         pool = {0, 2, 4, 6}
-        out = step(self.model, st, 7, PrecisionMode.MSB4_DRAFT, permitted=pool)
+        out = step(
+            self.model, st, 7, PrecisionMode.MSB4_DRAFT,
+            permitted=[pool] * SHAPE.n_layers,
+        )
         for dec in out.decisions:
             assert set(dec.selected) <= pool
+
+    def test_permitted_needs_one_set_per_layer(self):
+        st = init_state(self.model)
+        with pytest.raises(ValueError, match="one permitted set per layer"):
+            step(self.model, st, 7, PrecisionMode.MSB4_DRAFT, permitted=[{0, 2}])
 
     def test_original_decisions_unrestricted(self):
         st = init_state(self.model)
         out_free = step(self.model, st, 7, PrecisionMode.MSB4_DRAFT)
         out_pool = step(
-            self.model, st, 7, PrecisionMode.MSB4_DRAFT, permitted={0, 2, 4, 6}
+            self.model, st, 7, PrecisionMode.MSB4_DRAFT,
+            permitted=[{0, 2, 4, 6}] * SHAPE.n_layers,
         )
         # Layer 0 sees identical input in both runs, so its unrestricted
         # selection matches the free run exactly.
@@ -323,14 +382,18 @@ class TestStep:
         monkeypatch.setattr(toymoe, "route", counting_route)
         st = init_state(self.model)
         full = step(
-            self.model, st, 7, PrecisionMode.MSB4_DRAFT, permitted=set(range(8))
+            self.model, st, 7, PrecisionMode.MSB4_DRAFT,
+            permitted=[set(range(8))] * SHAPE.n_layers,
         )
         assert len(calls) == SHAPE.n_layers
         free = step(self.model, st, 7, PrecisionMode.MSB4_DRAFT)
         assert np.array_equal(full.logits, free.logits)
         # A pool missing part of the selection still gets its own top-k.
         pool = {0, 2, 4, 6}
-        out = step(self.model, st, 7, PrecisionMode.MSB4_DRAFT, permitted=pool)
+        out = step(
+            self.model, st, 7, PrecisionMode.MSB4_DRAFT,
+            permitted=[pool] * SHAPE.n_layers,
+        )
         for dec, orig in zip(out.decisions, out.original_decisions):
             again = route(dec.scores, SHAPE.top_k, pool)
             assert (dec.selected, dec.gates) == (again.selected, again.gates)
