@@ -186,17 +186,21 @@ def draft_phase(
     for depth in range(1, d + 1):
         candidates = []
         chain_key = None
-        for idx in frontier:
-            out = step(
-                model,
-                pre_states[idx],
-                nodes[idx].token,
-                draft_mode,
-                permitted=pool.experts,
-                score_overrides=trace_row(score_traces, start_pos + nodes[idx].depth),
-                draft_reconstruct=draft_reconstruct,
-            )
-            calls += 1
+        # The whole frontier goes through one step call.
+        outs = step(
+            model,
+            [pre_states[idx] for idx in frontier],
+            [nodes[idx].token for idx in frontier],
+            draft_mode,
+            permitted=pool.experts,
+            score_overrides=[
+                trace_row(score_traces, start_pos + nodes[idx].depth)
+                for idx in frontier
+            ],
+            draft_reconstruct=draft_reconstruct,
+        )
+        calls += len(frontier)
+        for idx, out in zip(frontier, outs):
             decisions.extend(enumerate(out.decisions))
             originals.extend(enumerate(out.original_decisions))
             lp = log_softmax(out.logits)
@@ -269,29 +273,28 @@ def verify_phase(
         range(1, n_nodes), key=lambda i: (-tree.nodes[i].score, i)
     )
     selected = set(ranked[:verify_count]) | set(tree.chain)
-    order = sorted(selected)
-    decisions: list[LayerDecision] = []
-    post_state: dict[int, DecodeState] = {}
-    logits: dict[int, np.ndarray] = {}
-    for idx in [0] + order:
-        node = tree.nodes[idx]
-        out = step(
-            model,
-            root_state if idx == 0 else post_state[node.parent],
-            node.token,
-            PrecisionMode.INT8_FULL,
-            score_overrides=trace_row(score_traces, start_pos + node.depth),
-        )
-        decisions.extend(enumerate(out.decisions))
-        post_state[idx] = out.state
-        logits[idx] = out.logits
+    # The root and every selected node go through one step call; a node
+    # continues from its parent's position in the call.
+    call = [0] + sorted(selected)
+    position = {idx: j for j, idx in enumerate(call)}
+    outs = step(
+        model,
+        [root_state] + [position[tree.nodes[idx].parent] for idx in call[1:]],
+        [tree.nodes[idx].token for idx in call],
+        PrecisionMode.INT8_FULL,
+        score_overrides=[
+            trace_row(score_traces, start_pos + tree.nodes[idx].depth) for idx in call
+        ],
+    )
+    decisions = [pair for out in outs for pair in enumerate(out.decisions)]
+    by_node = dict(zip(call, outs))
     children: dict[int, list[int]] = {}
-    for idx in order:
+    for idx in call[1:]:
         children.setdefault(tree.nodes[idx].parent, []).append(idx)
     cur = 0
     accepted: list[int] = []
     while True:
-        want = greedy_token(logits[cur])
+        want = greedy_token(by_node[cur].logits)
         nxt = None
         for c in children.get(cur, []):
             if tree.nodes[c].token == want:
@@ -301,15 +304,15 @@ def verify_phase(
             break
         accepted.append(nxt)
         cur = nxt
-    bonus = greedy_token(logits[cur])
+    bonus = greedy_token(by_node[cur].logits)
     emitted = tuple(tree.nodes[i].token for i in accepted) + (bonus,)
     return VerifyResult(
         accept_length=len(accepted),
         bonus_token=bonus,
         emitted=emitted,
-        verify_token_count=1 + len(order),
+        verify_token_count=len(call),
         verify_decisions=tuple(decisions),
-        final_state=post_state[cur],
+        final_state=by_node[cur].state,
     )
 
 

@@ -52,6 +52,14 @@ FUNCTIONAL_SCHEMES = ("ar_only", "elastic_sd", "random_pool_sd")
 ANALYTIC_SCHEMES = ("eagle_sd", "slm_sd", "quant_sd")
 ALL_SCHEMES = FUNCTIONAL_SCHEMES + ANALYTIC_SCHEMES
 
+# Upper bounds on the fields that size one batched toymoe.step call: a
+# verify call steps 1 + width * depth tokens, a draft call width tokens and
+# a prefill prompt_len tokens.  At all three bounds a scenario still runs
+# in seconds.
+MAX_SD_WIDTH = 8
+MAX_SD_DEPTH = 8
+MAX_PROMPT_LEN = 256
+
 @dataclass(frozen=True)
 class TraceParams:
     """Synthetic routing-trace generator knobs."""
@@ -72,7 +80,8 @@ class TraceParams:
 
 @dataclass(frozen=True)
 class SdSchemeParams:
-    """Speculative-decoding knobs for the functional schemes."""
+    """Speculative-decoding knobs for the functional schemes; width is in
+    [1, MAX_SD_WIDTH] and depth in [0, MAX_SD_DEPTH]."""
 
     width: int = 2
     depth: int = 3
@@ -82,8 +91,11 @@ class SdSchemeParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.width < 1 or self.depth < 0:
-            raise ConfigError("sd.width must be >= 1 and sd.depth >= 0")
+        if not (1 <= self.width <= MAX_SD_WIDTH and 0 <= self.depth <= MAX_SD_DEPTH):
+            raise ConfigError(
+                f"sd.width must be in [1, {MAX_SD_WIDTH}] and sd.depth in "
+                f"[0, {MAX_SD_DEPTH}]"
+            )
         if self.pool_capacity < 1:
             raise ConfigError("sd.pool_capacity must be >= 1")
         if not 0 <= self.hotness_decay_factor <= 1:
@@ -96,7 +108,8 @@ class SdSchemeParams:
 
 @dataclass(frozen=True)
 class RunParams:
-    """Decode-run shape shared by every scheme in the scenario."""
+    """Decode-run shape shared by every scheme in the scenario; prompt_len
+    is in [1, MAX_PROMPT_LEN]."""
 
     prompt_len: int = 4
     n_new_tokens: int = 24
@@ -105,8 +118,10 @@ class RunParams:
     model_seed: int = 0
 
     def __post_init__(self):
-        if self.prompt_len < 1 or self.n_new_tokens < 1:
-            raise ConfigError("run.prompt_len and run.n_new_tokens must be >= 1")
+        if not 1 <= self.prompt_len <= MAX_PROMPT_LEN:
+            raise ConfigError(f"run.prompt_len must be in [1, {MAX_PROMPT_LEN}]")
+        if self.n_new_tokens < 1:
+            raise ConfigError("run.n_new_tokens must be >= 1")
         if self.seq_len < 0 or self.kv_coeff < 0:
             raise ConfigError("run.seq_len and run.kv_coeff must be >= 0")
 

@@ -6,24 +6,30 @@ keeps CONTEXT_DECAY times its previous context plus the new input), top-k
 routed SiLU-gated experts, and greedy sampling everywhere.  Expert weights
 live as group-quantized INT8 codes; the precision mode picks real reference
 weights or one code set through QuantizedMatrix.surrogate: the stored 8-bit
-codes (FULL) or the 4-bit MSB surrogate used for drafting.  Dense parts
+codes (FULL) or the 4-bit MSB surrogate used for drafting, kept per expert
+as ExpertWeights.codes.  Dense parts
 (embedding, context map, router, output head) stay real in all modes.
 
-``step`` processes one token; ``prefill`` feeds a token sequence from a
-fresh state, and ``trace_row`` picks the routing overrides a position reads.
+``step`` is one layer-major forward over T tokens, each continuing a given
+decode state or an earlier token of the same call, so a prompt chain, a
+draft level or a whole verify tree is one call and a single token is the
+T = 1 call.  ``prefill`` feeds a token sequence from a fresh state, and
+``trace_row`` picks the routing overrides a position reads.
 
-Determinism rules: every matrix product is an index-ordered einsum over
-fixed 32-wide input groups followed by a group-axis sum, so results never
-depend on how many tokens are evaluated together; routing and sampling ties
-break toward lower ids.
+Determinism rules: every matrix product works on fixed 32-wide input
+groups: an index-ordered einsum (dense parts) or an exact integer dot
+(quantized experts) per group, then a fixed-order sum across groups; every
+row is normalized, quantized and routed on its own.  So results never
+depend on how many tokens are evaluated together, or with which; routing
+and sampling ties break toward lower ids.
 """
 
 from __future__ import annotations
 
 import enum
-import math
+from collections.abc import Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -69,13 +75,10 @@ class MoEShape:
 @dataclass(frozen=True)
 class QuantizedMatrix:
     """Weight matrix stored as int8 codes with one fp16 scale per 32-wide
-    input group.  codes: (out, groups, 32) int64; scales: (out, groups)."""
+    input group.  codes: (out, groups, 32) int8; scales: (out, groups)."""
 
     codes: np.ndarray
     scales: np.ndarray
-    _surrogates: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def out_dim(self) -> int:
@@ -92,17 +95,11 @@ class QuantizedMatrix:
 
     def surrogate(self, mode: ReconstructMode) -> np.ndarray:
         """Codes rebuilt from slices under the given reconstruction mode:
-        the stored codes themselves for FULL, otherwise built on first use
-        per mode and kept read-only.  They stay int64: int8 storage makes
-        the group einsum slower."""
+        the stored codes themselves for FULL, otherwise new int64 codes
+        (ExpertWeights.codes keeps the copies the forward pass reads)."""
         if mode is ReconstructMode.FULL:
             return self.codes
-        codes = self._surrogates.get(mode)
-        if codes is None:
-            codes = surrogate_codes(self.codes, mode)
-            codes.flags.writeable = False
-            codes = self._surrogates.setdefault(mode, codes)
-        return codes
+        return surrogate_codes(self.codes, mode)
 
 
 def quantize_matrix(w: np.ndarray) -> QuantizedMatrix:
@@ -120,24 +117,52 @@ def quantize_matrix(w: np.ndarray) -> QuantizedMatrix:
     vals = w.reshape(out_dim, -1, GROUP_SIZE)
     scales = fp16_scale(np.abs(vals).max(axis=2))
     codes = np.clip(np.rint(vals / scales[:, :, None]), CODE_MIN, CODE_MAX)
-    codes = codes.astype(np.int64)
+    codes = codes.astype(np.int8)
     codes.flags.writeable = False
     scales.flags.writeable = False
     return QuantizedMatrix(codes=codes, scales=scales)
 
 
-def quantize_activations(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-tensor symmetric INT8 by the bitnest.quantize_group rule:
-    returns (codes, scale)."""
-    v = np.asarray(v, dtype=np.float64)
-    # A NaN or inf anywhere makes the magnitude non-finite.
-    amax = float(np.abs(v).max()) if v.size else 0.0
-    if not math.isfinite(amax):
+def quantize_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row symmetric INT8 by the bitnest.quantize_group rule over each
+    whole row: returns (codes as integer-valued float64, per-row scales)."""
+    # A NaN or inf anywhere makes its row's magnitude non-finite.
+    amax = np.maximum.reduce(np.abs(v), axis=1, initial=0.0)
+    if not np.isfinite(amax).all():
         raise ValueError("non-finite activation")
-    scale = fp16_scale(amax)
+    scales = fp16_scale(amax)
     # Two ufuncs, not np.clip: its wrapper costs more on this hot path.
-    codes = np.minimum(np.maximum(np.rint(v / scale), CODE_MIN), CODE_MAX)
-    return codes.astype(np.int64), scale
+    codes = np.minimum(np.maximum(np.rint(v / scales[:, None]), CODE_MIN), CODE_MAX)
+    return codes, scales
+
+
+def quantize_activations(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """quantize_rows of one vector: returns (int64 codes, scale)."""
+    codes, scales = quantize_rows(np.asarray(v, dtype=np.float64)[None])
+    return codes[0].astype(np.int64), float(scales[0])
+
+
+@dataclass(frozen=True)
+class ExpertCodes:
+    """One expert's weight codes at one reconstruction mode, laid out for
+    the integer products as (groups, 32, out) float32 (exact: every code
+    has |code| <= 128) with (groups, 1, out) fp16 scales: up and gate
+    stacked into one 2 * d_ff output, and down."""
+
+    up_gate: np.ndarray
+    up_gate_scales: np.ndarray
+    down: np.ndarray
+    down_scales: np.ndarray
+
+
+def _group_major(codes: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (out, groups, 32) codes and (out, groups) scales to the ExpertCodes
+    # layout, read-only.
+    codes = np.ascontiguousarray(codes.transpose(1, 2, 0), dtype=np.float32)
+    scales = np.ascontiguousarray(scales.T)[:, None, :]
+    codes.flags.writeable = False
+    scales.flags.writeable = False
+    return codes, scales
 
 
 @dataclass(frozen=True)
@@ -150,6 +175,23 @@ class ExpertWeights:
     up_ref: np.ndarray
     gate_ref: np.ndarray
     down_ref: np.ndarray
+    _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def codes(self, mode: ReconstructMode) -> ExpertCodes:
+        """The expert's ExpertCodes under a reconstruction mode, read
+        through QuantizedMatrix.surrogate on first use per mode and kept
+        read-only (dict.setdefault, so concurrent first calls share one)."""
+        built = self._codes.get(mode)
+        if built is None:
+            up_gate, up_gate_scales = _group_major(
+                np.concatenate([self.up.surrogate(mode), self.gate.surrogate(mode)]),
+                np.concatenate([self.up.scales, self.gate.scales]),
+            )
+            down, down_scales = _group_major(self.down.surrogate(mode), self.down.scales)
+            built = self._codes.setdefault(
+                mode, ExpertCodes(up_gate, up_gate_scales, down, down_scales)
+            )
+        return built
 
 
 @dataclass(frozen=True)
@@ -187,13 +229,20 @@ class StepOutput:
     original_decisions: tuple[RoutingDecision, ...]
 
 
+# Row-wise helpers: each row is reduced on its own, along a contiguous last
+# axis, so a row's result does not depend on how many rows come with it.
+# The ufunc reductions are what np.sum, np.mean and np.max call, minus the
+# wrappers, which cost more than the work at these sizes.
+
+
 def _rmsnorm(v: np.ndarray) -> np.ndarray:
-    return v / np.sqrt(np.mean(v * v) + RMSNORM_EPS)
+    ms = np.add.reduce(v * v, axis=-1, keepdims=True) / v.shape[-1]
+    return v / np.sqrt(ms + RMSNORM_EPS)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.max(z))
-    return e / np.sum(e)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -205,31 +254,63 @@ def _silu(v: np.ndarray) -> np.ndarray:
     return v / (1.0 + np.exp(-v))
 
 
-def _blocked_matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Group-chunked accumulation: einsum over each 32-wide input group in
-    # index order, then a fixed-order sum across groups.  Matches the
-    # accumulation structure of the quantized path exactly.
-    out_dim, in_dim = w.shape
+def _group_sum(parts: np.ndarray) -> np.ndarray:
+    # Sum over the last (group) axis, made contiguous: np.sum's rounding
+    # for a contiguous axis, reduced for each output on its own.
+    return np.add.reduce(np.ascontiguousarray(parts), axis=-1)
+
+
+def _blocked_matmul(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # w (out, in) times each row of x (T, in): an einsum over each 32-wide
+    # input group in index order, then a fixed-order sum across groups.
+    # Matches the accumulation structure of the quantized path exactly.
+    out_dim = w.shape[0]
     parts = np.einsum(
-        "ogj,gj->og",
+        "ogj,tgj->tog",
         w.reshape(out_dim, -1, GROUP_SIZE),
-        x.reshape(-1, GROUP_SIZE),
+        x.reshape(x.shape[0], -1, GROUP_SIZE),
         optimize=False,
     )
-    return np.sum(parts, axis=1)
+    return _group_sum(parts)
 
 
-def _quant_matvec(
-    codes: np.ndarray, scales: np.ndarray, acts: np.ndarray, act_scale: float
+def _quant_matmul(
+    codes: np.ndarray, scales: np.ndarray, acts: np.ndarray, act_scales: np.ndarray
 ) -> np.ndarray:
-    # Integer group dots are exact in int64; each group partial is then an
-    # exact float64 product (<= 42 significant bits), so the result is the
-    # exact real value of the dequantized blocked product.
-    ints = np.einsum(
-        "ogj,gj->og", codes, acts.reshape(-1, GROUP_SIZE), optimize=False
-    )
-    parts = ints.astype(np.float64) * scales * act_scale
-    return np.sum(parts, axis=1)
+    # ExpertCodes codes and scales times each row of the integer-valued
+    # float32 acts (n, in) with per-row scales.  Every group dot is a sum
+    # of 32 products of magnitude <= 128 * 127, so every partial sum is an
+    # integer below 2^24 and exact in float32 whatever order BLAS adds in.
+    # Each group partial is then an exact float64 product (<= 42
+    # significant bits), and the group sum gives the exact real value of
+    # the dequantized blocked product.
+    n = acts.shape[0]
+    ints = np.matmul(acts.reshape(n, -1, GROUP_SIZE).transpose(1, 0, 2), codes)
+    return _group_sum((ints * scales * act_scales[:, None]).transpose(1, 2, 0))
+
+
+def _select(
+    scores: np.ndarray, k: int, permitted: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one selection rule: per row of finite scores (T, n), the top-k
+    ids by score (ties to the lower id, by a stable argsort), only among
+    the ids a boolean permitted mask allows, and their gates renormalized
+    over the selection.  Returns (ids (T, k), gates (T, k))."""
+    key = -scores if permitted is None else np.where(permitted, -scores, np.inf)
+    ids = key.argsort(axis=1, kind="stable")[:, :k]
+    chosen = scores[np.arange(len(scores))[:, None], ids]
+    return ids, chosen / np.add.reduce(chosen, axis=1, keepdims=True)
+
+
+def _pool_mask(permitted, n: int, k: int) -> np.ndarray:
+    ids = [int(e) for e in set(permitted)]
+    if any(e < 0 or e >= n for e in ids):
+        raise ValueError("permitted expert id out of range")
+    if len(ids) < k:
+        raise ValueError(f"permitted set smaller than k={k}")
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return mask
 
 
 def route(
@@ -248,19 +329,11 @@ def route(
     n = s.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} invalid for {n} experts")
-    if permitted is None:
-        candidates = range(n)
-    else:
-        candidates = sorted(set(int(e) for e in permitted))
-        if any(e < 0 or e >= n for e in candidates):
-            raise ValueError("permitted expert id out of range")
-        if len(candidates) < k:
-            raise ValueError(f"permitted set smaller than k={k}")
-    order = sorted(candidates, key=lambda e: (-s[e], e))
-    selected = tuple(order[:k])
-    chosen = s[list(selected)]
-    gates = tuple(float(g) for g in chosen / np.sum(chosen))
-    return RoutingDecision(scores=s.copy(), selected=selected, gates=gates)
+    mask = None if permitted is None else _pool_mask(permitted, n, k)
+    ids, gates = _select(s[None], k, mask)
+    return RoutingDecision(
+        scores=s.copy(), selected=tuple(ids[0].tolist()), gates=tuple(gates[0].tolist())
+    )
 
 
 def gen_model(shape: MoEShape, seed: int) -> MoEModel:
@@ -301,6 +374,68 @@ def gen_model(shape: MoEShape, seed: int) -> MoEModel:
     )
 
 
+def _weight_mode(
+    mode: PrecisionMode, draft_reconstruct: ReconstructMode
+) -> Optional[ReconstructMode]:
+    # The code set a precision mode reads; None for the real weights.
+    if mode is PrecisionMode.REAL_REF:
+        return None
+    if mode is PrecisionMode.INT8_FULL:
+        return ReconstructMode.FULL
+    if mode is PrecisionMode.MSB4_DRAFT:
+        return draft_reconstruct
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _experts(
+    x: np.ndarray,
+    ids: np.ndarray,
+    experts: Sequence[ExpertWeights],
+    rec: Optional[ReconstructMode],
+) -> np.ndarray:
+    """The expert kernel: out[t, slot] = expert experts[ids[t, slot]] on row
+    x[t], for rows x (T, d_model) and expert ids (T, k); rec is the code
+    set (None for the real weights).  The (token, slot) pairs are sorted by
+    expert, so each expert runs one fused up-and-gate product and one down
+    product over a contiguous block of rows; activations are quantized per
+    row, once per stage."""
+    n, k = ids.shape
+    flat = ids.ravel()
+    order = flat.argsort(kind="stable")
+    rows = order // k
+    sorted_ids = flat[order].tolist()
+    bounds = [i for i in range(1, len(order)) if sorted_ids[i] != sorted_ids[i - 1]]
+    blocks = [
+        (sorted_ids[lo], lo, hi)
+        for lo, hi in zip([0] + bounds, bounds + [len(order)])
+    ]
+    out = np.empty((len(order), x.shape[1]))
+    if rec is None:
+        xs = x[rows]
+        for e, lo, hi in blocks:
+            w = experts[e]
+            u = _blocked_matmul(w.up_ref, xs[lo:hi])
+            g = _blocked_matmul(w.gate_ref, xs[lo:hi])
+            out[lo:hi] = _blocked_matmul(w.down_ref, _silu(g) * u)
+    else:
+        acts, act_scales = quantize_rows(x)
+        acts, act_scales = acts.astype(np.float32)[rows], act_scales[rows]
+        f = experts[0].up.out_dim
+        h = np.empty((len(order), f))
+        for e, lo, hi in blocks:
+            w = experts[e].codes(rec)
+            ug = _quant_matmul(w.up_gate, w.up_gate_scales, acts[lo:hi], act_scales[lo:hi])
+            h[lo:hi] = _silu(ug[:, f:]) * ug[:, :f]
+        hq, h_scales = quantize_rows(h)
+        hq = hq.astype(np.float32)
+        for e, lo, hi in blocks:
+            w = experts[e].codes(rec)
+            out[lo:hi] = _quant_matmul(w.down, w.down_scales, hq[lo:hi], h_scales[lo:hi])
+    unsorted = np.empty_like(out)
+    unsorted[order] = out
+    return unsorted.reshape(n, k, -1)
+
+
 def expert_forward(
     x: np.ndarray,
     e: ExpertWeights,
@@ -311,28 +446,60 @@ def expert_forward(
 
     Quantized modes run integer group dots on per-tensor INT8 activations
     with dequantization fused at the group accumulator, on the codes
-    QuantizedMatrix.surrogate gives: FULL at INT8_FULL, draft_reconstruct
-    at MSB4_DRAFT.
+    ExpertWeights.codes gives: FULL at INT8_FULL, draft_reconstruct at
+    MSB4_DRAFT.  This is the one-row, one-expert case of the kernel step
+    runs.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (e.up.in_dim,):
         raise ValueError(f"expected input shape ({e.up.in_dim},), got {x.shape}")
-    if mode is PrecisionMode.REAL_REF:
-        u = _blocked_matvec(e.up_ref, x)
-        g = _blocked_matvec(e.gate_ref, x)
-        return _blocked_matvec(e.down_ref, _silu(g) * u)
-    if mode is PrecisionMode.INT8_FULL:
-        rec = ReconstructMode.FULL
-    elif mode is PrecisionMode.MSB4_DRAFT:
-        rec = draft_reconstruct
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    a, sa = quantize_activations(x)
-    u = _quant_matvec(e.up.surrogate(rec), e.up.scales, a, sa)
-    g = _quant_matvec(e.gate.surrogate(rec), e.gate.scales, a, sa)
-    h = _silu(g) * u
-    hq, sh = quantize_activations(h)
-    return _quant_matvec(e.down.surrogate(rec), e.down.scales, hq, sh)
+    rec = _weight_mode(mode, draft_reconstruct)
+    return _experts(x[None], np.zeros((1, 1), dtype=np.int64), (e,), rec)[0, 0]
+
+
+def _depth_waves(sources) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+    # Tokens starting from a given DecodeState, then per depth the tokens
+    # continuing an earlier token of the call and those parents, so a
+    # layer's context updates run parent before child.
+    depth, starts, waves = [], [], []
+    for i, src in enumerate(sources):
+        if isinstance(src, DecodeState):
+            depth.append(0)
+            starts.append(i)
+            continue
+        p = int(src)
+        if not 0 <= p < i:
+            raise ValueError(f"token {i} source {p} is not an earlier token")
+        depth.append(depth[p] + 1)
+        if depth[p] == len(waves):
+            waves.append(([], []))
+        waves[depth[p]][0].append(i)
+        waves[depth[p]][1].append(p)
+    return starts, waves
+
+
+def _route_rows(scores: np.ndarray, k: int, mask: Optional[np.ndarray]):
+    """The router over rows of scores (T, n_experts): returns the applied
+    ids and gates (T, k) and, per row, the applied and the unrestricted
+    RoutingDecision.  A pool holding the whole unrestricted selection has
+    the same top-k, in the same order and with the same gates, so such a
+    row's applied decision is its unrestricted one, routed once."""
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite routing score")
+    scores.flags.writeable = False
+    ids, gates = _select(scores, k)
+    orig = [
+        RoutingDecision(scores=scores[t], selected=tuple(s), gates=tuple(g))
+        for t, (s, g) in enumerate(zip(ids.tolist(), gates.tolist()))
+    ]
+    dec = list(orig)
+    lacking = [] if mask is None else np.flatnonzero(~mask[ids].all(axis=1))
+    if len(lacking):
+        p_ids, p_gates = _select(scores[lacking], k, mask)
+        ids[lacking], gates[lacking] = p_ids, p_gates
+        for t, s, g in zip(lacking.tolist(), p_ids.tolist(), p_gates.tolist()):
+            dec[t] = RoutingDecision(scores=scores[t], selected=tuple(s), gates=tuple(g))
+    return ids, gates, dec, orig
 
 
 def init_state(model: MoEModel) -> DecodeState:
@@ -343,61 +510,88 @@ def init_state(model: MoEModel) -> DecodeState:
 
 def step(
     model: MoEModel,
-    state: DecodeState,
-    token: int,
+    sources: Sequence[DecodeState | int],
+    tokens: Sequence[int],
     mode: PrecisionMode,
-    permitted=None,
-    score_overrides: Optional[Sequence[Optional[np.ndarray]]] = None,
+    permitted: Optional[Sequence[Optional[AbstractSet[int]]]] = None,
+    score_overrides: Optional[Sequence[Optional[Sequence[Optional[np.ndarray]]]]] = None,
     draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
-) -> StepOutput:
-    """Process one token from a decode state; return the next state, the
-    logits for the following position, and the per-layer routing decisions
-    (both the ones applied and the unrestricted originals).  permitted is
-    None or one expert-id set per layer."""
+) -> tuple[StepOutput, ...]:
+    """Process T tokens; return, per token, the next state, the logits for
+    the following position, and the per-layer routing decisions (both the
+    ones applied and the unrestricted originals).
+
+    A token's source is a DecodeState or the index of an earlier token of
+    the same call, whose next state the token continues from, so a single
+    token, a prompt chain or a whole token tree is one call.
+    score_overrides is None or one row per token, a row being None or one
+    entry per layer (None or that layer's scores).  permitted is None or
+    one expert-id set (or None) per layer, shared by every token.
+
+    The forward pass is layer-major over all T rows.  A token depends on
+    its parent only through the parent's context at the same layer, so
+    only that update runs in depth waves; attention, routing and the
+    experts (tokens grouped by expert) run once per layer.  Every token's
+    result is bit-identical to stepping it alone.
+    """
     shape = model.shape
-    token = int(token)
-    if not 0 <= token < shape.vocab:
-        raise ValueError(f"token {token} outside vocab {shape.vocab}")
+    n_layers, k = shape.n_layers, shape.top_k
+    tokens = [int(t) for t in tokens]
+    sources = list(sources)
+    overrides = [None] * len(tokens) if score_overrides is None else list(score_overrides)
+    n = len(tokens)
+    if len(sources) != n or len(overrides) != n:
+        raise ValueError("need one source and one score-override row per token")
+    for t in tokens:
+        if not 0 <= t < shape.vocab:
+            raise ValueError(f"token {t} outside vocab {shape.vocab}")
     if permitted is None:
-        permitted = (None,) * shape.n_layers
-    elif len(permitted) != shape.n_layers:
-        raise ValueError(f"need one permitted set per layer ({shape.n_layers})")
-    x = model.embed[token].copy()
-    ctx_rows = []
-    decisions = []
-    originals = []
-    for layer in range(shape.n_layers):
-        c = CONTEXT_DECAY * state.ctx[layer] + x
-        ctx_rows.append(c)
-        x = x + _blocked_matvec(model.w_attn[layer], _rmsnorm(c))
+        permitted = (None,) * n_layers
+    elif not isinstance(permitted, Sequence) or len(permitted) != n_layers:
+        raise ValueError(f"need one permitted set per layer ({n_layers})")
+    masks = [None if p is None else _pool_mask(p, shape.n_experts, k) for p in permitted]
+    rec = _weight_mode(mode, draft_reconstruct)
+    if n == 0:
+        return ()
+    starts, waves = _depth_waves(sources)
+    start_ctx = np.stack([sources[i].ctx for i in starts]) if starts else None
+    x = model.embed[tokens]
+    ctx = np.empty((n, n_layers, shape.d_model))
+    decisions, originals = [], []
+    for layer in range(n_layers):
+        c = np.empty((n, shape.d_model))
+        if starts:
+            c[starts] = CONTEXT_DECAY * start_ctx[:, layer] + x[starts]
+        for rows, parents in waves:
+            c[rows] = CONTEXT_DECAY * c[parents] + x[rows]
+        ctx[:, layer] = c
+        x = x + _blocked_matmul(model.w_attn[layer], _rmsnorm(c))
         r = _rmsnorm(x)
-        if score_overrides is not None and score_overrides[layer] is not None:
-            scores = np.asarray(score_overrides[layer], dtype=np.float64)
-        else:
-            scores = _softmax(_blocked_matvec(model.w_router[layer], r))
-        # A pool holding the whole unrestricted selection has the same top-k,
-        # in the same order and with the same gates, so route only once then.
-        orig = route(scores, shape.top_k, None)
-        pool = permitted[layer]
-        if pool is None or all(e in pool for e in orig.selected):
-            dec = orig
-        else:
-            dec = route(scores, shape.top_k, pool)
+        scores = _softmax(_blocked_matmul(model.w_router[layer], r))
+        for t, row in enumerate(overrides):
+            if row is not None and row[layer] is not None:
+                ov = np.asarray(row[layer], dtype=np.float64)
+                if ov.shape != (shape.n_experts,):
+                    raise ValueError(f"score override must have shape ({shape.n_experts},)")
+                scores[t] = ov
+        ids, gates, dec, orig = _route_rows(scores, k, masks[layer])
         decisions.append(dec)
         originals.append(orig)
-        ffn = np.zeros(shape.d_model)
-        for gate_val, expert_id in zip(dec.gates, dec.selected):
-            ffn = ffn + gate_val * expert_forward(
-                r, model.experts[layer][expert_id], mode, draft_reconstruct
-            )
+        out = _experts(r, ids, model.experts[layer], rec)
+        ffn = np.zeros((n, shape.d_model))
+        for slot in range(k):
+            ffn = ffn + gates[:, slot, None] * out[:, slot]
         x = x + ffn
-    ctx = np.stack(ctx_rows)
     ctx.flags.writeable = False
-    return StepOutput(
-        state=DecodeState(ctx=ctx),
-        logits=_blocked_matvec(model.w_out, _rmsnorm(x)),
-        decisions=tuple(decisions),
-        original_decisions=tuple(originals),
+    logits = _blocked_matmul(model.w_out, _rmsnorm(x))
+    return tuple(
+        StepOutput(
+            state=DecodeState(ctx=ctx[t]),
+            logits=logits[t],
+            decisions=tuple(d[t] for d in decisions),
+            original_decisions=tuple(o[t] for o in originals),
+        )
+        for t in range(n)
     )
 
 
@@ -418,17 +612,22 @@ def prefill(
     mode: PrecisionMode,
     score_traces=None,
 ) -> tuple[DecodeState, Optional[np.ndarray], list[tuple[RoutingDecision, ...]]]:
-    """Feed tokens from a fresh state at positions 0, 1, ...; return the
-    last state, its logits (None when tokens is empty), and each position's
-    routing decisions.  Trace rows (see trace_row) replace router scores."""
+    """Feed tokens from a fresh state at positions 0, 1, ... as one chain
+    through one step call; return the last state, its logits (None when
+    tokens is empty), and each position's routing decisions.  Trace rows
+    (see trace_row) replace router scores."""
     state = init_state(model)
-    logits = None
-    decisions = []
-    for pos, tok in enumerate(tokens):
-        out = step(model, state, tok, mode, None, trace_row(score_traces, pos))
-        state, logits = out.state, out.logits
-        decisions.append(out.decisions)
-    return state, logits, decisions
+    if len(tokens) == 0:
+        return state, None, []
+    outs = step(
+        model,
+        [state] + list(range(len(tokens) - 1)),
+        tokens,
+        mode,
+        None,
+        [trace_row(score_traces, pos) for pos in range(len(tokens))],
+    )
+    return outs[-1].state, outs[-1].logits, [out.decisions for out in outs]
 
 
 def greedy_decode(
@@ -447,7 +646,7 @@ def greedy_decode(
     for pos in range(len(prompt), len(prompt) + n_new):
         nxt = greedy_token(logits)
         tokens.append(nxt)
-        out = step(model, state, nxt, mode, None, trace_row(score_traces, pos))
+        (out,) = step(model, [state], [nxt], mode, None, [trace_row(score_traces, pos)])
         state, logits = out.state, out.logits
         decisions_log.append(out.decisions)
     return tokens, decisions_log

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elasticmoe import toymoe
+from elasticmoe import elastic_sd, toymoe
 from elasticmoe.bitnest import ReconstructMode
 from elasticmoe.elastic_sd import (
     DraftTree,
@@ -191,7 +191,7 @@ class TestDraftPhase:
 
     def test_single_chain_node_is_greedy(self):
         st = init_state(self.model)
-        out = step(self.model, st, 4, PrecisionMode.MSB4_DRAFT)
+        (out,) = step(self.model, [st], [4], PrecisionMode.MSB4_DRAFT)
         expected = greedy_token(out.logits)
         res = draft_phase(self.model, 4, st, self.full_pool, w=1, d=1)
         assert len(res.tree.nodes) == 2
@@ -254,7 +254,7 @@ class TestVerifyPhase:
 
     def test_adversarial_tree_accepts_nothing(self):
         st = init_state(self.model)
-        out = step(self.model, st, 5, PrecisionMode.INT8_FULL)
+        (out,) = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
         wrong = (greedy_token(out.logits) + 1) % SHAPE.vocab
         tree = DraftTree(
             nodes=(TreeNode(-1, 5, 0.0, 0), TreeNode(0, wrong, -0.5, 1)),
@@ -270,7 +270,7 @@ class TestVerifyPhase:
         st = init_state(self.model)
         res = draft_phase(self.model, 5, st, self.full_pool, w=2, d=0)
         ver = verify_phase(self.model, res.tree, st)
-        out = step(self.model, st, 5, PrecisionMode.INT8_FULL)
+        (out,) = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
         assert ver.accept_length == 0
         assert ver.verify_token_count == 1
         assert ver.bonus_token == greedy_token(out.logits)
@@ -309,14 +309,14 @@ class TestVerifyPhase:
 
         best = 0
         for path in paths_from(0):
-            out = step(model, root_state, tree.nodes[0].token, PrecisionMode.INT8_FULL)
+            (out,) = step(model, [root_state], [tree.nodes[0].token], PrecisionMode.INT8_FULL)
             matched = 0
             for node in path:
                 if greedy_token(out.logits) != tree.nodes[node].token:
                     break
                 matched += 1
-                out = step(
-                    model, out.state, tree.nodes[node].token, PrecisionMode.INT8_FULL
+                (out,) = step(
+                    model, [out.state], [tree.nodes[node].token], PrecisionMode.INT8_FULL
                 )
             best = max(best, matched)
         return best
@@ -438,10 +438,39 @@ class TestSdSession:
         # Each (layer, expert, matrix) is built at most once per mode.
         assert set(calls) == set(modes)
         assert max(calls.values()) <= 3 * SHAPE.n_layers * SHAPE.n_experts
-        matrix = model.experts[0][0].up
-        codes = matrix.surrogate(ReconstructMode.TRUNCATE)
-        assert codes is matrix.surrogate(ReconstructMode.TRUNCATE)
-        assert not codes.flags.writeable
+        expert = model.experts[0][0]
+        codes = expert.codes(ReconstructMode.TRUNCATE)
+        assert codes is expert.codes(ReconstructMode.TRUNCATE)
+        for array in (codes.up_gate, codes.up_gate_scales, codes.down, codes.down_scales):
+            assert not array.flags.writeable
+
+    def test_one_step_call_per_draft_level_and_one_per_verify_tree(self, monkeypatch):
+        calls = []
+
+        def counting(batched):
+            def wrapper(model, state, token, mode, *args, **kwargs):
+                calls.append((mode, token))
+                return batched(model, state, token, mode, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(elastic_sd, "step", counting(elastic_sd.step))
+        monkeypatch.setattr(toymoe, "step", counting(toymoe.step))
+        model = gen_model(SHAPE, seed=26)
+        cfg = SdConfig(width=2, depth=3, pool_capacity=4)
+        session = SdSession(model, cfg, prompt=[4, 2, 7])
+        # The prompt before the first root is prefilled as one chain.
+        assert calls == [(PrecisionMode.INT8_FULL, [4, 2])]
+        for _ in range(4):
+            calls.clear()
+            res = session.step()
+            # One call per draft depth over its frontier, then one call for
+            # the root and every verified node.
+            assert len(calls) == cfg.depth + 1
+            sizes = [(mode, len(tokens)) for mode, tokens in calls]
+            assert sizes[:-1] == [(cfg.draft_mode, 1)] + [(cfg.draft_mode, 2)] * 2
+            assert sizes[-1] == (PrecisionMode.INT8_FULL, res.verify_token_count)
+            assert res.draft_step_calls == 1 + cfg.width * (cfg.depth - 1)
 
 
 @settings(max_examples=100, deadline=None)

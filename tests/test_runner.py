@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -491,6 +492,40 @@ def test_cli_rejects_unpriceable_hw_numbers(tmp_path, capsys, command, hw):
     err = capsys.readouterr().err
     assert err.startswith("config error: hw")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "section, fields",
+    [
+        ("sd", {"width": runner.MAX_SD_WIDTH + 1}),
+        ("sd", {"depth": runner.MAX_SD_DEPTH + 1}),
+        ("sd", {"width": 10**9}),
+        ("run", {"prompt_len": runner.MAX_PROMPT_LEN + 1}),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_sizes_above_bounds(tmp_path, capsys, command, section, fields):
+    data = json.loads(json.dumps(FAST))
+    data[section].update(fields)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main([command, str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}.")
+    assert len(err.splitlines()) == 1
+
+
+def test_scenario_at_size_bounds_runs_in_seconds():
+    # The largest accepted draft tree and prompt: a 1 + 8 * 8 token verify
+    # call and a 256-token prefill.  About 0.6 s on a 2-vCPU x86_64 VM.
+    data = json.loads(json.dumps(FAST))
+    data["batch_sizes"] = [1]
+    data["sd"].update(width=runner.MAX_SD_WIDTH, depth=runner.MAX_SD_DEPTH)
+    data["run"]["prompt_len"] = runner.MAX_PROMPT_LEN
+    start = time.perf_counter()
+    rows = run_scenario(scenario_from_dict(data))
+    assert time.perf_counter() - start < 10.0
+    assert {r.scheme for r in rows} == {"ar_only", "elastic_sd"}
 
 
 def test_cli_run_overflow_is_runtime_error(tmp_path, capsys):

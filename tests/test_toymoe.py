@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elasticmoe import toymoe
+from elasticmoe import runner, toymoe
 from elasticmoe.bitnest import GROUP_SIZE, ReconstructMode, quantize_group
 from elasticmoe.toymoe import (
     ExpertWeights,
@@ -319,9 +319,9 @@ class TestStep:
 
     def test_full_permitted_equals_absent(self):
         st = init_state(self.model)
-        a = step(self.model, st, 5, PrecisionMode.INT8_FULL)
-        b = step(
-            self.model, st, 5, PrecisionMode.INT8_FULL,
+        (a,) = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
+        (b,) = step(
+            self.model, [st], [5], PrecisionMode.INT8_FULL,
             permitted=[set(range(8))] * SHAPE.n_layers,
         )
         assert np.array_equal(a.logits, b.logits)
@@ -329,8 +329,8 @@ class TestStep:
 
     def test_deterministic(self):
         st = init_state(self.model)
-        a = step(self.model, st, 9, PrecisionMode.MSB4_DRAFT)
-        b = step(self.model, st, 9, PrecisionMode.MSB4_DRAFT)
+        (a,) = step(self.model, [st], [9], PrecisionMode.MSB4_DRAFT)
+        (b,) = step(self.model, [st], [9], PrecisionMode.MSB4_DRAFT)
         assert np.array_equal(a.logits, b.logits)
         assert np.array_equal(a.state.ctx, b.state.ctx)
 
@@ -343,8 +343,8 @@ class TestStep:
     def test_throttled_decisions_stay_in_pool(self):
         st = init_state(self.model)
         pool = {0, 2, 4, 6}
-        out = step(
-            self.model, st, 7, PrecisionMode.MSB4_DRAFT,
+        (out,) = step(
+            self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
             permitted=[pool] * SHAPE.n_layers,
         )
         for dec in out.decisions:
@@ -353,13 +353,17 @@ class TestStep:
     def test_permitted_needs_one_set_per_layer(self):
         st = init_state(self.model)
         with pytest.raises(ValueError, match="one permitted set per layer"):
-            step(self.model, st, 7, PrecisionMode.MSB4_DRAFT, permitted=[{0, 2}])
+            step(self.model, [st], [7], PrecisionMode.MSB4_DRAFT, permitted=[{0, 2}])
+        # A bare set as long as the layer count is not one set per layer.
+        assert SHAPE.n_layers == 2
+        with pytest.raises(ValueError, match="one permitted set per layer"):
+            step(self.model, [st], [3], PrecisionMode.MSB4_DRAFT, {0, 2})
 
     def test_original_decisions_unrestricted(self):
         st = init_state(self.model)
-        out_free = step(self.model, st, 7, PrecisionMode.MSB4_DRAFT)
-        out_pool = step(
-            self.model, st, 7, PrecisionMode.MSB4_DRAFT,
+        (out_free,) = step(self.model, [st], [7], PrecisionMode.MSB4_DRAFT)
+        (out_pool,) = step(
+            self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
             permitted=[{0, 2, 4, 6}] * SHAPE.n_layers,
         )
         # Layer 0 sees identical input in both runs, so its unrestricted
@@ -374,24 +378,26 @@ class TestStep:
 
     def test_pool_holding_selection_routes_once(self, monkeypatch):
         calls = []
+        select = toymoe._select
 
-        def counting_route(*args, **kwargs):
+        def counting_select(*args, **kwargs):
             calls.append(args)
-            return route(*args, **kwargs)
+            return select(*args, **kwargs)
 
-        monkeypatch.setattr(toymoe, "route", counting_route)
+        monkeypatch.setattr(toymoe, "_select", counting_select)
         st = init_state(self.model)
-        full = step(
-            self.model, st, 7, PrecisionMode.MSB4_DRAFT,
+        (full,) = step(
+            self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
             permitted=[set(range(8))] * SHAPE.n_layers,
         )
         assert len(calls) == SHAPE.n_layers
-        free = step(self.model, st, 7, PrecisionMode.MSB4_DRAFT)
+        assert all(d is o for d, o in zip(full.decisions, full.original_decisions))
+        (free,) = step(self.model, [st], [7], PrecisionMode.MSB4_DRAFT)
         assert np.array_equal(full.logits, free.logits)
         # A pool missing part of the selection still gets its own top-k.
         pool = {0, 2, 4, 6}
-        out = step(
-            self.model, st, 7, PrecisionMode.MSB4_DRAFT,
+        (out,) = step(
+            self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
             permitted=[pool] * SHAPE.n_layers,
         )
         for dec, orig in zip(out.decisions, out.original_decisions):
@@ -404,12 +410,12 @@ class TestStep:
         ov = np.zeros(SHAPE.n_experts)
         ov[3] = 0.7
         ov[5] = 0.3
-        out = step(
+        (out,) = step(
             self.model,
-            st,
-            2,
+            [st],
+            [2],
             PrecisionMode.INT8_FULL,
-            score_overrides=[ov, ov],
+            score_overrides=[[ov, ov]],
         )
         for dec in out.decisions:
             assert dec.selected == (3, 5)
@@ -417,7 +423,42 @@ class TestStep:
     def test_token_range(self):
         st = init_state(self.model)
         with pytest.raises(ValueError):
-            step(self.model, st, SHAPE.vocab, PrecisionMode.INT8_FULL)
+            step(self.model, [st], [SHAPE.vocab], PrecisionMode.INT8_FULL)
+
+    def test_batched_sources_must_be_earlier_tokens(self):
+        st = init_state(self.model)
+        for sources in ([st, 1], [st, -1], [0, st]):
+            with pytest.raises(ValueError, match="not an earlier token"):
+                step(self.model, sources, [1, 2], PrecisionMode.INT8_FULL)
+        with pytest.raises(ValueError, match="one source"):
+            step(self.model, [st], [1, 2], PrecisionMode.INT8_FULL)
+        assert step(self.model, [], [], PrecisionMode.INT8_FULL) == ()
+
+    def test_score_override_needs_one_score_per_expert(self):
+        st = init_state(self.model)
+        short = np.full(SHAPE.n_experts - 1, 0.5)
+        with pytest.raises(ValueError, match="score override"):
+            step(self.model, [st], [2], PrecisionMode.INT8_FULL, score_overrides=[[short, None]])
+
+    def test_prefill_is_one_chained_call(self, monkeypatch):
+        calls = []
+        batched = toymoe.step
+
+        def counting(model, state, token, mode, *args, **kwargs):
+            calls.append(token)
+            return batched(model, state, token, mode, *args, **kwargs)
+
+        monkeypatch.setattr(toymoe, "step", counting)
+        state, logits, decisions = prefill(self.model, [3, 1, 4, 1, 5], PrecisionMode.INT8_FULL)
+        assert calls == [[3, 1, 4, 1, 5]]
+        monkeypatch.undo()
+        out_state = init_state(self.model)
+        for pos, tok in enumerate([3, 1, 4, 1, 5]):
+            (out,) = step(self.model, [out_state], [tok], PrecisionMode.INT8_FULL)
+            out_state = out.state
+            assert [d.selected for d in decisions[pos]] == [d.selected for d in out.decisions]
+        assert np.array_equal(out.logits, logits)
+        assert np.array_equal(out.state.ctx, state.ctx)
 
     def test_greedy_decode_reproducible(self):
         toks1, _ = greedy_decode(self.model, [1, 2], 12, PrecisionMode.INT8_FULL)
@@ -497,3 +538,134 @@ class TestOverrideIntegration:
         for pos in range(3):
             for layer in range(SHAPE.n_layers):
                 assert decisions[pos][layer].selected == layer_traces[layer][pos].selected
+
+
+def test_group_sum_rounds_as_numpy_sum():
+    # The group sum gives np.sum's bits over a contiguous group axis, below
+    # and above numpy's 8-element pairwise threshold, for contiguous and
+    # strided group axes alike.
+    rng = np.random.default_rng(17)
+    for groups in range(1, 18):
+        for shape in [(1, groups), (3, 7, groups), (2, 1, groups), (40, groups)]:
+            parts = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+            want = np.sum(parts, axis=-1).tobytes()
+            strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(parts, -1, 0)), 0, -1)
+            assert toymoe._group_sum(parts).tobytes() == want, (groups, shape)
+            assert toymoe._group_sum(strided).tobytes() == want, (groups, shape)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_step_equals_one_at_a_time(data):
+    # One step call over a random forest of tokens (each continuing a given
+    # state or an earlier token of the call) equals stepping every token
+    # alone from its parent's state, bit for bit, in every field.
+    n_experts = data.draw(st.integers(1, 6), label="n_experts")
+    shape = MoEShape(
+        d_model=data.draw(st.sampled_from([32, 64, 96]), label="d_model"),
+        d_ff=data.draw(st.sampled_from([32, 64, 256]), label="d_ff"),
+        n_experts=n_experts,
+        top_k=data.draw(st.integers(1, min(n_experts, 3)), label="top_k"),
+        n_layers=data.draw(st.integers(1, 3), label="n_layers"),
+        vocab=data.draw(st.integers(2, 24), label="vocab"),
+    )
+    model = gen_model(shape, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    mode = data.draw(st.sampled_from(list(PrecisionMode)), label="mode")
+    rec = data.draw(st.sampled_from(list(ReconstructMode)), label="reconstruct")
+    token_st = st.integers(0, shape.vocab - 1)
+    roots = [init_state(model)] + [
+        prefill(model, prompt, PrecisionMode.INT8_FULL)[0]
+        for prompt in data.draw(
+            st.lists(st.lists(token_st, min_size=1, max_size=2), max_size=2),
+            label="root prompts",
+        )
+    ]
+    n = data.draw(st.integers(1, 6), label="T")
+    sources = []
+    for i in range(n):
+        if i and data.draw(st.booleans(), label=f"chained{i}"):
+            sources.append(data.draw(st.integers(0, i - 1), label=f"parent{i}"))
+        else:
+            sources.append(roots[data.draw(st.integers(0, len(roots) - 1))])
+    tokens = data.draw(st.lists(token_st, min_size=n, max_size=n), label="tokens")
+    pool_st = st.none() | st.sets(
+        st.integers(0, n_experts - 1), min_size=shape.top_k, max_size=n_experts
+    )
+    permitted = data.draw(
+        st.none() | st.lists(pool_st, min_size=shape.n_layers, max_size=shape.n_layers),
+        label="permitted",
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="score seed"))
+
+    def override_row():
+        return [
+            rng.dirichlet(np.ones(n_experts)) if data.draw(st.booleans()) else None
+            for _ in range(shape.n_layers)
+        ]
+
+    overrides = None
+    if data.draw(st.booleans(), label="overrides"):
+        overrides = [
+            override_row() if data.draw(st.booleans()) else None for _ in range(n)
+        ]
+    outs = step(model, sources, tokens, mode, permitted, overrides, rec)
+    assert len(outs) == n
+    assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, overrides, rec)
+
+
+def assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, overrides, rec):
+    """The outputs of one batched step call equal stepping every token
+    alone from its parent's state, bit for bit, in every field."""
+    ref = []
+    for i, (src, tok) in enumerate(zip(sources, tokens)):
+        state = ref[src].state if isinstance(src, int) else src
+        row = None if overrides is None else overrides[i]
+        ref.extend(step(model, [state], [tok], mode, permitted, [row], rec))
+    for got, want in zip(outs, ref):
+        assert same_bits(got.logits, want.logits)
+        assert same_bits(got.state.ctx, want.state.ctx)
+        pairs = zip(
+            got.decisions, want.decisions, got.original_decisions, want.original_decisions
+        )
+        for layer, (dec, dec_ref, orig, orig_ref) in enumerate(pairs):
+            for a, b in ((dec, dec_ref), (orig, orig_ref)):
+                assert a.selected == b.selected
+                assert same_bits(a.gates, b.gates)
+                assert same_bits(a.scores, b.scores)
+            pool = None if permitted is None else permitted[layer]
+            assert (dec is orig) == (pool is None or set(orig.selected) <= pool)
+
+
+@pytest.mark.parametrize("mode", list(PrecisionMode))
+def test_calls_at_size_bounds_equal_one_at_a_time(mode):
+    # The largest calls the run config allows: a verify tree of
+    # 1 + MAX_SD_WIDTH * MAX_SD_DEPTH tokens (each level's nodes continuing
+    # random nodes of the level above) and a MAX_PROMPT_LEN prefill chain.
+    # Every row of these wide calls keeps the bits of a one-token call.
+    w, d = runner.MAX_SD_WIDTH, runner.MAX_SD_DEPTH
+    model = gen_model(MoEShape(96, 256, 8, 2, 2, 64), seed=5)
+    rng = np.random.default_rng(6)
+    root = prefill(model, [3, 1, 4], PrecisionMode.INT8_FULL)[0]
+    tree = [root] + [
+        int(rng.integers(max(0, 1 + (level - 1) * w), 1 + level * w) if level else 0)
+        for level in range(d)
+        for _ in range(w)
+    ]
+    chain = [init_state(model)] + list(range(runner.MAX_PROMPT_LEN - 1))
+    pool = [{0, 2, 4, 6}, set(range(8))]
+    rec = ReconstructMode.LSB_AUGMENT
+    for sources, permitted in ((tree, pool), (chain, None)):
+        tokens = rng.integers(0, 64, size=len(sources)).tolist()
+        overrides = [
+            [rng.dirichlet(np.ones(8)), None] if i % 3 == 0 else None
+            for i in range(len(sources))
+        ]
+        outs = step(model, sources, tokens, mode, permitted, overrides, rec)
+        assert len(outs) in (1 + w * d, runner.MAX_PROMPT_LEN)
+        assert_equals_one_at_a_time(
+            outs, model, sources, tokens, mode, permitted, overrides, rec
+        )
