@@ -10,17 +10,20 @@ per-step activated-expert figure the hardware model consumes.
 
 from __future__ import annotations
 
+import io
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain, repeat
 from typing import Mapping, Optional, Sequence
-
-import csv
 
 import numpy as np
 from scipy.optimize import brentq
 
 SLICE_KINDS = ("msb", "full")
+# Layer and expert ids lie below this, so one access's (layer, expert,
+# kind) packs into a single int64 cache key.
+ID_LIMIT = 1 << 31
 
 # Exponential draws per Monte Carlo block in expected_unique_experts.  The
 # Generator fills draws in order, so the estimate does not depend on it;
@@ -28,33 +31,93 @@ SLICE_KINDS = ("msb", "full")
 _MC_BLOCK_ELEMENTS = 1 << 12
 
 
-@dataclass(frozen=True)
 class AccessTrace:
     """Ordered (layer, expert, slice-kind) accesses, optionally tagged with
-    the decode step each access belongs to."""
+    the decode step each access belongs to, stored as integer columns.
 
-    entries: tuple[tuple[int, int, str], ...]
-    steps: tuple[int, ...] = ()
+    layer and expert hold ids in [0, ID_LIMIT), kind holds indices into
+    SLICE_KINDS, and step holds step ids, or is None when the trace carries
+    none (an empty trace never does).  The columns are read-only arrays of
+    one length.  AccessTrace(entries=((layer, expert, kind name), ...),
+    steps=(...)) builds one from tuples; from_columns from arrays.
+    """
 
-    def __post_init__(self):
-        for layer, expert, kind in self.entries:
-            if layer < 0 or expert < 0:
-                raise ValueError("layer and expert ids must be nonnegative")
-            if kind not in SLICE_KINDS:
-                raise ValueError(f"slice kind {kind!r} not in {SLICE_KINDS}")
-        if self.steps and len(self.steps) != len(self.entries):
+    __slots__ = ("layer", "expert", "kind", "step")
+
+    def __init__(
+        self, entries: Sequence[tuple[int, int, str]] = (), steps: Sequence[int] = ()
+    ):
+        entries = tuple(entries)
+        layer, expert, names = zip(*entries) if entries else ((), (), ())
+        if sum(map(len, entries)) != 3 * len(entries):
+            raise ValueError("each entry must be (layer, expert, slice kind)")
+        unknown = set(names).difference(SLICE_KINDS)
+        if unknown:
+            raise ValueError(f"slice kind {unknown.pop()!r} not in {SLICE_KINDS}")
+        kind = [SLICE_KINDS.index(name) for name in names]
+        self._set_columns(layer, expert, kind, steps)
+
+    @classmethod
+    def from_columns(cls, layer, expert, kind, step=None) -> "AccessTrace":
+        trace = cls.__new__(cls)
+        trace._set_columns(layer, expert, kind, step)
+        return trace
+
+    def _set_columns(self, layer, expert, kind, step) -> None:
+        layer, expert, kind = _int_column(layer), _int_column(expert), _int_column(kind)
+        n = len(layer)
+        if len(expert) != n or len(kind) != n:
+            raise ValueError("layer, expert and kind columns differ in length")
+        if n and min(layer.min(), expert.min()) < 0:
+            raise ValueError("layer and expert ids must be nonnegative")
+        if n and max(layer.max(), expert.max()) >= ID_LIMIT:
+            raise ValueError(f"layer and expert ids must be below {ID_LIMIT}")
+        if n and (kind.min() < 0 or kind.max() >= len(SLICE_KINDS)):
+            raise ValueError(f"slice kind codes must index {SLICE_KINDS}")
+        kind = kind.astype(np.int8)
+        step = None if step is None or len(step) == 0 else _int_column(step)
+        if step is not None and len(step) != n:
             raise ValueError("steps must be empty or parallel to entries")
+        for name, col in (("layer", layer), ("expert", expert), ("kind", kind),
+                          ("step", step)):
+            if col is not None:
+                col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AccessTrace is immutable")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.layer)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AccessTrace):
+            return NotImplemented
+        # A missing step column (None) equals only another missing one.
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__
+        )
+
+
+def _int_column(values) -> np.ndarray:
+    """A fresh 1-D int64 copy of integer values; anything else raises
+    ValueError."""
+    col = np.asarray(values)
+    if col.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if col.ndim != 1 or col.dtype.kind not in "iu" or not np.can_cast(col.dtype, np.int64):
+        raise ValueError("trace columns must be 1-D integers within int64")
+    return col.astype(np.int64)
 
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Byte capacity plus per-slice-kind item footprints; policy is LRU."""
+    """Byte capacity plus per-slice-kind item footprints (int or float
+    bytes); policy is LRU."""
 
-    capacity_bytes: int
-    item_bytes: Mapping[str, int]
+    capacity_bytes: float
+    item_bytes: Mapping[str, float]
 
     def __post_init__(self):
         if self.capacity_bytes < 0:
@@ -76,8 +139,8 @@ class LruResult:
     hit_rate: float
     accesses: int
     hits: int
-    miss_bytes: int
-    miss_bytes_by_phase: dict[str, int]
+    miss_bytes: float
+    miss_bytes_by_phase: dict[str, float]
 
 
 def simulate_lru(
@@ -89,33 +152,43 @@ def simulate_lru(
     item fits.  An empty trace reports hit_rate 1.0 with accesses 0.
 
     phase_map labels each step id with a phase name; miss bytes then also
-    come back grouped per phase (unlabeled steps under "other").
+    come back grouped per phase (unlabeled steps under "other").  Miss
+    bytes add up in access order, so float item sizes sum the same way on
+    every run.
     """
-    if phase_map is not None and not trace.steps:
+    if phase_map is not None and trace.step is None:
         raise ValueError("phase_map given but trace carries no step ids")
-    sizes = dict(config.item_bytes)
+    size_of = [config.item_bytes.get(kind) for kind in SLICE_KINDS]
+    for code in np.flatnonzero(np.bincount(trace.kind, minlength=len(SLICE_KINDS))):
+        if size_of[code] is None:
+            raise KeyError(SLICE_KINDS[code])
+    keys = (
+        (trace.layer * ID_LIMIT + trace.expert) * len(SLICE_KINDS) + trace.kind
+    ).tolist()
+    sizes = np.array(size_of, dtype=object)[trace.kind].tolist()
+    steps = repeat(None) if phase_map is None else trace.step.tolist()
     cache: OrderedDict = OrderedDict()
+    touch, evict = cache.move_to_end, cache.popitem
+    capacity = config.capacity_bytes
     used = 0
-    hits = 0
+    misses = 0
     miss_bytes = 0
-    by_phase: dict[str, int] = {}
-    steps = trace.steps
-    for i, entry in enumerate(trace.entries):
-        size = sizes[entry[2]]
-        if entry in cache:
-            hits += 1
-            cache.move_to_end(entry)
+    by_phase: dict[str, float] = {}
+    for key, size, step in zip(keys, sizes, steps):
+        if key in cache:
+            touch(key)
             continue
+        misses += 1
         miss_bytes += size
         if phase_map is not None:
-            phase = phase_map.get(steps[i], "other")
+            phase = phase_map.get(step, "other")
             by_phase[phase] = by_phase.get(phase, 0) + size
-        cache[entry] = size
+        cache[key] = size
         used += size
-        while used > config.capacity_bytes:
-            _, evicted = cache.popitem(last=False)
-            used -= evicted
-    accesses = len(trace.entries)
+        while used > capacity:
+            used -= evict(last=False)[1]
+    accesses = len(keys)
+    hits = accesses - misses
     rate = hits / accesses if accesses else 1.0
     return LruResult(
         hit_rate=rate,
@@ -206,32 +279,96 @@ def expected_unique_experts(
     return total / mc_samples
 
 
+_TRACE_HEADER = b"step,layer,expert,slice_kind"
+# Rows formatted per block in write_trace; bounds its scratch arrays.
+_WRITE_BLOCK_ROWS = 1 << 16
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+# Row tails, slice kind name and CRLF, as NUL-padded bytes by kind code.
+_KIND_TAILS = np.array([f"{name}\r\n".encode() for name in SLICE_KINDS])
+_KIND_TAILS = _KIND_TAILS.view(np.uint8).reshape(len(SLICE_KINDS), -1)
+
+
+def _ascii_ints(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each int64 value spelled as str() spells it: ASCII bytes
+    right-aligned in the rows of a (N, width) block, and a mask of the
+    bytes each row uses."""
+    neg = values < 0
+    mag = values.astype(np.uint64)
+    mag[neg] = -mag[neg]  # wraps to |value|, -2**63 included
+    lengths = np.searchsorted(_POW10, mag, side="right") + 1 + neg
+    width = int(lengths.max(initial=1))
+    chars = np.empty((len(values), width), dtype=np.uint8)
+    for j in range(width - 1, -1, -1):
+        mag, chars[:, j] = np.divmod(mag, 10)
+    chars += ord("0")
+    signed = np.flatnonzero(neg)
+    chars[signed, width - lengths[signed]] = ord("-")
+    return chars, np.arange(width) >= width - lengths[:, None]
+
+
+def _csv_block(step, layer, expert, kind) -> np.ndarray:
+    """One block of CSV rows, step,layer,expert,slice_kind and CRLF, as bytes."""
+    n = len(step)
+    comma = (np.full((n, 1), ord(","), dtype=np.uint8), np.ones((n, 1), dtype=bool))
+    tails = _KIND_TAILS[kind]
+    parts = [
+        _ascii_ints(step), comma, _ascii_ints(layer), comma, _ascii_ints(expert),
+        comma, (tails, tails != 0),
+    ]
+    chars = np.concatenate([c for c, _ in parts], axis=1)
+    used = np.concatenate([u for _, u in parts], axis=1)
+    return chars[used]
+
+
 def write_trace(trace: AccessTrace, path) -> None:
     """Write one access per line as step,layer,expert,slice_kind (with a
-    header row).  Missing step ids default to the access index."""
-    steps = trace.steps if trace.steps else tuple(range(len(trace.entries)))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "layer", "expert", "slice_kind"])
-        for step_id, (layer, expert, kind) in zip(steps, trace.entries):
-            writer.writerow([step_id, layer, expert, kind])
+    header row), byte for byte as csv.writer writes them: comma-separated,
+    CRLF line ends.  Missing step ids default to the access index."""
+    n = len(trace)
+    step = trace.step if trace.step is not None else np.arange(n)
+    with open(path, "wb") as fh:
+        fh.write(_TRACE_HEADER + b"\r\n")
+        for lo in range(0, n, _WRITE_BLOCK_ROWS):
+            block = slice(lo, lo + _WRITE_BLOCK_ROWS)
+            fh.write(_csv_block(step[block], trace.layer[block],
+                                trace.expert[block], trace.kind[block]))
 
 
 def read_trace(path) -> AccessTrace:
-    """Read a trace written by write_trace."""
-    entries = []
-    steps = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["step", "layer", "expert", "slice_kind"]:
-            raise ValueError(f"unexpected trace header {header!r} in {path}")
-        for row in reader:
-            if len(row) != 4:
-                raise ValueError(f"malformed trace row {row!r} in {path}")
-            steps.append(int(row[0]))
-            entries.append((int(row[1]), int(row[2]), row[3]))
-    return AccessTrace(entries=tuple(entries), steps=tuple(steps))
+    """Read a trace written by write_trace, with CRLF or LF line ends.
+    A file that is not a header and complete rows of four fields (integer
+    ids, a known slice kind, a final line end) raises ValueError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header, _, body = data.partition(b"\n")
+    if header.removesuffix(b"\r") != _TRACE_HEADER:
+        raise ValueError(f"unexpected trace header {header[:80]!r} in {path}")
+    if not data.endswith(b"\n"):
+        raise ValueError(f"trace {path} ends inside a row")
+    if b"\0" in data:
+        raise ValueError(f"NUL byte in trace {path}")
+    n = body.count(b"\n")
+    # One byte past the longest name, so a longer name reads as unknown.
+    name_bytes = max(map(len, SLICE_KINDS)) + 1
+    dtype = np.dtype([("ids", np.int64, 3), ("kind", f"S{name_bytes}")])
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.x parses a non-integer id via float and only warns.
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",",
+                              comments=None, skiprows=1, ndmin=1) if n else np.zeros(0, dtype)
+    except (ValueError, DeprecationWarning) as exc:
+        raise ValueError(f"malformed trace {path}: {exc}") from None
+    if len(rows) != n:
+        raise ValueError(f"malformed trace {path}: blank rows")
+    kind = np.full(n, len(SLICE_KINDS))
+    for code, name in enumerate(SLICE_KINDS):
+        kind[rows["kind"] == name.encode()] = code
+    unknown = rows["kind"][kind == len(SLICE_KINDS)]
+    if len(unknown):
+        raise ValueError(f"slice kind {unknown[0]!r} not in {SLICE_KINDS} in {path}")
+    ids = rows["ids"]
+    return AccessTrace.from_columns(ids[:, 1], ids[:, 2], kind, ids[:, 0])
 
 
 def decisions_to_trace(
@@ -242,10 +379,15 @@ def decisions_to_trace(
     access per selected expert, all with the same slice kind."""
     if slice_kind not in SLICE_KINDS:
         raise ValueError(f"slice kind {slice_kind!r} not in {SLICE_KINDS}")
-    entries = []
-    steps = []
-    for step_id, pairs in step_decisions:
-        for layer, expert in pairs:
-            entries.append((layer, expert, slice_kind))
-            steps.append(step_id)
-    return AccessTrace(entries=tuple(entries), steps=tuple(steps))
+    groups = [pairs for _, pairs in step_decisions]
+    counts = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    if set(map(len, chain.from_iterable(groups))) - {2}:
+        raise ValueError("each selection must be a (layer, expert) pair")
+    ids = np.fromiter(chain.from_iterable(chain.from_iterable(groups)), dtype=np.int64)
+    ids = ids.reshape(-1, 2)
+    return AccessTrace.from_columns(
+        ids[:, 0],
+        ids[:, 1],
+        np.full(len(ids), SLICE_KINDS.index(slice_kind)),
+        np.repeat([step for step, _ in step_decisions], counts),
+    )

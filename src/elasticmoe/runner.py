@@ -713,8 +713,9 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     try:
         ctx = _build_context(cfg)
         return [row for scheme in cfg.schemes for row in _scheme_rows(ctx, scheme)]
-    except (ValueError, KeyError, ArithmeticError) as exc:
-        raise RunnerError(f"scenario {cfg.scenario_id!r}: {exc}") from exc
+    except (ValueError, KeyError, ArithmeticError, MemoryError) as exc:
+        detail = str(exc) or type(exc).__name__
+        raise RunnerError(f"scenario {cfg.scenario_id!r}: {detail}") from exc
 
 
 def run_scenarios(

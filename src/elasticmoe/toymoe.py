@@ -665,7 +665,9 @@ def gen_routing_trace(
     Expert id doubles as popularity rank: base popularity is proportional
     to 1/(id+1)^zipf_exponent.  Each token draws fresh scores by an
     exponential race over the popularities, then blends them with the
-    previous token's scores by the correlation factor.
+    previous token's scores by the correlation factor.  The blend runs
+    token by token; the top-k of all tokens is one _select call, equal to
+    routing each token alone.
     """
     if zipf_exponent < 0:
         raise ValueError("zipf_exponent must be >= 0")
@@ -679,15 +681,24 @@ def gen_routing_trace(
     pop = 1.0 / np.arange(1, n_experts + 1, dtype=np.float64) ** zipf_exponent
     pop /= pop.sum()
     prev = None
-    out = []
+    rows = []
     for _ in range(n_tokens):
         fresh = pop * rng.exponential(1.0, size=n_experts)
         fresh /= fresh.sum()
         s = fresh if prev is None else (1.0 - correlation) * fresh + correlation * prev
         s = s / s.sum()
         prev = s
-        out.append(route(s, k))
-    return out
+        rows.append(s)
+    if not rows:
+        return []
+    scores = np.array(rows)
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite routing score")
+    ids, gates = _select(scores, k)
+    return [
+        RoutingDecision(scores=s, selected=tuple(sel), gates=tuple(g))
+        for s, sel, g in zip(rows, ids.tolist(), gates.tolist())
+    ]
 
 
 def trace_scores(trace: Sequence[Sequence[RoutingDecision]]) -> list[list[np.ndarray]]:

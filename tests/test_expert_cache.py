@@ -1,10 +1,18 @@
+import csv
+import io
+import warnings
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from elasticmoe.expert_cache import (
+    ID_LIMIT,
+    SLICE_KINDS,
     AccessTrace,
     CacheConfig,
+    LruResult,
     decisions_to_trace,
     expected_unique_experts,
     powerlaw_lru_hitrate,
@@ -19,6 +27,52 @@ def full_trace(ids, step_ids=None):
     entries = tuple((0, int(e), "full") for e in ids)
     steps = tuple(step_ids) if step_ids is not None else ()
     return AccessTrace(entries=entries, steps=steps)
+
+
+def _lru_reference(entries, steps, config, phase_map=None):
+    """The tuple-keyed OrderedDict replay simulate_lru must reproduce field
+    for field: entries are (layer, expert, kind name) tuples."""
+    if phase_map is not None and not steps:
+        raise ValueError("phase_map given but trace carries no step ids")
+    sizes = dict(config.item_bytes)
+    cache = OrderedDict()
+    used = 0
+    hits = 0
+    miss_bytes = 0
+    by_phase = {}
+    for i, entry in enumerate(entries):
+        size = sizes[entry[2]]
+        if entry in cache:
+            hits += 1
+            cache.move_to_end(entry)
+            continue
+        miss_bytes += size
+        if phase_map is not None:
+            phase = phase_map.get(steps[i], "other")
+            by_phase[phase] = by_phase.get(phase, 0) + size
+        cache[entry] = size
+        used += size
+        while used > config.capacity_bytes:
+            _, evicted = cache.popitem(last=False)
+            used -= evicted
+    accesses = len(entries)
+    return LruResult(
+        hit_rate=hits / accesses if accesses else 1.0,
+        accesses=accesses,
+        hits=hits,
+        miss_bytes=miss_bytes,
+        miss_bytes_by_phase=by_phase,
+    )
+
+
+def _csv_writer_bytes(entries, steps):
+    """What csv.writer writes for a trace: the format write_trace keeps."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["step", "layer", "expert", "slice_kind"])
+    for step_id, (layer, expert, kind) in zip(steps or range(len(entries)), entries):
+        writer.writerow([step_id, layer, expert, kind])
+    return buf.getvalue().encode()
 
 
 def _unique_experts_reference(batch, top_k, n_experts, popularity, mc_samples, seed):
@@ -129,6 +183,61 @@ class TestSimulateLru:
     def test_bad_slice_kind_rejected(self):
         with pytest.raises(ValueError):
             AccessTrace(entries=((0, 1, "lsb"),))
+
+    def test_kind_without_item_size_raises_key_error(self):
+        cfg = CacheConfig(capacity_bytes=10, item_bytes={"full": 10})
+        trace = AccessTrace(entries=((0, 1, "full"), (0, 1, "msb")))
+        with pytest.raises(KeyError):
+            simulate_lru(trace, cfg)
+
+
+_accesses = st.tuples(
+    st.integers(0, 3), st.integers(0, 7), st.sampled_from(SLICE_KINDS)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=st.lists(_accesses, max_size=120),
+    with_steps=st.booleans(),
+    step_ids=st.lists(st.integers(-3, 12), min_size=120, max_size=120),
+    sizes=st.sampled_from(["int", "float", "mixed"]),
+    size_draw=st.tuples(st.integers(1, 9), st.floats(0.1, 9.0), st.floats(0.1, 9.0)),
+    capacity_items=st.floats(1.0, 12.0),
+    phases=st.none() | st.dictionaries(
+        st.integers(-3, 12), st.sampled_from(["draft", "verify", "other"]), max_size=8
+    ),
+)
+@example(entries=[(0, 1, "full"), (0, 2, "msb")], with_steps=False,
+         step_ids=[0] * 120, sizes="int", size_draw=(4, 1.0, 1.0),
+         capacity_items=1.0, phases=None)
+def test_simulate_lru_equals_tuple_reference(
+    entries, with_steps, step_ids, sizes, size_draw, capacity_items, phases
+):
+    whole, float_a, float_b = size_draw
+    item_bytes = {
+        "int": {"msb": whole, "full": 2 * whole},
+        "float": {"msb": float_a, "full": float_b},
+        "mixed": {"msb": float_a, "full": whole},
+    }[sizes]
+    config = CacheConfig(
+        capacity_bytes=capacity_items * max(item_bytes.values()), item_bytes=item_bytes
+    )
+    steps = tuple(step_ids[: len(entries)]) if with_steps else ()
+    trace = AccessTrace(entries=tuple(entries), steps=steps)
+    try:
+        want = _lru_reference(entries, steps, config, phases)
+    except ValueError:
+        with pytest.raises(ValueError):
+            simulate_lru(trace, config, phase_map=phases)
+        return
+    got = simulate_lru(trace, config, phase_map=phases)
+    assert got == want
+    # Same types and phase order too: an int sum stays an int.
+    assert type(got.miss_bytes) is type(want.miss_bytes)
+    assert [(k, type(v)) for k, v in got.miss_bytes_by_phase.items()] == [
+        (k, type(v)) for k, v in want.miss_bytes_by_phase.items()
+    ]
 
 
 class TestPowerlawApproximation:
@@ -269,8 +378,8 @@ class TestTraceIo:
         path = tmp_path / "t.csv"
         write_trace(trace, path)
         back = read_trace(path)
-        assert back.steps == (0, 1)
-        assert back.entries == trace.entries
+        assert back.step.tolist() == [0, 1]
+        assert back == AccessTrace(entries=((0, 1, "full"), (0, 2, "full")), steps=(0, 1))
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -282,5 +391,209 @@ class TestTraceIo:
         trace = decisions_to_trace(
             [(0, [(0, 2), (1, 5)]), (1, [(0, 2)])], slice_kind="msb"
         )
-        assert trace.entries == ((0, 2, "msb"), (1, 5, "msb"), (0, 2, "msb"))
-        assert trace.steps == (0, 0, 1)
+        assert trace == AccessTrace(
+            entries=((0, 2, "msb"), (1, 5, "msb"), (0, 2, "msb")), steps=(0, 0, 1)
+        )
+        assert trace.layer.tolist() == [0, 1, 0]
+        assert trace.expert.tolist() == [2, 5, 2]
+        assert trace.kind.tolist() == [SLICE_KINDS.index("msb")] * 3
+        assert trace.step.tolist() == [0, 0, 1]
+
+    def test_decisions_to_trace_rejects_non_pairs(self):
+        with pytest.raises(ValueError):
+            decisions_to_trace([(0, [(0, 2, 1)])], slice_kind="msb")
+        # A short and a long selection whose lengths add up to two pairs.
+        with pytest.raises(ValueError):
+            decisions_to_trace([(0, [(0,), (1, 2, 3)])], slice_kind="msb")
+        with pytest.raises(ValueError):
+            decisions_to_trace([(0, [(0,)]), (1, [(1, 2, 3)])], slice_kind="msb")
+        with pytest.raises(ValueError):
+            decisions_to_trace([(0, [(0, 2)])], slice_kind="lsb")
+
+    def test_empty_trace_round_trip(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_trace(AccessTrace(), path)
+        assert path.read_bytes() == b"step,layer,expert,slice_kind\r\n"
+        assert read_trace(path) == AccessTrace()
+        assert decisions_to_trace([], "full") == AccessTrace()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.integers(0, ID_LIMIT - 1),
+                st.integers(0, 70) | st.integers(0, ID_LIMIT - 1),
+                st.sampled_from(SLICE_KINDS),
+            ),
+            max_size=40,
+        ),
+        step_ids=st.lists(
+            st.integers(-(2**63), 2**63 - 1) | st.integers(-12, 1200),
+            min_size=40,
+            max_size=40,
+        ),
+        with_steps=st.booleans(),
+    )
+    def test_write_matches_csv_writer_and_reads_back(
+        self, tmp_path_factory, entries, step_ids, with_steps
+    ):
+        steps = tuple(step_ids[: len(entries)]) if with_steps else ()
+        trace = AccessTrace(entries=tuple(entries), steps=steps)
+        legacy = _csv_writer_bytes(entries, steps)
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        write_trace(trace, path)
+        assert path.read_bytes() == legacy
+        back = AccessTrace(entries=tuple(entries), steps=steps or range(len(entries)))
+        assert read_trace(path) == back
+        # The same rows with LF line ends read back equal too.
+        path.write_bytes(legacy.replace(b"\r\n", b"\n"))
+        assert read_trace(path) == back
+
+    def test_long_trace_spans_write_blocks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 150_000
+        trace = AccessTrace.from_columns(
+            rng.integers(0, 4, n), rng.integers(0, 300, n), rng.integers(0, 2, n),
+            np.repeat(np.arange(n // 3), 3),
+        )
+        path = tmp_path / "long.csv"
+        write_trace(trace, path)
+        entries = [
+            (layer, expert, SLICE_KINDS[kind])
+            for layer, expert, kind in zip(
+                trace.layer.tolist(), trace.expert.tolist(), trace.kind.tolist()
+            )
+        ]
+        assert path.read_bytes() == _csv_writer_bytes(entries, trace.step.tolist())
+        assert read_trace(path) == trace
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"0,0,3\r\n",
+            b"0,0,3,full,1\r\n",
+            b"0,0,1.5,full\r\n",
+            b"0,x,3,full\r\n",
+            b"0,,3,full\r\n",
+            b"0,99999999999999999999,3,full\r\n",
+            b"0,0,3,lsb\r\n",
+            b"0,0,3,fullx\r\n",
+            b'0,0,3,"full"\r\n',
+            b"0,0,3,0\r\n",
+            b"0,0,3,full\x00\r\n",
+            b"0,-1,3,full\r\n",
+            b"0,0,-3,full\r\n",
+            b"0,%d,3,full\r\n" % ID_LIMIT,
+            b"0,0,3,full\r\n\r\n1,0,3,full\r\n",
+            b"0,0,3,full\n\n",
+            b"0,0,3,full\r\n1,0,3,full",
+            b"0,0,3,full\r\n1,0,3,fu",
+        ],
+        ids=[
+            "3_fields", "5_fields", "float_id", "text_id", "empty_id", "huge_id",
+            "unknown_kind", "long_kind", "quoted_kind", "numeric_kind", "nul_kind",
+            "negative_layer", "negative_expert", "id_at_limit", "blank_row",
+            "blank_row_lf", "missing_final_newline", "cut_inside_row",
+        ],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"step,layer,expert,slice_kind\r\n" + body)
+        with pytest.raises(ValueError):
+            read_trace(path)
+
+    @pytest.mark.filterwarnings("default")
+    @pytest.mark.parametrize(
+        "body",
+        [b"0,0,1.5,full\r\n", b"1e3,0,3,full\r\n", b"nan,0,3,full\r\n"],
+        ids=["float_id", "exponent_step", "nan_step"],
+    )
+    def test_non_integer_ids_rejected_without_warning_filter(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"step,layer,expert,slice_kind\r\n" + body)
+        with pytest.raises(ValueError):
+            read_trace(path)
+
+    @pytest.mark.filterwarnings("default")
+    def test_parser_deprecation_warning_is_value_error(self, tmp_path, monkeypatch):
+        # numpy releases before 2.x parse a non-integer id as a float and
+        # only warn; read_trace must turn that warning into ValueError.
+        real_loadtxt = np.loadtxt
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float", DeprecationWarning)
+            return real_loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        path = tmp_path / "t.csv"
+        write_trace(AccessTrace(entries=((0, 1, "full"),)), path)
+        with pytest.raises(ValueError):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"step,layer,expert,slice_kind", b"\r\n0,0,3,full\r\n"],
+        ids=["empty_file", "header_without_newline", "blank_header"],
+    )
+    def test_truncated_files_rejected(self, tmp_path, data):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            read_trace(path)
+
+
+class TestAccessTraceColumns:
+    def test_columns_are_read_only_and_trace_immutable(self):
+        trace = AccessTrace(entries=((0, 1, "full"), (2, 3, "msb")), steps=(4, 5))
+        for col in (trace.layer, trace.expert, trace.kind, trace.step):
+            assert not col.flags.writeable
+        with pytest.raises(AttributeError):
+            trace.layer = np.zeros(2, dtype=np.int64)
+
+    def test_from_columns_copies_its_inputs(self):
+        layer = np.array([0, 1])
+        trace = AccessTrace.from_columns(layer, [2, 3], [1, 0])
+        layer[0] = 7
+        assert trace.layer.tolist() == [0, 1]
+        assert trace == AccessTrace(entries=((0, 2, "full"), (1, 3, "msb")))
+
+    def test_equality_sees_steps_and_kinds(self):
+        base = AccessTrace(entries=((0, 1, "full"),), steps=(3,))
+        assert base == AccessTrace(entries=((0, 1, "full"),), steps=(3,))
+        assert base != AccessTrace(entries=((0, 1, "full"),))
+        assert base != AccessTrace(entries=((0, 1, "full"),), steps=(4,))
+        assert base != AccessTrace(entries=((0, 1, "msb"),), steps=(3,))
+        assert base != AccessTrace(entries=((0, 1, "full"), (0, 1, "full")), steps=(3, 3))
+        assert len(base) == 1 and not AccessTrace()
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([0, 1], [2], [1, 1], None),
+            ([0], [2], [2], None),
+            ([0], [2], [-1], None),
+            ([-1], [2], [0], None),
+            ([0], [ID_LIMIT], [0], None),
+            ([0.5], [2], [0], None),
+            ([[0]], [[2]], [[0]], None),
+            ([0, 1], [2, 3], [0, 0], [1, 2, 3]),
+            ([0], [2], [0], [1.5]),
+        ],
+        ids=[
+            "ragged", "kind_code_too_big", "kind_code_negative", "negative_layer",
+            "expert_at_limit", "float_layer", "two_dimensional", "step_length",
+            "float_step",
+        ],
+    )
+    def test_bad_columns_rejected(self, columns):
+        with pytest.raises(ValueError):
+            AccessTrace.from_columns(*columns)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [((0, 1),), ((0, 1, "full", 2),), ((0, 1, "full"), (0, 1, "full", 2)), ((0, -1, "msb"),)],
+        ids=["two_fields", "four_fields", "mixed_lengths", "negative_expert"],
+    )
+    def test_bad_entries_rejected(self, entries):
+        with pytest.raises(ValueError):
+            AccessTrace(entries=entries)

@@ -542,6 +542,23 @@ def test_cli_run_overflow_is_runtime_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_memory_error_is_runtime_error(tmp_path, capsys, monkeypatch):
+    # A batch too large for memory surfaces as MemoryError from the
+    # unique-expert estimate; no memory is allocated here.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(expert_cache, "expected_unique_experts", out_of_memory)
+    with pytest.raises(RunnerError, match="scenario 'fast': MemoryError"):
+        run_scenario(fast_config())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(FAST))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "runtime error: scenario 'fast': MemoryError\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cli_ablate_unknown_suite(capsys):
     assert cli_main(["ablate", "bogus"]) == 1
 

@@ -467,7 +467,44 @@ class TestStep:
         assert len(toks1) == 12
 
 
+def _routing_trace_reference(n_tokens, n_experts, k, zipf_exponent, correlation, seed):
+    """The per-token loop gen_routing_trace must reproduce: the same blend,
+    each token routed alone through route."""
+    rng = np.random.default_rng(seed)
+    pop = 1.0 / np.arange(1, n_experts + 1, dtype=np.float64) ** zipf_exponent
+    pop /= pop.sum()
+    prev = None
+    out = []
+    for _ in range(n_tokens):
+        fresh = pop * rng.exponential(1.0, size=n_experts)
+        fresh /= fresh.sum()
+        s = fresh if prev is None else (1.0 - correlation) * fresh + correlation * prev
+        s = s / s.sum()
+        prev = s
+        out.append(route(s, k))
+    return out
+
+
 class TestRoutingTrace:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_batched_top_k_equals_per_token_route(self, data):
+        n_experts = data.draw(st.integers(1, 64), label="n_experts")
+        k = data.draw(st.integers(1, n_experts), label="k")
+        n_tokens = data.draw(st.integers(0, 120), label="n_tokens")
+        zipf = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 4.0), label="zipf")
+        corr = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), label="corr")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        got = gen_routing_trace(n_tokens, n_experts, k, zipf, corr, seed)
+        want = _routing_trace_reference(n_tokens, n_experts, k, zipf, corr, seed)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.selected == w.selected
+            assert g.gates == w.gates
+            assert np.array_equal(g.scores, w.scores)
+        # Each decision owns its scores array, as route's copy did.
+        assert all(d.scores.flags.owndata for d in got)
+
     def test_full_correlation_freezes_selection(self):
         trace = gen_routing_trace(50, 8, 2, 1.0, 1.0, seed=33)
         first = trace[0].selected
