@@ -14,9 +14,10 @@ runs.
 Greedy verification makes the emitted stream equal the full-precision
 model's greedy autoregressive stream token for token, whatever the draft
 quality; drafting only changes how many tokens each step yields.  A
-session ingests its prompt through ``toymoe.prefill``, and every phase
-reads routing overrides through ``toymoe.trace_row``, so the positions
-line up with ``greedy_decode``.
+session ingests its prompt through ``toymoe.prefill``.  Decode states
+carry their position, and every phase hands its routing trace (one
+score array) straight to ``toymoe.step``, which picks each token's row
+by position, so the rows line up with ``greedy_decode``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .toymoe import (
     log_softmax,
     prefill,
     step,
-    trace_row,
 )
 
 LayerDecision = tuple[int, RoutingDecision]
@@ -165,7 +165,6 @@ def draft_phase(
     draft_mode: PrecisionMode = PrecisionMode.MSB4_DRAFT,
     draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
     score_traces=None,
-    start_pos: int = 0,
 ) -> DraftResult:
     """Expand a width-w depth-d tree with throttled draft-precision steps.
 
@@ -193,10 +192,7 @@ def draft_phase(
             [nodes[idx].token for idx in frontier],
             draft_mode,
             permitted=pool.experts,
-            score_overrides=[
-                trace_row(score_traces, start_pos + nodes[idx].depth)
-                for idx in frontier
-            ],
+            score_traces=score_traces,
             draft_reconstruct=draft_reconstruct,
         )
         calls += len(frontier)
@@ -253,7 +249,6 @@ def verify_phase(
     root_state: DecodeState,
     verify_count: Optional[int] = None,
     score_traces=None,
-    start_pos: int = 0,
 ) -> VerifyResult:
     """Verify the top-scoring tree nodes with the full-precision model.
 
@@ -282,9 +277,7 @@ def verify_phase(
         [root_state] + [position[tree.nodes[idx].parent] for idx in call[1:]],
         [tree.nodes[idx].token for idx in call],
         PrecisionMode.INT8_FULL,
-        score_overrides=[
-            trace_row(score_traces, start_pos + tree.nodes[idx].depth) for idx in call
-        ],
+        score_traces=score_traces,
     )
     decisions = [pair for out in outs for pair in enumerate(out.decisions)]
     by_node = dict(zip(call, outs))
@@ -397,7 +390,6 @@ class SdSession:
             [pair for decs in prompt_decisions for pair in enumerate(decs)],
         )
         self.root_token = int(prompt[-1])
-        self.pos = len(prompt) - 1
         self.pool = self._pick_pool()
 
     def _pick_pool(self) -> ExpertPool:
@@ -420,7 +412,6 @@ class SdSession:
             draft_mode=cfg.draft_mode,
             draft_reconstruct=cfg.draft_reconstruct,
             score_traces=self.score_traces,
-            start_pos=self.pos,
         )
         self.hotness = accumulate_hotness(
             self.hotness * cfg.hotness_decay, draft.original_decisions
@@ -432,7 +423,6 @@ class SdSession:
             self.root_state,
             cfg.verify_count,
             score_traces=self.score_traces,
-            start_pos=self.pos,
         )
         self.hotness = accumulate_hotness(self.hotness, verify.verify_decisions)
         result = SdStepResult(
@@ -448,7 +438,6 @@ class SdSession:
         )
         self.root_state = verify.final_state
         self.root_token = verify.bonus_token
-        self.pos += verify.accept_length + 1
         self.pool = next_pool
         return result
 

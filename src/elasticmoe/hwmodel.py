@@ -28,6 +28,9 @@ from .toymoe import MoEShape
 
 GIB = 1024**3
 PSUM_BYTES = 4
+# Least value of a positive hw field: products of a few such rates and
+# multipliers stay far from 0, so step latencies stay finite.
+MIN_POSITIVE = 1e-30
 
 
 class Arch(enum.Enum):
@@ -64,7 +67,6 @@ class HwConfig:
     hb_bw_per_bank: float = 51.2e9
     hb_capacity_bytes: float = 8 * GIB
     ext_bw: float = 102.4e9
-    ext_capacity_bytes: float = 64 * GIB
     macs_per_pe_per_cycle: int = 16 * 32 * 32
     clock_hz: float = 1.0e9
     aggr_link_bw: float = 32.0e9
@@ -92,7 +94,6 @@ class HwConfig:
             "hb_bw_per_bank",
             "hb_capacity_bytes",
             "ext_bw",
-            "ext_capacity_bytes",
             "macs_per_pe_per_cycle",
             "clock_hz",
             "aggr_link_bw",
@@ -105,8 +106,8 @@ class HwConfig:
             "logic_pim_compute_multiplier",
             "nmp_internal_multiplier",
         ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) >= MIN_POSITIVE:
+                raise ValueError(f"{name} must be at least {MIN_POSITIVE:g}")
         for name in (
             "hb_energy_per_bit",
             "ext_energy_per_bit",

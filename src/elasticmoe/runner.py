@@ -3,16 +3,17 @@
 A scenario bundles a toy model, a routing trace, a hardware config, and a
 list of decoding schemes priced over a list of batch sizes.  Evaluation
 has two parts.  First a per-scenario context does the work every scheme
-shares, once: it builds the model, routing traces and prompt, runs the
-AR greedy decode, and per batch size derives the AR unique-expert count,
-the XPU baseline latency, and the AR step's cache hit rate and cost at
-each cache footprint the schemes use.  Then each scheme adds its own
-speculative step on top of that AR step: ar_only adds none, the
-functional schemes measure one with an SdSession (accept lengths,
-verify routing, pool transfers priced through the cache simulator and
-the hardware model), and the analytic schemes scale the AR step by their
-configured accept length and draft/verify cost ratios (defaults are
-illustrative) at their configured cache footprint.
+shares, once: it builds the model, routing traces and prompt, reads the
+AR decode's routing off the traces (no AR tokens are decoded), and per
+batch size derives the AR unique-expert count, the XPU baseline latency,
+and the AR step's cache hit rate and cost at each cache footprint the
+schemes use.  Then each scheme adds its own speculative step on top of
+that AR step: ar_only adds none, the functional schemes measure one with
+an SdSession (accept lengths, verify routing, pool transfers priced
+through the cache simulator and the hardware model), and the analytic
+schemes scale the AR step by their configured accept length and
+draft/verify cost ratios (defaults are illustrative) at their configured
+cache footprint.
 
 Everything is deterministic given the config file: seeds are explicit,
 scenario evaluation is pure, and rows are sorted before emission so
@@ -37,7 +38,7 @@ import numpy as np
 from . import elastic_sd, expert_cache, hwmodel, toymoe
 from .bitnest import ReconstructMode
 from .hwmodel import Arch, GIB, HwConfig
-from .toymoe import MoEShape, PrecisionMode
+from .toymoe import MoEShape
 
 
 class ConfigError(Exception):
@@ -246,7 +247,6 @@ _HW_KEY_MAP = {
     "hb_bw_per_bank_gbps": ("hb_bw_per_bank", 1e9),
     "hb_capacity_gib": ("hb_capacity_bytes", GIB),
     "ext_bw_gbps": ("ext_bw", 1e9),
-    "ext_capacity_gib": ("ext_capacity_bytes", GIB),
     "macs_per_pe_per_cycle": ("macs_per_pe_per_cycle", 1),
     "clock_ghz": ("clock_hz", 1e9),
     "aggr_link_bw_gbps": ("aggr_link_bw", 1e9),
@@ -542,7 +542,7 @@ class _ScenarioContext:
 
     cfg: ScenarioConfig
     model: toymoe.MoEModel
-    traces: list[list[np.ndarray]]
+    traces: np.ndarray
     prompt: list[int]
     # batch -> expected distinct experts one AR step activates
     ar_unique: dict[int, float]
@@ -554,7 +554,7 @@ class _ScenarioContext:
 
 def _build_context(cfg: ScenarioConfig) -> _ScenarioContext:
     model = toymoe.gen_model(cfg.shape, seed=cfg.run.model_seed)
-    traces = toymoe.trace_scores([
+    layer_traces = [
         toymoe.gen_routing_trace(
             cfg.trace.n_tokens,
             cfg.shape.n_experts,
@@ -564,13 +564,15 @@ def _build_context(cfg: ScenarioConfig) -> _ScenarioContext:
             cfg.trace.seed + 17 * layer,
         )
         for layer in range(cfg.shape.n_layers)
-    ])
+    ]
+    traces = toymoe.trace_scores(layer_traces)
     prompt = _make_prompt(cfg)
-    _, ar_decisions = toymoe.greedy_decode(
-        model, prompt, cfg.run.n_new_tokens, PrecisionMode.INT8_FULL,
-        score_traces=traces,
-    )
-    ar_steps = [list(enumerate(step)) for step in ar_decisions]
+    # The AR decode of the prompt and the new tokens routes position p on
+    # trace row p modulo the trace length, as greedy_decode would.
+    ar_steps = [
+        [(layer, t[pos % len(t)]) for layer, t in enumerate(layer_traces)]
+        for pos in range(cfg.run.prompt_len + cfg.run.n_new_tokens)
+    ]
     popularity = _popularity_from_steps(ar_steps, cfg.shape)
     ar_trace = _access_trace(ar_steps, "full")
     full_item = hwmodel.expert_bytes_full(cfg.shape)

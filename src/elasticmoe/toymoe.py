@@ -13,8 +13,11 @@ as ExpertWeights.codes.  Dense parts
 ``step`` is one layer-major forward over T tokens, each continuing a given
 decode state or an earlier token of the same call, so a prompt chain, a
 draft level or a whole verify tree is one call and a single token is the
-T = 1 call.  ``prefill`` feeds a token sequence from a fresh state, and
-``trace_row`` picks the routing overrides a position reads.
+T = 1 call.  ``prefill`` feeds a token sequence from a fresh state.  A
+decode state carries its position, the number of tokens fed so far, and
+``step`` alone maps a token's position to the row of a routing trace it
+routes on: one (positions, layers, experts) score array, from
+``trace_scores``, read modulo its length.
 
 Determinism rules: every matrix product works on fixed 32-wide input
 groups: an index-ordered einsum (dense parts) or an exact integer dot
@@ -216,9 +219,11 @@ class MoEModel:
 
 @dataclass(frozen=True)
 class DecodeState:
-    """Per-layer decayed context accumulators, shape (n_layers, d_model)."""
+    """Per-layer decayed context accumulators, shape (n_layers, d_model),
+    and pos, the number of tokens fed so far: the next token's position."""
 
     ctx: np.ndarray
+    pos: int
 
 
 @dataclass(frozen=True)
@@ -505,7 +510,7 @@ def _route_rows(scores: np.ndarray, k: int, mask: Optional[np.ndarray]):
 def init_state(model: MoEModel) -> DecodeState:
     ctx = np.zeros((model.shape.n_layers, model.shape.d_model))
     ctx.flags.writeable = False
-    return DecodeState(ctx=ctx)
+    return DecodeState(ctx=ctx, pos=0)
 
 
 def step(
@@ -514,7 +519,7 @@ def step(
     tokens: Sequence[int],
     mode: PrecisionMode,
     permitted: Optional[Sequence[Optional[AbstractSet[int]]]] = None,
-    score_overrides: Optional[Sequence[Optional[Sequence[Optional[np.ndarray]]]]] = None,
+    score_traces=None,
     draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
 ) -> tuple[StepOutput, ...]:
     """Process T tokens; return, per token, the next state, the logits for
@@ -523,10 +528,12 @@ def step(
 
     A token's source is a DecodeState or the index of an earlier token of
     the same call, whose next state the token continues from, so a single
-    token, a prompt chain or a whole token tree is one call.
-    score_overrides is None or one row per token, a row being None or one
-    entry per layer (None or that layer's scores).  permitted is None or
-    one expert-id set (or None) per layer, shared by every token.
+    token, a prompt chain or a whole token tree is one call.  A token's
+    position is its source's pos (one past its parent's position for a
+    chained token).  score_traces is None, or (positions, n_layers,
+    n_experts) scores: when nonempty, every token routes on row position
+    modulo their length instead of the router's scores.  permitted is None
+    or one expert-id set (or None) per layer, shared by every token.
 
     The forward pass is layer-major over all T rows.  A token depends on
     its parent only through the parent's context at the same layer, so
@@ -538,10 +545,9 @@ def step(
     n_layers, k = shape.n_layers, shape.top_k
     tokens = [int(t) for t in tokens]
     sources = list(sources)
-    overrides = [None] * len(tokens) if score_overrides is None else list(score_overrides)
     n = len(tokens)
-    if len(sources) != n or len(overrides) != n:
-        raise ValueError("need one source and one score-override row per token")
+    if len(sources) != n:
+        raise ValueError("need one source per token")
     for t in tokens:
         if not 0 <= t < shape.vocab:
             raise ValueError(f"token {t} outside vocab {shape.vocab}")
@@ -551,10 +557,23 @@ def step(
         raise ValueError(f"need one permitted set per layer ({n_layers})")
     masks = [None if p is None else _pool_mask(p, shape.n_experts, k) for p in permitted]
     rec = _weight_mode(mode, draft_reconstruct)
+    traces = None
+    if score_traces is not None and len(score_traces):
+        traces = np.asarray(score_traces, dtype=np.float64)
+        if traces.shape[1:] != (n_layers, shape.n_experts):
+            raise ValueError(
+                f"score traces must have shape (positions, {n_layers}, {shape.n_experts})"
+            )
     if n == 0:
         return ()
     starts, waves = _depth_waves(sources)
     start_ctx = np.stack([sources[i].ctx for i in starts]) if starts else None
+    pos = np.empty(n, dtype=np.int64)
+    pos[starts] = [sources[i].pos for i in starts]
+    for rows, parents in waves:
+        pos[rows] = pos[parents] + 1
+    if traces is not None:
+        trace_idx = pos % len(traces)
     x = model.embed[tokens]
     ctx = np.empty((n, n_layers, shape.d_model))
     decisions, originals = [], []
@@ -567,13 +586,10 @@ def step(
         ctx[:, layer] = c
         x = x + _blocked_matmul(model.w_attn[layer], _rmsnorm(c))
         r = _rmsnorm(x)
-        scores = _softmax(_blocked_matmul(model.w_router[layer], r))
-        for t, row in enumerate(overrides):
-            if row is not None and row[layer] is not None:
-                ov = np.asarray(row[layer], dtype=np.float64)
-                if ov.shape != (shape.n_experts,):
-                    raise ValueError(f"score override must have shape ({shape.n_experts},)")
-                scores[t] = ov
+        if traces is None:
+            scores = _softmax(_blocked_matmul(model.w_router[layer], r))
+        else:
+            scores = traces[trace_idx, layer]
         ids, gates, dec, orig = _route_rows(scores, k, masks[layer])
         decisions.append(dec)
         originals.append(orig)
@@ -584,9 +600,10 @@ def step(
         x = x + ffn
     ctx.flags.writeable = False
     logits = _blocked_matmul(model.w_out, _rmsnorm(x))
+    next_pos = (pos + 1).tolist()
     return tuple(
         StepOutput(
-            state=DecodeState(ctx=ctx[t]),
+            state=DecodeState(ctx=ctx[t], pos=next_pos[t]),
             logits=logits[t],
             decisions=tuple(d[t] for d in decisions),
             original_decisions=tuple(o[t] for o in originals),
@@ -600,12 +617,6 @@ def greedy_token(logits: np.ndarray) -> int:
     return int(np.argmax(logits))
 
 
-def trace_row(score_traces, pos: int):
-    """Per-layer score overrides for position pos: the trace row indexed
-    modulo its length, or None when there is no trace (None or empty)."""
-    return score_traces[pos % len(score_traces)] if score_traces else None
-
-
 def prefill(
     model: MoEModel,
     tokens: Sequence[int],
@@ -614,18 +625,13 @@ def prefill(
 ) -> tuple[DecodeState, Optional[np.ndarray], list[tuple[RoutingDecision, ...]]]:
     """Feed tokens from a fresh state at positions 0, 1, ... as one chain
     through one step call; return the last state, its logits (None when
-    tokens is empty), and each position's routing decisions.  Trace rows
-    (see trace_row) replace router scores."""
+    tokens is empty), and each position's routing decisions.  score_traces
+    is as for step."""
     state = init_state(model)
     if len(tokens) == 0:
         return state, None, []
     outs = step(
-        model,
-        [state] + list(range(len(tokens) - 1)),
-        tokens,
-        mode,
-        None,
-        [trace_row(score_traces, pos) for pos in range(len(tokens))],
+        model, [state] + list(range(len(tokens) - 1)), tokens, mode, None, score_traces
     )
     return outs[-1].state, outs[-1].logits, [out.decisions for out in outs]
 
@@ -643,10 +649,10 @@ def greedy_decode(
         raise ValueError("prompt must be nonempty")
     state, logits, decisions_log = prefill(model, prompt, mode, score_traces)
     tokens = []
-    for pos in range(len(prompt), len(prompt) + n_new):
+    for _ in range(n_new):
         nxt = greedy_token(logits)
         tokens.append(nxt)
-        (out,) = step(model, [state], [nxt], mode, None, [trace_row(score_traces, pos)])
+        (out,) = step(model, [state], [nxt], mode, None, score_traces)
         state, logits = out.state, out.logits
         decisions_log.append(out.decisions)
     return tokens, decisions_log
@@ -665,9 +671,9 @@ def gen_routing_trace(
     Expert id doubles as popularity rank: base popularity is proportional
     to 1/(id+1)^zipf_exponent.  Each token draws fresh scores by an
     exponential race over the popularities, then blends them with the
-    previous token's scores by the correlation factor.  The blend runs
-    token by token; the top-k of all tokens is one _select call, equal to
-    routing each token alone.
+    previous token's scores by the correlation factor.  All tokens' fresh
+    scores are one draw; only the blend runs token by token.  The top-k of
+    all tokens is one _select call, equal to routing each token alone.
     """
     if zipf_exponent < 0:
         raise ValueError("zipf_exponent must be >= 0")
@@ -680,12 +686,12 @@ def gen_routing_trace(
     rng = np.random.default_rng(seed)
     pop = 1.0 / np.arange(1, n_experts + 1, dtype=np.float64) ** zipf_exponent
     pop /= pop.sum()
+    fresh = pop * rng.exponential(1.0, size=(n_tokens, n_experts))
+    fresh /= fresh.sum(axis=1, keepdims=True)
     prev = None
     rows = []
-    for _ in range(n_tokens):
-        fresh = pop * rng.exponential(1.0, size=n_experts)
-        fresh /= fresh.sum()
-        s = fresh if prev is None else (1.0 - correlation) * fresh + correlation * prev
+    for f in fresh:
+        s = f if prev is None else (1.0 - correlation) * f + correlation * prev
         s = s / s.sum()
         prev = s
         rows.append(s)
@@ -701,12 +707,13 @@ def gen_routing_trace(
     ]
 
 
-def trace_scores(trace: Sequence[Sequence[RoutingDecision]]) -> list[list[np.ndarray]]:
-    """Reshape per-layer traces [layer][pos] into per-position override rows
-    [pos][layer] for prefill/greedy_decode."""
-    n_layers = len(trace)
+def trace_scores(trace: Sequence[Sequence[RoutingDecision]]) -> np.ndarray:
+    """Per-layer traces [layer][pos] as the score_traces of step: one
+    read-only float64 array (positions, layers, experts), as long as the
+    shortest layer's trace, so [pos][layer] is that decision's scores."""
     n_tokens = min(len(t) for t in trace)
-    return [
-        [trace[layer][pos].scores for layer in range(n_layers)]
-        for pos in range(n_tokens)
-    ]
+    scores = np.array(
+        [[t[pos].scores for t in trace] for pos in range(n_tokens)], dtype=np.float64
+    )
+    scores.flags.writeable = False
+    return scores

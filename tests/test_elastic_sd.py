@@ -348,6 +348,24 @@ class TestSdSession:
         )
         assert list(got) == ar
 
+    def test_root_state_position_counts_emitted_tokens(self):
+        # The root state follows the prompt minus its last token (the first
+        # draft root) and every token emitted so far, traced or not.
+        model = gen_model(SHAPE, seed=23)
+        short = trace_scores([
+            gen_routing_trace(7, SHAPE.n_experts, SHAPE.top_k, 1.0, 0.8, seed=70 + i)
+            for i in range(SHAPE.n_layers)
+        ])
+        cfg = SdConfig(width=2, depth=3, pool_capacity=4)
+        for prompt in ([4], [1, 2, 3, 4]):
+            for traces in (None, short):
+                session = SdSession(model, cfg, prompt=prompt, score_traces=traces)
+                emitted = 0
+                assert session.root_state.pos == len(prompt) - 1
+                for _ in range(6):
+                    emitted += len(session.step().emitted)
+                    assert session.root_state.pos == len(prompt) - 1 + emitted
+
     def test_deterministic_accept_stats(self):
         model = gen_model(SHAPE, seed=19)
         cfg = SdConfig(width=2, depth=3, pool_capacity=4)

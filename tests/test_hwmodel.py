@@ -71,7 +71,7 @@ def test_hwconfig_validation():
         "logic_pim_compute_multiplier",
         "nmp_internal_multiplier",
     ):
-        for bad in (0.0, -1.0, math.nan):
+        for bad in (0.0, -1.0, math.nan, 1e-31):
             with pytest.raises(ValueError, match=name):
                 HwConfig(**{name: bad})
     for name in (

@@ -1,6 +1,10 @@
+import copy
+import dataclasses
 import json
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,6 +65,9 @@ def test_config_rejects_unknown_keys():
         scenario_from_dict({"scenario_id": "m", "sd": {"widthh": 2}})
     with pytest.raises(ConfigError, match="unknown key"):
         scenario_from_dict({"scenario_id": "m", "hw": {"hb_banks_count": 4}})
+    # Nothing prices an external-memory capacity, so there is no such key.
+    with pytest.raises(ConfigError, match="hw: unknown key 'ext_capacity_gib'"):
+        scenario_from_dict({"scenario_id": "m", "hw": {"ext_capacity_gib": 64}})
 
 
 def test_config_rejects_small_pool():
@@ -185,6 +192,72 @@ def test_config_round_trip_property(data):
     cfg = scenario_from_dict(data)
     assert scenario_from_dict(runner.scenario_to_dict(cfg)) == cfg
     assert parse_config_text(dump_config([cfg])) == [cfg]
+
+
+# Key names the config knows, so random documents get past the key checks
+# into the value checks.
+_CONFIG_KEYS = sorted(
+    {"scenarios", *runner._SCENARIO_KEYS, *runner._MODEL_DEFAULTS, *runner._HW_KEY_MAP,
+     *runner.ANALYTIC_SCHEMES}
+    | {f.name for cls in (runner.TraceParams, runner.SdSchemeParams, runner.RunParams,
+                          runner.AnalyticParams) for f in dataclasses.fields(cls)}
+)
+_JSON_SCALARS = (
+    st.sampled_from([
+        float("nan"), float("inf"), float("-inf"), 2**63, -(2**63), 2**64, 10**400,
+        True, False, None, 0, -1, 1e308, 5e-324, "", "ours", "lsb_augment",
+    ])
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_CONFIG_KEYS) | st.text(max_size=4), kids, max_size=4),
+    max_leaves=8,
+)
+
+
+def _json_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+_BUNDLED = runner.scenario_to_dict(load_config(example_config_path())[0])
+
+
+def _parse_or_config_error(doc):
+    try:
+        parse_config_text(json.dumps(doc))
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=_JSON)
+def test_random_json_raises_only_config_error(doc):
+    _parse_or_config_error(doc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_bundled_scenario_with_random_values_raises_only_config_error(data):
+    # The bundled scenario's explicit form with one or two values, at any
+    # depth, overwritten by random JSON (NaN, infinities, 2**63, bools,
+    # nested lists and dicts among them).
+    doc = copy.deepcopy(_BUNDLED)
+    for _ in range(data.draw(st.integers(1, 2), label="overwrites")):
+        path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(_JSON, label="value")
+    _parse_or_config_error(doc)
 
 
 def test_hw_unit_conversion():
@@ -356,9 +429,10 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
 
     def counted(module, name):
         original = getattr(module, name)
+        calls[name] = 0
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -371,10 +445,68 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     run_scenario(cfg)
     # 3 batch sizes x (AR, elastic_sd verify, random_pool_sd verify), and
     # one access trace per decision stream: AR and the two sessions' verify.
+    # The AR routing is read off the traces, so no AR tokens are decoded.
     assert calls == {
-        "gen_model": 1, "greedy_decode": 1, "expected_unique_experts": 9,
+        "gen_model": 1, "greedy_decode": 0, "expected_unique_experts": 9,
         "decisions_to_trace": 3,
     }
+
+
+def assert_ar_routing_is_greedy_decode_routing(cfg):
+    """_build_context's AR decision stream (the one it prices) is, position
+    by position, the routing greedy_decode applies to the scenario's
+    prompt and new tokens under the scenario's traces."""
+    with mock.patch.object(runner, "_access_trace", wraps=runner._access_trace) as spy:
+        ctx = runner._build_context(cfg)
+    ((steps, kind),) = [c.args for c in spy.call_args_list]
+    assert kind == "full"
+    _, decisions = toymoe.greedy_decode(
+        ctx.model, ctx.prompt, cfg.run.n_new_tokens, toymoe.PrecisionMode.INT8_FULL,
+        score_traces=ctx.traces,
+    )
+    assert len(steps) == len(decisions) == cfg.run.prompt_len + cfg.run.n_new_tokens
+    for step, decs in zip(steps, decisions):
+        assert [layer for layer, _ in step] == list(range(cfg.shape.n_layers))
+        for (_, got), want in zip(step, decs):
+            assert (got.selected, got.gates) == (want.selected, want.gates)
+            assert np.array_equal(got.scores, want.scores)
+
+
+# These tests price nothing they check; the AR step's comm-overlap
+# warnings are beside the point here.
+_NO_COMM_WARNINGS = pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
+
+
+@_NO_COMM_WARNINGS
+def test_ar_routing_of_bundled_scenario_is_greedy_decode_routing():
+    for cfg in load_config(example_config_path()):
+        assert_ar_routing_is_greedy_decode_routing(cfg)
+
+
+@_NO_COMM_WARNINGS
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_ar_routing_is_greedy_decode_routing(data):
+    # Traces shorter and longer than the run, so rows wrap or not.
+    n_experts = data.draw(st.integers(1, 8), label="n_experts")
+    top_k = data.draw(st.integers(1, n_experts), label="top_k")
+    assert_ar_routing_is_greedy_decode_routing(scenario_from_dict({
+        "scenario_id": "ar",
+        "model": {"d_model": 32, "d_ff": 32, "n_experts": n_experts, "top_k": top_k,
+                  "n_layers": data.draw(st.integers(1, 3)), "vocab": 16},
+        "schemes": ["ar_only"],
+        "batch_sizes": [1],
+        "trace": {
+            "n_tokens": data.draw(st.integers(1, 40), label="trace tokens"),
+            "correlation": data.draw(st.floats(0.0, 1.0)),
+            "seed": data.draw(st.integers(0, 2**31)),
+        },
+        "sd": {"pool_capacity": top_k},
+        "run": {
+            "prompt_len": data.draw(st.integers(1, 8), label="prompt_len"),
+            "n_new_tokens": data.draw(st.integers(1, 30), label="n_new_tokens"),
+        },
+    }))
 
 
 def test_ablation_suite_names():
@@ -480,6 +612,11 @@ def test_cli_rejects_non_integer_model_fields(tmp_path, capsys, command, model):
         {"ext_bw_gbps": float("inf")},
         {"ext_bw_gbps": 10**400},
         {"ext_bw_gbps": 1e300},
+        # Rates so slow that a latency leaves float range, or that a
+        # product of rates underflows to 0.
+        {"ext_bw_gbps": 5e-324},
+        {"clock_ghz": 1e-300},
+        {"ext_bw_gbps": 3.466397954619193e-280, "nmp_internal_multiplier": 3.466397954619193e-280},
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -406,19 +406,27 @@ class TestStep:
             assert (dec is orig) == (set(orig.selected) <= pool)
 
     def test_score_override_controls_routing(self):
+        # A traced token routes on the trace row at its position modulo the
+        # trace length: row 1 for positions 1 and 3 of a two-row trace.
+        traces = np.zeros((2, SHAPE.n_layers, SHAPE.n_experts))
+        traces[0, :, [0, 1]] = 0.5
+        traces[1, :, 3] = 0.7
+        traces[1, :, 5] = 0.3
         st = init_state(self.model)
-        ov = np.zeros(SHAPE.n_experts)
-        ov[3] = 0.7
-        ov[5] = 0.3
-        (out,) = step(
-            self.model,
-            [st],
-            [2],
-            PrecisionMode.INT8_FULL,
-            score_overrides=[[ov, ov]],
+        outs = step(
+            self.model, [st, 0, 1, 2], [2, 4, 6, 8], PrecisionMode.INT8_FULL,
+            score_traces=traces,
         )
-        for dec in out.decisions:
-            assert dec.selected == (3, 5)
+        assert [out.state.pos for out in outs] == [1, 2, 3, 4]
+        for out, row in zip(outs, [0, 1, 0, 1]):
+            for layer, dec in enumerate(out.decisions):
+                assert dec.selected == ((0, 1), (3, 5))[row]
+                assert np.array_equal(dec.scores, traces[row, layer])
+        (out,) = step(
+            self.model, [outs[2].state], [1], PrecisionMode.INT8_FULL,
+            score_traces=traces,
+        )
+        assert [dec.selected for dec in out.decisions] == [(3, 5)] * SHAPE.n_layers
 
     def test_token_range(self):
         st = init_state(self.model)
@@ -435,10 +443,18 @@ class TestStep:
         assert step(self.model, [], [], PrecisionMode.INT8_FULL) == ()
 
     def test_score_override_needs_one_score_per_expert(self):
+        # A trace needs one row of n_experts scores per layer; an empty
+        # trace is no trace.
         st = init_state(self.model)
-        short = np.full(SHAPE.n_experts - 1, 0.5)
-        with pytest.raises(ValueError, match="score override"):
-            step(self.model, [st], [2], PrecisionMode.INT8_FULL, score_overrides=[[short, None]])
+        n, e = SHAPE.n_layers, SHAPE.n_experts
+        for shape in ((3, n, e - 1), (3, n + 1, e), (3, e), (3, n, e, 1)):
+            with pytest.raises(ValueError, match="score traces must have shape"):
+                step(self.model, [st], [2], PrecisionMode.INT8_FULL,
+                     score_traces=np.full(shape, 0.5))
+        (free,) = step(self.model, [st], [2], PrecisionMode.INT8_FULL)
+        for empty in ([], np.empty((0, n, e))):
+            (out,) = step(self.model, [st], [2], PrecisionMode.INT8_FULL, score_traces=empty)
+            assert np.array_equal(out.logits, free.logits)
 
     def test_prefill_is_one_chained_call(self, monkeypatch):
         calls = []
@@ -600,7 +616,9 @@ def same_bits(a, b):
 def test_batched_step_equals_one_at_a_time(data):
     # One step call over a random forest of tokens (each continuing a given
     # state or an earlier token of the call) equals stepping every token
-    # alone from its parent's state, bit for bit, in every field.
+    # alone from its parent's state, bit for bit, in every field, with no
+    # trace, an empty one, or one of 1-8 rows read from roots at several
+    # positions.
     n_experts = data.draw(st.integers(1, 6), label="n_experts")
     shape = MoEShape(
         d_model=data.draw(st.sampled_from([32, 64, 96]), label="d_model"),
@@ -617,7 +635,7 @@ def test_batched_step_equals_one_at_a_time(data):
     roots = [init_state(model)] + [
         prefill(model, prompt, PrecisionMode.INT8_FULL)[0]
         for prompt in data.draw(
-            st.lists(st.lists(token_st, min_size=1, max_size=2), max_size=2),
+            st.lists(st.lists(token_st, min_size=1, max_size=9), max_size=3),
             label="root prompts",
         )
     ]
@@ -637,32 +655,31 @@ def test_batched_step_equals_one_at_a_time(data):
         label="permitted",
     )
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="score seed"))
-
-    def override_row():
-        return [
-            rng.dirichlet(np.ones(n_experts)) if data.draw(st.booleans()) else None
-            for _ in range(shape.n_layers)
-        ]
-
-    overrides = None
-    if data.draw(st.booleans(), label="overrides"):
-        overrides = [
-            override_row() if data.draw(st.booleans()) else None for _ in range(n)
-        ]
-    outs = step(model, sources, tokens, mode, permitted, overrides, rec)
+    n_rows = data.draw(st.none() | st.integers(0, 8), label="trace rows")
+    traces = None
+    if n_rows is not None:
+        traces = rng.dirichlet(np.ones(n_experts), size=(n_rows, shape.n_layers))
+    outs = step(model, sources, tokens, mode, permitted, traces, rec)
     assert len(outs) == n
-    assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, overrides, rec)
+    assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, traces, rec)
 
 
-def assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, overrides, rec):
+def assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, traces, rec):
     """The outputs of one batched step call equal stepping every token
-    alone from its parent's state, bit for bit, in every field."""
-    ref = []
-    for i, (src, tok) in enumerate(zip(sources, tokens)):
-        state = ref[src].state if isinstance(src, int) else src
-        row = None if overrides is None else overrides[i]
-        ref.extend(step(model, [state], [tok], mode, permitted, [row], rec))
-    for got, want in zip(outs, ref):
+    alone from its parent's state, bit for bit, in every field.  A token's
+    position is its source state's, or one past its parent token's, and it
+    routes on the trace row at that position modulo the trace length."""
+    ref, positions = [], []
+    for src, tok in zip(sources, tokens):
+        if isinstance(src, int):
+            state, pos = ref[src].state, positions[src] + 1
+        else:
+            state, pos = src, src.pos
+        row = None if traces is None or not len(traces) else traces[[pos % len(traces)]]
+        ref.extend(step(model, [state], [tok], mode, permitted, row, rec))
+        positions.append(pos)
+    for got, want, pos in zip(outs, ref, positions):
+        assert got.state.pos == want.state.pos == pos + 1
         assert same_bits(got.logits, want.logits)
         assert same_bits(got.state.ctx, want.state.ctx)
         pairs = zip(
@@ -681,8 +698,9 @@ def assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, o
 def test_calls_at_size_bounds_equal_one_at_a_time(mode):
     # The largest calls the run config allows: a verify tree of
     # 1 + MAX_SD_WIDTH * MAX_SD_DEPTH tokens (each level's nodes continuing
-    # random nodes of the level above) and a MAX_PROMPT_LEN prefill chain.
-    # Every row of these wide calls keeps the bits of a one-token call.
+    # random nodes of the level above) and a MAX_PROMPT_LEN prefill chain,
+    # the chain traced by 100 rows, so its positions wrap.  Every row of
+    # these wide calls keeps the bits of a one-token call.
     w, d = runner.MAX_SD_WIDTH, runner.MAX_SD_DEPTH
     model = gen_model(MoEShape(96, 256, 8, 2, 2, 64), seed=5)
     rng = np.random.default_rng(6)
@@ -695,14 +713,11 @@ def test_calls_at_size_bounds_equal_one_at_a_time(mode):
     chain = [init_state(model)] + list(range(runner.MAX_PROMPT_LEN - 1))
     pool = [{0, 2, 4, 6}, set(range(8))]
     rec = ReconstructMode.LSB_AUGMENT
-    for sources, permitted in ((tree, pool), (chain, None)):
+    traces = rng.dirichlet(np.ones(8), size=(100, 2))
+    for sources, permitted, call_traces in ((tree, pool, None), (chain, None, traces)):
         tokens = rng.integers(0, 64, size=len(sources)).tolist()
-        overrides = [
-            [rng.dirichlet(np.ones(8)), None] if i % 3 == 0 else None
-            for i in range(len(sources))
-        ]
-        outs = step(model, sources, tokens, mode, permitted, overrides, rec)
+        outs = step(model, sources, tokens, mode, permitted, call_traces, rec)
         assert len(outs) in (1 + w * d, runner.MAX_PROMPT_LEN)
         assert_equals_one_at_a_time(
-            outs, model, sources, tokens, mode, permitted, overrides, rec
+            outs, model, sources, tokens, mode, permitted, call_traces, rec
         )
