@@ -121,6 +121,16 @@ class HwConfig:
             raise ValueError("derates must be in [0, 1)")
         if not 0 < self.nmp_channels < self.total_channels:
             raise ValueError("nmp_channels must leave the host at least one channel")
+        if not min(self.nmp_share, 1 - self.nmp_share) >= MIN_POSITIVE:
+            raise ValueError(
+                f"nmp_channels / total_channels and the host's share must each be "
+                f"at least {MIN_POSITIVE:g}"
+            )
+
+    @property
+    def nmp_share(self) -> float:
+        """Share of the external channels the NMP tier reserves."""
+        return self.nmp_channels / self.total_channels
 
     @property
     def peak_compute_macs(self) -> float:
@@ -170,7 +180,7 @@ def internal_tier(arch: Arch, cfg: HwConfig) -> Optional[InternalTier]:
             host_ext_bw=cfg.ext_bw,
         )
     if arch is Arch.XPU_NMP:
-        share = cfg.nmp_channels / cfg.total_channels
+        share = cfg.nmp_share
         return InternalTier(
             internal_bw=share * cfg.ext_bw * cfg.nmp_internal_multiplier,
             internal_compute=cfg.nmp_compute_macs,

@@ -53,17 +53,24 @@ FUNCTIONAL_SCHEMES = ("ar_only", "elastic_sd", "random_pool_sd")
 ANALYTIC_SCHEMES = ("eagle_sd", "slm_sd", "quant_sd")
 ALL_SCHEMES = FUNCTIONAL_SCHEMES + ANALYTIC_SCHEMES
 
-# Upper bounds on the fields that size one batched toymoe.step call: a
-# verify call steps 1 + width * depth tokens, a draft call width tokens and
-# a prefill prompt_len tokens.  At all three bounds a scenario still runs
-# in seconds.
+# Upper bounds on the fields that size a scenario's work, so that a
+# scenario at all of them still runs in seconds.  A verify call steps
+# 1 + width * depth tokens, a draft call width tokens and a prefill
+# prompt_len tokens; a session runs at most n_new_tokens steps; the trace
+# generator blends its n_tokens rows one by one; and each verify
+# unique-expert estimate draws batch * verify tokens routings (up to
+# 64 * 65) per Monte Carlo sample.
 MAX_SD_WIDTH = 8
 MAX_SD_DEPTH = 8
 MAX_PROMPT_LEN = 256
+MAX_NEW_TOKENS = 256
+MAX_TRACE_TOKENS = 4096
+MAX_BATCH = 64
 
 @dataclass(frozen=True)
 class TraceParams:
-    """Synthetic routing-trace generator knobs."""
+    """Synthetic routing-trace generator knobs; n_tokens is in
+    [1, MAX_TRACE_TOKENS]."""
 
     n_tokens: int = 160
     zipf_exponent: float = 1.0
@@ -71,8 +78,8 @@ class TraceParams:
     seed: int = 7
 
     def __post_init__(self):
-        if self.n_tokens < 1:
-            raise ConfigError("trace.n_tokens must be >= 1")
+        if not 1 <= self.n_tokens <= MAX_TRACE_TOKENS:
+            raise ConfigError(f"trace.n_tokens must be in [1, {MAX_TRACE_TOKENS}]")
         if self.zipf_exponent < 0:
             raise ConfigError("trace.zipf_exponent must be >= 0")
         if not 0 <= self.correlation <= 1:
@@ -110,7 +117,7 @@ class SdSchemeParams:
 @dataclass(frozen=True)
 class RunParams:
     """Decode-run shape shared by every scheme in the scenario; prompt_len
-    is in [1, MAX_PROMPT_LEN]."""
+    is in [1, MAX_PROMPT_LEN] and n_new_tokens in [1, MAX_NEW_TOKENS]."""
 
     prompt_len: int = 4
     n_new_tokens: int = 24
@@ -121,8 +128,8 @@ class RunParams:
     def __post_init__(self):
         if not 1 <= self.prompt_len <= MAX_PROMPT_LEN:
             raise ConfigError(f"run.prompt_len must be in [1, {MAX_PROMPT_LEN}]")
-        if self.n_new_tokens < 1:
-            raise ConfigError("run.n_new_tokens must be >= 1")
+        if not 1 <= self.n_new_tokens <= MAX_NEW_TOKENS:
+            raise ConfigError(f"run.n_new_tokens must be in [1, {MAX_NEW_TOKENS}]")
         if self.seq_len < 0 or self.kv_coeff < 0:
             raise ConfigError("run.seq_len and run.kv_coeff must be >= 0")
 
@@ -189,8 +196,10 @@ class ScenarioConfig:
                 raise ConfigError(f"schemes: unknown scheme {s!r}")
         if not self.schemes:
             raise ConfigError("schemes must be nonempty")
-        if not self.batch_sizes or any(b < 1 for b in self.batch_sizes):
-            raise ConfigError("batch_sizes must be a nonempty list of ints >= 1")
+        if not self.batch_sizes or any(not 1 <= b <= MAX_BATCH for b in self.batch_sizes):
+            raise ConfigError(
+                f"batch_sizes must be a nonempty list of ints in [1, {MAX_BATCH}]"
+            )
         if self.sd.pool_capacity < self.shape.top_k:
             raise ConfigError(
                 "sd.pool_capacity must be >= model.top_k "

@@ -1,14 +1,14 @@
-"""A tiny deterministic MoE language model with switchable weight precision.
+"""A tiny deterministic MoE language model on bit-nested INT8 expert codes.
 
 The model is small enough to run exhaustive decoding experiments in tests:
 random fixed weights, a decayed-context stand-in for attention (each layer
 keeps CONTEXT_DECAY times its previous context plus the new input), top-k
 routed SiLU-gated experts, and greedy sampling everywhere.  Expert weights
-live as group-quantized INT8 codes; the precision mode picks real reference
-weights or one code set through QuantizedMatrix.surrogate: the stored 8-bit
-codes (FULL) or the 4-bit MSB surrogate used for drafting, kept per expert
-as ExpertWeights.codes.  Dense parts
-(embedding, context map, router, output head) stay real in all modes.
+exist only as group-quantized INT8 codes; the precision mode picks the code
+set QuantizedMatrix.surrogate gives: the stored 8-bit codes (INT8_FULL) or
+the 4-bit MSB surrogate used for drafting (MSB4_DRAFT), kept per expert as
+ExpertWeights.codes.  Dense parts (embedding, context map, router, output
+head) stay real in both modes.
 
 ``step`` is one layer-major forward over T tokens, each continuing a given
 decode state or an earlier token of the same call, so a prompt chain, a
@@ -51,7 +51,6 @@ CONTEXT_DECAY = 0.5
 
 
 class PrecisionMode(enum.Enum):
-    REAL_REF = "real_ref"
     INT8_FULL = "int8_full"
     MSB4_DRAFT = "msb4_draft"
 
@@ -170,14 +169,11 @@ def _group_major(codes: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True)
 class ExpertWeights:
-    """One expert's projections, quantized plus the real reference copies."""
+    """One expert's up, gate and down projections as quantized codes."""
 
     up: QuantizedMatrix
     gate: QuantizedMatrix
     down: QuantizedMatrix
-    up_ref: np.ndarray
-    gate_ref: np.ndarray
-    down_ref: np.ndarray
     _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def codes(self, mode: ReconstructMode) -> ExpertCodes:
@@ -355,19 +351,10 @@ def gen_model(shape: MoEShape, seed: int) -> MoEModel:
         w_router[layer] = rng.normal(0.0, 2.0 / np.sqrt(d), size=(shape.n_experts, d))
         experts = []
         for _ in range(shape.n_experts):
-            up = rng.normal(0.0, 1.0 / np.sqrt(d), size=(f, d))
-            gate = rng.normal(0.0, 1.0 / np.sqrt(d), size=(f, d))
-            down = rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f))
-            experts.append(
-                ExpertWeights(
-                    up=quantize_matrix(up),
-                    gate=quantize_matrix(gate),
-                    down=quantize_matrix(down),
-                    up_ref=up,
-                    gate_ref=gate,
-                    down_ref=down,
-                )
-            )
+            up = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(f, d)))
+            gate = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(f, d)))
+            down = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f)))
+            experts.append(ExpertWeights(up=up, gate=gate, down=down))
         layers.append(tuple(experts))
     return MoEModel(
         shape=shape,
@@ -379,12 +366,8 @@ def gen_model(shape: MoEShape, seed: int) -> MoEModel:
     )
 
 
-def _weight_mode(
-    mode: PrecisionMode, draft_reconstruct: ReconstructMode
-) -> Optional[ReconstructMode]:
-    # The code set a precision mode reads; None for the real weights.
-    if mode is PrecisionMode.REAL_REF:
-        return None
+def _weight_mode(mode: PrecisionMode, draft_reconstruct: ReconstructMode) -> ReconstructMode:
+    # The code set a precision mode reads.
     if mode is PrecisionMode.INT8_FULL:
         return ReconstructMode.FULL
     if mode is PrecisionMode.MSB4_DRAFT:
@@ -396,14 +379,14 @@ def _experts(
     x: np.ndarray,
     ids: np.ndarray,
     experts: Sequence[ExpertWeights],
-    rec: Optional[ReconstructMode],
+    rec: ReconstructMode,
 ) -> np.ndarray:
     """The expert kernel: out[t, slot] = expert experts[ids[t, slot]] on row
-    x[t], for rows x (T, d_model) and expert ids (T, k); rec is the code
-    set (None for the real weights).  The (token, slot) pairs are sorted by
-    expert, so each expert runs one fused up-and-gate product and one down
-    product over a contiguous block of rows; activations are quantized per
-    row, once per stage."""
+    x[t], for rows x (T, d_model) and expert ids (T, k), on the code set
+    ExpertWeights.codes(rec).  The (token, slot) pairs are sorted by expert,
+    so each expert runs one fused up-and-gate product and one down product
+    over a contiguous block of rows; activations are quantized per row, once
+    per stage."""
     n, k = ids.shape
     flat = ids.ravel()
     order = flat.argsort(kind="stable")
@@ -414,28 +397,20 @@ def _experts(
         (sorted_ids[lo], lo, hi)
         for lo, hi in zip([0] + bounds, bounds + [len(order)])
     ]
+    acts, act_scales = quantize_rows(x)
+    acts, act_scales = acts.astype(np.float32)[rows], act_scales[rows]
+    f = experts[0].up.out_dim
+    h = np.empty((len(order), f))
+    for e, lo, hi in blocks:
+        w = experts[e].codes(rec)
+        ug = _quant_matmul(w.up_gate, w.up_gate_scales, acts[lo:hi], act_scales[lo:hi])
+        h[lo:hi] = _silu(ug[:, f:]) * ug[:, :f]
+    hq, h_scales = quantize_rows(h)
+    hq = hq.astype(np.float32)
     out = np.empty((len(order), x.shape[1]))
-    if rec is None:
-        xs = x[rows]
-        for e, lo, hi in blocks:
-            w = experts[e]
-            u = _blocked_matmul(w.up_ref, xs[lo:hi])
-            g = _blocked_matmul(w.gate_ref, xs[lo:hi])
-            out[lo:hi] = _blocked_matmul(w.down_ref, _silu(g) * u)
-    else:
-        acts, act_scales = quantize_rows(x)
-        acts, act_scales = acts.astype(np.float32)[rows], act_scales[rows]
-        f = experts[0].up.out_dim
-        h = np.empty((len(order), f))
-        for e, lo, hi in blocks:
-            w = experts[e].codes(rec)
-            ug = _quant_matmul(w.up_gate, w.up_gate_scales, acts[lo:hi], act_scales[lo:hi])
-            h[lo:hi] = _silu(ug[:, f:]) * ug[:, :f]
-        hq, h_scales = quantize_rows(h)
-        hq = hq.astype(np.float32)
-        for e, lo, hi in blocks:
-            w = experts[e].codes(rec)
-            out[lo:hi] = _quant_matmul(w.down, w.down_scales, hq[lo:hi], h_scales[lo:hi])
+    for e, lo, hi in blocks:
+        w = experts[e].codes(rec)
+        out[lo:hi] = _quant_matmul(w.down, w.down_scales, hq[lo:hi], h_scales[lo:hi])
     unsorted = np.empty_like(out)
     unsorted[order] = out
     return unsorted.reshape(n, k, -1)
@@ -449,8 +424,8 @@ def expert_forward(
 ) -> np.ndarray:
     """down(SiLU(gate @ x) * (up @ x)) at the requested weight precision.
 
-    Quantized modes run integer group dots on per-tensor INT8 activations
-    with dequantization fused at the group accumulator, on the codes
+    Both modes run integer group dots on per-tensor INT8 activations with
+    dequantization fused at the group accumulator, on the codes
     ExpertWeights.codes gives: FULL at INT8_FULL, draft_reconstruct at
     MSB4_DRAFT.  This is the one-row, one-expert case of the kernel step
     runs.

@@ -1,5 +1,7 @@
-"""Every narrative demo runs to completion, its own asserts included."""
+"""Every narrative demo and every python block of README.md runs to
+completion, its own asserts included."""
 
+import re
 import runpy
 import warnings
 from pathlib import Path
@@ -8,7 +10,8 @@ import pytest
 
 from elasticmoe.hwmodel import CommOverlapWarning
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -18,3 +21,13 @@ def test_demo_runs(path, capsys):
         warnings.simplefilter("ignore", CommOverlapWarning)
         runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_code_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CommOverlapWarning)
+            exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
+        assert capsys.readouterr().out

@@ -1,11 +1,13 @@
 import csv
 import io
+import itertools
 import warnings
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad_vec
 
 from elasticmoe.expert_cache import (
     ID_LIMIT,
@@ -90,6 +92,55 @@ def _unique_experts_reference(batch, top_k, n_experts, popularity, mc_samples, s
             seen.update(top.tolist())
         total += len(seen)
     return total / mc_samples
+
+
+def _none_selected(top_k, popularity, groups):
+    """Per row of a boolean (rows, n) member mask, the chance that one
+    token's top_k selection (the largest popularity * Exp(1) scores, as
+    expected_unique_experts draws them) holds none of the members: that at
+    least top_k other experts score above the members' best score M.  It
+    is the integral over M's density of a Poisson-binomial tail, expert c
+    scoring above t with chance exp(-t / p_c)."""
+    p = np.asarray(popularity, dtype=np.float64)
+    p = p / p.sum()
+    n = len(p)
+    not_self = ~np.eye(n, dtype=bool)
+
+    def integrand(t):
+        above = np.exp(-t / p)
+        cdf = np.where(groups, 1.0 - above, 1.0)
+        density = np.where(groups, above / p, 0.0)
+        # M's density: one member's density times the others' CDFs.
+        others_cdf = np.where(not_self, cdf[:, None, :], 1.0).prod(axis=2)
+        m_density = (density * others_cdf).sum(axis=1)
+        # P(count of non-members above t <= c) for c < top_k, expert by expert.
+        dist = np.zeros((len(groups), top_k))
+        dist[:, 0] = 1.0
+        for c in range(n):
+            q = np.where(groups[:, c], 0.0, above[c])[:, None]
+            dist[:, 1:] = dist[:, 1:] * (1.0 - q) + dist[:, :-1] * q
+            dist[:, 0] *= 1.0 - q[:, 0]
+        return m_density * (1.0 - dist.sum(axis=1))
+
+    return quad_vec(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11)[0]
+
+
+def _exact_unique_experts(batch, top_k, popularity):
+    """Exact mean and variance of the distinct experts a batch of
+    independent tokens selects, and each expert's selection chance pi_i.
+    With m_i the chance that a token misses expert i and m_ij that it
+    misses both i and j (m_ii = m_i): mean n - sum_i m_i^B and variance
+    sum_ij m_ij^B - (sum_i m_i^B)^2."""
+    n = len(popularity)
+    eye = np.eye(n, dtype=bool)
+    pairs = [eye[i] | eye[j] for i, j in itertools.combinations(range(n), 2)]
+    miss = _none_selected(top_k, popularity, np.array(list(eye) + pairs))
+    miss_b = miss ** batch
+    joint = np.diag(miss_b[:n])
+    upper = np.triu_indices(n, 1)
+    joint[upper] = joint[upper[::-1]] = miss_b[n:]
+    var = joint.sum() - miss_b[:n].sum() ** 2
+    return n - miss_b[:n].sum(), var, 1.0 - miss[:n]
 
 
 class TestSimulateLru:
@@ -352,6 +403,25 @@ class TestExpectedUnique:
             batch, top_k, n, popularity=pop, mc_samples=mc, seed=seed
         )
         assert got == _unique_experts_reference(batch, top_k, n, pop, mc, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_mc_within_five_standard_errors_of_exact(self, data):
+        n = data.draw(st.integers(1, 12), label="n_experts")
+        top_k = data.draw(st.integers(1, n), label="top_k")
+        batch = data.draw(st.integers(1, 40), label="batch")
+        pop = data.draw(
+            st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n), label="popularity"
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        mean, var, pi = _exact_unique_experts(batch, top_k, pop)
+        # A token selects exactly top_k experts, which checks the integral.
+        assert pi.sum() == pytest.approx(top_k, abs=1e-9)
+        mc = 4000
+        got = expected_unique_experts(
+            batch, top_k, n, popularity=pop, mc_samples=mc, seed=seed
+        )
+        assert abs(got - mean) <= 5.0 * np.sqrt(max(var, 0.0) / mc) + 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):

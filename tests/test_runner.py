@@ -617,12 +617,24 @@ def test_cli_rejects_non_integer_model_fields(tmp_path, capsys, command, model):
         {"ext_bw_gbps": 5e-324},
         {"clock_ghz": 1e-300},
         {"ext_bw_gbps": 3.466397954619193e-280, "nmp_internal_multiplier": 3.466397954619193e-280},
+        # An NMP share whose tier bandwidth underflows to 0, and a host
+        # share that rounds to 0.
+        {
+            "total_channels": 10**300,
+            "nmp_channels": 1,
+            "ext_bw_gbps": 1e-12,
+            "nmp_internal_multiplier": 1e-30,
+        },
+        {"total_channels": 10**20, "nmp_channels": 10**20 - 1},
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_rejects_unpriceable_hw_numbers(tmp_path, capsys, command, hw):
     data = json.loads(json.dumps(FAST))
     data["hw"].update(hw)
+    if "nmp_channels" in hw:
+        # Only the NMP arch prices the channel split.
+        data.update(arch="xpu_nmp", schemes=["ar_only"])
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
     assert cli_main([command, str(cfg_path)]) == 1
@@ -638,27 +650,38 @@ def test_cli_rejects_unpriceable_hw_numbers(tmp_path, capsys, command, hw):
         ("sd", {"depth": runner.MAX_SD_DEPTH + 1}),
         ("sd", {"width": 10**9}),
         ("run", {"prompt_len": runner.MAX_PROMPT_LEN + 1}),
+        ("run", {"n_new_tokens": runner.MAX_NEW_TOKENS + 1}),
+        ("trace", {"n_tokens": runner.MAX_TRACE_TOKENS + 1}),
+        # A top-level field; its message starts with its own key.
+        (None, {"batch_sizes": [1, runner.MAX_BATCH + 1]}),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_rejects_sizes_above_bounds(tmp_path, capsys, command, section, fields):
     data = json.loads(json.dumps(FAST))
-    data[section].update(fields)
+    (data if section is None else data[section]).update(fields)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
     assert cli_main([command, str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {section}.")
+    prefix = f"{section}." if section else next(iter(fields))
+    assert err.startswith(f"config error: {prefix}")
     assert len(err.splitlines()) == 1
 
 
 def test_scenario_at_size_bounds_runs_in_seconds():
-    # The largest accepted draft tree and prompt: a 1 + 8 * 8 token verify
-    # call and a 256-token prefill.  About 0.6 s on a 2-vCPU x86_64 VM.
+    # One scenario at every size bound: a 1 + 8 * 8 token verify call, a
+    # 256-token prefill, 256 new tokens, a 4,096-token trace and a batch of
+    # 64, whose verify unique-expert estimate dominates.  The default HB
+    # capacity holds that batch's KV.  3.6-4.4 s on a 2-vCPU x86_64 VM.
     data = json.loads(json.dumps(FAST))
-    data["batch_sizes"] = [1]
+    data["hw"] = {}
+    data["batch_sizes"] = [runner.MAX_BATCH]
     data["sd"].update(width=runner.MAX_SD_WIDTH, depth=runner.MAX_SD_DEPTH)
-    data["run"]["prompt_len"] = runner.MAX_PROMPT_LEN
+    data["run"].update(
+        prompt_len=runner.MAX_PROMPT_LEN, n_new_tokens=runner.MAX_NEW_TOKENS
+    )
+    data["trace"]["n_tokens"] = runner.MAX_TRACE_TOKENS
     start = time.perf_counter()
     rows = run_scenario(scenario_from_dict(data))
     assert time.perf_counter() - start < 10.0

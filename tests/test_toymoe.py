@@ -230,7 +230,8 @@ class TestGenModel:
         e1 = m1.experts[1][3]
         e2 = m2.experts[1][3]
         assert np.array_equal(e1.up.codes, e2.up.codes)
-        assert np.array_equal(e1.down_ref, e2.down_ref)
+        assert np.array_equal(e1.down.codes, e2.down.codes)
+        assert np.array_equal(e1.down.scales, e2.down.scales)
 
     def test_seeds_differ(self):
         m1 = gen_model(SHAPE, seed=1)
@@ -275,9 +276,6 @@ class TestExpertForward:
             down=QuantizedMatrix(
                 self.e.down.surrogate(ReconstructMode.LSB_AUGMENT), self.e.down.scales
             ),
-            up_ref=self.e.up_ref,
-            gate_ref=self.e.gate_ref,
-            down_ref=self.e.down_ref,
         )
         for _ in range(5):
             x = rng.normal(size=SHAPE.d_model)
@@ -298,19 +296,30 @@ class TestExpertForward:
         assert np.array_equal(qm.dequant(), w)
 
     def test_real_vs_int8_difference_is_small(self):
+        # Real weights drawn at gen_model's scales; the reference is real
+        # arithmetic on them, the kernel runs on their quantized codes.
         rng = np.random.default_rng(16)
+        d, f = SHAPE.d_model, SHAPE.d_ff
+        up = rng.normal(0.0, 1.0 / np.sqrt(d), size=(f, d))
+        gate = rng.normal(0.0, 1.0 / np.sqrt(d), size=(f, d))
+        down = rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f))
+        e = ExpertWeights(
+            up=quantize_matrix(up), gate=quantize_matrix(gate), down=quantize_matrix(down)
+        )
         diffs = []
         for _ in range(10):
-            x = rng.normal(size=SHAPE.d_model)
-            a = expert_forward(x, self.e, PrecisionMode.REAL_REF)
-            b = expert_forward(x, self.e, PrecisionMode.INT8_FULL)
+            x = rng.normal(size=d)
+            a = blocked_real_matvec(
+                down, silu(blocked_real_matvec(gate, x)) * blocked_real_matvec(up, x)
+            )
+            b = expert_forward(x, e, PrecisionMode.INT8_FULL)
             denom = np.linalg.norm(a)
             diffs.append(np.linalg.norm(a - b) / denom)
         assert max(diffs) < 0.05
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            expert_forward(np.zeros(32), self.e, PrecisionMode.REAL_REF)
+            expert_forward(np.zeros(32), self.e, PrecisionMode.INT8_FULL)
 
 
 class TestStep:
