@@ -32,6 +32,36 @@ PSUM_BYTES = 4
 # multipliers stay far from 0, so step latencies stay finite.
 MIN_POSITIVE = 1e-30
 
+# HwConfig field -> (config-file key, unit scale from the key's unit to the
+# field's, least accepted field value).  Rates, capacities, counts and
+# multipliers must be positive; energies and derates may be 0.
+HW_FIELDS = {
+    "hb_banks": ("hb_banks", 1, MIN_POSITIVE),
+    "hb_bw_per_bank": ("hb_bw_per_bank_gbps", 1e9, MIN_POSITIVE),
+    "hb_capacity_bytes": ("hb_capacity_gib", GIB, MIN_POSITIVE),
+    "ext_bw": ("ext_bw_gbps", 1e9, MIN_POSITIVE),
+    "macs_per_pe_per_cycle": ("macs_per_pe_per_cycle", 1, MIN_POSITIVE),
+    "clock_hz": ("clock_ghz", 1e9, MIN_POSITIVE),
+    "aggr_link_bw": ("aggr_link_bw_gbps", 1e9, MIN_POSITIVE),
+    "streamline_bw": ("streamline_bw_gbps", 1e9, MIN_POSITIVE),
+    "hb_energy_per_bit": ("hb_energy_pj_per_bit", 1e-12, 0),
+    "ext_energy_per_bit": ("ext_energy_pj_per_bit", 1e-12, 0),
+    "comm_energy_per_bit": ("comm_energy_pj_per_bit", 1e-12, 0),
+    "compute_energy_per_mac": ("compute_energy_pj_per_mac", 1e-12, 0),
+    "static_power_w": ("static_power_w", 1, 0),
+    "hb_derate": ("hb_derate", 1, 0),
+    "ext_derate": ("ext_derate", 1, 0),
+    "xpu_compute_macs": ("xpu_compute_tmacs", 1e12, MIN_POSITIVE),
+    "pim_compute_macs": ("pim_compute_tmacs", 1e12, MIN_POSITIVE),
+    "pim_bw_multiplier": ("pim_bw_multiplier", 1, MIN_POSITIVE),
+    "logic_pim_bw_multiplier": ("logic_pim_bw_multiplier", 1, MIN_POSITIVE),
+    "logic_pim_compute_multiplier": ("logic_pim_compute_multiplier", 1, MIN_POSITIVE),
+    "nmp_channels": ("nmp_channels", 1, 1),
+    "total_channels": ("total_channels", 1, 2),
+    "nmp_compute_macs": ("nmp_compute_tmacs", 1e12, MIN_POSITIVE),
+    "nmp_internal_multiplier": ("nmp_internal_multiplier", 1, MIN_POSITIVE),
+}
+
 
 class Arch(enum.Enum):
     XPU = "xpu"
@@ -89,37 +119,12 @@ class HwConfig:
     nmp_internal_multiplier: float = 8.0
 
     def __post_init__(self):
-        for name in (
-            "hb_banks",
-            "hb_bw_per_bank",
-            "hb_capacity_bytes",
-            "ext_bw",
-            "macs_per_pe_per_cycle",
-            "clock_hz",
-            "aggr_link_bw",
-            "streamline_bw",
-            "xpu_compute_macs",
-            "pim_compute_macs",
-            "nmp_compute_macs",
-            "pim_bw_multiplier",
-            "logic_pim_bw_multiplier",
-            "logic_pim_compute_multiplier",
-            "nmp_internal_multiplier",
-        ):
-            if not getattr(self, name) >= MIN_POSITIVE:
-                raise ValueError(f"{name} must be at least {MIN_POSITIVE:g}")
-        for name in (
-            "hb_energy_per_bit",
-            "ext_energy_per_bit",
-            "comm_energy_per_bit",
-            "compute_energy_per_mac",
-            "static_power_w",
-        ):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not 0 <= self.hb_derate < 1 or not 0 <= self.ext_derate < 1:
+        for name, (_, _, low) in HW_FIELDS.items():
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be at least {low:g}")
+        if not (self.hb_derate < 1 and self.ext_derate < 1):
             raise ValueError("derates must be in [0, 1)")
-        if not 0 < self.nmp_channels < self.total_channels:
+        if not self.nmp_channels < self.total_channels:
             raise ValueError("nmp_channels must leave the host at least one channel")
         if not min(self.nmp_share, 1 - self.nmp_share) >= MIN_POSITIVE:
             raise ValueError(

@@ -26,6 +26,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import elastic_sd, expert_cache, hwmodel, toymoe
 from .bitnest import ReconstructMode
-from .hwmodel import Arch, GIB, HwConfig
+from .hwmodel import Arch, HwConfig
 from .toymoe import MoEShape
 
 
@@ -67,29 +68,50 @@ MAX_NEW_TOKENS = 256
 MAX_TRACE_TOKENS = 4096
 MAX_BATCH = 64
 
+# (section, key) -> inclusive (low, high) of every numeric config value
+# outside the model and hw sections, checked as the config is read.  A
+# Zipf exponent of at most 16 keeps each expert's popularity rank**-z far
+# from float underflow for any expert count that fits in memory, so no
+# routing score is 0.  The KV traffic a step prices grows with seq_len *
+# kv_coeff, so both are bounded to keep latencies and energies finite.
+RANGES = {
+    ("scenario", "batch_sizes"): (1, MAX_BATCH),
+    ("trace", "n_tokens"): (1, MAX_TRACE_TOKENS),
+    ("trace", "zipf_exponent"): (0, 16),
+    ("trace", "correlation"): (0, 1),
+    ("trace", "seed"): (0, math.inf),
+    ("sd", "width"): (1, MAX_SD_WIDTH),
+    ("sd", "depth"): (0, MAX_SD_DEPTH),
+    ("sd", "pool_capacity"): (1, math.inf),
+    ("sd", "hotness_decay_factor"): (0, 1),
+    ("sd", "seed"): (0, math.inf),
+    ("run", "prompt_len"): (1, MAX_PROMPT_LEN),
+    ("run", "n_new_tokens"): (1, MAX_NEW_TOKENS),
+    ("run", "seq_len"): (0, 2**20),
+    ("run", "kv_coeff"): (0, 1e12),
+    ("run", "model_seed"): (0, math.inf),
+    ("analytic", "mean_accept"): (0, math.inf),
+    ("analytic", "draft_cost_ratio"): (0, math.inf),
+    ("analytic", "verify_cost_ratio"): (hwmodel.MIN_POSITIVE, math.inf),
+    ("analytic", "depth"): (0, math.inf),
+    ("analytic", "footprint_multiplier"): (1, math.inf),
+}
+
+
 @dataclass(frozen=True)
 class TraceParams:
-    """Synthetic routing-trace generator knobs; n_tokens is in
-    [1, MAX_TRACE_TOKENS]."""
+    """Synthetic routing-trace generator knobs; `RANGES` bounds each."""
 
     n_tokens: int = 160
     zipf_exponent: float = 1.0
     correlation: float = 0.8
     seed: int = 7
 
-    def __post_init__(self):
-        if not 1 <= self.n_tokens <= MAX_TRACE_TOKENS:
-            raise ConfigError(f"trace.n_tokens must be in [1, {MAX_TRACE_TOKENS}]")
-        if self.zipf_exponent < 0:
-            raise ConfigError("trace.zipf_exponent must be >= 0")
-        if not 0 <= self.correlation <= 1:
-            raise ConfigError("trace.correlation must be in [0, 1]")
-
 
 @dataclass(frozen=True)
 class SdSchemeParams:
-    """Speculative-decoding knobs for the functional schemes; width is in
-    [1, MAX_SD_WIDTH] and depth in [0, MAX_SD_DEPTH]."""
+    """Speculative-decoding knobs for the functional schemes; `RANGES`
+    bounds the numeric ones."""
 
     width: int = 2
     depth: int = 3
@@ -99,15 +121,6 @@ class SdSchemeParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (1 <= self.width <= MAX_SD_WIDTH and 0 <= self.depth <= MAX_SD_DEPTH):
-            raise ConfigError(
-                f"sd.width must be in [1, {MAX_SD_WIDTH}] and sd.depth in "
-                f"[0, {MAX_SD_DEPTH}]"
-            )
-        if self.pool_capacity < 1:
-            raise ConfigError("sd.pool_capacity must be >= 1")
-        if not 0 <= self.hotness_decay_factor <= 1:
-            raise ConfigError("sd.hotness_decay_factor must be in [0, 1]")
         # A draft reads the MSB slice, so FULL is no draft mode.
         drafts = [m.value for m in ReconstructMode if m is not ReconstructMode.FULL]
         if self.draft_reconstruct not in drafts:
@@ -116,22 +129,14 @@ class SdSchemeParams:
 
 @dataclass(frozen=True)
 class RunParams:
-    """Decode-run shape shared by every scheme in the scenario; prompt_len
-    is in [1, MAX_PROMPT_LEN] and n_new_tokens in [1, MAX_NEW_TOKENS]."""
+    """Decode-run shape shared by every scheme in the scenario; `RANGES`
+    bounds each field."""
 
     prompt_len: int = 4
     n_new_tokens: int = 24
     seq_len: int = 64
     kv_coeff: float = 2.0
     model_seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.prompt_len <= MAX_PROMPT_LEN:
-            raise ConfigError(f"run.prompt_len must be in [1, {MAX_PROMPT_LEN}]")
-        if not 1 <= self.n_new_tokens <= MAX_NEW_TOKENS:
-            raise ConfigError(f"run.n_new_tokens must be in [1, {MAX_NEW_TOKENS}]")
-        if self.seq_len < 0 or self.kv_coeff < 0:
-            raise ConfigError("run.seq_len and run.kv_coeff must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -149,14 +154,6 @@ class AnalyticParams:
     verify_cost_ratio: float
     depth: int
     footprint_multiplier: float
-
-    def __post_init__(self):
-        if self.mean_accept < 0 or self.depth < 0:
-            raise ConfigError("analytic mean_accept and depth must be >= 0")
-        if self.draft_cost_ratio < 0 or self.verify_cost_ratio <= 0:
-            raise ConfigError("analytic cost ratios must be positive")
-        if self.footprint_multiplier < 1:
-            raise ConfigError("analytic footprint_multiplier must be >= 1")
 
 
 _ANALYTIC_DEFAULTS = {
@@ -196,14 +193,12 @@ class ScenarioConfig:
                 raise ConfigError(f"schemes: unknown scheme {s!r}")
         if not self.schemes:
             raise ConfigError("schemes must be nonempty")
-        if not self.batch_sizes or any(not 1 <= b <= MAX_BATCH for b in self.batch_sizes):
+        if not self.batch_sizes:
+            raise ConfigError("batch_sizes must be nonempty")
+        if not self.shape.top_k <= self.sd.pool_capacity <= self.shape.n_experts:
             raise ConfigError(
-                f"batch_sizes must be a nonempty list of ints in [1, {MAX_BATCH}]"
-            )
-        if self.sd.pool_capacity < self.shape.top_k:
-            raise ConfigError(
-                "sd.pool_capacity must be >= model.top_k "
-                f"({self.sd.pool_capacity} < {self.shape.top_k})"
+                "sd.pool_capacity must be in [model.top_k, model.n_experts] = "
+                f"[{self.shape.top_k}, {self.shape.n_experts}]"
             )
         needs_ours = set(self.schemes) - {"ar_only"}
         if needs_ours and self.arch is not Arch.OURS:
@@ -211,6 +206,20 @@ class ScenarioConfig:
                 f"schemes {sorted(needs_ours)} require arch 'ours', got "
                 f"{self.arch.value!r}"
             )
+        if self.arch.has_hb:
+            # Run prices every batch with dense weights, KV and, for a
+            # functional SD scheme, the pinned draft pool in HB; the
+            # largest batch needs the most.
+            sd_listed = {"elastic_sd", "random_pool_sd"} & set(self.schemes)
+            batch = max(self.batch_sizes)
+            try:
+                hwmodel.hb_headroom_bytes(
+                    self.hw, self.shape, batch, self.run.seq_len, self.run.kv_coeff,
+                    self.sd.pool_capacity if sd_listed else 0,
+                )
+            except (ValueError, OverflowError) as exc:
+                msg = f"hw.hb_capacity_gib at batch {batch}: {exc}"
+                raise ConfigError(msg) from None
 
 
 @dataclass(frozen=True)
@@ -251,35 +260,9 @@ def _opt_round9(x: Optional[float]) -> Optional[float]:
 # Config ingestion
 
 
-_HW_KEY_MAP = {
-    "hb_banks": ("hb_banks", 1),
-    "hb_bw_per_bank_gbps": ("hb_bw_per_bank", 1e9),
-    "hb_capacity_gib": ("hb_capacity_bytes", GIB),
-    "ext_bw_gbps": ("ext_bw", 1e9),
-    "macs_per_pe_per_cycle": ("macs_per_pe_per_cycle", 1),
-    "clock_ghz": ("clock_hz", 1e9),
-    "aggr_link_bw_gbps": ("aggr_link_bw", 1e9),
-    "streamline_bw_gbps": ("streamline_bw", 1e9),
-    "hb_energy_pj_per_bit": ("hb_energy_per_bit", 1e-12),
-    "ext_energy_pj_per_bit": ("ext_energy_per_bit", 1e-12),
-    "comm_energy_pj_per_bit": ("comm_energy_per_bit", 1e-12),
-    "compute_energy_pj_per_mac": ("compute_energy_per_mac", 1e-12),
-    "static_power_w": ("static_power_w", 1),
-    "hb_derate": ("hb_derate", 1),
-    "ext_derate": ("ext_derate", 1),
-    "xpu_compute_tmacs": ("xpu_compute_macs", 1e12),
-    "pim_compute_tmacs": ("pim_compute_macs", 1e12),
-    "pim_bw_multiplier": ("pim_bw_multiplier", 1),
-    "logic_pim_bw_multiplier": ("logic_pim_bw_multiplier", 1),
-    "logic_pim_compute_multiplier": ("logic_pim_compute_multiplier", 1),
-    "nmp_channels": ("nmp_channels", 1),
-    "total_channels": ("total_channels", 1),
-    "nmp_compute_tmacs": ("nmp_compute_macs", 1e12),
-    "nmp_internal_multiplier": ("nmp_internal_multiplier", 1),
-}
-
 _HW_TYPES = typing.get_type_hints(HwConfig)
-_INT_HW_FIELDS = {name for name, typ in _HW_TYPES.items() if typ is int}
+# Config-file key -> HwConfig field.
+_HW_FIELD_OF_KEY = {key: name for name, (key, _, _) in hwmodel.HW_FIELDS.items()}
 
 
 def _check_keys(section: str, data: dict, allowed) -> None:
@@ -295,25 +278,30 @@ def _sub(data: dict, key: str) -> dict:
     return value
 
 
-def _check_number(label: str, value, typ) -> None:
+def _check_number(label: str, value, typ, bounds=None) -> None:
     """int fields take an int, float fields an int or float; a bool is
     neither, though Python counts it as an int.  Either must be finite and
-    within float range (NaN fails the comparison)."""
+    within float range (NaN fails the comparison), and within the inclusive
+    (low, high) bounds if given."""
     kinds, kind = ((int,), "an integer") if typ is int else ((int, float), "a number")
     if not isinstance(value, kinds) or isinstance(value, bool):
         raise ConfigError(f"{label} must be {kind}")
     if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{label} must be finite and within float range")
+    if bounds and not bounds[0] <= value <= bounds[1]:
+        raise ConfigError(f"{label} must be in [{bounds[0]:.12g}, {bounds[1]:.12g}]")
 
 
 def _build_dataclass(section: str, cls, data: dict):
-    """Build cls from a config section, checking keys and the type of every
-    int or float field against the field annotations first."""
+    """Build cls from a config section, checking keys, and the type and
+    `RANGES` row of every int or float field, first.  An analytic.<scheme>
+    section reads the analytic rows."""
     types = typing.get_type_hints(cls)
     _check_keys(section, data, types)
     for key, value in data.items():
         if types[key] in (int, float):
-            _check_number(f"{section}.{key}", value, types[key])
+            row = RANGES.get((section.split(".")[0], key))
+            _check_number(f"{section}.{key}", value, types[key], row)
     try:
         return cls(**data)
     except ConfigError:
@@ -323,13 +311,14 @@ def _build_dataclass(section: str, cls, data: dict):
 
 
 def _hw_from_dict(data: dict) -> HwConfig:
-    _check_keys("hw", data, _HW_KEY_MAP)
+    _check_keys("hw", data, _HW_FIELD_OF_KEY)
     kwargs = {}
     for key, raw in data.items():
-        fname, scale = _HW_KEY_MAP[key]
-        _check_number(f"hw.{key}", raw, _HW_TYPES[fname])
-        kwargs[fname] = raw if fname in _INT_HW_FIELDS else float(raw) * scale
-        _check_number(f"hw.{key}", kwargs[fname], _HW_TYPES[fname])
+        fname = _HW_FIELD_OF_KEY[key]
+        typ, scale = _HW_TYPES[fname], hwmodel.HW_FIELDS[fname][1]
+        _check_number(f"hw.{key}", raw, typ)
+        kwargs[fname] = raw if typ is int else float(raw) * scale
+        _check_number(f"hw.{key}", kwargs[fname], typ)
     try:
         return HwConfig(**kwargs)
     except ValueError as exc:
@@ -338,9 +327,9 @@ def _hw_from_dict(data: dict) -> HwConfig:
 
 def _hw_to_dict(hw: HwConfig) -> dict:
     out = {}
-    for key, (fname, scale) in _HW_KEY_MAP.items():
+    for fname, (key, scale, _) in hwmodel.HW_FIELDS.items():
         value = getattr(hw, fname)
-        out[key] = value if fname in _INT_HW_FIELDS else value / scale
+        out[key] = value if _HW_TYPES[fname] is int else value / scale
     return out
 
 
@@ -379,7 +368,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(batches, list):
         raise ConfigError("batch_sizes must be a list of integers")
     for b in batches:
-        _check_number("batch_sizes", b, int)
+        _check_number("batch_sizes", b, int, RANGES["scenario", "batch_sizes"])
     analytic = dict(_ANALYTIC_DEFAULTS)
     analytic_data = _sub(data, "analytic")
     _check_keys("analytic", analytic_data, ANALYTIC_SCHEMES)

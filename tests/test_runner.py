@@ -1,7 +1,9 @@
 import copy
 import dataclasses
 import json
+import math
 import time
+import typing
 from unittest import mock
 
 import numpy as np
@@ -126,61 +128,108 @@ def test_config_round_trip():
 _MAGNITUDE = st.builds(
     lambda m, e: m * 10.0**e, st.floats(1.0, 10.0, exclude_max=True), st.integers(-9, 9)
 )
+_SECTION_TYPES = {
+    "scenario": {"batch_sizes": int},
+    **{section: typing.get_type_hints(cls) for section, cls in (
+        ("trace", runner.TraceParams), ("sd", runner.SdSchemeParams),
+        ("run", runner.RunParams), ("analytic", runner.AnalyticParams),
+    )},
+}
+# Caps on the fields that size a run, so that a drawn scenario runs in
+# well under a second.
+_SMALL = {
+    ("scenario", "batch_sizes"): 16, ("trace", "n_tokens"): 64, ("sd", "width"): 4,
+    ("sd", "depth"): 4, ("run", "prompt_len"): 16, ("run", "n_new_tokens"): 16,
+}
+
+
+def _in_range(section, key, caps):
+    """Values inside the key's RANGES row, its open top capped at 2**31 and
+    a sizing field's top at caps."""
+    low, high = runner.RANGES[section, key]
+    high = caps.get((section, key), 2**31 if high == math.inf else high)
+    if _SECTION_TYPES[section][key] is int:
+        return st.integers(low, high)
+    return st.floats(low, high)
+
+
+_HW_TYPES = typing.get_type_hints(hwmodel.HwConfig)
+_HW_KEYS = {key: fname for fname, (key, _, _) in hwmodel.HW_FIELDS.items()}
+
+
+def _hw_value(draw, fname):
+    """A config value for an HwConfig field from its HW_FIELDS row; the two
+    channel counts and the derates' open top are cross-checks, drawn by
+    the caller."""
+    _, _, low = hwmodel.HW_FIELDS[fname]
+    if fname in ("hb_derate", "ext_derate"):
+        return draw(st.floats(low, 1.0, exclude_max=True))
+    if _HW_TYPES[fname] is int:
+        return draw(st.integers(max(1, low), 2**20))
+    return draw(_MAGNITUDE if low > 0 else st.just(0.0) | _MAGNITUDE)
 
 
 @st.composite
-def _accepted_scenarios(draw):
+def _accepted_scenarios(draw, small=False):
+    """Scenario documents that load: every bounded value is drawn from its
+    RANGES or HW_FIELDS row, the pool from [top_k, n_experts] and the HB
+    capacity so that it holds the largest batch.  With small, sizing
+    fields stay under _SMALL and the hw section is left at its defaults."""
+    caps = _SMALL if small else {}
+
+    def ranged(section):
+        return {
+            key: draw(_in_range(sec, key, caps)) for sec, key in runner.RANGES if sec == section
+        }
+
     n_experts = draw(st.integers(1, 16))
     top_k = draw(st.integers(1, n_experts))
     schemes = draw(st.lists(st.sampled_from(runner.ALL_SCHEMES), min_size=1, unique=True))
     arch = "ours" if set(schemes) - {"ar_only"} else draw(st.sampled_from([a.value for a in Arch]))
-    hw_keys = draw(st.lists(st.sampled_from(sorted(runner._HW_KEY_MAP)), unique=True))
+    model = {
+        "d_model": draw(st.sampled_from([32, 64])),
+        "d_ff": draw(st.sampled_from([32, 64, 128])),
+        "n_experts": n_experts,
+        "top_k": top_k,
+        "n_layers": draw(st.integers(1, 3)),
+        "vocab": draw(st.integers(1, 64)),
+    }
+    sections = {section: ranged(section) for section in ("trace", "sd", "run")}
+    sections["sd"]["pool_capacity"] = draw(st.integers(top_k, n_experts))
+    sections["sd"]["draft_reconstruct"] = draw(
+        st.sampled_from(["truncate", "lsb_augment", "msb_round"])
+    )
+    batch_sizes = draw(st.lists(
+        _in_range("scenario", "batch_sizes", caps), min_size=1, max_size=4
+    ))
     hw = {}
+    hw_keys = [] if small else draw(st.lists(st.sampled_from(sorted(_HW_KEYS)), unique=True))
     for key in hw_keys:
-        if key in ("nmp_channels", "total_channels"):
-            continue
-        if key in ("hb_derate", "ext_derate"):
-            hw[key] = draw(st.floats(0.0, 1.0, exclude_max=True))
-        elif key in ("hb_banks", "macs_per_pe_per_cycle"):
-            hw[key] = draw(st.integers(1, 2**20))
-        else:
-            hw[key] = draw(_MAGNITUDE)
+        if key not in ("nmp_channels", "total_channels"):
+            hw[key] = _hw_value(draw, _HW_KEYS[key])
     if "total_channels" in hw_keys:
-        hw["total_channels"] = draw(st.integers(3, 16))
-        hw["nmp_channels"] = draw(st.integers(1, hw["total_channels"] - 1))
+        # At least one channel each for the NMP tier and the host.
+        total = hw["total_channels"] = draw(st.integers(2, 16))
+        hw["nmp_channels"] = draw(st.integers(1, total - 1))
+    if not small and Arch(arch).has_hb:
+        run = sections["run"]
+        shape = toymoe.MoEShape(**model)
+        need = (
+            hwmodel.dense_bytes(shape)
+            + hwmodel.kv_bytes(shape, max(batch_sizes), run["seq_len"], run["kv_coeff"])
+            + sections["sd"]["pool_capacity"] * shape.n_layers * hwmodel.expert_bytes_msb(shape)
+        )
+        hw["hb_capacity_gib"] = need / GIB * draw(st.floats(1.001, 1e6))
     return {
         "scenario_id": draw(st.text(min_size=1, max_size=8)),
-        "model": {
-            "d_model": draw(st.sampled_from([32, 64])),
-            "d_ff": draw(st.sampled_from([32, 64, 128])),
-            "n_experts": n_experts,
-            "top_k": top_k,
-            "n_layers": draw(st.integers(1, 3)),
-            "vocab": draw(st.integers(1, 64)),
-        },
+        "model": model,
         "hw": hw,
         "arch": arch,
         "schemes": schemes,
-        "batch_sizes": draw(st.lists(st.integers(1, 64), min_size=1, max_size=4)),
-        "trace": {
-            "n_tokens": draw(st.integers(1, 500)),
-            "zipf_exponent": draw(st.floats(0.0, 3.0)),
-            "correlation": draw(st.floats(0.0, 1.0)),
-            "seed": draw(st.integers(0, 2**31)),
-        },
-        "sd": {
-            "width": draw(st.integers(1, 4)),
-            "depth": draw(st.integers(0, 4)),
-            "pool_capacity": draw(st.integers(top_k, n_experts + 2)),
-            "hotness_decay_factor": draw(st.floats(0.0, 1.0)),
-            "draft_reconstruct": draw(st.sampled_from(["truncate", "lsb_augment", "msb_round"])),
-        },
-        "run": {
-            "prompt_len": draw(st.integers(1, 16)),
-            "kv_coeff": draw(_MAGNITUDE),
-        },
+        "batch_sizes": batch_sizes,
+        **sections,
         "analytic": {
-            name: {"mean_accept": draw(st.floats(0.0, 8.0)), "footprint_multiplier": draw(st.floats(1.0, 4.0))}
+            name: ranged("analytic")
             for name in draw(st.lists(st.sampled_from(runner.ANALYTIC_SCHEMES), unique=True))
         },
     }
@@ -194,10 +243,35 @@ def test_config_round_trip_property(data):
     assert parse_config_text(dump_config([cfg])) == [cfg]
 
 
+def test_every_numeric_config_field_has_a_table_row():
+    numeric = {
+        (section, key) for section, types in _SECTION_TYPES.items()
+        for key, typ in types.items() if typ in (int, float)
+    }
+    assert set(runner.RANGES) == numeric
+    assert set(hwmodel.HW_FIELDS) == set(_HW_TYPES)
+
+
+@pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
+@settings(max_examples=20, deadline=None)
+@given(data=_accepted_scenarios(small=True))
+def test_accepted_scenario_runs_to_finite_rows(data):
+    # Default hw: a scenario that loads runs, and every float it writes is
+    # finite.  Values at the top of run.seq_len and run.kv_coeff overflow
+    # the default HB capacity, so those load only on the archs without it.
+    try:
+        cfg = scenario_from_dict(data)
+    except ConfigError:
+        return
+    for row in run_scenario(cfg):
+        values = dataclasses.astuple(row)
+        assert all(math.isfinite(v) for v in values if isinstance(v, float)), row
+
+
 # Key names the config knows, so random documents get past the key checks
 # into the value checks.
 _CONFIG_KEYS = sorted(
-    {"scenarios", *runner._SCENARIO_KEYS, *runner._MODEL_DEFAULTS, *runner._HW_KEY_MAP,
+    {"scenarios", *runner._SCENARIO_KEYS, *runner._MODEL_DEFAULTS, *_HW_KEYS,
      *runner.ANALYTIC_SCHEMES}
     | {f.name for cls in (runner.TraceParams, runner.SdSchemeParams, runner.RunParams,
                           runner.AnalyticParams) for f in dataclasses.fields(cls)}
@@ -342,11 +416,13 @@ def test_quant_footprint_lowers_hit_rate():
     assert quant.ar_hit_rate <= base.ar_hit_rate
 
 
+# Loads, but the PE array's peak rate overflows a float when priced.
+_OVERFLOW_HW = {"hb_banks": 10**300, "macs_per_pe_per_cycle": 10**300}
+
+
 def test_runner_error_carries_scenario_id():
-    cfg = fast_config(
-        scenario_id="toosmall", hw={"hb_capacity_gib": 0.00003}, batch_sizes=[16]
-    )
-    with pytest.raises(RunnerError, match="toosmall"):
+    cfg = fast_config(scenario_id="overflow", hw={**FAST["hw"], **_OVERFLOW_HW})
+    with pytest.raises(RunnerError, match="overflow"):
         run_scenario(cfg)
 
 
@@ -564,8 +640,7 @@ def test_cli_run_writes_json(tmp_path):
 
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
     data = json.loads(json.dumps(FAST))
-    data["hw"] = {"hb_capacity_gib": 0.00003}
-    data["batch_sizes"] = [16]
+    data["hw"].update(_OVERFLOW_HW)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
     assert cli_main(["run", str(cfg_path)]) == 2
@@ -654,6 +729,12 @@ def test_cli_rejects_unpriceable_hw_numbers(tmp_path, capsys, command, hw):
         ("trace", {"n_tokens": runner.MAX_TRACE_TOKENS + 1}),
         # A top-level field; its message starts with its own key.
         (None, {"batch_sizes": [1, runner.MAX_BATCH + 1]}),
+        # A draft pool of more experts than the model has (FAST has 8).
+        ("sd", {"pool_capacity": 100}),
+        ("run", {"seq_len": runner.RANGES["run", "seq_len"][1] + 1}),
+        ("run", {"kv_coeff": runner.RANGES["run", "kv_coeff"][1] * 2}),
+        ("run", {"kv_coeff": 1e300, "seq_len": 10**10}),
+        ("trace", {"zipf_exponent": 400.0}),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -665,6 +746,28 @@ def test_cli_rejects_sizes_above_bounds(tmp_path, capsys, command, section, fiel
     assert cli_main([command, str(cfg_path)]) == 1
     err = capsys.readouterr().err
     prefix = f"{section}." if section else next(iter(fields))
+    assert err.startswith(f"config error: {prefix}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "prefix, overrides",
+    [
+        # Dense weights and batch-16 KV overflow 0.00003 GiB of HB.
+        ("hw.hb_capacity_gib", {"hw": {"hb_capacity_gib": 0.00003}, "batch_sizes": [16]}),
+        # KV traffic that priced to inf latency and energy on the xPU.
+        ("run.", {"arch": "xpu", "schemes": ["ar_only"],
+                  "run": {"kv_coeff": 1e300, "seq_len": 10**10}}),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_scenarios_run_cannot_price(tmp_path, capsys, command, prefix, overrides):
+    data = json.loads(json.dumps(FAST))
+    data.update(overrides)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main([command, str(cfg_path)]) == 1
+    err = capsys.readouterr().err
     assert err.startswith(f"config error: {prefix}")
     assert len(err.splitlines()) == 1
 
