@@ -2,7 +2,7 @@
 
 A width-w, depth-d token tree is drafted with the 4-bit MSB weight
 surrogate while routing is confined to a per-layer expert pool; the full
-INT8 model then verifies the top-scoring tree nodes and accepts the longest
+INT8 model then verifies the whole tree in one pass and accepts the longest
 root path that matches its own greedy choices, emitting one bonus token.
 The pool's MSB pieces are pinned, so the pool is both the draft model's
 expert set and an expert cache.  Expert hotness, a session-owned
@@ -23,7 +23,7 @@ by position, so the rows line up with ``greedy_decode``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class DraftTree:
     """Candidate token tree; nodes[0] is the root (last accepted token).
 
     chain holds the node indices of the draft model's own greedy path,
-    one per depth, always retained through expansion and verification.
+    one per depth, always retained through expansion.
     """
 
     nodes: tuple[TreeNode, ...]
@@ -247,65 +247,50 @@ def verify_phase(
     model: MoEModel,
     tree: DraftTree,
     root_state: DecodeState,
-    verify_count: Optional[int] = None,
     score_traces=None,
 ) -> VerifyResult:
-    """Verify the top-scoring tree nodes with the full-precision model.
+    """Verify the whole tree with the full-precision model.
 
-    The verify set is the verify_count highest cumulative-score non-root
-    nodes (ties to the earlier node), plus the draft-greedy chain.  Scores
-    never increase along a path, so the set is closed under parents.
-    Acceptance walks from the root, following at each node the unique child
-    whose token equals the target's greedy token; the greedy token after the
-    last accepted node is emitted as the bonus.  Routing is unrestricted.
+    The root and every tree node go through one step call in index order,
+    each node continuing from its parent.  Acceptance walks from the root,
+    following at each node the unique child whose token equals the
+    target's greedy token; the greedy token after the last accepted node
+    is emitted as the bonus.  Routing is unrestricted.
     """
-    n_nodes = len(tree.nodes)
-    if verify_count is None:
-        verify_count = max(n_nodes - 1, 0)
-    if verify_count < 0:
-        raise ValueError("verify_count must be >= 0")
-    ranked = sorted(
-        range(1, n_nodes), key=lambda i: (-tree.nodes[i].score, i)
-    )
-    selected = set(ranked[:verify_count]) | set(tree.chain)
-    # The root and every selected node go through one step call; a node
-    # continues from its parent's position in the call.
-    call = [0] + sorted(selected)
-    position = {idx: j for j, idx in enumerate(call)}
+    nodes = tree.nodes
     outs = step(
         model,
-        [root_state] + [position[tree.nodes[idx].parent] for idx in call[1:]],
-        [tree.nodes[idx].token for idx in call],
+        [root_state] + [n.parent for n in nodes[1:]],
+        [n.token for n in nodes],
         PrecisionMode.INT8_FULL,
         score_traces=score_traces,
     )
     decisions = [pair for out in outs for pair in enumerate(out.decisions)]
-    by_node = dict(zip(call, outs))
     children: dict[int, list[int]] = {}
-    for idx in call[1:]:
-        children.setdefault(tree.nodes[idx].parent, []).append(idx)
+    for idx, n in enumerate(nodes[1:], 1):
+        children.setdefault(n.parent, []).append(idx)
     cur = 0
     accepted: list[int] = []
     while True:
-        want = greedy_token(by_node[cur].logits)
+        want = greedy_token(outs[cur].logits)
         nxt = None
         for c in children.get(cur, []):
-            if tree.nodes[c].token == want:
+            if nodes[c].token == want:
                 nxt = c
                 break
         if nxt is None:
             break
         accepted.append(nxt)
         cur = nxt
-    bonus = greedy_token(by_node[cur].logits)
-    emitted = tuple(tree.nodes[i].token for i in accepted) + (bonus,)
+    bonus = greedy_token(outs[cur].logits)
+    emitted = tuple(nodes[i].token for i in accepted) + (bonus,)
     return VerifyResult(
         accept_length=len(accepted),
         bonus_token=bonus,
         emitted=emitted,
-        verify_token_count=len(call),
+        verify_token_count=len(nodes),
         verify_decisions=tuple(decisions),
-        final_state=by_node[cur].state,
+        final_state=outs[cur].state,
     )
 
 
@@ -313,7 +298,6 @@ def verify_phase(
 class SdConfig:
     width: int = 2
     depth: int = 3
-    verify_count: Optional[int] = None
     pool_capacity: int = 8
     hotness_decay: float = 0.5
     draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT
@@ -370,11 +354,6 @@ class SdSession:
     ):
         if len(prompt) == 0:
             raise ValueError("prompt must be nonempty")
-        if config.pool_capacity < model.shape.top_k:
-            raise ValueError(
-                f"pool capacity {config.pool_capacity} below top_k "
-                f"{model.shape.top_k}"
-            )
         self.model = model
         self.config = config
         self.score_traces = score_traces
@@ -421,7 +400,6 @@ class SdSession:
             self.model,
             draft.tree,
             self.root_state,
-            cfg.verify_count,
             score_traces=self.score_traces,
         )
         self.hotness = accumulate_hotness(self.hotness, verify.verify_decisions)

@@ -93,7 +93,7 @@ RANGES = {
     ("analytic", "mean_accept"): (0, math.inf),
     ("analytic", "draft_cost_ratio"): (0, math.inf),
     ("analytic", "verify_cost_ratio"): (hwmodel.MIN_POSITIVE, math.inf),
-    ("analytic", "depth"): (0, math.inf),
+    ("analytic", "depth"): (0, MAX_SD_DEPTH),
     ("analytic", "footprint_multiplier"): (1, math.inf),
 }
 
@@ -200,6 +200,13 @@ class ScenarioConfig:
                 "sd.pool_capacity must be in [model.top_k, model.n_experts] = "
                 f"[{self.shape.top_k}, {self.shape.n_experts}]"
             )
+        for name, params in self.analytic.items():
+            # A tree step accepts at most depth draft tokens.
+            if params.mean_accept > params.depth:
+                raise ConfigError(
+                    f"analytic.{name}.mean_accept must be at most "
+                    f"analytic.{name}.depth = {params.depth}"
+                )
         needs_ours = set(self.schemes) - {"ar_only"}
         if needs_ours and self.arch is not Arch.OURS:
             raise ConfigError(
@@ -463,18 +470,9 @@ def _make_prompt(cfg: ScenarioConfig) -> list[int]:
     return [int(t) for t in rng.integers(0, cfg.shape.vocab, size=cfg.run.prompt_len)]
 
 
-def _popularity_from_steps(
-    steps: list[list[elastic_sd.LayerDecision]], shape: MoEShape
-) -> np.ndarray:
-    """Each expert's share of the selections, summed over layers."""
-    counts = elastic_sd.accumulate_hotness(
-        np.zeros((shape.n_layers, shape.n_experts)),
-        [pair for step in steps for pair in step],
-    ).sum(axis=0)
-    total = counts.sum()
-    if total == 0:
-        return np.full(shape.n_experts, 1.0 / shape.n_experts)
-    return counts / total
+def _popularity(trace: expert_cache.AccessTrace, n_experts: int) -> np.ndarray:
+    """Each expert's share of a trace's accesses, summed over layers."""
+    return np.bincount(trace.expert, minlength=n_experts) / len(trace)
 
 
 def _access_trace(
@@ -571,8 +569,8 @@ def _build_context(cfg: ScenarioConfig) -> _ScenarioContext:
         [(layer, t[pos % len(t)]) for layer, t in enumerate(layer_traces)]
         for pos in range(cfg.run.prompt_len + cfg.run.n_new_tokens)
     ]
-    popularity = _popularity_from_steps(ar_steps, cfg.shape)
     ar_trace = _access_trace(ar_steps, "full")
+    popularity = _popularity(ar_trace, cfg.shape.n_experts)
     full_item = hwmodel.expert_bytes_full(cfg.shape)
     footprints = sorted({_footprint(cfg, s) for s in cfg.schemes})
     ar_unique, xpu_per_token, ar = {}, {}, {}
@@ -619,8 +617,8 @@ def _measured_sd(
         ctx.model, sd_config, ctx.prompt, score_traces=ctx.traces
     ).run(cfg.run.n_new_tokens)
     verify_steps = [list(step.verify_decisions) for step in run.steps]
-    verify_pop = _popularity_from_steps(verify_steps, cfg.shape)
     verify_trace = _access_trace(verify_steps, "msb")
+    verify_pop = _popularity(verify_trace, cfg.shape.n_experts)
     sd = hwmodel.SdParams(
         width=cfg.sd.width,
         depth=cfg.sd.depth,
@@ -709,10 +707,17 @@ def _scheme_rows(ctx: _ScenarioContext, scheme: str) -> list[ResultRow]:
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
-    """All rows for one scenario, ordered by (scheme, batch) as configured."""
+    """All rows for one scenario, ordered by (scheme, batch) as configured;
+    a float that is not finite in any row is a RunnerError."""
     try:
         ctx = _build_context(cfg)
-        return [row for scheme in cfg.schemes for row in _scheme_rows(ctx, scheme)]
+        rows = [row for scheme in cfg.schemes for row in _scheme_rows(ctx, scheme)]
+        for row in rows:
+            for name, value in vars(row).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    where = f"{row.scheme} batch {row.batch}"
+                    raise ArithmeticError(f"{where}: {name} is {value}")
+        return rows
     except (ValueError, KeyError, ArithmeticError, MemoryError) as exc:
         detail = str(exc) or type(exc).__name__
         raise RunnerError(f"scenario {cfg.scenario_id!r}: {detail}") from exc

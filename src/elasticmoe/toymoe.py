@@ -86,15 +86,6 @@ class QuantizedMatrix:
     def out_dim(self) -> int:
         return self.codes.shape[0]
 
-    @property
-    def in_dim(self) -> int:
-        return self.codes.shape[1] * GROUP_SIZE
-
-    def dequant(self) -> np.ndarray:
-        """Exact real matrix codes * scales, shape (out, in)."""
-        w = self.codes.astype(np.float64) * self.scales[:, :, None]
-        return w.reshape(self.out_dim, self.in_dim)
-
     def surrogate(self, mode: ReconstructMode) -> np.ndarray:
         """Codes rebuilt from slices under the given reconstruction mode:
         the stored codes themselves for FULL, otherwise new int64 codes
@@ -136,12 +127,6 @@ def quantize_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Two ufuncs, not np.clip: its wrapper costs more on this hot path.
     codes = np.minimum(np.maximum(np.rint(v / scales[:, None]), CODE_MIN), CODE_MAX)
     return codes, scales
-
-
-def quantize_activations(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """quantize_rows of one vector: returns (int64 codes, scale)."""
-    codes, scales = quantize_rows(np.asarray(v, dtype=np.float64)[None])
-    return codes[0].astype(np.int64), float(scales[0])
 
 
 @dataclass(frozen=True)
@@ -414,27 +399,6 @@ def _experts(
     unsorted = np.empty_like(out)
     unsorted[order] = out
     return unsorted.reshape(n, k, -1)
-
-
-def expert_forward(
-    x: np.ndarray,
-    e: ExpertWeights,
-    mode: PrecisionMode,
-    draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
-) -> np.ndarray:
-    """down(SiLU(gate @ x) * (up @ x)) at the requested weight precision.
-
-    Both modes run integer group dots on per-tensor INT8 activations with
-    dequantization fused at the group accumulator, on the codes
-    ExpertWeights.codes gives: FULL at INT8_FULL, draft_reconstruct at
-    MSB4_DRAFT.  This is the one-row, one-expert case of the kernel step
-    runs.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (e.up.in_dim,):
-        raise ValueError(f"expected input shape ({e.up.in_dim},), got {x.shape}")
-    rec = _weight_mode(mode, draft_reconstruct)
-    return _experts(x[None], np.zeros((1, 1), dtype=np.int64), (e,), rec)[0, 0]
 
 
 def _depth_waves(sources) -> tuple[list[int], list[tuple[list[int], list[int]]]]:

@@ -249,8 +249,10 @@ class TestVerifyPhase:
                 d=d,
                 draft_mode=PrecisionMode.INT8_FULL,
             )
-            ver = verify_phase(self.model, res.tree, st, verify_count=2 * d)
+            ver = verify_phase(self.model, res.tree, st)
             assert ver.accept_length == d
+            # The root and every drafted node are verified.
+            assert ver.verify_token_count == len(res.tree.nodes) == 1 + 2 * d
 
     def test_adversarial_tree_accepts_nothing(self):
         st = init_state(self.model)
@@ -281,21 +283,14 @@ class TestVerifyPhase:
             model = gen_model(SHAPE, seed=seed)
             st = init_state(model)
             res = draft_phase(model, seed, st, pool, w=2, d=3)
-            n_verify = 6
-            ver = verify_phase(model, res.tree, st, verify_count=n_verify)
-            assert ver.accept_length == self._oracle_accept(
-                model, res.tree, st, n_verify
-            )
+            ver = verify_phase(model, res.tree, st)
+            assert ver.accept_length == self._oracle_accept(model, res.tree, st)
 
-    def _oracle_accept(self, model, tree, root_state, verify_count):
-        # Independent re-derivation: enumerate every root path through the
-        # verify-selected nodes and replay target greedy decoding along it.
-        ranked = sorted(
-            range(1, len(tree.nodes)), key=lambda i: (-tree.nodes[i].score, i)
-        )
-        selected = set(ranked[:verify_count]) | set(tree.chain)
+    def _oracle_accept(self, model, tree, root_state):
+        # Independent re-derivation: enumerate every root path of the tree
+        # and replay target greedy decoding along it.
         children = {}
-        for i in sorted(selected):
+        for i in range(1, len(tree.nodes)):
             children.setdefault(tree.nodes[i].parent, []).append(i)
 
         def paths_from(node):
@@ -504,14 +499,9 @@ def test_stream_equals_greedy_property(data):
         vocab=data.draw(st.integers(2, 24), label="vocab"),
     )
     model = gen_model(shape, seed=data.draw(st.integers(0, 2**16), label="seed"))
-    width = data.draw(st.integers(1, 3), label="width")
-    depth = data.draw(st.integers(0, 3), label="depth")
     cfg = SdConfig(
-        width=width,
-        depth=depth,
-        verify_count=data.draw(
-            st.none() | st.integers(0, width * depth), label="verify_count"
-        ),
+        width=data.draw(st.integers(1, 3), label="width"),
+        depth=data.draw(st.integers(0, 3), label="depth"),
         pool_capacity=data.draw(
             st.integers(shape.top_k, n_experts + 1), label="pool_capacity"
         ),

@@ -182,6 +182,12 @@ def _accepted_scenarios(draw, small=False):
             key: draw(_in_range(sec, key, caps)) for sec, key in runner.RANGES if sec == section
         }
 
+    def analytic_params():
+        # A tree step accepts at most depth draft tokens.
+        params = ranged("analytic")
+        params["mean_accept"] = draw(st.floats(0, params["depth"]))
+        return params
+
     n_experts = draw(st.integers(1, 16))
     top_k = draw(st.integers(1, n_experts))
     schemes = draw(st.lists(st.sampled_from(runner.ALL_SCHEMES), min_size=1, unique=True))
@@ -229,7 +235,7 @@ def _accepted_scenarios(draw, small=False):
         "batch_sizes": batch_sizes,
         **sections,
         "analytic": {
-            name: ranged("analytic")
+            name: analytic_params()
             for name in draw(st.lists(st.sampled_from(runner.ANALYTIC_SCHEMES), unique=True))
         },
     }
@@ -735,6 +741,7 @@ def test_cli_rejects_unpriceable_hw_numbers(tmp_path, capsys, command, hw):
         ("run", {"kv_coeff": runner.RANGES["run", "kv_coeff"][1] * 2}),
         ("run", {"kv_coeff": 1e300, "seq_len": 10**10}),
         ("trace", {"zipf_exponent": 400.0}),
+        (None, {"analytic": {"eagle_sd": {"depth": runner.MAX_SD_DEPTH + 1}}}),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -758,6 +765,12 @@ def test_cli_rejects_sizes_above_bounds(tmp_path, capsys, command, section, fiel
         # KV traffic that priced to inf latency and energy on the xPU.
         ("run.", {"arch": "xpu", "schemes": ["ar_only"],
                   "run": {"kv_coeff": 1e300, "seq_len": 10**10}}),
+        # An accept length beyond the tree depth, which made the SD step's
+        # token count inf and its per-token latency 0.
+        ("analytic.eagle_sd.mean_accept", {
+            "hw": {}, "schemes": ["eagle_sd"], "batch_sizes": [64],
+            "analytic": {"eagle_sd": {"mean_accept": 1e308}},
+        }),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -803,6 +816,23 @@ def test_cli_run_overflow_is_runtime_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("runtime error: scenario 'fast'")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
+def test_cli_run_non_finite_row_is_runtime_error(tmp_path, capsys):
+    # Valid and priced, but the static energy overflows to inf; run stops
+    # at the first such value instead of writing it.
+    data = json.loads(json.dumps(FAST))
+    data.update(schemes=["ar_only"], batch_sizes=[1])
+    data["hw"].update(static_power_w=1e308, clock_ghz=1e-30)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli_main(["validate", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "runtime error: scenario 'fast': ar_only batch 1: per_token_energy_j is inf\n"
+    )
 
 
 def test_memory_error_is_runtime_error(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from elasticmoe import toymoe
+import pytest
+
+from elasticmoe import expert_cache, runner, toymoe
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,18 +47,61 @@ def test_failing_property_is_reported_and_the_run_goes_on(tmp_path):
     assert "INTERNALERROR" not in out
 
 
-def test_perfbench_hooks_exist(monkeypatch):
-    # perfbench/run.py --trace 1 wraps these attributes and reads step's
-    # mode as its fourth positional argument; an API change that breaks
-    # either fails here.
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's layers and spans modules, imported fresh and dropped
+    afterwards."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     for name in ("layers", "spans"):
         monkeypatch.delitem(sys.modules, name, raising=False)
     try:
-        layers = importlib.import_module("layers")
-        for point in layers.ALL_POINTS:
-            assert hasattr(point.owner, point.attr), point.name
+        yield importlib.import_module("layers"), importlib.import_module("spans")
     finally:
         for name in ("layers", "spans"):
             sys.modules.pop(name, None)
+
+
+def test_perfbench_hooks_exist(perfbench):
+    # perfbench/run.py --trace 1 wraps these attributes and reads step's
+    # mode as its fourth positional argument; an API change that breaks
+    # either fails here.
+    layers, _ = perfbench
+    for point in layers.ALL_POINTS:
+        assert hasattr(point.owner, point.attr), point.name
     assert list(inspect.signature(toymoe.step).parameters)[3] == "mode"
+
+
+@pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
+def test_perfbench_hooks_read_real_results(perfbench, tmp_path):
+    # Every timed pass runs these hooks on the package's own results (a
+    # session step, an LRU replay, a unique-expert estimate's arguments),
+    # so a field they read that the package drops would fail every
+    # benchmark run.  A tiny scenario reaches every patch point but the
+    # ones the runner never calls, which run here directly.
+    layers, spans = perfbench
+    cfg = runner.scenario_from_dict({
+        "scenario_id": "tiny",
+        "model": {"d_model": 32, "d_ff": 32, "n_experts": 4, "top_k": 2,
+                  "n_layers": 1, "vocab": 8},
+        "batch_sizes": [1],
+        "trace": {"n_tokens": 8},
+        "sd": {"pool_capacity": 2},
+        "run": {"n_new_tokens": 3},
+    })
+    tracer = spans.Tracer()
+    with tracer.patched(layers.ALL_POINTS):
+        runner.run_scenario(cfg)
+        model = toymoe.gen_model(cfg.shape, seed=0)
+        toymoe.greedy_decode(model, [1], 2, toymoe.PrecisionMode.INT8_FULL)
+        trace = expert_cache.decisions_to_trace([(0, [(0, 1), (0, 2)])], "full")
+        expert_cache.write_trace(trace, tmp_path / "trace.csv")
+        expert_cache.read_trace(tmp_path / "trace.csv")
+        expert_cache.powerlaw_lru_hitrate(4, 1.0, 2.0)
+    assert {sp.name for sp in tracer.spans} == {p.name for p in layers.ALL_POINTS}
+    assert {sp.request for sp in tracer.spans} == {"tiny", None}
+    m = layers.layer_metrics(tracer.spans, 1.0, 1.0, 0)
+    assert m["elastic_sd.session_steps"] >= 1
+    assert m["elastic_sd.verify_tokens_per_step"] == 1 + 2 * 3
+    assert m["expert_cache.lru_accesses"] > 0
+    assert m["expert_cache.unique_experts_distinct"] >= 2
+    assert m["expert_cache.trace_csv_mb"] > 0

@@ -10,14 +10,12 @@ from elasticmoe.toymoe import (
     MoEShape,
     PrecisionMode,
     QuantizedMatrix,
-    expert_forward,
     gen_model,
     gen_routing_trace,
     greedy_decode,
     greedy_token,
     init_state,
     prefill,
-    quantize_activations,
     quantize_matrix,
     route,
     step,
@@ -62,16 +60,34 @@ def blocked_real_matvec(w, x):
     return np.sum(parts, axis=1)
 
 
+def dequant(qm):
+    # Exact real matrix codes * scales, shape (out, in).
+    w = qm.codes.astype(np.float64) * qm.scales[:, :, None]
+    return w.reshape(qm.codes.shape[0], -1)
+
+
+def quantize_vector(v):
+    # quantize_rows of one vector: (int64 codes, scale).
+    codes, scales = toymoe.quantize_rows(np.asarray(v, dtype=np.float64)[None])
+    return codes[0].astype(np.int64), float(scales[0])
+
+
+def expert_on_row(x, e, rec=ReconstructMode.FULL):
+    # The expert kernel on one row routed to the one expert e.
+    x = np.asarray(x, dtype=np.float64)[None]
+    return toymoe._experts(x, np.zeros((1, 1), dtype=np.int64), (e,), rec)[0, 0]
+
+
 def mirror_expert_int8(x, e):
     # Real-arithmetic mirror of the fused integer path: dequantized weights,
     # dequantized activations, identical accumulation structure.
-    a, sa = quantize_activations(x)
+    a, sa = quantize_vector(x)
     xa = a.astype(np.float64) * sa
-    u = blocked_real_matvec(e.up.dequant(), xa)
-    g = blocked_real_matvec(e.gate.dequant(), xa)
+    u = blocked_real_matvec(dequant(e.up), xa)
+    g = blocked_real_matvec(dequant(e.gate), xa)
     h = silu(g) * u
-    hq, sh = quantize_activations(h)
-    return blocked_real_matvec(e.down.dequant(), hq.astype(np.float64) * sh)
+    hq, sh = quantize_vector(h)
+    return blocked_real_matvec(dequant(e.down), hq.astype(np.float64) * sh)
 
 
 class TestRoute:
@@ -137,7 +153,7 @@ class TestQuantizeMatrix:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_matches_group_quantizer_bitwise(self, data):
-        # quantize_matrix per (row, group) and quantize_activations of one
+        # quantize_matrix per (row, group) and quantize_rows of one
         # 32-vector both equal quantize_group bit for bit, in every regime
         # of the fp16 scale rule.
         rows = data.draw(st.integers(1, 4), label="rows")
@@ -160,7 +176,7 @@ class TestQuantizeMatrix:
                 ref = quantize_group(vals)
                 assert ref.scale == qm.scales[row, g]
                 assert np.array_equal(ref.codes, qm.codes[row, g])
-                codes, scale = quantize_activations(vals)
+                codes, scale = quantize_vector(vals)
                 assert type(scale) is float and scale == ref.scale
                 assert np.array_equal(codes, ref.codes)
 
@@ -181,7 +197,7 @@ class TestQuantizeMatrix:
         rng = np.random.default_rng(10)
         w = rng.normal(size=(4, GROUP_SIZE))
         qm = quantize_matrix(w)
-        deq = qm.dequant()
+        deq = dequant(qm)
         for row in range(4):
             for j in range(GROUP_SIZE):
                 assert deq[row, j] == qm.codes[row, 0, j] * qm.scales[row, 0]
@@ -214,11 +230,11 @@ class TestQuantizeMatrix:
             with pytest.raises(ValueError, match="overflows fp16"):
                 quantize_matrix(w)
             with pytest.raises(ValueError, match="overflows fp16"):
-                quantize_activations(w[0])
+                quantize_vector(w[0])
         # The largest fp16 scale still quantizes, as it does per group.
         edge = np.full((1, GROUP_SIZE), FP16_MAX_AMAX)
         assert quantize_matrix(edge).scales[0, 0] == quantize_group(edge[0]).scale
-        assert quantize_activations(edge[0])[1] == 65504.0
+        assert quantize_vector(edge[0])[1] == 65504.0
 
 
 class TestGenModel:
@@ -252,15 +268,14 @@ class TestExpertForward:
 
     def test_zero_input_gives_zero_output(self):
         x = np.zeros(SHAPE.d_model)
-        for mode in PrecisionMode:
-            y = expert_forward(x, self.e, mode)
-            assert np.all(y == 0.0)
+        for rec in ReconstructMode:
+            assert np.all(expert_on_row(x, self.e, rec) == 0.0)
 
     def test_int8_matches_dequantized_mirror_bitwise(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             x = rng.normal(size=SHAPE.d_model)
-            got = expert_forward(x, self.e, PrecisionMode.INT8_FULL)
+            got = expert_on_row(x, self.e)
             ref = mirror_expert_int8(x, self.e)
             assert np.array_equal(got, ref)
 
@@ -279,8 +294,8 @@ class TestExpertForward:
         )
         for _ in range(5):
             x = rng.normal(size=SHAPE.d_model)
-            draft = expert_forward(x, self.e, PrecisionMode.MSB4_DRAFT)
-            full_on_sur = expert_forward(x, sur, PrecisionMode.INT8_FULL)
+            draft = expert_on_row(x, self.e, ReconstructMode.LSB_AUGMENT)
+            full_on_sur = expert_on_row(x, sur)
             assert np.array_equal(draft, full_on_sur)
 
     def test_on_grid_weights_dequantize_exactly(self):
@@ -293,7 +308,7 @@ class TestExpertForward:
         w = k * 0.5
         qm = quantize_matrix(w)
         assert np.all(qm.scales == 0.5)
-        assert np.array_equal(qm.dequant(), w)
+        assert np.array_equal(dequant(qm), w)
 
     def test_real_vs_int8_difference_is_small(self):
         # Real weights drawn at gen_model's scales; the reference is real
@@ -312,14 +327,10 @@ class TestExpertForward:
             a = blocked_real_matvec(
                 down, silu(blocked_real_matvec(gate, x)) * blocked_real_matvec(up, x)
             )
-            b = expert_forward(x, e, PrecisionMode.INT8_FULL)
+            b = expert_on_row(x, e)
             denom = np.linalg.norm(a)
             diffs.append(np.linalg.norm(a - b) / denom)
         assert max(diffs) < 0.05
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            expert_forward(np.zeros(32), self.e, PrecisionMode.INT8_FULL)
 
 
 class TestStep:
