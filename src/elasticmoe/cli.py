@@ -1,7 +1,8 @@
 """Command-line front end: run sweeps, run ablation suites, validate configs.
 
 Exit codes: 0 on success, 1 for config problems (unreadable, unparseable,
-or invalid), 2 for runtime failures.
+or invalid), 2 for runtime failures and, from argparse, for usage errors
+such as a --jobs below 1.
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ _JOBS_HELP = (
 )
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elasticmoe",
@@ -36,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a JSON scenario config")
     run_p.add_argument("-o", "--output", default="-", help="output path, - for stdout")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    run_p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    run_p.add_argument("--jobs", type=positive_int, default=1, help=_JOBS_HELP)
 
     ablate_p = sub.add_parser("ablate", help="run a bundled ablation suite")
     ablate_p.add_argument(
@@ -44,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ablate_p.add_argument("-o", "--output", default="-")
     ablate_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    ablate_p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    ablate_p.add_argument("--jobs", type=positive_int, default=1, help=_JOBS_HELP)
 
     validate_p = sub.add_parser("validate", help="check a config file and exit")
     validate_p.add_argument("config")

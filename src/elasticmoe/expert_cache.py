@@ -260,6 +260,8 @@ def expected_unique_experts(
         raise ValueError("batch must be >= 1")
     if not 1 <= top_k <= n_experts:
         raise ValueError("need 1 <= top_k <= n_experts")
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
     if popularity is None:
         return n_experts * (1.0 - (1.0 - top_k / n_experts) ** batch)
     p = np.asarray(popularity, dtype=np.float64)

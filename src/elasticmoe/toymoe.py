@@ -4,10 +4,11 @@ The model is small enough to run exhaustive decoding experiments in tests:
 random fixed weights, a decayed-context stand-in for attention (each layer
 keeps CONTEXT_DECAY times its previous context plus the new input), top-k
 routed SiLU-gated experts, and greedy sampling everywhere.  Expert weights
-exist only as group-quantized INT8 codes; the precision mode picks the code
-set QuantizedMatrix.surrogate gives: the stored 8-bit codes (INT8_FULL) or
-the 4-bit MSB surrogate used for drafting (MSB4_DRAFT), kept per expert as
-ExpertWeights.codes.  Dense parts (embedding, context map, router, output
+exist only as group-quantized INT8 codes, one stored layout per expert
+(ExpertWeights); the precision mode picks the code set ExpertWeights.codes
+reads from them: the stored 8-bit codes (INT8_FULL) or the 4-bit MSB
+surrogate used for drafting (MSB4_DRAFT), rebuilt by surrogate_codes once
+per expert and mode.  Dense parts (embedding, context map, router, output
 head) stay real in both modes.
 
 ``step`` is one layer-major forward over T tokens, each continuing a given
@@ -74,106 +75,67 @@ class MoEShape:
             raise ValueError("top_k cannot exceed n_experts")
 
 
-@dataclass(frozen=True)
-class QuantizedMatrix:
-    """Weight matrix stored as int8 codes with one fp16 scale per 32-wide
-    input group.  codes: (out, groups, 32) int8; scales: (out, groups)."""
-
-    codes: np.ndarray
-    scales: np.ndarray
-
-    @property
-    def out_dim(self) -> int:
-        return self.codes.shape[0]
-
-    def surrogate(self, mode: ReconstructMode) -> np.ndarray:
-        """Codes rebuilt from slices under the given reconstruction mode:
-        the stored codes themselves for FULL, otherwise new int64 codes
-        (ExpertWeights.codes keeps the copies the forward pass reads)."""
-        if mode is ReconstructMode.FULL:
-            return self.codes
-        return surrogate_codes(self.codes, mode)
-
-
-def quantize_matrix(w: np.ndarray) -> QuantizedMatrix:
-    """Group-quantize a real matrix along its input dimension.
-
-    Same code/scale rule as bitnest.quantize_group, applied per (row, group);
-    codes and scales come back read-only.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] % GROUP_SIZE:
-        raise ValueError(f"need (out, in) with in divisible by {GROUP_SIZE}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("non-finite weight")
-    out_dim = w.shape[0]
-    vals = w.reshape(out_dim, -1, GROUP_SIZE)
-    scales = fp16_scale(np.abs(vals).max(axis=2))
-    codes = np.clip(np.rint(vals / scales[:, :, None]), CODE_MIN, CODE_MAX)
-    codes = codes.astype(np.int8)
-    codes.flags.writeable = False
-    scales.flags.writeable = False
-    return QuantizedMatrix(codes=codes, scales=scales)
-
-
 def quantize_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row symmetric INT8 by the bitnest.quantize_group rule over each
     whole row: returns (codes as integer-valued float64, per-row scales)."""
     # A NaN or inf anywhere makes its row's magnitude non-finite.
     amax = np.maximum.reduce(np.abs(v), axis=1, initial=0.0)
     if not np.isfinite(amax).all():
-        raise ValueError("non-finite activation")
+        raise ValueError("non-finite value to quantize")
     scales = fp16_scale(amax)
     # Two ufuncs, not np.clip: its wrapper costs more on this hot path.
     codes = np.minimum(np.maximum(np.rint(v / scales[:, None]), CODE_MIN), CODE_MAX)
     return codes, scales
 
 
-@dataclass(frozen=True)
-class ExpertCodes:
-    """One expert's weight codes at one reconstruction mode, laid out for
-    the integer products as (groups, 32, out) float32 (exact: every code
-    has |code| <= 128) with (groups, 1, out) fp16 scales: up and gate
-    stacked into one 2 * d_ff output, and down."""
-
-    up_gate: np.ndarray
-    up_gate_scales: np.ndarray
-    down: np.ndarray
-    down_scales: np.ndarray
-
-
-def _group_major(codes: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (out, groups, 32) codes and (out, groups) scales to the ExpertCodes
-    # layout, read-only.
-    codes = np.ascontiguousarray(codes.transpose(1, 2, 0), dtype=np.float32)
-    scales = np.ascontiguousarray(scales.T)[:, None, :]
+def quantize_matrix(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group-quantize a real (out, in) matrix along its input dimension:
+    quantize_rows over each row's 32-wide groups.  Returns read-only
+    (codes, scales) laid out as the expert kernel reads them: int8
+    (groups, 32, out) codes and (groups, 1, out) fp16 scales.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[1] % GROUP_SIZE:
+        raise ValueError(f"need (out, in) with in divisible by {GROUP_SIZE}")
+    out_dim = w.shape[0]
+    codes, scales = quantize_rows(w.reshape(-1, GROUP_SIZE))
+    codes = codes.astype(np.int8).reshape(out_dim, -1, GROUP_SIZE).transpose(1, 2, 0)
+    codes = np.ascontiguousarray(codes)
+    scales = np.ascontiguousarray(scales.reshape(out_dim, -1).T)[:, None, :]
     codes.flags.writeable = False
     scales.flags.writeable = False
     return codes, scales
 
 
+def _float_codes(codes: np.ndarray, mode: ReconstructMode) -> np.ndarray:
+    # Codes rebuilt from their slices under a reconstruction mode (FULL is
+    # the stored codes), as read-only float32: exact, every |code| <= 128.
+    if mode is not ReconstructMode.FULL:
+        codes = surrogate_codes(codes, mode)
+    codes = codes.astype(np.float32)
+    codes.flags.writeable = False
+    return codes
+
+
 @dataclass(frozen=True)
 class ExpertWeights:
-    """One expert's up, gate and down projections as quantized codes."""
+    """One expert's bit-nested INT8 codes and fp16 scales, as quantize_matrix
+    lays them out: up and gate stacked into one 2 * d_ff output, and down."""
 
-    up: QuantizedMatrix
-    gate: QuantizedMatrix
-    down: QuantizedMatrix
+    up_gate: np.ndarray
+    up_gate_scales: np.ndarray
+    down: np.ndarray
+    down_scales: np.ndarray
     _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def codes(self, mode: ReconstructMode) -> ExpertCodes:
-        """The expert's ExpertCodes under a reconstruction mode, read
-        through QuantizedMatrix.surrogate on first use per mode and kept
+    def codes(self, mode: ReconstructMode) -> tuple[np.ndarray, np.ndarray]:
+        """The (up_gate, down) codes under a reconstruction mode as the
+        float32 the kernel multiplies, built on first use per mode and kept
         read-only (dict.setdefault, so concurrent first calls share one)."""
         built = self._codes.get(mode)
         if built is None:
-            up_gate, up_gate_scales = _group_major(
-                np.concatenate([self.up.surrogate(mode), self.gate.surrogate(mode)]),
-                np.concatenate([self.up.scales, self.gate.scales]),
-            )
-            down, down_scales = _group_major(self.down.surrogate(mode), self.down.scales)
             built = self._codes.setdefault(
-                mode, ExpertCodes(up_gate, up_gate_scales, down, down_scales)
+                mode, (_float_codes(self.up_gate, mode), _float_codes(self.down, mode))
             )
         return built
 
@@ -263,13 +225,13 @@ def _blocked_matmul(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _quant_matmul(
     codes: np.ndarray, scales: np.ndarray, acts: np.ndarray, act_scales: np.ndarray
 ) -> np.ndarray:
-    # ExpertCodes codes and scales times each row of the integer-valued
-    # float32 acts (n, in) with per-row scales.  Every group dot is a sum
-    # of 32 products of magnitude <= 128 * 127, so every partial sum is an
-    # integer below 2^24 and exact in float32 whatever order BLAS adds in.
-    # Each group partial is then an exact float64 product (<= 42
-    # significant bits), and the group sum gives the exact real value of
-    # the dequantized blocked product.
+    # ExpertWeights.codes float32 codes and their (groups, 1, out) scales
+    # times each row of the integer-valued float32 acts (n, in) with per-row
+    # scales.  Every group dot is a sum of 32 products of magnitude
+    # <= 128 * 127, so every partial sum is an integer below 2^24 and exact
+    # in float32 whatever order BLAS adds in.  Each group partial is then an
+    # exact float64 product (<= 42 significant bits), and the group sum
+    # gives the exact real value of the dequantized blocked product.
     n = acts.shape[0]
     ints = np.matmul(acts.reshape(n, -1, GROUP_SIZE).transpose(1, 0, 2), codes)
     return _group_sum((ints * scales * act_scales[:, None]).transpose(1, 2, 0))
@@ -336,10 +298,10 @@ def gen_model(shape: MoEShape, seed: int) -> MoEModel:
         w_router[layer] = rng.normal(0.0, 2.0 / np.sqrt(d), size=(shape.n_experts, d))
         experts = []
         for _ in range(shape.n_experts):
-            up = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(f, d)))
-            gate = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(f, d)))
+            # Up then gate, one (2f, d) draw: the same values as two (f, d).
+            up_gate = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(2 * f, d)))
             down = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f)))
-            experts.append(ExpertWeights(up=up, gate=gate, down=down))
+            experts.append(ExpertWeights(*up_gate, *down))
         layers.append(tuple(experts))
     return MoEModel(
         shape=shape,
@@ -384,18 +346,20 @@ def _experts(
     ]
     acts, act_scales = quantize_rows(x)
     acts, act_scales = acts.astype(np.float32)[rows], act_scales[rows]
-    f = experts[0].up.out_dim
+    f = experts[0].up_gate.shape[2] // 2
     h = np.empty((len(order), f))
     for e, lo, hi in blocks:
-        w = experts[e].codes(rec)
-        ug = _quant_matmul(w.up_gate, w.up_gate_scales, acts[lo:hi], act_scales[lo:hi])
+        w = experts[e]
+        up_gate, _ = w.codes(rec)
+        ug = _quant_matmul(up_gate, w.up_gate_scales, acts[lo:hi], act_scales[lo:hi])
         h[lo:hi] = _silu(ug[:, f:]) * ug[:, :f]
     hq, h_scales = quantize_rows(h)
     hq = hq.astype(np.float32)
     out = np.empty((len(order), x.shape[1]))
     for e, lo, hi in blocks:
-        w = experts[e].codes(rec)
-        out[lo:hi] = _quant_matmul(w.down, w.down_scales, hq[lo:hi], h_scales[lo:hi])
+        w = experts[e]
+        _, down = w.codes(rec)
+        out[lo:hi] = _quant_matmul(down, w.down_scales, hq[lo:hi], h_scales[lo:hi])
     unsorted = np.empty_like(out)
     unsorted[order] = out
     return unsorted.reshape(n, k, -1)

@@ -448,14 +448,18 @@ class TestSdSession:
             cfg = SdConfig(width=2, depth=3, pool_capacity=4, draft_reconstruct=mode)
             run = SdSession(model, cfg, prompt=[4, 2]).run(16)
             assert sum(s.draft_step_calls for s in run.steps) > 10
-        # Each (layer, expert, matrix) is built at most once per mode.
+        # Each expert's up_gate and down are built at most once per draft
+        # mode, and the FULL codes of the verify steps are never rebuilt.
         assert set(calls) == set(modes)
-        assert max(calls.values()) <= 3 * SHAPE.n_layers * SHAPE.n_experts
+        assert ReconstructMode.FULL not in calls
+        assert max(calls.values()) <= 2 * SHAPE.n_layers * SHAPE.n_experts
         expert = model.experts[0][0]
-        codes = expert.codes(ReconstructMode.TRUNCATE)
-        assert codes is expert.codes(ReconstructMode.TRUNCATE)
-        for array in (codes.up_gate, codes.up_gate_scales, codes.down, codes.down_scales):
-            assert not array.flags.writeable
+        for mode in modes + (ReconstructMode.FULL,):
+            codes = expert.codes(mode)
+            assert codes is expert.codes(mode)
+            assert len(codes) == 2
+            for array in codes:
+                assert not array.flags.writeable
 
     def test_one_step_call_per_draft_level_and_one_per_verify_tree(self, monkeypatch):
         calls = []

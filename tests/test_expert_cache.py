@@ -431,6 +431,13 @@ class TestExpectedUnique:
         with pytest.raises(ValueError):
             expected_unique_experts(2, 4, 32, popularity=[1.0] * 3)
 
+    @pytest.mark.parametrize("mc_samples", [0, -3])
+    def test_rejects_mc_samples_below_one(self, mc_samples):
+        # 0 divided by zero and -3 returned -0.0 before the check.
+        for pop in (None, zipf_popularity(32, 1.0)):
+            with pytest.raises(ValueError, match="mc_samples"):
+                expected_unique_experts(2, 4, 32, popularity=pop, mc_samples=mc_samples)
+
 
 class TestTraceIo:
     def test_round_trip(self, tmp_path):

@@ -856,6 +856,21 @@ def test_cli_ablate_unknown_suite(capsys):
     assert cli_main(["ablate", "bogus"]) == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_cli_rejects_jobs_below_one(command, jobs, tmp_path, capsys):
+    # A usage error, exit 2 from argparse, before anything runs.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(FAST))
+    target = str(cfg_path) if command == "run" else "bit_axis"
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, target, "--jobs", jobs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--jobs: must be at least 1, got {jobs}" in captured.err
+
+
 def test_cli_unwritable_output(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(FAST))

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elasticmoe import runner, toymoe
-from elasticmoe.bitnest import GROUP_SIZE, ReconstructMode, quantize_group
+from elasticmoe import hwmodel, runner, toymoe
+from elasticmoe.bitnest import GROUP_SIZE, ReconstructMode, quantize_group, surrogate_codes
 from elasticmoe.toymoe import (
     ExpertWeights,
     MoEShape,
     PrecisionMode,
-    QuantizedMatrix,
     gen_model,
     gen_routing_trace,
     greedy_decode,
@@ -60,10 +59,16 @@ def blocked_real_matvec(w, x):
     return np.sum(parts, axis=1)
 
 
-def dequant(qm):
-    # Exact real matrix codes * scales, shape (out, in).
-    w = qm.codes.astype(np.float64) * qm.scales[:, :, None]
-    return w.reshape(qm.codes.shape[0], -1)
+def dequant(codes, scales):
+    # Exact real matrix codes * scales, shape (out, in), from the
+    # (groups, 32, out) codes and (groups, 1, out) scales of quantize_matrix.
+    w = codes.astype(np.float64) * scales
+    return w.transpose(2, 0, 1).reshape(codes.shape[2], -1)
+
+
+def quantized_expert(up, gate, down):
+    # An ExpertWeights holding the codes of real up, gate and down matrices.
+    return ExpertWeights(*quantize_matrix(np.concatenate([up, gate])), *quantize_matrix(down))
 
 
 def quantize_vector(v):
@@ -83,11 +88,13 @@ def mirror_expert_int8(x, e):
     # dequantized activations, identical accumulation structure.
     a, sa = quantize_vector(x)
     xa = a.astype(np.float64) * sa
-    u = blocked_real_matvec(dequant(e.up), xa)
-    g = blocked_real_matvec(dequant(e.gate), xa)
+    w_up_gate = dequant(e.up_gate, e.up_gate_scales)
+    f = w_up_gate.shape[0] // 2
+    u = blocked_real_matvec(w_up_gate[:f], xa)
+    g = blocked_real_matvec(w_up_gate[f:], xa)
     h = silu(g) * u
     hq, sh = quantize_vector(h)
-    return blocked_real_matvec(dequant(e.down), hq.astype(np.float64) * sh)
+    return blocked_real_matvec(dequant(e.down, e.down_scales), hq.astype(np.float64) * sh)
 
 
 class TestRoute:
@@ -169,55 +176,70 @@ class TestQuantizeMatrix:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         w = np.concatenate([draw_group(rng, k) for k in kinds])
         w = w.reshape(rows, groups * GROUP_SIZE)
-        qm = quantize_matrix(w)
+        w_codes, w_scales = quantize_matrix(w)
+        assert w_codes.dtype == np.int8
+        assert w_codes.shape == (groups, GROUP_SIZE, rows)
+        assert w_scales.shape == (groups, 1, rows)
         for row in range(rows):
             for g in range(groups):
                 vals = w[row, g * GROUP_SIZE : (g + 1) * GROUP_SIZE]
                 ref = quantize_group(vals)
-                assert ref.scale == qm.scales[row, g]
-                assert np.array_equal(ref.codes, qm.codes[row, g])
+                assert ref.scale == w_scales[g, 0, row]
+                assert np.array_equal(ref.codes, w_codes[g, :, row])
                 codes, scale = quantize_vector(vals)
                 assert type(scale) is float and scale == ref.scale
                 assert np.array_equal(codes, ref.codes)
 
     def test_codes_and_scales_read_only(self):
-        qm = quantize_matrix(np.ones((2, GROUP_SIZE)))
-        assert not qm.codes.flags.writeable
-        assert not qm.scales.flags.writeable
+        for array in quantize_matrix(np.ones((2, GROUP_SIZE))):
+            assert not array.flags.writeable
 
     def test_full_surrogate_is_the_stored_codes(self, monkeypatch):
+        # codes(FULL) casts the stored codes and rebuilds nothing from slices.
         def unexpected(*args):
             raise AssertionError("FULL codes rebuilt from slices")
 
         monkeypatch.setattr(toymoe, "surrogate_codes", unexpected)
-        qm = quantize_matrix(np.random.default_rng(9).normal(size=(3, GROUP_SIZE)))
-        assert qm.surrogate(ReconstructMode.FULL) is qm.codes
+        rng = np.random.default_rng(9)
+        e = quantized_expert(*rng.normal(size=(3, 2 * GROUP_SIZE, GROUP_SIZE)))
+        up_gate, down = e.codes(ReconstructMode.FULL)
+        assert up_gate.dtype == down.dtype == np.float32
+        assert np.array_equal(up_gate, e.up_gate)
+        assert np.array_equal(down, e.down)
 
     def test_dequant_is_exact_product(self):
         rng = np.random.default_rng(10)
         w = rng.normal(size=(4, GROUP_SIZE))
-        qm = quantize_matrix(w)
-        deq = dequant(qm)
+        codes, scales = quantize_matrix(w)
+        deq = dequant(codes, scales)
         for row in range(4):
             for j in range(GROUP_SIZE):
-                assert deq[row, j] == qm.codes[row, 0, j] * qm.scales[row, 0]
+                assert deq[row, j] == codes[0, j, row] * scales[0, 0, row]
 
     def test_zero_rows(self):
         w = np.zeros((3, GROUP_SIZE))
-        qm = quantize_matrix(w)
-        assert np.all(qm.codes == 0)
-        assert np.all(qm.scales == 1.0)
+        codes, scales = quantize_matrix(w)
+        assert np.all(codes == 0)
+        assert np.all(scales == 1.0)
 
     def test_surrogate_lsb_augment(self):
         rng = np.random.default_rng(11)
-        w = rng.normal(size=(4, GROUP_SIZE))
-        qm = quantize_matrix(w)
-        sur = qm.surrogate(ReconstructMode.LSB_AUGMENT)
-        assert np.array_equal(sur, 16 * (qm.codes >> 4) + 8)
+        e = quantized_expert(*rng.normal(size=(3, 2 * GROUP_SIZE, 2 * GROUP_SIZE)))
+        up_gate, down = e.codes(ReconstructMode.LSB_AUGMENT)
+        assert np.array_equal(up_gate, 16 * (e.up_gate >> 4) + 8)
+        assert np.array_equal(down, 16 * (e.down >> 4) + 8)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             quantize_matrix(np.zeros((4, 33)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        w = np.ones((2, 2 * GROUP_SIZE))
+        w[1, GROUP_SIZE + 3] = bad
+        with pytest.raises(ValueError, match="non-finite") as err:
+            quantize_matrix(w)
+        assert "activation" not in str(err.value)
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_fp16_scale_overflow(self):
@@ -233,7 +255,7 @@ class TestQuantizeMatrix:
                 quantize_vector(w[0])
         # The largest fp16 scale still quantizes, as it does per group.
         edge = np.full((1, GROUP_SIZE), FP16_MAX_AMAX)
-        assert quantize_matrix(edge).scales[0, 0] == quantize_group(edge[0]).scale
+        assert quantize_matrix(edge)[1][0, 0, 0] == quantize_group(edge[0]).scale
         assert quantize_vector(edge[0])[1] == 65504.0
 
 
@@ -245,9 +267,22 @@ class TestGenModel:
         assert np.array_equal(m1.w_out, m2.w_out)
         e1 = m1.experts[1][3]
         e2 = m2.experts[1][3]
-        assert np.array_equal(e1.up.codes, e2.up.codes)
-        assert np.array_equal(e1.down.codes, e2.down.codes)
-        assert np.array_equal(e1.down.scales, e2.down.scales)
+        assert np.array_equal(e1.up_gate, e2.up_gate)
+        assert np.array_equal(e1.up_gate_scales, e2.up_gate_scales)
+        assert np.array_equal(e1.down, e2.down)
+        assert np.array_equal(e1.down_scales, e2.down_scales)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [SHAPE, MoEShape(d_model=32, d_ff=96, n_experts=3, top_k=1, n_layers=3, vocab=8)],
+    )
+    def test_cost_model_prices_the_stored_bytes(self, shape):
+        # hwmodel's per-expert byte tallies are the INT8 codes toymoe stores.
+        full = hwmodel.expert_bytes_full(shape)
+        assert hwmodel.expert_bytes_msb(shape) == full / 2
+        for layer in gen_model(shape, seed=5).experts:
+            for e in layer:
+                assert e.up_gate.nbytes + e.down.nbytes == full
 
     def test_seeds_differ(self):
         m1 = gen_model(SHAPE, seed=1)
@@ -281,16 +316,12 @@ class TestExpertForward:
 
     def test_draft_equals_int8_on_surrogate_codes(self):
         rng = np.random.default_rng(14)
+        lsb = ReconstructMode.LSB_AUGMENT
         sur = ExpertWeights(
-            up=QuantizedMatrix(
-                self.e.up.surrogate(ReconstructMode.LSB_AUGMENT), self.e.up.scales
-            ),
-            gate=QuantizedMatrix(
-                self.e.gate.surrogate(ReconstructMode.LSB_AUGMENT), self.e.gate.scales
-            ),
-            down=QuantizedMatrix(
-                self.e.down.surrogate(ReconstructMode.LSB_AUGMENT), self.e.down.scales
-            ),
+            surrogate_codes(self.e.up_gate, lsb),
+            self.e.up_gate_scales,
+            surrogate_codes(self.e.down, lsb),
+            self.e.down_scales,
         )
         for _ in range(5):
             x = rng.normal(size=SHAPE.d_model)
@@ -306,9 +337,9 @@ class TestExpertForward:
         k[:, 0] = 127
         k[:, GROUP_SIZE] = -127
         w = k * 0.5
-        qm = quantize_matrix(w)
-        assert np.all(qm.scales == 0.5)
-        assert np.array_equal(dequant(qm), w)
+        codes, scales = quantize_matrix(w)
+        assert np.all(scales == 0.5)
+        assert np.array_equal(dequant(codes, scales), w)
 
     def test_real_vs_int8_difference_is_small(self):
         # Real weights drawn at gen_model's scales; the reference is real
@@ -318,9 +349,7 @@ class TestExpertForward:
         up = rng.normal(0.0, 1.0 / np.sqrt(d), size=(f, d))
         gate = rng.normal(0.0, 1.0 / np.sqrt(d), size=(f, d))
         down = rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f))
-        e = ExpertWeights(
-            up=quantize_matrix(up), gate=quantize_matrix(gate), down=quantize_matrix(down)
-        )
+        e = quantized_expert(up, gate, down)
         diffs = []
         for _ in range(10):
             x = rng.normal(size=d)
