@@ -26,9 +26,20 @@ SLICE_KINDS = ("msb", "full")
 ID_LIMIT = 1 << 31
 
 # Exponential draws per Monte Carlo block in expected_unique_experts.  The
-# Generator fills draws in order, so the estimate does not depend on it;
-# it only bounds the memory a block holds.
-_MC_BLOCK_ELEMENTS = 1 << 12
+# Generator fills draws in order, so the estimate does not depend on it.
+# It bounds the memory a block holds (one reused buffer of this many
+# float64 draws, or of one sample's draws when those are more) and sets
+# how many numpy calls a block's work takes.  On the bundled example's
+# nine estimates, 2**12 took 0.23-0.27 s, 2**14 0.16-0.17 s, 2**15
+# 0.13-0.15 s and 2**16 0.14 s (2-vCPU x86_64 VM).
+_MC_BLOCK_ELEMENTS = 1 << 15
+# Most weighted (nonzero-popularity) experts that expected_unique_experts
+# ranks pairwise, c**2 comparisons a token; with more it argpartitions
+# every token's full row.  The crossover, measured with every expert
+# weighted (2 and 8 of 8-16 experts selected, batches 1-112, 4,000
+# samples): ranking took 0.6-0.9x argpartition's time up to 10 weighted
+# experts, about 1x at 11-13 and 0.8-1.4x at 16, and 2x at 32.
+_MC_RANK_MAX_EXPERTS = 12
 
 
 class AccessTrace:
@@ -254,7 +265,20 @@ def expected_unique_experts(
     Uniform popularity has the closed form n*(1 - (1 - k/n)^batch); a
     popularity vector switches to a seeded Monte Carlo estimate where each
     token selects the top-k winners of an exponential race weighted by
-    popularity (the same selection model as the synthetic routing traces).
+    popularity (the same selection model as the synthetic routing traces):
+    the top_k largest of p * Exp(1) scores, picked as np.argpartition picks
+    them from one token's row, ties included.
+
+    The estimate counts the same selections without ranking every row of
+    every expert.  A token picks an expert when fewer than top_k experts
+    outscore it.  A zero-weight expert scores 0, so while top_k weighted
+    experts score above 0 the picks lie among the weighted ones, and only
+    those columns need comparing.  A row where that rule does not pick
+    exactly top_k positive scores has a tie at the k-th score (or a
+    weighted score of 0); it goes to the per-row argpartition, so the
+    result equals the per-row selection in every case.  With fewer than
+    top_k weighted experts, or more than _MC_RANK_MAX_EXPERTS of them,
+    every row is argpartitioned.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
@@ -268,17 +292,52 @@ def expected_unique_experts(
     if p.shape != (n_experts,) or np.any(p < 0) or p.sum() <= 0:
         raise ValueError("popularity must be n_experts nonnegative weights")
     p = p / p.sum()
+    weighted = np.flatnonzero(p)
+    rank = top_k <= len(weighted) <= _MC_RANK_MAX_EXPERTS
     rng = np.random.default_rng(seed)
     per_block = max(1, _MC_BLOCK_ELEMENTS // (batch * n_experts))
+    draws = np.empty(min(per_block, mc_samples) * batch * n_experts)
     total = 0
     for start in range(0, mc_samples, per_block):
         m = min(per_block, mc_samples - start)
-        scores = p * rng.exponential(1.0, size=(m, batch, n_experts))
-        top = np.argpartition(-scores, top_k - 1, axis=-1)[..., :top_k]
-        seen = np.zeros((m, n_experts), dtype=bool)
-        seen[np.arange(m)[:, None], top.reshape(m, -1)] = True
-        total += int(seen.sum())
+        e = draws[: m * batch * n_experts].reshape(m, batch, n_experts)
+        rng.standard_exponential(out=e)
+        if rank:
+            total += _ranked_unique(e, p, weighted, top_k)
+        else:
+            rows = e.reshape(-1, n_experts)
+            seen = _argpartition_seen(rows, p, np.arange(m).repeat(batch), m, top_k)
+            total += np.count_nonzero(seen)
     return total / mc_samples
+
+
+def _argpartition_seen(rows, p, samples, m, top_k) -> np.ndarray:
+    """(m, n) mask of the experts that each sample's tokens select: the
+    top_k of each row of p * rows by np.argpartition, row r belonging to
+    sample samples[r]."""
+    top = np.argpartition(-(p * rows), top_k - 1, axis=-1)[:, :top_k]
+    seen = np.zeros((m, len(p)), dtype=bool)
+    seen[samples[:, None], top] = True
+    return seen
+
+
+def _ranked_unique(e, p, weighted, top_k) -> int:
+    """Distinct experts selected per sample of e's (samples, batch, n)
+    draws, summed over the samples, ranking only the weighted columns."""
+    m, batch, n = e.shape
+    rows = e.reshape(-1, n)
+    # One contiguous row of scores per weighted expert, tokens along it.
+    scores = rows.T[weighted]
+    scores *= p[weighted, None]
+    outscored_by = np.add.reduce(scores[:, None] > scores, axis=0, dtype=np.uint8)
+    picked = (outscored_by < top_k) & (scores > 0)
+    tied = np.flatnonzero(np.add.reduce(picked, axis=0, dtype=np.uint8) != top_k)
+    if not len(tied):
+        return np.count_nonzero(picked.reshape(-1, m, batch).any(axis=2))
+    picked[:, tied] = False
+    seen = _argpartition_seen(rows[tied], p, tied // batch, m, top_k)
+    seen[:, weighted] |= picked.reshape(-1, m, batch).any(axis=2).T
+    return np.count_nonzero(seen)
 
 
 _TRACE_HEADER = b"step,layer,expert,slice_kind"

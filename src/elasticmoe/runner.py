@@ -60,21 +60,34 @@ ALL_SCHEMES = FUNCTIONAL_SCHEMES + ANALYTIC_SCHEMES
 # prompt_len tokens; a session runs at most n_new_tokens steps; the trace
 # generator blends its n_tokens rows one by one; and each verify
 # unique-expert estimate draws batch * verify tokens routings (up to
-# 64 * 65) per Monte Carlo sample.
+# 64 * 65) of n_experts exponentials each per Monte Carlo sample.  Each
+# token steps n_layers layers of top_k d_model x d_ff experts and a
+# d_model x vocab head.  The model highs keep the bundled example's width
+# (d_model 64, d_ff 128, vocab 64) and allow 3 layers and 24 experts:
+# experts cost most, through the estimate's draws, and at 32 the bounds
+# scenario took 5.7-6.4 s against 5.0-5.6 s at 24 (2-vCPU x86_64 VM).
 MAX_SD_WIDTH = 8
 MAX_SD_DEPTH = 8
 MAX_PROMPT_LEN = 256
 MAX_NEW_TOKENS = 256
 MAX_TRACE_TOKENS = 4096
 MAX_BATCH = 64
+MAX_EXPERTS = 24
 
 # (section, key) -> inclusive (low, high) of every numeric config value
-# outside the model and hw sections, checked as the config is read.  A
-# Zipf exponent of at most 16 keeps each expert's popularity rank**-z far
-# from float underflow for any expert count that fits in memory, so no
-# routing score is 0.  The KV traffic a step prices grows with seq_len *
-# kv_coeff, so both are bounded to keep latencies and energies finite.
+# outside the hw section, checked as the config is read.  model.top_k is
+# bounded by model.n_experts, which MoEShape checks.  A Zipf exponent of
+# at most 16 keeps each expert's popularity rank**-z far from float
+# underflow for any expert count that fits in memory, so no routing score
+# is 0.  The KV traffic a step prices grows with seq_len * kv_coeff, so
+# both are bounded to keep latencies and energies finite.
 RANGES = {
+    ("model", "d_model"): (1, 64),
+    ("model", "d_ff"): (1, 128),
+    ("model", "n_experts"): (1, MAX_EXPERTS),
+    ("model", "top_k"): (1, MAX_EXPERTS),
+    ("model", "n_layers"): (1, 3),
+    ("model", "vocab"): (1, 64),
     ("scenario", "batch_sizes"): (1, MAX_BATCH),
     ("trace", "n_tokens"): (1, MAX_TRACE_TOKENS),
     ("trace", "zipf_exponent"): (0, 16),

@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import tracemalloc
 import warnings
 from collections import OrderedDict
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad_vec
 
+from elasticmoe import expert_cache
 from elasticmoe.expert_cache import (
     ID_LIMIT,
     SLICE_KINDS,
@@ -403,6 +405,69 @@ class TestExpectedUnique:
             batch, top_k, n, popularity=pop, mc_samples=mc, seed=seed
         )
         assert got == _unique_experts_reference(batch, top_k, n, pop, mc, seed)
+
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    def test_ranking_resolves_ties_as_per_row_argpartition(self, top_k):
+        # Hand-built draws whose scores p * e tie: positive ties at and
+        # above the k-th score, and weighted experts drawing 0, so that
+        # zero-weight experts tie with them at 0.  Zero-weight columns sit
+        # before and between the weighted ones, where argpartition picks
+        # them from a tie at 0.
+        p = np.array([0.0, 0.5, 0.0, 0.25, 0.25])
+        weighted_draws = np.array([
+            [[1, 2, 2], [2, 4, 1], [0, 0, 3]],
+            [[1, 0, 0], [0, 0, 0], [1, 3, 2]],
+            [[2, 1, 0], [1, 1, 1], [2, 1, 1]],
+        ], dtype=np.float64)
+        e = np.full(weighted_draws.shape[:2] + (len(p),), 7.0)
+        e[..., np.flatnonzero(p)] = weighted_draws
+        want = []
+        for sample in p * e:
+            seen = set()
+            for row in sample:
+                seen.update(np.argpartition(-row, top_k - 1)[:top_k].tolist())
+            want.append(len(seen))
+        weighted = np.flatnonzero(p)
+        per_sample = [expert_cache._ranked_unique(e[i:i + 1], p, weighted, top_k)
+                      for i in range(len(e))]
+        assert per_sample == want
+        assert expert_cache._ranked_unique(e, p, weighted, top_k) == sum(want)
+
+    @pytest.mark.parametrize(
+        "popularity",
+        [
+            [8, 4, 0, 2, 0, 1] + [0] * 10,  # ranked: 4 weighted experts
+            zipf_popularity(16, 1.0),  # argpartitioned: every expert weighted
+            [0, 0, 1] + [0] * 13,  # argpartitioned: fewer than top_k weighted
+        ],
+    )
+    def test_mc_over_several_blocks_matches_per_sample_loop(self, popularity):
+        # Three whole Monte Carlo blocks and a partial fourth.
+        batch, top_k, n = 112, 2, 16
+        per_block = expert_cache._MC_BLOCK_ELEMENTS // (batch * n)
+        mc = 3 * per_block + per_block // 2
+        assert mc % per_block
+        got = expected_unique_experts(
+            batch, top_k, n, popularity=popularity, mc_samples=mc, seed=11
+        )
+        assert got == _unique_experts_reference(batch, top_k, n, popularity, mc, 11)
+
+    @pytest.mark.parametrize("weighted", [4, 12, 16])
+    def test_mc_block_memory_is_bounded(self, weighted):
+        # A verify estimate at the runner's size bounds: 64 * 65 tokens of
+        # 16 experts per sample, so one sample per block, and the peak is
+        # one block's.  Measured 0.7 MB ranked (4 weighted experts) to
+        # 1.6 MB argpartitioned (16), and 2.1 MB for argpartitioning every
+        # block's whole (samples, batch, n) score array.
+        pop = np.zeros(16)
+        pop[:weighted] = zipf_popularity(weighted, 1.0)
+        tracemalloc.start()
+        try:
+            expected_unique_experts(64 * 65, 2, 16, popularity=pop, mc_samples=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())

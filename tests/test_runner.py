@@ -131,8 +131,9 @@ _MAGNITUDE = st.builds(
 _SECTION_TYPES = {
     "scenario": {"batch_sizes": int},
     **{section: typing.get_type_hints(cls) for section, cls in (
-        ("trace", runner.TraceParams), ("sd", runner.SdSchemeParams),
-        ("run", runner.RunParams), ("analytic", runner.AnalyticParams),
+        ("model", toymoe.MoEShape), ("trace", runner.TraceParams),
+        ("sd", runner.SdSchemeParams), ("run", runner.RunParams),
+        ("analytic", runner.AnalyticParams),
     )},
 }
 # Caps on the fields that size a run, so that a drawn scenario runs in
@@ -742,6 +743,8 @@ def test_cli_rejects_unpriceable_hw_numbers(tmp_path, capsys, command, hw):
         ("run", {"kv_coeff": 1e300, "seq_len": 10**10}),
         ("trace", {"zipf_exponent": 400.0}),
         (None, {"analytic": {"eagle_sd": {"depth": runner.MAX_SD_DEPTH + 1}}}),
+        *(("model", {key: runner.RANGES["model", key][1] + 1})
+          for key in ("d_model", "d_ff", "n_experts", "n_layers", "vocab")),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -771,6 +774,10 @@ def test_cli_rejects_sizes_above_bounds(tmp_path, capsys, command, section, fiel
             "hw": {}, "schemes": ["eagle_sd"], "batch_sizes": [64],
             "analytic": {"eagle_sd": {"mean_accept": 1e308}},
         }),
+        # A model too wide for numpy to allocate; run exited 2 with
+        # "Maximum allowed dimension exceeded".
+        ("model.d_model", {"arch": "xpu", "schemes": ["ar_only"],
+                           "model": {"d_model": 32 * 10**200}}),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -787,11 +794,18 @@ def test_cli_rejects_scenarios_run_cannot_price(tmp_path, capsys, command, prefi
 
 def test_scenario_at_size_bounds_runs_in_seconds():
     # One scenario at every size bound: a 1 + 8 * 8 token verify call, a
-    # 256-token prefill, 256 new tokens, a 4,096-token trace and a batch of
-    # 64, whose verify unique-expert estimate dominates.  The default HB
-    # capacity holds that batch's KV.  3.6-4.4 s on a 2-vCPU x86_64 VM.
+    # 256-token prefill, 256 new tokens, a 4,096-token trace, a batch of
+    # 64 and the largest model shape (top_k stays 2), whose verify
+    # unique-expert estimate dominates: 4,000 samples of 64 * 65 tokens'
+    # draws over 24 experts.  The default HB capacity holds that batch's
+    # KV.  5.0-5.6 s on a 2-vCPU x86_64 VM, 3.6-3.8 s of it in that
+    # estimate; 1.9-2.1 s at FAST's 8 experts, 2 layers and vocab 64.
     data = json.loads(json.dumps(FAST))
     data["hw"] = {}
+    data["model"].update(
+        {key: high for (section, key), (_, high) in runner.RANGES.items()
+         if section == "model" and key != "top_k"}
+    )
     data["batch_sizes"] = [runner.MAX_BATCH]
     data["sd"].update(width=runner.MAX_SD_WIDTH, depth=runner.MAX_SD_DEPTH)
     data["run"].update(

@@ -13,9 +13,10 @@ from elasticmoe import expert_cache, runner, toymoe
 ROOT = Path(__file__).resolve().parents[1]
 
 FAILING_PROPERTY = '''
+import pytest
 from hypothesis import given, settings, strategies as st
 
-
+{marks}
 @settings(database=None, max_examples=20)
 @given(st.integers(0, 10))
 def test_fails(x):
@@ -25,13 +26,16 @@ def test_fails(x):
 def test_passes():
     pass
 '''
+# The two marks tests/test_toymoe.py puts on its warning-free properties.
+ERROR_MARKS = """
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+)
+@pytest.mark.filterwarnings("error")"""
 
 
-def test_failing_property_is_reported_and_the_run_goes_on(tmp_path):
-    # Reporting a hypothesis failure imports libcst, which trips a
-    # DeprecationWarning; under the repo's warning filters that must not
-    # abort the run.
-    (tmp_path / "test_prop.py").write_text(FAILING_PROPERTY)
+def _assert_failure_reported(tmp_path, marks):
+    (tmp_path / "test_prop.py").write_text(FAILING_PROPERTY.format(marks=marks))
     proc = subprocess.run(
         [
             sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -45,6 +49,19 @@ def test_failing_property_is_reported_and_the_run_goes_on(tmp_path):
     assert "1 failed, 1 passed" in proc.stdout, out
     assert "Falsifying example" in proc.stdout, out
     assert "INTERNALERROR" not in out
+
+
+def test_failing_property_is_reported_and_the_run_goes_on(tmp_path):
+    # Reporting a hypothesis failure imports libcst, which trips a
+    # DeprecationWarning; under the repo's warning filters that must not
+    # abort the run.
+    _assert_failure_reported(tmp_path, marks="")
+
+
+def test_failing_property_under_error_mark_is_reported(tmp_path):
+    # A test's own "error" mark overrides pyproject's ignore; the ignore
+    # repeated above the mark keeps the report from aborting the run.
+    _assert_failure_reported(tmp_path, marks=ERROR_MARKS)
 
 
 @pytest.fixture

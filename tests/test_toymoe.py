@@ -23,6 +23,12 @@ from elasticmoe.toymoe import (
 
 SHAPE = MoEShape(d_model=64, d_ff=128, n_experts=8, top_k=2, n_layers=2, vocab=64)
 
+# pyproject.toml's ignore for the warning that libcst raises when
+# hypothesis imports it to print a failing example.  A test's own "error"
+# mark overrides pyproject, so the test repeats the ignore above that
+# mark; otherwise a failing property aborts the pytest run with INTERNALERROR.
+LIBCST_IMPORT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+
 # Group magnitude whose scale is the largest finite fp16, 65504.
 FP16_MAX_AMAX = 65504.0 * 127.0
 GROUP_KINDS = ("zero", "floor", "max", "decades")
@@ -156,6 +162,7 @@ class TestRoute:
 
 
 class TestQuantizeMatrix:
+    @pytest.mark.filterwarnings(LIBCST_IMPORT_WARNING)
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -241,6 +248,7 @@ class TestQuantizeMatrix:
             quantize_matrix(w)
         assert "activation" not in str(err.value)
 
+    @pytest.mark.filterwarnings(LIBCST_IMPORT_WARNING)
     @pytest.mark.filterwarnings("error")
     def test_rejects_fp16_scale_overflow(self):
         # Every quantizer raises the ValueError, and numpy warns of nothing.
