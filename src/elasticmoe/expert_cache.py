@@ -25,13 +25,14 @@ SLICE_KINDS = ("msb", "full")
 # kind) packs into a single int64 cache key.
 ID_LIMIT = 1 << 31
 
-# Exponential draws per Monte Carlo block in expected_unique_experts.  The
-# Generator fills draws in order, so the estimate does not depend on it.
-# It bounds the memory a block holds (one reused buffer of this many
-# float64 draws, or of one sample's draws when those are more) and sets
-# how many numpy calls a block's work takes.  On the bundled example's
-# nine estimates, 2**12 took 0.23-0.27 s, 2**14 0.16-0.17 s, 2**15
-# 0.13-0.15 s and 2**16 0.14 s (2-vCPU x86_64 VM).
+# Exponential draws per Monte Carlo block in expected_unique_experts, in
+# whole token rows (at least one).  The Generator fills draws in order, so
+# the estimate does not depend on it.  It bounds the memory a block holds
+# (one reused buffer of this many float64 draws) and sets how many numpy
+# calls a block's work takes.  Against 2**15, 2**16 took the same time on
+# the bundled example's two estimates (sweep medians 0.18-0.25 s either
+# way) and 1.35x as long on an argpartitioned 24-expert verify estimate
+# at the runner's size bounds (2-vCPU x86_64 VM).
 _MC_BLOCK_ELEMENTS = 1 << 15
 # Most weighted (nonzero-popularity) experts that expected_unique_experts
 # ranks pairwise, c**2 comparisons a token; with more it argpartitions
@@ -253,13 +254,13 @@ def powerlaw_lru_hitrate(
 
 
 def expected_unique_experts(
-    batch: int,
+    batch: int | Sequence[int],
     top_k: int,
     n_experts: int,
-    popularity: Optional[Sequence[float]] = None,
+    popularity: Optional[Sequence[float] | Sequence[Sequence[float]]] = None,
     mc_samples: int = 4000,
     seed: int = 0,
-) -> float:
+) -> float | np.ndarray:
     """Expected distinct experts activated by a batch of top-k routings.
 
     Uniform popularity has the closed form n*(1 - (1 - k/n)^batch); a
@@ -267,77 +268,116 @@ def expected_unique_experts(
     token selects the top-k winners of an exponential race weighted by
     popularity (the same selection model as the synthetic routing traces):
     the top_k largest of p * Exp(1) scores, picked as np.argpartition picks
-    them from one token's row, ties included.
+    them from one token's row, ties included (see _selected).  Sample i
+    is tokens i*batch to (i+1)*batch - 1 of a seeded stream of token rows
+    of n_experts exponentials each.
 
-    The estimate counts the same selections without ranking every row of
-    every expert.  A token picks an expert when fewer than top_k experts
-    outscore it.  A zero-weight expert scores 0, so while top_k weighted
-    experts score above 0 the picks lie among the weighted ones, and only
-    those columns need comparing.  A row where that rule does not pick
-    exactly top_k positive scores has a tie at the k-th score (or a
-    weighted score of 0); it goes to the per-row argpartition, so the
-    result equals the per-row selection in every case.  With fewer than
-    top_k weighted experts, or more than _MC_RANK_MAX_EXPERTS of them,
-    every row is argpartitioned.
+    batch may be a sequence of batch sizes and popularity a stack of rows;
+    the result then has shape np.shape(popularity)[:-1] + np.shape(batch)
+    (a float when that shape is ()).  Each entry equals the call with that
+    one batch size and popularity row, bit for bit: batch b's
+    mc_samples * b token rows are a prefix of the largest batch's stream,
+    and every popularity row scores the same draws, so one stream serves
+    them all.  It is drawn in blocks; each batch size ORs runs of b
+    tokens' selections into samples, and carries a sample that a block
+    edge cuts into the next block.
     """
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
+    b = np.asarray(batch)
+    if b.dtype.kind not in "iu" or b.ndim > 1 or not b.size or np.any(b < 1):
+        raise ValueError("batch must be an int >= 1 or a sequence of them")
+    sizes = b.ravel().tolist()
     if not 1 <= top_k <= n_experts:
         raise ValueError("need 1 <= top_k <= n_experts")
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
     if popularity is None:
-        return n_experts * (1.0 - (1.0 - top_k / n_experts) ** batch)
+        # Python's float power: numpy's differs in the last bit for some.
+        miss = 1.0 - top_k / n_experts
+        uniform = [n_experts * (1.0 - miss**size) for size in sizes]
+        return _scalar_or_array(np.reshape(uniform, b.shape))
     p = np.asarray(popularity, dtype=np.float64)
-    if p.shape != (n_experts,) or np.any(p < 0) or p.sum() <= 0:
-        raise ValueError("popularity must be n_experts nonnegative weights")
-    p = p / p.sum()
-    weighted = np.flatnonzero(p)
-    rank = top_k <= len(weighted) <= _MC_RANK_MAX_EXPERTS
+    with np.errstate(over="ignore"):
+        sums = p.sum(axis=-1, keepdims=True)
+    # A NaN or inf weight makes its row's sum NaN or inf.
+    if (p.ndim not in (1, 2) or p.shape[-1] != n_experts or not p.size
+            or np.any(p < 0) or not np.all(np.isfinite(sums) & (sums > 0))):
+        raise ValueError(
+            "popularity must be rows of n_experts finite nonnegative weights "
+            "with a positive finite sum"
+        )
+    rows = (p / sums).reshape(-1, n_experts)
+    tokens = mc_samples * max(sizes)
+    block = max(1, _MC_BLOCK_ELEMENTS // n_experts)
+    draws = np.empty((min(block, tokens), n_experts))
+    totals = np.zeros((len(rows), len(sizes)), dtype=np.int64)
+    # The selections of a sample that the last block edge cut, per row and size.
+    carry = np.zeros((len(rows), len(sizes), n_experts), dtype=bool)
     rng = np.random.default_rng(seed)
-    per_block = max(1, _MC_BLOCK_ELEMENTS // (batch * n_experts))
-    draws = np.empty(min(per_block, mc_samples) * batch * n_experts)
-    total = 0
-    for start in range(0, mc_samples, per_block):
-        m = min(per_block, mc_samples - start)
-        e = draws[: m * batch * n_experts].reshape(m, batch, n_experts)
+    for lo in range(0, tokens, block):
+        e = draws[: min(block, tokens - lo)]
         rng.standard_exponential(out=e)
-        if rank:
-            total += _ranked_unique(e, p, weighted, top_k)
-        else:
-            rows = e.reshape(-1, n_experts)
-            seen = _argpartition_seen(rows, p, np.arange(m).repeat(batch), m, top_k)
-            total += np.count_nonzero(seen)
-    return total / mc_samples
+        for r, p_row in enumerate(rows):
+            cols, selected = _selected(e, p_row, top_k)
+            for j, size in enumerate(sizes):
+                stop = min(len(e), mc_samples * size - lo)
+                if stop <= 0:
+                    continue
+                starts = np.maximum(np.arange(-(lo % size), stop, size), 0)
+                # (len(cols), samples): the first continues the carried one,
+                # and the last is cut unless the block ends on a sample edge.
+                seen = np.logical_or.reduceat(selected[:, :stop], starts, axis=1)
+                carried = carry[r, j]
+                carried[cols] |= seen[:, 0]
+                cut = (lo + stop) % size != 0
+                done = len(starts) - cut
+                if done:
+                    totals[r, j] += np.count_nonzero(carried)
+                    totals[r, j] += np.count_nonzero(seen[:, 1:done])
+                    carried[:] = False
+                    if cut:
+                        carried[cols] = seen[:, -1]
+    return _scalar_or_array((totals / mc_samples).reshape(p.shape[:-1] + b.shape))
 
 
-def _argpartition_seen(rows, p, samples, m, top_k) -> np.ndarray:
-    """(m, n) mask of the experts that each sample's tokens select: the
-    top_k of each row of p * rows by np.argpartition, row r belonging to
-    sample samples[r]."""
-    top = np.argpartition(-(p * rows), top_k - 1, axis=-1)[:, :top_k]
-    seen = np.zeros((m, len(p)), dtype=bool)
-    seen[samples[:, None], top] = True
-    return seen
+def _scalar_or_array(values: np.ndarray) -> float | np.ndarray:
+    return float(values) if values.shape == () else values
 
 
-def _ranked_unique(e, p, weighted, top_k) -> int:
-    """Distinct experts selected per sample of e's (samples, batch, n)
-    draws, summed over the samples, ranking only the weighted columns."""
-    m, batch, n = e.shape
-    rows = e.reshape(-1, n)
-    # One contiguous row of scores per weighted expert, tokens along it.
-    scores = rows.T[weighted]
-    scores *= p[weighted, None]
-    outscored_by = np.add.reduce(scores[:, None] > scores, axis=0, dtype=np.uint8)
-    picked = (outscored_by < top_k) & (scores > 0)
-    tied = np.flatnonzero(np.add.reduce(picked, axis=0, dtype=np.uint8) != top_k)
-    if not len(tied):
-        return np.count_nonzero(picked.reshape(-1, m, batch).any(axis=2))
-    picked[:, tied] = False
-    seen = _argpartition_seen(rows[tied], p, tied // batch, m, top_k)
-    seen[:, weighted] |= picked.reshape(-1, m, batch).any(axis=2).T
-    return np.count_nonzero(seen)
+def _selected(e, p, top_k) -> tuple[np.ndarray, np.ndarray]:
+    """The experts each token row of e's (tokens, n) draws selects: the
+    top_k largest scores p * e, as np.argpartition picks them from the
+    row.  Returns (cols, mask) with mask[i, t] true when token t selects
+    expert cols[i]; no token selects an expert outside cols.
+
+    A token picks an expert when fewer than top_k experts outscore it.  A
+    zero-weight expert scores 0, so while top_k weighted experts score
+    above 0 the picks lie among the weighted ones, and only those columns
+    need comparing.  A row where that rule does not pick exactly top_k
+    positive scores has a tie at the k-th score (or a weighted score of
+    0); it goes to the per-row argpartition, so the mask equals the
+    per-row selection in every case.  With fewer than top_k weighted
+    experts, or more than _MC_RANK_MAX_EXPERTS of them, every row is
+    argpartitioned.
+    """
+    weighted = np.flatnonzero(p)
+    ranked = top_k <= len(weighted) <= _MC_RANK_MAX_EXPERTS
+    tied = slice(None)
+    if ranked:
+        # One contiguous row of scores per weighted expert, tokens along it.
+        scores = e.T[weighted]
+        scores *= p[weighted, None]
+        outscored_by = np.add.reduce(scores[:, None] > scores, axis=0, dtype=np.uint8)
+        picked = (outscored_by < top_k) & (scores > 0)
+        tied = np.flatnonzero(np.add.reduce(picked, axis=0, dtype=np.uint8) != top_k)
+        if not len(tied):
+            return weighted, picked
+    mask = np.zeros(e.shape[::-1], dtype=bool)
+    if ranked:
+        mask[weighted] = picked
+        mask[:, tied] = False
+    top = np.argpartition(-(p * e[tied]), top_k - 1, axis=-1)[:, :top_k]
+    mask[top, np.arange(len(e))[tied, None]] = True
+    return np.arange(len(p)), mask
 
 
 _TRACE_HEADER = b"step,layer,expert,slice_kind"

@@ -4,16 +4,18 @@ A scenario bundles a toy model, a routing trace, a hardware config, and a
 list of decoding schemes priced over a list of batch sizes.  Evaluation
 has two parts.  First a per-scenario context does the work every scheme
 shares, once: it builds the model, routing traces and prompt, reads the
-AR decode's routing off the traces (no AR tokens are decoded), and per
-batch size derives the AR unique-expert count, the XPU baseline latency,
-and the AR step's cache hit rate and cost at each cache footprint the
-schemes use.  Then each scheme adds its own speculative step on top of
-that AR step: ar_only adds none, the functional schemes measure one with
-an SdSession (accept lengths, verify routing, pool transfers priced
-through the cache simulator and the hardware model), and the analytic
-schemes scale the AR step by their configured accept length and
-draft/verify cost ratios (defaults are illustrative) at their configured
-cache footprint.
+AR decode's routing off the traces (no AR tokens are decoded), estimates
+the AR unique-expert count of every batch size in one Monte Carlo call,
+and per batch size derives the XPU baseline latency and the AR step's
+cache hit rate and cost at each cache footprint the schemes use.  Then
+each scheme adds its own speculative step on top of that AR step:
+ar_only adds none, the functional schemes measure one with an SdSession
+each (accept lengths, verify routing, pool transfers priced through the
+cache simulator and the hardware model; one more Monte Carlo call
+estimates the verify unique-expert count of every session and batch
+size), and the analytic schemes scale the AR step by their configured
+accept length and draft/verify cost ratios (defaults are illustrative)
+at their configured cache footprint.
 
 Everything is deterministic given the config file: seeds are explicit,
 scenario evaluation is pure, and rows are sorted before emission so
@@ -58,10 +60,11 @@ ALL_SCHEMES = FUNCTIONAL_SCHEMES + ANALYTIC_SCHEMES
 # scenario at all of them still runs in seconds.  A verify call steps
 # 1 + width * depth tokens, a draft call width tokens and a prefill
 # prompt_len tokens; a session runs at most n_new_tokens steps; the trace
-# generator blends its n_tokens rows one by one; and each verify
-# unique-expert estimate draws batch * verify tokens routings (up to
-# 64 * 65) of n_experts exponentials each per Monte Carlo sample.  Each
-# token steps n_layers layers of top_k d_model x d_ff experts and a
+# generator blends its n_tokens rows one by one; and the verify
+# unique-expert estimate draws one stream of 4,000 Monte Carlo samples of
+# the largest batch * verify tokens routings (up to 64 * 65), each of
+# n_experts exponentials, which serves every batch size and SD scheme.
+# Each token steps n_layers layers of top_k d_model x d_ff experts and a
 # d_model x vocab head.  The model highs keep the bundled example's width
 # (d_model 64, d_ff 128, vocab 64) and allow 3 layers and 24 experts:
 # experts cost most, through the estimate's draws, and at 32 the bounds
@@ -516,15 +519,6 @@ def _lru_hit_rate(
     return expert_cache.simulate_lru(trace, config).hit_rate
 
 
-def _unique_experts(
-    draws: float, shape: MoEShape, popularity: np.ndarray, seed: int
-) -> float:
-    draws = max(1, int(round(draws)))
-    return expert_cache.expected_unique_experts(
-        draws, shape.top_k, shape.n_experts, popularity=popularity, seed=seed
-    )
-
-
 def _footprint(cfg: ScenarioConfig, scheme: str) -> float:
     """Per-expert cache footprint relative to one full INT8 expert."""
     if scheme in ANALYTIC_SCHEMES:
@@ -586,13 +580,16 @@ def _build_context(cfg: ScenarioConfig) -> _ScenarioContext:
     popularity = _popularity(ar_trace, cfg.shape.n_experts)
     full_item = hwmodel.expert_bytes_full(cfg.shape)
     footprints = sorted({_footprint(cfg, s) for s in cfg.schemes})
-    ar_unique, xpu_per_token, ar = {}, {}, {}
+    ar_unique = dict(zip(cfg.batch_sizes, expert_cache.expected_unique_experts(
+        cfg.batch_sizes, cfg.shape.top_k, cfg.shape.n_experts,
+        popularity=popularity, seed=cfg.trace.seed,
+    ).tolist()))
+    xpu_per_token, ar = {}, {}
     for batch in cfg.batch_sizes:
         capacity = hwmodel.hb_headroom_bytes(
             cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff
         ) if cfg.arch.has_hb else 0.0
-        unique = _unique_experts(batch, cfg.shape, popularity, cfg.trace.seed)
-        ar_unique[batch] = unique
+        unique = ar_unique[batch]
         xpu_per_token[batch] = _ar_cost(
             cfg, Arch.XPU, batch, 0.0, unique
         ).per_token_latency
@@ -610,12 +607,11 @@ def _build_context(cfg: ScenarioConfig) -> _ScenarioContext:
     )
 
 
-def _measured_sd(
+def _sd_session(
     ctx: _ScenarioContext, scheme: str
-) -> tuple[float, dict[int, tuple[float, hwmodel.StepCost]]]:
-    """Run the scheme's speculative session once, then price its SD step
-    per batch.  Returns (mean accept length, batch -> (verify MSB hit
-    rate, SD step cost))."""
+) -> tuple[hwmodel.SdParams, expert_cache.AccessTrace]:
+    """Run the scheme's speculative session once.  Returns its SD step
+    parameters and its verify decisions as an MSB access trace."""
     cfg = ctx.cfg
     sd_config = elastic_sd.SdConfig(
         width=cfg.sd.width,
@@ -630,8 +626,6 @@ def _measured_sd(
         ctx.model, sd_config, ctx.prompt, score_traces=ctx.traces
     ).run(cfg.run.n_new_tokens)
     verify_steps = [list(step.verify_decisions) for step in run.steps]
-    verify_trace = _access_trace(verify_steps, "msb")
-    verify_pop = _popularity(verify_trace, cfg.shape.n_experts)
     sd = hwmodel.SdParams(
         width=cfg.sd.width,
         depth=cfg.sd.depth,
@@ -640,34 +634,64 @@ def _measured_sd(
         mean_accept=run.mean_accept_length,
         transfer_pieces_per_step=float(np.mean([len(s.transfers) for s in run.steps])),
     )
+    return sd, _access_trace(verify_steps, "msb")
+
+
+# (mean accept length, batch -> (verify MSB hit rate, SD step cost))
+_SdMeasured = tuple[float, dict[int, tuple[float, hwmodel.StepCost]]]
+
+
+def _measured_sd(ctx: _ScenarioContext) -> dict[str, _SdMeasured]:
+    """Run each functional SD scheme's session once, estimate the verify
+    step's unique experts for every session and batch in one call, then
+    price each scheme's SD step per batch."""
+    cfg = ctx.cfg
+    sessions = {
+        s: _sd_session(ctx, s)
+        for s in cfg.schemes if s in FUNCTIONAL_SCHEMES and s != "ar_only"
+    }
+    # Verify tokens routed per batch: batch * mean verify tokens per step.
+    draws = {
+        s: [max(1, int(round(b * sd.verify_tokens))) for b in cfg.batch_sizes]
+        for s, (sd, _) in sessions.items()
+    }
+    all_draws = sorted({d for ds in draws.values() for d in ds})
+    unique = expert_cache.expected_unique_experts(
+        all_draws, cfg.shape.top_k, cfg.shape.n_experts,
+        popularity=[_popularity(t, cfg.shape.n_experts) for _, t in sessions.values()],
+        seed=cfg.trace.seed + 1,
+    ) if sessions else []
     msb_item = hwmodel.expert_bytes_msb(cfg.shape)
-    priced = {}
-    for batch in cfg.batch_sizes:
-        capacity = hwmodel.hb_headroom_bytes(
-            cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff,
-            cfg.sd.pool_capacity,
-        )
-        verify_hit = _lru_hit_rate(verify_trace, "msb", msb_item, capacity)
-        verify_unique = _unique_experts(
-            batch * sd.verify_tokens, cfg.shape, verify_pop, cfg.trace.seed + 1
-        )
-        wl = hwmodel.build_workloads(
-            cfg.hw, cfg.arch, cfg.shape, batch,
-            seq_len=cfg.run.seq_len,
-            ar_hit_rate=ctx.ar[batch, 1.0][0],
-            ar_unique_experts=ctx.ar_unique[batch],
-            sd=sd,
-            verify_msb_hit_rate=verify_hit,
-            verify_unique_experts=verify_unique,
-            kv_coeff=cfg.run.kv_coeff,
-        )
-        priced[batch] = verify_hit, hwmodel.step_cost(
-            cfg.hw, cfg.arch, wl, "sd", batch, sd=sd
-        )
-    return sd.mean_accept, priced
+    measured = {}
+    for (scheme, (sd, verify_trace)), row in zip(sessions.items(), unique):
+        verify_unique = dict(zip(all_draws, row.tolist()))
+        priced = {}
+        for batch, verify_draws in zip(cfg.batch_sizes, draws[scheme]):
+            capacity = hwmodel.hb_headroom_bytes(
+                cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff,
+                cfg.sd.pool_capacity,
+            )
+            verify_hit = _lru_hit_rate(verify_trace, "msb", msb_item, capacity)
+            wl = hwmodel.build_workloads(
+                cfg.hw, cfg.arch, cfg.shape, batch,
+                seq_len=cfg.run.seq_len,
+                ar_hit_rate=ctx.ar[batch, 1.0][0],
+                ar_unique_experts=ctx.ar_unique[batch],
+                sd=sd,
+                verify_msb_hit_rate=verify_hit,
+                verify_unique_experts=verify_unique[verify_draws],
+                kv_coeff=cfg.run.kv_coeff,
+            )
+            priced[batch] = verify_hit, hwmodel.step_cost(
+                cfg.hw, cfg.arch, wl, "sd", batch, sd=sd
+            )
+        measured[scheme] = sd.mean_accept, priced
+    return measured
 
 
-def _scheme_rows(ctx: _ScenarioContext, scheme: str) -> list[ResultRow]:
+def _scheme_rows(
+    ctx: _ScenarioContext, scheme: str, measured: dict[str, _SdMeasured]
+) -> list[ResultRow]:
     """One scheme's rows.  Every scheme starts from the shared AR step at
     its cache footprint; ar_only stops there, the functional SD schemes add
     an SD step measured by a session, and the analytic schemes one scaled
@@ -675,15 +699,13 @@ def _scheme_rows(ctx: _ScenarioContext, scheme: str) -> list[ResultRow]:
     with the lower per-token latency is reported."""
     cfg = ctx.cfg
     params = cfg.analytic[scheme] if scheme in ANALYTIC_SCHEMES else None
-    accept, measured = None, {}
+    accept, sd_priced = measured.get(scheme, (None, {}))
     if params is not None:
         accept = params.mean_accept
-    elif scheme != "ar_only":
-        accept, measured = _measured_sd(ctx, scheme)
     rows = []
     for batch in cfg.batch_sizes:
         ar_hit, ar_cost = ctx.ar[batch, _footprint(cfg, scheme)]
-        verify_hit, sd_cost = measured.get(batch, (None, None))
+        verify_hit, sd_cost = sd_priced.get(batch, (None, None))
         if params is not None:
             scale = params.depth * params.draft_cost_ratio + params.verify_cost_ratio
             sd_cost = hwmodel.StepCost(
@@ -724,7 +746,8 @@ def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     a float that is not finite in any row is a RunnerError."""
     try:
         ctx = _build_context(cfg)
-        rows = [row for scheme in cfg.schemes for row in _scheme_rows(ctx, scheme)]
+        measured = _measured_sd(ctx)
+        rows = [row for scheme in cfg.schemes for row in _scheme_rows(ctx, scheme, measured)]
         for row in rows:
             for name, value in vars(row).items():
                 if isinstance(value, float) and not math.isfinite(value):

@@ -360,6 +360,11 @@ class TestExpectedUnique:
 
     def test_uniform_closed_form(self):
         assert expected_unique_experts(2, 8, 64) == 15.0
+        # Python's float power, which numpy's misses by an ulp here.
+        want = [6 * (1.0 - (1.0 - 1 / 6) ** 3), 6 * (1.0 - (1.0 - 1 / 6) ** 4)]
+        assert want[0] != 6 * (1.0 - (1.0 - 1 / 6) ** np.int64(3))
+        assert expected_unique_experts(3, 1, 6) == want[0]
+        assert expected_unique_experts([3, 4], 1, 6).tolist() == want
 
     def test_saturation(self):
         assert expected_unique_experts(3000, 2, 16) > 15.999
@@ -419,19 +424,15 @@ class TestExpectedUnique:
             [[1, 0, 0], [0, 0, 0], [1, 3, 2]],
             [[2, 1, 0], [1, 1, 1], [2, 1, 1]],
         ], dtype=np.float64)
-        e = np.full(weighted_draws.shape[:2] + (len(p),), 7.0)
-        e[..., np.flatnonzero(p)] = weighted_draws
-        want = []
-        for sample in p * e:
-            seen = set()
-            for row in sample:
-                seen.update(np.argpartition(-row, top_k - 1)[:top_k].tolist())
-            want.append(len(seen))
-        weighted = np.flatnonzero(p)
-        per_sample = [expert_cache._ranked_unique(e[i:i + 1], p, weighted, top_k)
-                      for i in range(len(e))]
-        assert per_sample == want
-        assert expert_cache._ranked_unique(e, p, weighted, top_k) == sum(want)
+        e = np.full((weighted_draws.size // 3, len(p)), 7.0)
+        e[:, np.flatnonzero(p)] = weighted_draws.reshape(-1, 3)
+        want = np.zeros(e.shape, dtype=bool)
+        for token, row in enumerate(p * e):
+            want[token, np.argpartition(-row, top_k - 1)[:top_k]] = True
+        cols, mask = expert_cache._selected(e, p, top_k)
+        got = np.zeros(e.shape, dtype=bool)
+        got[:, cols] = mask.T
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(
         "popularity",
@@ -442,28 +443,106 @@ class TestExpectedUnique:
         ],
     )
     def test_mc_over_several_blocks_matches_per_sample_loop(self, popularity):
-        # Three whole Monte Carlo blocks and a partial fourth.
-        batch, top_k, n = 112, 2, 16
-        per_block = expert_cache._MC_BLOCK_ELEMENTS // (batch * n)
-        mc = 3 * per_block + per_block // 2
-        assert mc % per_block
+        # The largest batch's stream is three whole Monte Carlo blocks and
+        # a partial fourth.  128's samples end on block edges; the others
+        # straddle them, and 45's stream ends in the second block.
+        batches, top_k, n = [112, 128, 45, 7, 45], 2, 16
+        block = expert_cache._MC_BLOCK_ELEMENTS // n
+        mc = 7 * block // (2 * max(batches))
+        assert 3 * block < mc * max(batches) <= 7 * block // 2
+        assert [block % b == 0 for b in batches] == [False, True, False, False, False]
         got = expected_unique_experts(
-            batch, top_k, n, popularity=popularity, mc_samples=mc, seed=11
+            batches, top_k, n, popularity=popularity, mc_samples=mc, seed=11
         )
-        assert got == _unique_experts_reference(batch, top_k, n, popularity, mc, 11)
+        want = [_unique_experts_reference(b, top_k, n, popularity, mc, 11) for b in batches]
+        assert got.tolist() == want
+
+    def test_count_does_not_depend_on_the_selected_columns(self, monkeypatch):
+        # A block with a tied token reports every column, the others only
+        # the weighted ones, so a sample that a block edge cuts can carry
+        # from one column set to the other.  Widening every other block's
+        # mask to all columns must not change any count.
+        pop = [8, 4, 0, 2, 0, 1] + [0] * 10
+        batches = [112, 45, 7]
+        want = expected_unique_experts(batches, 2, 16, popularity=pop, mc_samples=80)
+        selected = expert_cache._selected
+        blocks = itertools.count()
+
+        def every_other_widened(e, p, top_k):
+            cols, mask = selected(e, p, top_k)
+            if next(blocks) % 2:
+                return cols, mask
+            wide = np.zeros((len(p), len(e)), dtype=bool)
+            wide[cols] = mask
+            return np.arange(len(p)), wide
+
+        monkeypatch.setattr(expert_cache, "_selected", every_other_widened)
+        got = expected_unique_experts(batches, 2, 16, popularity=pop, mc_samples=80)
+        assert next(blocks) > 3
+        assert got.tolist() == want.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_broadcast_equals_scalar_calls(self, data):
+        # Past 64 experts, so that no bit-packed shortcut goes unchecked;
+        # rows with fewer than top_k weighted experts are argpartitioned,
+        # and so are rows with more than _MC_RANK_MAX_EXPERTS.
+        n = data.draw(st.integers(1, 80), label="n_experts")
+        top_k = data.draw(st.integers(1, n), label="top_k")
+        batches = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=5),
+                            label="batch")
+        rows = []
+        for _ in range(data.draw(st.integers(1, 3), label="rows")):
+            weighted = data.draw(st.integers(1, n), label="weighted")
+            where = data.draw(st.permutations(range(n)), label="where")[:weighted]
+            row = np.zeros(n)
+            row[where] = data.draw(st.lists(
+                st.sampled_from([0.5, 1.0, 3.0]), min_size=weighted, max_size=weighted
+            ), label="weights")
+            rows.append(row)
+        mc = data.draw(st.integers(1, 40), label="mc_samples")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        got = expected_unique_experts(
+            batches, top_k, n, popularity=rows, mc_samples=mc, seed=seed
+        )
+        assert got.shape == (len(rows), len(batches))
+        for row, got_row in zip(rows, got.tolist()):
+            assert got_row == [
+                expected_unique_experts(b, top_k, n, popularity=row, mc_samples=mc, seed=seed)
+                for b in batches
+            ]
+        # The closed form, with Python's float power as the scalar call had.
+        uniform = [n * (1.0 - (1.0 - top_k / n) ** b) for b in batches]
+        assert expected_unique_experts(batches, top_k, n).tolist() == uniform
+        assert [expected_unique_experts(b, top_k, n) for b in batches] == uniform
+        assert got[0].tolist() == expected_unique_experts(
+            batches, top_k, n, popularity=rows[0], mc_samples=mc, seed=seed
+        ).tolist()
 
     @pytest.mark.parametrize("weighted", [4, 12, 16])
     def test_mc_block_memory_is_bounded(self, weighted):
         # A verify estimate at the runner's size bounds: 64 * 65 tokens of
-        # 16 experts per sample, so one sample per block, and the peak is
-        # one block's.  Measured 0.7 MB ranked (4 weighted experts) to
-        # 1.6 MB argpartitioned (16), and 2.1 MB for argpartitioning every
-        # block's whole (samples, batch, n) score array.
+        # 16 experts per sample, which spans blocks, so the peak is one
+        # block's.  Measured 0.4 MB ranked (4 weighted experts) and 0.8 MB
+        # ranked (12) or argpartitioned (16).
         pop = np.zeros(16)
         pop[:weighted] = zipf_popularity(weighted, 1.0)
         tracemalloc.start()
         try:
             expected_unique_experts(64 * 65, 2, 16, popularity=pop, mc_samples=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_mc_memory_is_bounded_for_two_popularity_rows(self):
+        # The runner's verify call at its size bounds: 64 * 65 tokens of
+        # 24 experts, one popularity row per functional SD scheme.
+        # Measured 0.8 MB.
+        pop = np.stack([zipf_popularity(24, 1.0), np.r_[zipf_popularity(4, 1.0), [0] * 20]])
+        tracemalloc.start()
+        try:
+            expected_unique_experts([64 * 65, 64], 2, 24, popularity=pop, mc_samples=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -495,6 +574,26 @@ class TestExpectedUnique:
             expected_unique_experts(2, 33, 32)
         with pytest.raises(ValueError):
             expected_unique_experts(2, 4, 32, popularity=[1.0] * 3)
+
+    @pytest.mark.parametrize(
+        "batch, popularity",
+        [
+            (2, [np.nan] + [1.0] * 15),  # returned 2.0
+            (2, [np.inf] + [1.0] * 15),  # warned, returned garbage
+            (2, [1e308] * 16),  # the sum overflowed: warned, returned garbage
+            (2, [[1.0] * 16, [0.0] * 16]),  # one row of a stack sums to 0
+            (4.5, None),  # returned 7.23
+            (4.5, [1.0] * 16),  # numpy's TypeError
+            (True, None),
+            ([2, 0], None),
+            ([], None),
+        ],
+    )
+    def test_rejects_bad_batch_or_popularity(self, batch, popularity):
+        # pyproject turns numpy's RuntimeWarning into an error, so a
+        # warning here fails the test instead of raising ValueError.
+        with pytest.raises(ValueError, match="batch|popularity"):
+            expected_unique_experts(batch, 2, 16, popularity=popularity)
 
     @pytest.mark.parametrize("mc_samples", [0, -3])
     def test_rejects_mc_samples_below_one(self, mc_samples):

@@ -526,11 +526,12 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     counted(expert_cache, "decisions_to_trace")
     (cfg,) = load_config(example_config_path())
     run_scenario(cfg)
-    # 3 batch sizes x (AR, elastic_sd verify, random_pool_sd verify), and
-    # one access trace per decision stream: AR and the two sessions' verify.
+    # One unique-expert estimate over every AR batch size, and one over
+    # every verify draw count of both sessions' verify popularities; one
+    # access trace per decision stream: AR and the two sessions' verify.
     # The AR routing is read off the traces, so no AR tokens are decoded.
     assert calls == {
-        "gen_model": 1, "greedy_decode": 0, "expected_unique_experts": 9,
+        "gen_model": 1, "greedy_decode": 0, "expected_unique_experts": 2,
         "decisions_to_trace": 3,
     }
 
@@ -798,8 +799,8 @@ def test_scenario_at_size_bounds_runs_in_seconds():
     # 64 and the largest model shape (top_k stays 2), whose verify
     # unique-expert estimate dominates: 4,000 samples of 64 * 65 tokens'
     # draws over 24 experts.  The default HB capacity holds that batch's
-    # KV.  5.0-5.6 s on a 2-vCPU x86_64 VM, 3.6-3.8 s of it in that
-    # estimate; 1.9-2.1 s at FAST's 8 experts, 2 layers and vocab 64.
+    # KV.  5.7-6.9 s on a 2-vCPU x86_64 VM, 3.9-4.4 s of it in that
+    # estimate; 2.5-3.2 s at FAST's 8 experts, 2 layers and vocab 64.
     data = json.loads(json.dumps(FAST))
     data["hw"] = {}
     data["model"].update(
@@ -850,8 +851,8 @@ def test_cli_run_non_finite_row_is_runtime_error(tmp_path, capsys):
 
 
 def test_memory_error_is_runtime_error(tmp_path, capsys, monkeypatch):
-    # A batch too large for memory surfaces as MemoryError from the
-    # unique-expert estimate; no memory is allocated here.
+    # A MemoryError from the unique-expert estimate (a stand-in raises it
+    # here; no memory is allocated) is a runtime error.
     def out_of_memory(*args, **kwargs):
         raise MemoryError()
 
