@@ -21,8 +21,7 @@ EXIT_RUNTIME = 2
 _JOBS_HELP = (
     "scenarios evaluated concurrently in threads; output is identical for "
     "any value, but the threads share the interpreter lock, so more than 1 "
-    "is not faster (the 23 ablation scenarios: 2.4-2.8 s at 1, 2.5-3.0 s "
-    "at 2 on a 2-vCPU x86_64 VM)"
+    "is not faster"
 )
 
 

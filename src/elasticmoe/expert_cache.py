@@ -18,7 +18,6 @@ from itertools import chain, repeat
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 SLICE_KINDS = ("msb", "full")
 # Layer and expert ids lie below this, so one access's (layer, expert,
@@ -41,6 +40,12 @@ _MC_BLOCK_ELEMENTS = 1 << 15
 # samples): ranking took 0.6-0.9x argpartition's time up to 10 weighted
 # experts, about 1x at 11-13 and 0.8-1.4x at 16, and 2x at 32.
 _MC_RANK_MAX_EXPERTS = 12
+# Most exponential draws (mc_samples * max(batch) * n_experts) one Monte
+# Carlo estimate may take.  The runner's largest call, 4,000 samples of 64
+# * 65 verify tokens of 24 experts, takes about 4.0e8 draws and 4 s at the
+# runner's size bounds (2-vCPU x86_64 VM); this is 25 times that, so a
+# direct call fails at once instead of drawing for hours.
+_MC_MAX_DRAWS = 10**10
 
 
 class AccessTrace:
@@ -229,6 +234,11 @@ def powerlaw_lru_hitrate(
     Solves sum_i(1 - exp(-p_i T)) = C for the characteristic time T, then
     returns hit = sum_i p_i (1 - exp(-p_i T)).  Monotone in capacity.
     """
+    # Imported here, not at module level: loading scipy.optimize takes
+    # most of the package's import time and memory, and no sweep calls
+    # this function.
+    from scipy.optimize import brentq
+
     p = zipf_popularity(n_items, zipf_exponent)
     if not 0 <= capacity_items <= n_items:
         raise ValueError("capacity_items must be in [0, n_items]")
@@ -307,6 +317,11 @@ def expected_unique_experts(
         )
     rows = (p / sums).reshape(-1, n_experts)
     tokens = mc_samples * max(sizes)
+    if tokens * n_experts > _MC_MAX_DRAWS:
+        raise ValueError(
+            f"mc_samples * max(batch) * n_experts = {tokens * n_experts} draws "
+            f"exceeds {_MC_MAX_DRAWS}"
+        )
     block = max(1, _MC_BLOCK_ELEMENTS // n_experts)
     draws = np.empty((min(block, tokens), n_experts))
     totals = np.zeros((len(rows), len(sizes)), dtype=np.int64)

@@ -31,35 +31,51 @@ PSUM_BYTES = 4
 # Least value of a positive hw field: products of a few such rates and
 # multipliers stay far from 0, so step latencies stay finite.
 MIN_POSITIVE = 1e-30
+# Greatest value of any hw field.  At the runner's size bounds a step moves
+# under 1e25 bytes and 1e11 MACs (KV: kv_coeff 1e12 x 64 * 65 verify tokens
+# x seq_len 2**20 x 3 layers x d_model 64, and at most 8 draft phases), and
+# every rate it is priced at is above 1e-91: the slowest is an NMP tier's
+# share of 1e-30 of 1e-30 B/s times a multiplier of 1e-30, and the external
+# rate left to a pool transfer is at least an ulp of a usable rate of over
+# 1e-47.  So a step takes under 1e116 s, and powers and per-bit or per-MAC
+# energies of at most this keep every energy under 1e147 J.  The fastest
+# read is 1e60 B/s (1e30 banks of 1e30 B/s), so a step, which reads at
+# least 4 dense bytes, scaled by an analytic cost ratio of 1e-30 and split
+# over 64 * 9 tokens, takes over 1e-93 s a token, and every speedup is
+# under 1e209.
+MAX_VALUE = 1e30
 
 # HwConfig field -> (config-file key, unit scale from the key's unit to the
-# field's, least accepted field value).  Rates, capacities, counts and
-# multipliers must be positive; energies and derates may be 0.
+# field's, least and greatest accepted field values).  Rates, capacities,
+# counts and multipliers must be positive; energies and derates may be 0,
+# and a derate must stay below 1.
 HW_FIELDS = {
-    "hb_banks": ("hb_banks", 1, MIN_POSITIVE),
-    "hb_bw_per_bank": ("hb_bw_per_bank_gbps", 1e9, MIN_POSITIVE),
-    "hb_capacity_bytes": ("hb_capacity_gib", GIB, MIN_POSITIVE),
-    "ext_bw": ("ext_bw_gbps", 1e9, MIN_POSITIVE),
-    "macs_per_pe_per_cycle": ("macs_per_pe_per_cycle", 1, MIN_POSITIVE),
-    "clock_hz": ("clock_ghz", 1e9, MIN_POSITIVE),
-    "aggr_link_bw": ("aggr_link_bw_gbps", 1e9, MIN_POSITIVE),
-    "streamline_bw": ("streamline_bw_gbps", 1e9, MIN_POSITIVE),
-    "hb_energy_per_bit": ("hb_energy_pj_per_bit", 1e-12, 0),
-    "ext_energy_per_bit": ("ext_energy_pj_per_bit", 1e-12, 0),
-    "comm_energy_per_bit": ("comm_energy_pj_per_bit", 1e-12, 0),
-    "compute_energy_per_mac": ("compute_energy_pj_per_mac", 1e-12, 0),
-    "static_power_w": ("static_power_w", 1, 0),
-    "hb_derate": ("hb_derate", 1, 0),
-    "ext_derate": ("ext_derate", 1, 0),
-    "xpu_compute_macs": ("xpu_compute_tmacs", 1e12, MIN_POSITIVE),
-    "pim_compute_macs": ("pim_compute_tmacs", 1e12, MIN_POSITIVE),
-    "pim_bw_multiplier": ("pim_bw_multiplier", 1, MIN_POSITIVE),
-    "logic_pim_bw_multiplier": ("logic_pim_bw_multiplier", 1, MIN_POSITIVE),
-    "logic_pim_compute_multiplier": ("logic_pim_compute_multiplier", 1, MIN_POSITIVE),
-    "nmp_channels": ("nmp_channels", 1, 1),
-    "total_channels": ("total_channels", 1, 2),
-    "nmp_compute_macs": ("nmp_compute_tmacs", 1e12, MIN_POSITIVE),
-    "nmp_internal_multiplier": ("nmp_internal_multiplier", 1, MIN_POSITIVE),
+    "hb_banks": ("hb_banks", 1, MIN_POSITIVE, MAX_VALUE),
+    "hb_bw_per_bank": ("hb_bw_per_bank_gbps", 1e9, MIN_POSITIVE, MAX_VALUE),
+    "hb_capacity_bytes": ("hb_capacity_gib", GIB, MIN_POSITIVE, MAX_VALUE),
+    "ext_bw": ("ext_bw_gbps", 1e9, MIN_POSITIVE, MAX_VALUE),
+    "macs_per_pe_per_cycle": ("macs_per_pe_per_cycle", 1, MIN_POSITIVE, MAX_VALUE),
+    "clock_hz": ("clock_ghz", 1e9, MIN_POSITIVE, MAX_VALUE),
+    "aggr_link_bw": ("aggr_link_bw_gbps", 1e9, MIN_POSITIVE, MAX_VALUE),
+    "streamline_bw": ("streamline_bw_gbps", 1e9, MIN_POSITIVE, MAX_VALUE),
+    "hb_energy_per_bit": ("hb_energy_pj_per_bit", 1e-12, 0, MAX_VALUE),
+    "ext_energy_per_bit": ("ext_energy_pj_per_bit", 1e-12, 0, MAX_VALUE),
+    "comm_energy_per_bit": ("comm_energy_pj_per_bit", 1e-12, 0, MAX_VALUE),
+    "compute_energy_per_mac": ("compute_energy_pj_per_mac", 1e-12, 0, MAX_VALUE),
+    "static_power_w": ("static_power_w", 1, 0, MAX_VALUE),
+    "hb_derate": ("hb_derate", 1, 0, 1),
+    "ext_derate": ("ext_derate", 1, 0, 1),
+    "xpu_compute_macs": ("xpu_compute_tmacs", 1e12, MIN_POSITIVE, MAX_VALUE),
+    "pim_compute_macs": ("pim_compute_tmacs", 1e12, MIN_POSITIVE, MAX_VALUE),
+    "pim_bw_multiplier": ("pim_bw_multiplier", 1, MIN_POSITIVE, MAX_VALUE),
+    "logic_pim_bw_multiplier": ("logic_pim_bw_multiplier", 1, MIN_POSITIVE, MAX_VALUE),
+    "logic_pim_compute_multiplier": (
+        "logic_pim_compute_multiplier", 1, MIN_POSITIVE, MAX_VALUE
+    ),
+    "nmp_channels": ("nmp_channels", 1, 1, MAX_VALUE),
+    "total_channels": ("total_channels", 1, 2, MAX_VALUE),
+    "nmp_compute_macs": ("nmp_compute_tmacs", 1e12, MIN_POSITIVE, MAX_VALUE),
+    "nmp_internal_multiplier": ("nmp_internal_multiplier", 1, MIN_POSITIVE, MAX_VALUE),
 }
 
 
@@ -119,9 +135,9 @@ class HwConfig:
     nmp_internal_multiplier: float = 8.0
 
     def __post_init__(self):
-        for name, (_, _, low) in HW_FIELDS.items():
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be at least {low:g}")
+        for name, (_, _, low, high) in HW_FIELDS.items():
+            if not low <= getattr(self, name) <= high:
+                raise ValueError(f"{name} must be in [{low:g}, {high:g}]")
         if not (self.hb_derate < 1 and self.ext_derate < 1):
             raise ValueError("derates must be in [0, 1)")
         if not self.nmp_channels < self.total_channels:
@@ -389,29 +405,35 @@ def build_workloads(
     if not 0 <= verify_unique_experts <= shape.n_experts:
         raise ValueError("verify_unique_experts out of range")
     d_bytes = dense_bytes(shape)
-    kv_ar = kv_bytes(shape, batch, seq_len, kv_coeff)
-    full = expert_bytes_full(shape)
+    expert_total = shape.n_layers * ar_unique_experts * expert_bytes_full(shape)
     msb = expert_bytes_msb(shape)
-    expert_total = shape.n_layers * ar_unique_experts * full
-    d_macs = batch * dense_macs_per_token(shape)
-    e_macs = batch * expert_macs_per_token(shape)
+
+    def stacked(name, tokens, hb_expert, ext_expert, expert_share=1.0):
+        """A stacked-tier phase that steps tokens: its expert bytes, dense
+        weights once, and KV, MACs, partial sums and scatter per token."""
+        return PhaseWorkload(
+            name=name,
+            hb_bytes=hb_expert + d_bytes + kv_bytes(shape, tokens, seq_len, kv_coeff),
+            ext_bytes=ext_expert,
+            macs=expert_share * tokens * expert_macs_per_token(shape)
+            + tokens * dense_macs_per_token(shape),
+            comm_bytes_aggr=psum_bytes(shape, tokens),
+            comm_bytes_streamline=scatter_bytes(shape, tokens),
+        )
+
     if arch.has_hb:
         hb_headroom_bytes(cfg, shape, batch, seq_len, kv_coeff, sd.pool_size if sd else 0)
-        ar = PhaseWorkload(
-            name="ar_step",
-            hb_bytes=ar_hit_rate * expert_total + d_bytes + kv_ar,
-            ext_bytes=(1 - ar_hit_rate) * expert_total,
-            macs=d_macs + e_macs,
-            comm_bytes_aggr=psum_bytes(shape, batch),
-            comm_bytes_streamline=scatter_bytes(shape, batch),
+        ar = stacked(
+            "ar_step", batch, ar_hit_rate * expert_total, (1 - ar_hit_rate) * expert_total
         )
     else:
         offloadable = internal_tier(arch, cfg) is not None
+        e_macs = batch * expert_macs_per_token(shape)
         ar = PhaseWorkload(
             name="ar_step",
             hb_bytes=0.0,
-            ext_bytes=expert_total + d_bytes + kv_ar,
-            macs=d_macs + e_macs,
+            ext_bytes=expert_total + d_bytes + kv_bytes(shape, batch, seq_len, kv_coeff),
+            macs=batch * dense_macs_per_token(shape) + e_macs,
             offload_expert_bytes=expert_total if offloadable else 0.0,
             offload_expert_macs=e_macs if offloadable else 0.0,
         )
@@ -420,30 +442,15 @@ def build_workloads(
         return workloads
     if arch is not Arch.OURS:
         raise ValueError("speculative phases are only modeled for the OURS arch")
-    draft_tokens = batch * sd.width
-    workloads["draft_step"] = PhaseWorkload(
-        name="draft_step",
-        hb_bytes=shape.n_layers * sd.pool_size * msb
-        + d_bytes
-        + kv_bytes(shape, draft_tokens, seq_len, kv_coeff),
-        ext_bytes=0.0,
-        macs=0.5 * draft_tokens * expert_macs_per_token(shape)
-        + draft_tokens * dense_macs_per_token(shape),
-        comm_bytes_aggr=psum_bytes(shape, draft_tokens),
-        comm_bytes_streamline=scatter_bytes(shape, draft_tokens),
+    workloads["draft_step"] = stacked(
+        "draft_step", batch * sd.width, shape.n_layers * sd.pool_size * msb, 0.0, 0.5
     )
-    verify_tokens = batch * sd.verify_tokens
     verify_expert_msb = shape.n_layers * verify_unique_experts * msb
-    workloads["verify"] = PhaseWorkload(
-        name="verify",
-        hb_bytes=verify_msb_hit_rate * verify_expert_msb
-        + d_bytes
-        + kv_bytes(shape, verify_tokens, seq_len, kv_coeff),
-        ext_bytes=(1 - verify_msb_hit_rate) * verify_expert_msb + verify_expert_msb,
-        macs=verify_tokens * expert_macs_per_token(shape)
-        + verify_tokens * dense_macs_per_token(shape),
-        comm_bytes_aggr=psum_bytes(shape, verify_tokens),
-        comm_bytes_streamline=scatter_bytes(shape, verify_tokens),
+    workloads["verify"] = stacked(
+        "verify",
+        batch * sd.verify_tokens,
+        verify_msb_hit_rate * verify_expert_msb,
+        (1 - verify_msb_hit_rate) * verify_expert_msb + verify_expert_msb,
     )
     workloads["pool_update"] = PhaseWorkload(
         name="pool_update",

@@ -1,21 +1,21 @@
 """Experiment orchestration: config files, scenario sweeps, CSV/JSON output.
 
 A scenario bundles a toy model, a routing trace, a hardware config, and a
-list of decoding schemes priced over a list of batch sizes.  Evaluation
-has two parts.  First a per-scenario context does the work every scheme
-shares, once: it builds the model, routing traces and prompt, reads the
-AR decode's routing off the traces (no AR tokens are decoded), estimates
-the AR unique-expert count of every batch size in one Monte Carlo call,
-and per batch size derives the XPU baseline latency and the AR step's
-cache hit rate and cost at each cache footprint the schemes use.  Then
-each scheme adds its own speculative step on top of that AR step:
-ar_only adds none, the functional schemes measure one with an SdSession
-each (accept lengths, verify routing, pool transfers priced through the
-cache simulator and the hardware model; one more Monte Carlo call
-estimates the verify unique-expert count of every session and batch
-size), and the analytic schemes scale the AR step by their configured
-accept length and draft/verify cost ratios (defaults are illustrative)
-at their configured cache footprint.
+list of decoding schemes priced over a list of batch sizes.  One pass
+evaluates it.  It builds the model, routing traces and prompt, and reads
+the AR decode's routing off the traces (no AR token is decoded).  It runs
+each functional SD scheme's SdSession once (accept lengths, verify
+routing, pool transfers), and makes two Monte Carlo unique-expert
+estimates: one for the AR step at every batch size, one for the verify
+step of every session and batch size.  Then, per batch size, it prices
+the XPU baseline, the AR step at each cache footprint the schemes use,
+and each session's SD step once, through the cache simulator and the
+hardware model.  ar_only reports the AR step.  The other schemes report
+whichever is faster per token, the AR step or their SD step: the
+functional schemes' SD step is the one their session measured, and the
+analytic schemes' is scaled from the AR step by their configured accept
+length and draft/verify cost ratios (defaults are illustrative) at their
+configured cache footprint.
 
 Everything is deterministic given the config file: seeds are explicit,
 scenario evaluation is pure, and rows are sorted before emission so
@@ -285,7 +285,7 @@ def _opt_round9(x: Optional[float]) -> Optional[float]:
 
 _HW_TYPES = typing.get_type_hints(HwConfig)
 # Config-file key -> HwConfig field.
-_HW_FIELD_OF_KEY = {key: name for name, (key, _, _) in hwmodel.HW_FIELDS.items()}
+_HW_FIELD_OF_KEY = {key: name for name, (key, *_) in hwmodel.HW_FIELDS.items()}
 
 
 def _check_keys(section: str, data: dict, allowed) -> None:
@@ -350,7 +350,7 @@ def _hw_from_dict(data: dict) -> HwConfig:
 
 def _hw_to_dict(hw: HwConfig) -> dict:
     out = {}
-    for fname, (key, scale, _) in hwmodel.HW_FIELDS.items():
+    for fname, (key, scale, *_) in hwmodel.HW_FIELDS.items():
         value = getattr(hw, fname)
         out[key] = value if _HW_TYPES[fname] is int else value / scale
     return out
@@ -526,36 +526,13 @@ def _footprint(cfg: ScenarioConfig, scheme: str) -> float:
     return 1.0
 
 
-def _ar_cost(
-    cfg: ScenarioConfig, arch: Arch, batch: int, hit_rate: float, unique: float
-) -> hwmodel.StepCost:
-    wl = hwmodel.build_workloads(
-        cfg.hw, arch, cfg.shape, batch,
-        seq_len=cfg.run.seq_len,
-        ar_hit_rate=hit_rate,
-        ar_unique_experts=unique,
-        kv_coeff=cfg.run.kv_coeff,
-    )
-    return hwmodel.step_cost(cfg.hw, arch, wl, "ar", batch)
-
-
-@dataclass(frozen=True)
-class _ScenarioContext:
-    """The scheme-independent work of one scenario, done once."""
-
-    cfg: ScenarioConfig
-    model: toymoe.MoEModel
-    traces: np.ndarray
-    prompt: list[int]
-    # batch -> expected distinct experts one AR step activates
-    ar_unique: dict[int, float]
-    # batch -> per-token latency of the AR step on the XPU baseline
-    xpu_per_token: dict[int, float]
-    # (batch, footprint) -> (AR hit rate, AR step cost) on cfg.arch
-    ar: dict[tuple[int, float], tuple[float, hwmodel.StepCost]]
-
-
-def _build_context(cfg: ScenarioConfig) -> _ScenarioContext:
+def _decode_inputs(
+    cfg: ScenarioConfig,
+) -> tuple[toymoe.MoEModel, np.ndarray, list[int], list[list[elastic_sd.LayerDecision]]]:
+    """The scenario's model, routing-trace scores and prompt, and the AR
+    decode's routing decisions: position p of the prompt and new tokens
+    routes on trace row p modulo the trace length, as greedy_decode would,
+    so no AR token is decoded."""
     model = toymoe.gen_model(cfg.shape, seed=cfg.run.model_seed)
     layer_traces = [
         toymoe.gen_routing_trace(
@@ -568,51 +545,22 @@ def _build_context(cfg: ScenarioConfig) -> _ScenarioContext:
         )
         for layer in range(cfg.shape.n_layers)
     ]
-    traces = toymoe.trace_scores(layer_traces)
-    prompt = _make_prompt(cfg)
-    # The AR decode of the prompt and the new tokens routes position p on
-    # trace row p modulo the trace length, as greedy_decode would.
     ar_steps = [
         [(layer, t[pos % len(t)]) for layer, t in enumerate(layer_traces)]
         for pos in range(cfg.run.prompt_len + cfg.run.n_new_tokens)
     ]
-    ar_trace = _access_trace(ar_steps, "full")
-    popularity = _popularity(ar_trace, cfg.shape.n_experts)
-    full_item = hwmodel.expert_bytes_full(cfg.shape)
-    footprints = sorted({_footprint(cfg, s) for s in cfg.schemes})
-    ar_unique = dict(zip(cfg.batch_sizes, expert_cache.expected_unique_experts(
-        cfg.batch_sizes, cfg.shape.top_k, cfg.shape.n_experts,
-        popularity=popularity, seed=cfg.trace.seed,
-    ).tolist()))
-    xpu_per_token, ar = {}, {}
-    for batch in cfg.batch_sizes:
-        capacity = hwmodel.hb_headroom_bytes(
-            cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff
-        ) if cfg.arch.has_hb else 0.0
-        unique = ar_unique[batch]
-        xpu_per_token[batch] = _ar_cost(
-            cfg, Arch.XPU, batch, 0.0, unique
-        ).per_token_latency
-        for footprint in footprints:
-            hit = _lru_hit_rate(ar_trace, "full", full_item * footprint, capacity)
-            ar[batch, footprint] = hit, _ar_cost(cfg, cfg.arch, batch, hit, unique)
-    return _ScenarioContext(
-        cfg=cfg,
-        model=model,
-        traces=traces,
-        prompt=prompt,
-        ar_unique=ar_unique,
-        xpu_per_token=xpu_per_token,
-        ar=ar,
-    )
+    return model, toymoe.trace_scores(layer_traces), _make_prompt(cfg), ar_steps
 
 
 def _sd_session(
-    ctx: _ScenarioContext, scheme: str
+    cfg: ScenarioConfig,
+    model: toymoe.MoEModel,
+    prompt: list[int],
+    traces: np.ndarray,
+    scheme: str,
 ) -> tuple[hwmodel.SdParams, expert_cache.AccessTrace]:
     """Run the scheme's speculative session once.  Returns its SD step
     parameters and its verify decisions as an MSB access trace."""
-    cfg = ctx.cfg
     sd_config = elastic_sd.SdConfig(
         width=cfg.sd.width,
         depth=cfg.sd.depth,
@@ -623,7 +571,7 @@ def _sd_session(
         seed=cfg.sd.seed,
     )
     run = elastic_sd.SdSession(
-        ctx.model, sd_config, ctx.prompt, score_traces=ctx.traces
+        model, sd_config, prompt, score_traces=traces
     ).run(cfg.run.n_new_tokens)
     verify_steps = [list(step.verify_decisions) for step in run.steps]
     sd = hwmodel.SdParams(
@@ -637,18 +585,43 @@ def _sd_session(
     return sd, _access_trace(verify_steps, "msb")
 
 
-# (mean accept length, batch -> (verify MSB hit rate, SD step cost))
-_SdMeasured = tuple[float, dict[int, tuple[float, hwmodel.StepCost]]]
+def _step_cost(
+    cfg: ScenarioConfig,
+    arch: Arch,
+    batch: int,
+    ar_hit: float,
+    ar_unique: float,
+    sd: Optional[hwmodel.SdParams] = None,
+    verify_hit: float = 0.0,
+    verify_unique: float = 0.0,
+) -> hwmodel.StepCost:
+    """Cost of one AR step on arch, or of one SD step when sd is given."""
+    wl = hwmodel.build_workloads(
+        cfg.hw, arch, cfg.shape, batch,
+        seq_len=cfg.run.seq_len,
+        ar_hit_rate=ar_hit,
+        ar_unique_experts=ar_unique,
+        sd=sd,
+        verify_msb_hit_rate=verify_hit,
+        verify_unique_experts=verify_unique,
+        kv_coeff=cfg.run.kv_coeff,
+    )
+    return hwmodel.step_cost(cfg.hw, arch, wl, "ar" if sd is None else "sd", batch, sd=sd)
 
 
-def _measured_sd(ctx: _ScenarioContext) -> dict[str, _SdMeasured]:
-    """Run each functional SD scheme's session once, estimate the verify
-    step's unique experts for every session and batch in one call, then
-    price each scheme's SD step per batch."""
-    cfg = ctx.cfg
+def _scenario_rows(cfg: ScenarioConfig) -> list[ResultRow]:
+    """Every scheme's rows, ordered by (scheme, batch) as configured, from
+    one pass over the scenario (see the module docstring)."""
+    model, traces, prompt, ar_steps = _decode_inputs(cfg)
+    ar_trace = _access_trace(ar_steps, "full")
+    ar_unique = expert_cache.expected_unique_experts(
+        cfg.batch_sizes, cfg.shape.top_k, cfg.shape.n_experts,
+        popularity=_popularity(ar_trace, cfg.shape.n_experts), seed=cfg.trace.seed,
+    ).tolist()
+    schemes = dict.fromkeys(cfg.schemes)  # a scheme listed twice is evaluated once
     sessions = {
-        s: _sd_session(ctx, s)
-        for s in cfg.schemes if s in FUNCTIONAL_SCHEMES and s != "ar_only"
+        s: _sd_session(cfg, model, prompt, traces, s)
+        for s in schemes if s in FUNCTIONAL_SCHEMES and s != "ar_only"
     }
     # Verify tokens routed per batch: batch * mean verify tokens per step.
     draws = {
@@ -656,98 +629,83 @@ def _measured_sd(ctx: _ScenarioContext) -> dict[str, _SdMeasured]:
         for s, (sd, _) in sessions.items()
     }
     all_draws = sorted({d for ds in draws.values() for d in ds})
-    unique = expert_cache.expected_unique_experts(
+    estimates = expert_cache.expected_unique_experts(
         all_draws, cfg.shape.top_k, cfg.shape.n_experts,
         popularity=[_popularity(t, cfg.shape.n_experts) for _, t in sessions.values()],
         seed=cfg.trace.seed + 1,
-    ) if sessions else []
+    ).tolist() if sessions else []
+    verify_unique = {
+        s: [row[all_draws.index(d)] for d in draws[s]]
+        for s, row in zip(sessions, estimates)
+    }
+    full_item = hwmodel.expert_bytes_full(cfg.shape)
     msb_item = hwmodel.expert_bytes_msb(cfg.shape)
-    measured = {}
-    for (scheme, (sd, verify_trace)), row in zip(sessions.items(), unique):
-        verify_unique = dict(zip(all_draws, row.tolist()))
-        priced = {}
-        for batch, verify_draws in zip(cfg.batch_sizes, draws[scheme]):
-            capacity = hwmodel.hb_headroom_bytes(
-                cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff,
-                cfg.sd.pool_capacity,
+    footprints = sorted({_footprint(cfg, s) for s in schemes})
+    rows = {s: [] for s in schemes}
+    for i, batch in enumerate(cfg.batch_sizes):
+        xpu = _step_cost(cfg, Arch.XPU, batch, 0.0, ar_unique[i]).per_token_latency
+        capacity = hwmodel.hb_headroom_bytes(
+            cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff
+        ) if cfg.arch.has_hb else 0.0
+        ar = {}
+        for footprint in footprints:
+            hit = _lru_hit_rate(ar_trace, "full", full_item * footprint, capacity)
+            ar[footprint] = hit, _step_cost(cfg, cfg.arch, batch, hit, ar_unique[i])
+        sd_capacity = hwmodel.hb_headroom_bytes(
+            cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff,
+            cfg.sd.pool_capacity,
+        ) if sessions else 0.0
+        for scheme in schemes:
+            ar_hit, ar_cost = ar[_footprint(cfg, scheme)]
+            accept = verify_hit = sd_cost = None
+            if scheme in sessions:
+                sd, verify_trace = sessions[scheme]
+                accept = sd.mean_accept
+                verify_hit = _lru_hit_rate(verify_trace, "msb", msb_item, sd_capacity)
+                sd_cost = _step_cost(
+                    cfg, cfg.arch, batch, ar_hit, ar_unique[i], sd, verify_hit,
+                    verify_unique[scheme][i],
+                )
+            elif scheme in ANALYTIC_SCHEMES:
+                params = cfg.analytic[scheme]
+                accept = params.mean_accept
+                scale = params.depth * params.draft_cost_ratio + params.verify_cost_ratio
+                sd_cost = hwmodel.StepCost(
+                    latency=ar_cost.latency * scale,
+                    tokens=batch * (1.0 + accept),
+                    energy={k: v * scale for k, v in ar_cost.energy.items()},
+                )
+            mode, chosen = (
+                ("ar", ar_cost) if sd_cost is None
+                else hwmodel.mode_select(ar_cost, sd_cost)
             )
-            verify_hit = _lru_hit_rate(verify_trace, "msb", msb_item, capacity)
-            wl = hwmodel.build_workloads(
-                cfg.hw, cfg.arch, cfg.shape, batch,
-                seq_len=cfg.run.seq_len,
-                ar_hit_rate=ctx.ar[batch, 1.0][0],
-                ar_unique_experts=ctx.ar_unique[batch],
-                sd=sd,
-                verify_msb_hit_rate=verify_hit,
-                verify_unique_experts=verify_unique[verify_draws],
-                kv_coeff=cfg.run.kv_coeff,
-            )
-            priced[batch] = verify_hit, hwmodel.step_cost(
-                cfg.hw, cfg.arch, wl, "sd", batch, sd=sd
-            )
-        measured[scheme] = sd.mean_accept, priced
-    return measured
-
-
-def _scheme_rows(
-    ctx: _ScenarioContext, scheme: str, measured: dict[str, _SdMeasured]
-) -> list[ResultRow]:
-    """One scheme's rows.  Every scheme starts from the shared AR step at
-    its cache footprint; ar_only stops there, the functional SD schemes add
-    an SD step measured by a session, and the analytic schemes one scaled
-    from the AR step by their configured cost ratios.  Per batch the mode
-    with the lower per-token latency is reported."""
-    cfg = ctx.cfg
-    params = cfg.analytic[scheme] if scheme in ANALYTIC_SCHEMES else None
-    accept, sd_priced = measured.get(scheme, (None, {}))
-    if params is not None:
-        accept = params.mean_accept
-    rows = []
-    for batch in cfg.batch_sizes:
-        ar_hit, ar_cost = ctx.ar[batch, _footprint(cfg, scheme)]
-        verify_hit, sd_cost = sd_priced.get(batch, (None, None))
-        if params is not None:
-            scale = params.depth * params.draft_cost_ratio + params.verify_cost_ratio
-            sd_cost = hwmodel.StepCost(
-                latency=ar_cost.latency * scale,
-                tokens=batch * (1.0 + accept),
-                energy={k: v * scale for k, v in ar_cost.energy.items()},
-            )
-        mode, chosen = (
-            ("ar", ar_cost) if sd_cost is None
-            else hwmodel.mode_select(ar_cost, sd_cost)
-        )
-        energy = {k: _round9(v / chosen.tokens) for k, v in chosen.energy.items()}
-        rows.append(ResultRow(
-            scenario_id=cfg.scenario_id,
-            scheme=scheme,
-            arch=cfg.arch.value,
-            batch=batch,
-            mode=mode,
-            accept_length_mean=_opt_round9(accept),
-            ar_hit_rate=_round9(ar_hit),
-            verify_msb_hit_rate=_opt_round9(verify_hit),
-            per_token_latency_s=_round9(chosen.per_token_latency),
-            per_token_energy_j=_round9(chosen.per_token_energy),
-            energy_compute_j=energy["compute"],
-            energy_hb_mem_j=energy["hb_mem"],
-            energy_ext_mem_j=energy["ext_mem"],
-            energy_comm_j=energy["comm"],
-            energy_static_j=energy["static"],
-            speedup_vs_xpu=_round9(
-                ctx.xpu_per_token[batch] / chosen.per_token_latency
-            ),
-        ))
-    return rows
+            energy = {k: _round9(v / chosen.tokens) for k, v in chosen.energy.items()}
+            rows[scheme].append(ResultRow(
+                scenario_id=cfg.scenario_id,
+                scheme=scheme,
+                arch=cfg.arch.value,
+                batch=batch,
+                mode=mode,
+                accept_length_mean=_opt_round9(accept),
+                ar_hit_rate=_round9(ar_hit),
+                verify_msb_hit_rate=_opt_round9(verify_hit),
+                per_token_latency_s=_round9(chosen.per_token_latency),
+                per_token_energy_j=_round9(chosen.per_token_energy),
+                energy_compute_j=energy["compute"],
+                energy_hb_mem_j=energy["hb_mem"],
+                energy_ext_mem_j=energy["ext_mem"],
+                energy_comm_j=energy["comm"],
+                energy_static_j=energy["static"],
+                speedup_vs_xpu=_round9(xpu / chosen.per_token_latency),
+            ))
+    return [row for scheme in cfg.schemes for row in rows[scheme]]
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[ResultRow]:
     """All rows for one scenario, ordered by (scheme, batch) as configured;
     a float that is not finite in any row is a RunnerError."""
     try:
-        ctx = _build_context(cfg)
-        measured = _measured_sd(ctx)
-        rows = [row for scheme in cfg.schemes for row in _scheme_rows(ctx, scheme, measured)]
+        rows = _scenario_rows(cfg)
         for row in rows:
             for name, value in vars(row).items():
                 if isinstance(value, float) and not math.isfinite(value):

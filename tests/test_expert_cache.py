@@ -1,9 +1,13 @@
 import csv
 import io
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +328,17 @@ class TestPowerlawApproximation:
         tiny = [powerlaw_lru_hitrate(64, 1.0, c) for c in (5e-324, 1e-13, 9e-13)]
         assert 0.0 <= tiny[0] <= tiny[1] <= tiny[2] < 1e-12
 
+    def test_cli_import_does_not_load_the_root_finder(self):
+        # A fresh interpreter, since this one has imported scipy already.
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, elasticmoe.cli; print('scipy.optimize' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
     def test_validation(self):
         with pytest.raises(ValueError):
             powerlaw_lru_hitrate(0, 1.0, 0)
@@ -594,6 +609,17 @@ class TestExpectedUnique:
         # warning here fails the test instead of raising ValueError.
         with pytest.raises(ValueError, match="batch|popularity"):
             expected_unique_experts(batch, 2, 16, popularity=popularity)
+
+    def test_rejects_draw_counts_above_the_bound(self, monkeypatch):
+        # 4,000 samples of 10**8 tokens of 16 experts would draw for hours.
+        with pytest.raises(ValueError, match="draws"):
+            expected_unique_experts(10**8, 2, 16, popularity=[1.0] * 16)
+        expected_unique_experts(10**8, 2, 16)  # the closed form draws nothing
+        # The bound is inclusive and counts the largest batch.
+        monkeypatch.setattr(expert_cache, "_MC_MAX_DRAWS", 4 * 3 * 5)
+        expected_unique_experts([1, 3], 2, 5, popularity=[1.0] * 5, mc_samples=4)
+        with pytest.raises(ValueError, match="draws"):
+            expected_unique_experts([4, 1], 2, 5, popularity=[1.0] * 5, mc_samples=4)
 
     @pytest.mark.parametrize("mc_samples", [0, -3])
     def test_rejects_mc_samples_below_one(self, mc_samples):

@@ -4,7 +4,6 @@ import json
 import math
 import time
 import typing
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,11 +122,6 @@ def test_config_round_trip():
     assert again == configs
 
 
-# Positive floats spread over 18 decades, so unit scaling meets mantissas
-# of every size.
-_MAGNITUDE = st.builds(
-    lambda m, e: m * 10.0**e, st.floats(1.0, 10.0, exclude_max=True), st.integers(-9, 9)
-)
 _SECTION_TYPES = {
     "scenario": {"batch_sizes": int},
     **{section: typing.get_type_hints(cls) for section, cls in (
@@ -155,19 +149,29 @@ def _in_range(section, key, caps):
 
 
 _HW_TYPES = typing.get_type_hints(hwmodel.HwConfig)
-_HW_KEYS = {key: fname for fname, (key, _, _) in hwmodel.HW_FIELDS.items()}
+_HW_KEYS = {key: fname for fname, (key, *_) in hwmodel.HW_FIELDS.items()}
 
 
 def _hw_value(draw, fname):
-    """A config value for an HwConfig field from its HW_FIELDS row; the two
-    channel counts and the derates' open top are cross-checks, drawn by
-    the caller."""
-    _, _, low = hwmodel.HW_FIELDS[fname]
+    """A config value for an HwConfig field, anywhere in its HW_FIELDS row
+    (either end included, a 0 low drawn as 0 or from MIN_POSITIVE up); the
+    two channel counts and the derates' open top are cross-checks, drawn
+    by the caller."""
+    _, scale, low, high = hwmodel.HW_FIELDS[fname]
     if fname in ("hb_derate", "ext_derate"):
         return draw(st.floats(low, 1.0, exclude_max=True))
     if _HW_TYPES[fname] is int:
-        return draw(st.integers(max(1, low), 2**20))
-    return draw(_MAGNITUDE if low > 0 else st.just(0.0) | _MAGNITUDE)
+        return draw(st.integers(max(1, low), int(high)))
+    # The least and greatest config values whose scaled field is in range.
+    lo = max(low, hwmodel.MIN_POSITIVE) / scale
+    lo = lo if lo * scale >= low else math.nextafter(lo, math.inf)
+    hi = high / scale
+    hi = hi if hi * scale <= high else math.nextafter(hi, 0.0)
+    value = draw(
+        st.sampled_from([lo, hi])
+        | st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
+    )
+    return draw(st.sampled_from([0.0, value])) if low == 0 else value
 
 
 @st.composite
@@ -175,7 +179,7 @@ def _accepted_scenarios(draw, small=False):
     """Scenario documents that load: every bounded value is drawn from its
     RANGES or HW_FIELDS row, the pool from [top_k, n_experts] and the HB
     capacity so that it holds the largest batch.  With small, sizing
-    fields stay under _SMALL and the hw section is left at its defaults."""
+    fields stay under _SMALL."""
     caps = _SMALL if small else {}
 
     def ranged(section):
@@ -210,15 +214,17 @@ def _accepted_scenarios(draw, small=False):
         _in_range("scenario", "batch_sizes", caps), min_size=1, max_size=4
     ))
     hw = {}
-    hw_keys = [] if small else draw(st.lists(st.sampled_from(sorted(_HW_KEYS)), unique=True))
+    hw_keys = draw(st.lists(st.sampled_from(sorted(_HW_KEYS)), unique=True))
     for key in hw_keys:
         if key not in ("nmp_channels", "total_channels"):
             hw[key] = _hw_value(draw, _HW_KEYS[key])
     if "total_channels" in hw_keys:
-        # At least one channel each for the NMP tier and the host.
-        total = hw["total_channels"] = draw(st.integers(2, 16))
+        # At least one channel each for the NMP tier and the host.  Up to
+        # 2**53 channels every split passes HwConfig's share check; above
+        # it the host's share can round to 0.
+        total = hw["total_channels"] = draw(st.integers(2, 2**53))
         hw["nmp_channels"] = draw(st.integers(1, total - 1))
-    if not small and Arch(arch).has_hb:
+    if Arch(arch).has_hb:
         run = sections["run"]
         shape = toymoe.MoEShape(**model)
         need = (
@@ -423,11 +429,20 @@ def test_quant_footprint_lowers_hit_rate():
     assert quant.ar_hit_rate <= base.ar_hit_rate
 
 
-# Loads, but the PE array's peak rate overflows a float when priced.
+# Loads only without the HW_FIELDS highs; the PE array's peak rate then
+# overflows a float when priced.
 _OVERFLOW_HW = {"hb_banks": 10**300, "macs_per_pe_per_cycle": 10**300}
 
 
-def test_runner_error_carries_scenario_id():
+@pytest.fixture
+def unbounded_hw(monkeypatch):
+    """HW_FIELDS without highs: every hw value that loads prices finite, so
+    only this lets a config reach the runner's runtime checks."""
+    for fname, (key, scale, low, _) in list(hwmodel.HW_FIELDS.items()):
+        monkeypatch.setitem(hwmodel.HW_FIELDS, fname, (key, scale, low, math.inf))
+
+
+def test_runner_error_carries_scenario_id(unbounded_hw):
     cfg = fast_config(scenario_id="overflow", hw={**FAST["hw"], **_OVERFLOW_HW})
     with pytest.raises(RunnerError, match="overflow"):
         run_scenario(cfg)
@@ -524,29 +539,51 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     counted(toymoe, "greedy_decode")
     counted(expert_cache, "expected_unique_experts")
     counted(expert_cache, "decisions_to_trace")
+    counted(expert_cache, "simulate_lru")
+    counted(hwmodel, "build_workloads")
     (cfg,) = load_config(example_config_path())
     run_scenario(cfg)
     # One unique-expert estimate over every AR batch size, and one over
     # every verify draw count of both sessions' verify popularities; one
     # access trace per decision stream: AR and the two sessions' verify.
     # The AR routing is read off the traces, so no AR tokens are decoded.
+    # Per batch (3 of them): one XPU price, one AR replay and price per
+    # cache footprint (4: 1.0 and the three analytic multipliers), and one
+    # verify replay and SD price per session (2).
     assert calls == {
         "gen_model": 1, "greedy_decode": 0, "expected_unique_experts": 2,
-        "decisions_to_trace": 3,
+        "decisions_to_trace": 3, "simulate_lru": 12 + 6, "build_workloads": 3 + 12 + 6,
     }
 
 
+@pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
+def test_batch_rows_do_not_depend_on_the_other_batch_sizes():
+    # Fast links and external memory and no KV, so both sessions' SD steps
+    # win at some batches and each row carries the price of its own
+    # batch's verify estimate.  One estimate serves every batch size, and
+    # each entry equals the call for that batch alone, so a batch's rows
+    # equal those of a scenario with that one batch size.
+    data = json.loads(json.dumps(FAST))
+    data["hw"].update(aggr_link_bw_gbps=1e5, streamline_bw_gbps=1e5, ext_bw_gbps=1e4)
+    data.update(schemes=["ar_only", "elastic_sd", "random_pool_sd"], batch_sizes=[1, 4, 16])
+    data["run"]["seq_len"] = 0
+    rows = run_scenario(scenario_from_dict(data))
+    assert {(r.scheme, r.batch) for r in rows if r.mode == "sd"} == {
+        ("elastic_sd", 4), ("elastic_sd", 16), ("random_pool_sd", 16),
+    }
+    for batch in data["batch_sizes"]:
+        alone = run_scenario(scenario_from_dict({**data, "batch_sizes": [batch]}))
+        assert alone == [r for r in rows if r.batch == batch]
+
+
 def assert_ar_routing_is_greedy_decode_routing(cfg):
-    """_build_context's AR decision stream (the one it prices) is, position
-    by position, the routing greedy_decode applies to the scenario's
-    prompt and new tokens under the scenario's traces."""
-    with mock.patch.object(runner, "_access_trace", wraps=runner._access_trace) as spy:
-        ctx = runner._build_context(cfg)
-    ((steps, kind),) = [c.args for c in spy.call_args_list]
-    assert kind == "full"
+    """_decode_inputs' AR decision stream (the one the runner prices) is,
+    position by position, the routing greedy_decode applies to the
+    scenario's prompt and new tokens under the scenario's traces."""
+    model, traces, prompt, steps = runner._decode_inputs(cfg)
     _, decisions = toymoe.greedy_decode(
-        ctx.model, ctx.prompt, cfg.run.n_new_tokens, toymoe.PrecisionMode.INT8_FULL,
-        score_traces=ctx.traces,
+        model, prompt, cfg.run.n_new_tokens, toymoe.PrecisionMode.INT8_FULL,
+        score_traces=traces,
     )
     assert len(steps) == len(decisions) == cfg.run.prompt_len + cfg.run.n_new_tokens
     for step, decs in zip(steps, decisions):
@@ -646,7 +683,7 @@ def test_cli_run_writes_json(tmp_path):
     assert rows_from_json(out_path.read_text())
 
 
-def test_cli_runtime_error_exit_code(tmp_path, capsys):
+def test_cli_runtime_error_exit_code(tmp_path, capsys, unbounded_hw):
     data = json.loads(json.dumps(FAST))
     data["hw"].update(_OVERFLOW_HW)
     cfg_path = tmp_path / "cfg.json"
@@ -709,6 +746,11 @@ def test_cli_rejects_non_integer_model_fields(tmp_path, capsys, command, model):
             "nmp_internal_multiplier": 1e-30,
         },
         {"total_channels": 10**20, "nmp_channels": 10**20 - 1},
+        # Values above the highs: a static energy that overflows to inf, and
+        # a PE array whose peak rate overflows a float.
+        {"static_power_w": 1e308, "clock_ghz": 1e-30},
+        _OVERFLOW_HW,
+        {"hb_energy_pj_per_bit": 1e43},
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -819,8 +861,9 @@ def test_scenario_at_size_bounds_runs_in_seconds():
     assert {r.scheme for r in rows} == {"ar_only", "elastic_sd"}
 
 
-def test_cli_run_overflow_is_runtime_error(tmp_path, capsys):
-    # Valid on its own, but the PE array's peak rate overflows a float.
+def test_cli_run_overflow_is_runtime_error(tmp_path, capsys, unbounded_hw):
+    # Valid on its own without the hw highs, but the PE array's peak rate
+    # overflows a float.
     data = json.loads(json.dumps(FAST))
     data["hw"].update(hb_banks=10**300, macs_per_pe_per_cycle=10**300)
     cfg_path = tmp_path / "cfg.json"
@@ -834,9 +877,10 @@ def test_cli_run_overflow_is_runtime_error(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
-def test_cli_run_non_finite_row_is_runtime_error(tmp_path, capsys):
-    # Valid and priced, but the static energy overflows to inf; run stops
-    # at the first such value instead of writing it.
+def test_cli_run_non_finite_row_is_runtime_error(tmp_path, capsys, unbounded_hw):
+    # Valid without the hw highs and priced, but the static energy
+    # overflows to inf; run stops at the first such value instead of
+    # writing it.
     data = json.loads(json.dumps(FAST))
     data.update(schemes=["ar_only"], batch_sizes=[1])
     data["hw"].update(static_power_w=1e308, clock_ghz=1e-30)
