@@ -82,7 +82,8 @@ def fp16_scale(amax: float | np.ndarray) -> float | np.ndarray:
     positive fp16 subnormal so the scale stays positive; a scale beyond
     the largest finite fp16 raises ValueError.  The cast runs with numpy
     raising on overflow, so no warning is printed and no pass looks for
-    inf afterwards (this runs once per activation vector).
+    inf afterwards (the expert kernel runs this once per stage, over all
+    its rows).
     """
     try:
         with np.errstate(over="raise"):

@@ -22,10 +22,11 @@ routes on: one (positions, layers, experts) score array, from
 
 Determinism rules: every matrix product works on fixed 32-wide input
 groups: an index-ordered einsum (dense parts) or an exact integer dot
-(quantized experts) per group, then a fixed-order sum across groups; every
-row is normalized, quantized and routed on its own.  So results never
-depend on how many tokens are evaluated together, or with which; routing
-and sampling ties break toward lower ids.
+(quantized experts) per group, into group-major partials (groups, rows,
+out), then a sum across groups with np.sum's rounding over a contiguous
+group axis; every row is normalized, quantized and routed on its own.  So
+results never depend on how many tokens are evaluated together, or with
+which; routing and sampling ties break toward lower ids.
 """
 
 from __future__ import annotations
@@ -203,38 +204,30 @@ def _silu(v: np.ndarray) -> np.ndarray:
 
 
 def _group_sum(parts: np.ndarray) -> np.ndarray:
-    # Sum over the last (group) axis, made contiguous: np.sum's rounding
-    # for a contiguous axis, reduced for each output on its own.
-    return np.add.reduce(np.ascontiguousarray(parts), axis=-1)
+    # Sum group-major partials (groups, rows, out) over the leading axis
+    # with np.sum's bits over a contiguous group axis.  numpy adds fewer
+    # than 8 elements left to right from 0.0 on every reduction path, so
+    # one slab-wise reduce matches; from 8 on a contiguous axis sums
+    # pairwise, so the groups are made the contiguous last axis instead.
+    if len(parts) >= 8:
+        return np.add.reduce(np.moveaxis(parts, 0, -1).copy(), axis=-1)
+    return np.add.reduce(parts, axis=0)
 
 
 def _blocked_matmul(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # w (out, in) times each row of x (T, in): an einsum over each 32-wide
-    # input group in index order, then a fixed-order sum across groups.
-    # Matches the accumulation structure of the quantized path exactly.
+    # w (out, in) times each row of x (T, in): an index-ordered einsum over
+    # each 32-wide input group, laid out group-major (order "C"; einsum
+    # would otherwise keep the inputs' group-last order), then _group_sum.
+    # The same accumulation structure as the quantized products.
     out_dim = w.shape[0]
     parts = np.einsum(
-        "ogj,tgj->tog",
+        "ogj,tgj->gto",
         w.reshape(out_dim, -1, GROUP_SIZE),
         x.reshape(x.shape[0], -1, GROUP_SIZE),
+        order="C",
         optimize=False,
     )
     return _group_sum(parts)
-
-
-def _quant_matmul(
-    codes: np.ndarray, scales: np.ndarray, acts: np.ndarray, act_scales: np.ndarray
-) -> np.ndarray:
-    # ExpertWeights.codes float32 codes and their (groups, 1, out) scales
-    # times each row of the integer-valued float32 acts (n, in) with per-row
-    # scales.  Every group dot is a sum of 32 products of magnitude
-    # <= 128 * 127, so every partial sum is an integer below 2^24 and exact
-    # in float32 whatever order BLAS adds in.  Each group partial is then an
-    # exact float64 product (<= 42 significant bits), and the group sum
-    # gives the exact real value of the dequantized blocked product.
-    n = acts.shape[0]
-    ints = np.matmul(acts.reshape(n, -1, GROUP_SIZE).transpose(1, 0, 2), codes)
-    return _group_sum((ints * scales * act_scales[:, None]).transpose(1, 2, 0))
 
 
 def _select(
@@ -322,6 +315,27 @@ def _weight_mode(mode: PrecisionMode, draft_reconstruct: ReconstructMode) -> Rec
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _quant_products(acts: np.ndarray, act_scales: np.ndarray, blocks: list) -> np.ndarray:
+    # Rows of the integer-valued acts (P, in), with per-row scales, each
+    # times the codes of its block: blocks are (float32 codes (groups, 32,
+    # out), their (groups, 1, out) scales, lo, hi) over rows [lo, hi).
+    # Every group dot is a sum of 32 products of magnitude <= 128 * 127,
+    # so every partial sum is an integer below 2^24 and exact in float32
+    # whatever rows BLAS sees together or order it adds in.  Each group
+    # partial (ints * weight scale) * row scale is then an exact float64
+    # product (<= 42 significant bits), and the group sum gives the exact
+    # real value of the dequantized blocked product.
+    n = acts.shape[0]
+    grouped = acts.astype(np.float32).reshape(n, -1, GROUP_SIZE).transpose(1, 0, 2)
+    ints = np.empty((len(grouped), n, blocks[0][0].shape[2]), dtype=np.float32)
+    parts = np.empty(ints.shape)
+    for codes, scales, lo, hi in blocks:
+        np.matmul(grouped[:, lo:hi], codes, out=ints[:, lo:hi])
+        np.multiply(ints[:, lo:hi], scales, out=parts[:, lo:hi])
+    parts *= act_scales[:, None]
+    return _group_sum(parts)
+
+
 def _experts(
     x: np.ndarray,
     ids: np.ndarray,
@@ -330,10 +344,12 @@ def _experts(
 ) -> np.ndarray:
     """The expert kernel: out[t, slot] = expert experts[ids[t, slot]] on row
     x[t], for rows x (T, d_model) and expert ids (T, k), on the code set
-    ExpertWeights.codes(rec).  The (token, slot) pairs are sorted by expert,
-    so each expert runs one fused up-and-gate product and one down product
-    over a contiguous block of rows; activations are quantized per row, once
-    per stage."""
+    ExpertWeights.codes(rec).  The (token, slot) pairs are sorted by
+    expert, and each stage (the fused up-and-gate product, then down) runs
+    over all pairs at once: one integer matmul and one weight-scale
+    multiply per expert block into group-major partials (groups, pairs,
+    out), then the row scales and the group sum once.  Activations are
+    quantized per row, and SiLU gating runs once, between the stages."""
     n, k = ids.shape
     flat = ids.ravel()
     order = flat.argsort(kind="stable")
@@ -341,25 +357,16 @@ def _experts(
     sorted_ids = flat[order].tolist()
     bounds = [i for i in range(1, len(order)) if sorted_ids[i] != sorted_ids[i - 1]]
     blocks = [
-        (sorted_ids[lo], lo, hi)
+        (experts[sorted_ids[lo]], lo, hi)
         for lo, hi in zip([0] + bounds, bounds + [len(order)])
     ]
     acts, act_scales = quantize_rows(x)
-    acts, act_scales = acts.astype(np.float32)[rows], act_scales[rows]
-    f = experts[0].up_gate.shape[2] // 2
-    h = np.empty((len(order), f))
-    for e, lo, hi in blocks:
-        w = experts[e]
-        up_gate, _ = w.codes(rec)
-        ug = _quant_matmul(up_gate, w.up_gate_scales, acts[lo:hi], act_scales[lo:hi])
-        h[lo:hi] = _silu(ug[:, f:]) * ug[:, :f]
-    hq, h_scales = quantize_rows(h)
-    hq = hq.astype(np.float32)
-    out = np.empty((len(order), x.shape[1]))
-    for e, lo, hi in blocks:
-        w = experts[e]
-        _, down = w.codes(rec)
-        out[lo:hi] = _quant_matmul(down, w.down_scales, hq[lo:hi], h_scales[lo:hi])
+    up_gate = [(w.codes(rec)[0], w.up_gate_scales, lo, hi) for w, lo, hi in blocks]
+    ug = _quant_products(acts[rows], act_scales[rows], up_gate)
+    f = ug.shape[1] // 2
+    hq, h_scales = quantize_rows(_silu(ug[:, f:]) * ug[:, :f])
+    down = [(w.codes(rec)[1], w.down_scales, lo, hi) for w, lo, hi in blocks]
+    out = _quant_products(hq, h_scales, down)
     unsorted = np.empty_like(out)
     unsorted[order] = out
     return unsorted.reshape(n, k, -1)

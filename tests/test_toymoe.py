@@ -651,17 +651,76 @@ class TestOverrideIntegration:
 
 
 def test_group_sum_rounds_as_numpy_sum():
-    # The group sum gives np.sum's bits over a contiguous group axis, below
-    # and above numpy's 8-element pairwise threshold, for contiguous and
-    # strided group axes alike.
+    # The group sum of group-major partials (groups, ...) gives np.sum's
+    # bits over a contiguous group axis, below and above numpy's 8-element
+    # pairwise threshold, for a contiguous copy and a strided view alike;
+    # -0.0 partials sum to 0.0, as np.sum's do.
     rng = np.random.default_rng(17)
     for groups in range(1, 18):
         for shape in [(1, groups), (3, 7, groups), (2, 1, groups), (40, groups)]:
             parts = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
             want = np.sum(parts, axis=-1).tobytes()
-            strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(parts, -1, 0)), 0, -1)
-            assert toymoe._group_sum(parts).tobytes() == want, (groups, shape)
-            assert toymoe._group_sum(strided).tobytes() == want, (groups, shape)
+            view = np.moveaxis(parts, -1, 0)
+            for grouped in (np.ascontiguousarray(view), view):
+                assert toymoe._group_sum(grouped).tobytes() == want, (groups, shape)
+        zeros = np.full((groups, 3), -0.0)
+        assert toymoe._group_sum(zeros).tobytes() == np.sum(zeros.T, axis=-1).tobytes()
+
+
+def quant_product_reference(codes, scales, v):
+    # The quantized product of one row v under (groups, 32, out) float32
+    # codes and (groups, 1, out) scales: int64 group dots of v's
+    # quantize_rows codes, times the weight scales, times the row scale,
+    # then np.sum over a contiguous group axis.
+    a, sa = quantize_vector(v)
+    ints = np.einsum(
+        "gjo,gj->og", codes.astype(np.int64), a.reshape(-1, GROUP_SIZE), optimize=False
+    )
+    return np.sum(ints * scales[:, 0, :].T * sa, axis=1)
+
+
+def expert_row_reference(x, e, rec):
+    # One (token, slot) pair through expert e on its own: up and gate,
+    # SiLU gating, requantization and down, per row.
+    up_gate, down = e.codes(rec)
+    ug = quant_product_reference(up_gate, e.up_gate_scales, x)
+    f = len(ug) // 2
+    return quant_product_reference(down, e.down_scales, silu(ug[f:]) * ug[:f])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernels_equal_per_row_reference(data):
+    # _experts and _blocked_matmul over many rows equal a per-row
+    # reference of the blocked arithmetic bit for bit, for 1-9 input
+    # groups, so on both sides of numpy's 8-element pairwise threshold.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    groups_st = st.integers(1, 7) | st.integers(8, 9)
+    d = GROUP_SIZE * data.draw(groups_st, label="d_model groups")
+    f = GROUP_SIZE * data.draw(groups_st, label="d_ff groups")
+    n_experts = data.draw(st.integers(1, 24), label="n_experts")
+    n = data.draw(st.integers(1, 65), label="T")
+    k = data.draw(st.integers(1, 3), label="k")
+    rec = data.draw(st.sampled_from(list(ReconstructMode)), label="reconstruct")
+    experts = [
+        quantized_expert(
+            *rng.normal(0.0, 1.0 / np.sqrt(d), size=(2, f, d)),
+            rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f)),
+        )
+        for _ in range(n_experts)
+    ]
+    x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 1, size=(n, 1))
+    x[data.draw(st.integers(0, n - 1), label="zero row")] = 0.0
+    ids = rng.integers(0, n_experts, size=(n, k))
+    out = toymoe._experts(x, ids, experts, rec)
+    for t in range(n):
+        for slot in range(k):
+            want = expert_row_reference(x[t], experts[ids[t, slot]], rec)
+            assert same_bits(out[t, slot], want), (t, slot)
+    w = rng.normal(size=(f, d))
+    dense = toymoe._blocked_matmul(w, x)
+    for t in range(n):
+        assert same_bits(dense[t], blocked_real_matvec(w, x[t])), t
 
 
 def same_bits(a, b):
