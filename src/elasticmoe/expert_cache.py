@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import io
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -169,9 +168,17 @@ def simulate_lru(
     item fits.  An empty trace reports hit_rate 1.0 with accesses 0.
 
     phase_map labels each step id with a phase name; miss bytes then also
-    come back grouped per phase (unlabeled steps under "other").  Miss
-    bytes add up in access order, so float item sizes sum the same way on
-    every run.
+    come back grouped per phase (unlabeled steps under "other").
+
+    LRU caches a prefix of the recency order: the keys whose latest access
+    lies at or after a watermark, one past the last evicted access.  So an
+    access hits exactly when its key's previous access lies there, and a
+    hit moves nothing.  A miss adds its size to the bytes used; while they
+    exceed the capacity, the watermark steps over accesses that a later
+    access of their key has replaced and evicts the key of the next one.
+    Those are the evictions a recency-ordered dict makes from its front,
+    in the same order, so used and miss bytes take the same float
+    additions and subtractions in access order on every run.
     """
     if phase_map is not None and trace.step is None:
         raise ValueError("phase_map given but trace carries no step ids")
@@ -179,38 +186,43 @@ def simulate_lru(
     for code in np.flatnonzero(np.bincount(trace.kind, minlength=len(SLICE_KINDS))):
         if size_of[code] is None:
             raise KeyError(SLICE_KINDS[code])
-    keys = (
-        (trace.layer * ID_LIMIT + trace.expert) * len(SLICE_KINDS) + trace.kind
-    ).tolist()
-    sizes = np.array(size_of, dtype=object)[trace.kind].tolist()
-    steps = repeat(None) if phase_map is None else trace.step.tolist()
-    cache: OrderedDict = OrderedDict()
-    touch, evict = cache.move_to_end, cache.popitem
+    # Each access's previous and next access to its key (-1 or n if none),
+    # from one stable sort of the keys in the narrowest unsigned dtype:
+    # numpy radix-sorts 16-bit keys, about ten times faster than int64.
+    n = len(trace)
+    keys = trace.layer * (int(trace.expert.max(initial=0)) + 1) + trace.expert
+    keys = keys * len(SLICE_KINDS) + trace.kind
+    keys = keys.astype(np.min_scalar_type(keys.max(initial=0)))
+    order = np.argsort(keys, kind="stable")
+    repeat = keys[order[1:]] == keys[order[:-1]]
+    prev, nxt = np.full(n, -1), np.full(n, n)
+    prev[order[1:]] = np.where(repeat, order[:-1], -1)
+    nxt[order[:-1]] = np.where(repeat, order[1:], n)
+    del keys, order, repeat
+    prev, nxt, kinds = memoryview(prev), memoryview(nxt), memoryview(trace.kind)
+    steps = memoryview(trace.step) if phase_map is not None else None
     capacity = config.capacity_bytes
-    used = 0
-    misses = 0
-    miss_bytes = 0
+    lru = used = misses = miss_bytes = 0
     by_phase: dict[str, float] = {}
-    for key, size, step in zip(keys, sizes, steps):
-        if key in cache:
-            touch(key)
+    for t, p in enumerate(prev):
+        if p >= lru:
             continue
+        size = size_of[kinds[t]]
         misses += 1
         miss_bytes += size
-        if phase_map is not None:
-            phase = phase_map.get(step, "other")
+        if steps is not None:
+            phase = phase_map.get(steps[t], "other")
             by_phase[phase] = by_phase.get(phase, 0) + size
-        cache[key] = size
         used += size
         while used > capacity:
-            used -= evict(last=False)[1]
-    accesses = len(keys)
-    hits = accesses - misses
-    rate = hits / accesses if accesses else 1.0
+            while nxt[lru] <= t:
+                lru += 1
+            used -= size_of[kinds[lru]]
+            lru += 1
     return LruResult(
-        hit_rate=rate,
-        accesses=accesses,
-        hits=hits,
+        hit_rate=(n - misses) / n if n else 1.0,
+        accesses=n,
+        hits=n - misses,
         miss_bytes=miss_bytes,
         miss_bytes_by_phase=by_phase,
     )

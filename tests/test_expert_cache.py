@@ -228,6 +228,26 @@ class TestSimulateLru:
         assert res.miss_bytes_by_phase == {"draft": 20, "verify": 20}
         assert sum(res.miss_bytes_by_phase.values()) == res.miss_bytes
 
+    @pytest.mark.parametrize("phased", [False, True])
+    def test_replay_memory_is_bounded(self, phased):
+        # One 200k-access replay measured 6.7 MB either way; Python lists
+        # of the trace's columns alone would take 9.2 MB, 15.2 MB with steps.
+        n = 200_000
+        rng = np.random.default_rng(5)
+        trace = AccessTrace.from_columns(
+            rng.integers(0, 4, n), rng.integers(0, 64, n), np.ones(n, dtype=np.int64),
+            np.arange(n) // 8,
+        )
+        phase_map = {s: "verify" if s % 4 == 3 else "draft" for s in range(n // 8)}
+        cfg = CacheConfig(capacity_bytes=32, item_bytes={"full": 1})
+        tracemalloc.start()
+        try:
+            simulate_lru(trace, cfg, phase_map=phase_map if phased else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_phase_map_requires_steps(self):
         cfg = CacheConfig(capacity_bytes=10, item_bytes={"full": 10})
         with pytest.raises(ValueError):
@@ -248,16 +268,26 @@ class TestSimulateLru:
             simulate_lru(trace, cfg)
 
 
+# Few layers and a hot core of experts, so most evictions skip accesses
+# that later hits replaced; experts 127 and 128 and the largest ids cross
+# the widths a packed key fits in.
 _accesses = st.tuples(
-    st.integers(0, 3), st.integers(0, 7), st.sampled_from(SLICE_KINDS)
+    st.integers(0, 3) | st.just(ID_LIMIT - 1),
+    st.integers(0, 3) | st.integers(0, 40) | st.sampled_from([127, 128, ID_LIMIT - 1]),
+    st.sampled_from(SLICE_KINDS),
 )
+_MAX_ACCESSES = 300
+
+
+def _full(*experts):
+    return [(0, e, "full") for e in experts]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    entries=st.lists(_accesses, max_size=120),
+    entries=st.lists(_accesses, max_size=_MAX_ACCESSES),
     with_steps=st.booleans(),
-    step_ids=st.lists(st.integers(-3, 12), min_size=120, max_size=120),
+    step_ids=st.lists(st.integers(-3, 12), min_size=_MAX_ACCESSES, max_size=_MAX_ACCESSES),
     sizes=st.sampled_from(["int", "float", "mixed"]),
     size_draw=st.tuples(st.integers(1, 9), st.floats(0.1, 9.0), st.floats(0.1, 9.0)),
     capacity_items=st.floats(1.0, 12.0),
@@ -266,8 +296,30 @@ _accesses = st.tuples(
     ),
 )
 @example(entries=[(0, 1, "full"), (0, 2, "msb")], with_steps=False,
-         step_ids=[0] * 120, sizes="int", size_draw=(4, 1.0, 1.0),
+         step_ids=[0] * _MAX_ACCESSES, sizes="int", size_draw=(4, 1.0, 1.0),
          capacity_items=1.0, phases=None)
+# A B A C B with room for two: A's first access is replaced, so C evicts
+# B, and B misses again.
+@example(entries=_full(1, 2, 1, 3, 2), with_steps=False,
+         step_ids=[0] * _MAX_ACCESSES, sizes="int", size_draw=(4, 1.0, 1.0),
+         capacity_items=2.0, phases=None)
+# Six 1.0 slices fill capacity 6; after a hit on slice 1, one full item
+# of 3 evicts slices 0, 2 and 3 at once.
+@example(entries=[(0, e, "msb") for e in (0, 1, 2, 3, 4, 5, 1)] + _full(9) + [(0, 1, "msb")],
+         with_steps=True, step_ids=list(range(_MAX_ACCESSES)), sizes="mixed",
+         size_draw=(3, 1.0, 1.0), capacity_items=2.0, phases={7: "verify"})
+# Capacity 0.3 holds three 0.1 slices, but their float sum exceeds it: the
+# third evicts the first, and the 0.3 item then evicts the rest and itself.
+@example(entries=[(0, e, "msb") for e in range(3)] + _full(7, 7, 0),
+         with_steps=False, step_ids=[0] * _MAX_ACCESSES, sizes="float",
+         size_draw=(1, 0.1, 0.3), capacity_items=1.0, phases=None)
+# Capacity 6 is four 1.5 slices or two full items of 3.
+@example(entries=[(0, e, "msb") for e in range(5)] + _full(1, 2) + [(0, 4, "msb")] * 2,
+         with_steps=False, step_ids=[0] * _MAX_ACCESSES, sizes="mixed",
+         size_draw=(3, 1.5, 1.0), capacity_items=2.0, phases=None)
+# Expert 128 packs to key 257, past a uint8 key's range.
+@example(entries=_full(128, 0, 128), with_steps=False, step_ids=[0] * _MAX_ACCESSES,
+         sizes="int", size_draw=(1, 1.0, 1.0), capacity_items=4.0, phases=None)
 def test_simulate_lru_equals_tuple_reference(
     entries, with_steps, step_ids, sizes, size_draw, capacity_items, phases
 ):
