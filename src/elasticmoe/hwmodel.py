@@ -612,6 +612,28 @@ def step_cost(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def sd_latency_floor(
+    cfg: HwConfig, workloads: dict[str, PhaseWorkload], batch: int, sd: SdParams
+) -> float:
+    """A floor on the SD step's per-token latency at every verify
+    unique-expert count, from workloads built at verify_unique_experts=0:
+    step_cost's SD price with the pool-update stall left out.
+
+    The verify phase's HB and external byte tallies are non-decreasing in
+    the expert count, and IEEE rounding is monotone, so its latency and
+    every sum and quotient step_cost forms from it are too; the stall is
+    at least 0.  So the floor is at most step_cost(..., "sd").per_token_latency
+    at any count, bit for bit.  The stall itself is not monotone in the
+    count: it grows without bound as verify's external demand nears the
+    usable bandwidth, drops to transfer / ext_bw once that binds, and
+    shrinks as verify's latency grows.  Its value at 0 experts plus
+    verify's latency there bounds their sum at any count only in exact
+    arithmetic; rounded, a price that keeps it can land an ulp above.
+    """
+    still = {**workloads, "pool_update": PhaseWorkload(name="pool_update")}
+    return step_cost(cfg, Arch.OURS, still, "sd", batch, sd=sd).per_token_latency
+
+
 def _energy(
     cfg: HwConfig, phases: list[tuple[PhaseWorkload, float]], latency: float
 ) -> dict[str, float]:

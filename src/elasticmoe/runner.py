@@ -5,17 +5,25 @@ list of decoding schemes priced over a list of batch sizes.  One pass
 evaluates it.  It builds the model, routing traces and prompt, and reads
 the AR decode's routing off the traces (no AR token is decoded).  It runs
 each functional SD scheme's SdSession once (accept lengths, verify
-routing, pool transfers), and makes two Monte Carlo unique-expert
-estimates: one for the AR step at every batch size, one for the verify
-step of every session and batch size.  Then, per batch size, it prices
-the XPU baseline, the AR step at each cache footprint the schemes use,
-and each session's SD step once, through the cache simulator and the
-hardware model.  ar_only reports the AR step.  The other schemes report
-whichever is faster per token, the AR step or their SD step: the
-functional schemes' SD step is the one their session measured, and the
-analytic schemes' is scaled from the AR step by their configured accept
-length and draft/verify cost ratios (defaults are illustrative) at their
-configured cache footprint.
+routing, pool transfers) and makes one Monte Carlo unique-expert estimate
+for the AR step at every batch size.  Then, per batch size, it prices the
+XPU baseline and the AR step at each cache footprint the schemes use,
+through the cache simulator and the hardware model, and a floor on each
+session's SD step (hwmodel.sd_latency_floor: its price at 0 verify unique
+experts, less the pool-update stall).  The floor is at most the SD step's
+per-token latency at any expert count, bit for bit, so where it does not
+beat the AR step mode_select would pick AR, and that row needs no verify
+estimate and no SD price.  One more estimate covers the draw counts and
+sessions of the rows whose floor does beat AR, and their SD steps are
+priced; each entry equals the estimate for its own count and session
+alone.
+
+ar_only reports the AR step.  The other schemes report whichever is
+faster per token, the AR step or their SD step: the functional schemes'
+SD step is the one their session measured, and the analytic schemes' is
+scaled from the AR step by their configured accept length and
+draft/verify cost ratios (defaults are illustrative) at their configured
+cache footprint.
 
 Everything is deterministic given the config file: seeds are explicit,
 scenario evaluation is pure, and rows are sorted before emission so
@@ -61,9 +69,10 @@ ALL_SCHEMES = FUNCTIONAL_SCHEMES + ANALYTIC_SCHEMES
 # 1 + width * depth tokens, a draft call width tokens and a prefill
 # prompt_len tokens; a session runs at most n_new_tokens steps; the trace
 # generator blends its n_tokens rows one by one; and the verify
-# unique-expert estimate draws one stream of 4,000 Monte Carlo samples of
-# the largest batch * verify tokens routings (up to 64 * 65), each of
-# n_experts exponentials, which serves every batch size and SD scheme.
+# unique-expert estimate, where some SD step can beat AR, draws one stream
+# of 4,000 Monte Carlo samples of the largest such batch * verify tokens
+# routings (up to 64 * 65), each of n_experts exponentials, which serves
+# every batch size and SD scheme that needs it.
 # Each token steps n_layers layers of top_k d_model x d_ff experts and a
 # d_model x vocab head.  The model highs keep the bundled example's width
 # (d_model 64, d_ff 128, vocab 64) and allow 3 layers and 24 experts:
@@ -585,6 +594,30 @@ def _sd_session(
     return sd, _access_trace(verify_steps, "msb")
 
 
+def _workloads(
+    cfg: ScenarioConfig,
+    arch: Arch,
+    batch: int,
+    ar_hit: float,
+    ar_unique: float,
+    sd: Optional[hwmodel.SdParams] = None,
+    verify_hit: float = 0.0,
+    verify_unique: float = 0.0,
+) -> dict[str, hwmodel.PhaseWorkload]:
+    """Phase tallies of one AR step on arch, and of one SD step when sd is
+    given."""
+    return hwmodel.build_workloads(
+        cfg.hw, arch, cfg.shape, batch,
+        seq_len=cfg.run.seq_len,
+        ar_hit_rate=ar_hit,
+        ar_unique_experts=ar_unique,
+        sd=sd,
+        verify_msb_hit_rate=verify_hit,
+        verify_unique_experts=verify_unique,
+        kv_coeff=cfg.run.kv_coeff,
+    )
+
+
 def _step_cost(
     cfg: ScenarioConfig,
     arch: Arch,
@@ -596,16 +629,7 @@ def _step_cost(
     verify_unique: float = 0.0,
 ) -> hwmodel.StepCost:
     """Cost of one AR step on arch, or of one SD step when sd is given."""
-    wl = hwmodel.build_workloads(
-        cfg.hw, arch, cfg.shape, batch,
-        seq_len=cfg.run.seq_len,
-        ar_hit_rate=ar_hit,
-        ar_unique_experts=ar_unique,
-        sd=sd,
-        verify_msb_hit_rate=verify_hit,
-        verify_unique_experts=verify_unique,
-        kv_coeff=cfg.run.kv_coeff,
-    )
+    wl = _workloads(cfg, arch, batch, ar_hit, ar_unique, sd, verify_hit, verify_unique)
     return hwmodel.step_cost(cfg.hw, arch, wl, "ar" if sd is None else "sd", batch, sd=sd)
 
 
@@ -623,49 +647,59 @@ def _scenario_rows(cfg: ScenarioConfig) -> list[ResultRow]:
         s: _sd_session(cfg, model, prompt, traces, s)
         for s in schemes if s in FUNCTIONAL_SCHEMES and s != "ar_only"
     }
-    # Verify tokens routed per batch: batch * mean verify tokens per step.
-    draws = {
-        s: [max(1, int(round(b * sd.verify_tokens))) for b in cfg.batch_sizes]
-        for s, (sd, _) in sessions.items()
-    }
-    all_draws = sorted({d for ds in draws.values() for d in ds})
-    estimates = expert_cache.expected_unique_experts(
-        all_draws, cfg.shape.top_k, cfg.shape.n_experts,
-        popularity=[_popularity(t, cfg.shape.n_experts) for _, t in sessions.values()],
-        seed=cfg.trace.seed + 1,
-    ).tolist() if sessions else []
-    verify_unique = {
-        s: [row[all_draws.index(d)] for d in draws[s]]
-        for s, row in zip(sessions, estimates)
-    }
     full_item = hwmodel.expert_bytes_full(cfg.shape)
     msb_item = hwmodel.expert_bytes_msb(cfg.shape)
     footprints = sorted({_footprint(cfg, s) for s in schemes})
-    rows = {s: [] for s in schemes}
+    # Per batch (by index): the XPU step's per-token latency, the AR hit
+    # rate and step per cache footprint, and, for each session whose SD
+    # step's floor beats the AR step, its verify tokens routed: batch *
+    # mean verify tokens per step.
+    xpu, ar, draws = [], {}, {}
     for i, batch in enumerate(cfg.batch_sizes):
-        xpu = _step_cost(cfg, Arch.XPU, batch, 0.0, ar_unique[i]).per_token_latency
+        xpu.append(_step_cost(cfg, Arch.XPU, batch, 0.0, ar_unique[i]).per_token_latency)
         capacity = hwmodel.hb_headroom_bytes(
             cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff
         ) if cfg.arch.has_hb else 0.0
-        ar = {}
         for footprint in footprints:
             hit = _lru_hit_rate(ar_trace, "full", full_item * footprint, capacity)
-            ar[footprint] = hit, _step_cost(cfg, cfg.arch, batch, hit, ar_unique[i])
+            ar[i, footprint] = hit, _step_cost(cfg, cfg.arch, batch, hit, ar_unique[i])
+        for s, (sd, _) in sessions.items():
+            # Where the floor does not beat AR, neither does the SD step
+            # at any verify unique-expert count, so mode_select picks AR
+            # and the estimate is not drawn.
+            ar_hit, ar_cost = ar[i, _footprint(cfg, s)]
+            wl = _workloads(cfg, cfg.arch, batch, ar_hit, ar_unique[i], sd, verify_unique=0.0)
+            if hwmodel.sd_latency_floor(cfg.hw, wl, batch, sd) < ar_cost.per_token_latency:
+                draws[s, i] = max(1, int(round(batch * sd.verify_tokens)))
+    # One verify estimate over the draw counts and popularities those steps
+    # need; each entry equals the call for its own count and row alone.
+    needing = list(dict.fromkeys(s for s, _ in draws))
+    all_draws = sorted(set(draws.values()))
+    estimates = expert_cache.expected_unique_experts(
+        all_draws, cfg.shape.top_k, cfg.shape.n_experts,
+        popularity=[_popularity(sessions[s][1], cfg.shape.n_experts) for s in needing],
+        seed=cfg.trace.seed + 1,
+    ).tolist() if draws else []
+    estimate_of = dict(zip(needing, estimates))
+    rows = {s: [] for s in schemes}
+    for i, batch in enumerate(cfg.batch_sizes):
         sd_capacity = hwmodel.hb_headroom_bytes(
             cfg.hw, cfg.shape, batch, cfg.run.seq_len, cfg.run.kv_coeff,
             cfg.sd.pool_capacity,
         ) if sessions else 0.0
         for scheme in schemes:
-            ar_hit, ar_cost = ar[_footprint(cfg, scheme)]
+            ar_hit, ar_cost = ar[i, _footprint(cfg, scheme)]
             accept = verify_hit = sd_cost = None
             if scheme in sessions:
                 sd, verify_trace = sessions[scheme]
                 accept = sd.mean_accept
                 verify_hit = _lru_hit_rate(verify_trace, "msb", msb_item, sd_capacity)
-                sd_cost = _step_cost(
-                    cfg, cfg.arch, batch, ar_hit, ar_unique[i], sd, verify_hit,
-                    verify_unique[scheme][i],
-                )
+                if (scheme, i) in draws:
+                    verify_unique = estimate_of[scheme][all_draws.index(draws[scheme, i])]
+                    sd_cost = _step_cost(
+                        cfg, cfg.arch, batch, ar_hit, ar_unique[i], sd, verify_hit,
+                        verify_unique,
+                    )
             elif scheme in ANALYTIC_SCHEMES:
                 params = cfg.analytic[scheme]
                 accept = params.mean_accept
@@ -696,7 +730,7 @@ def _scenario_rows(cfg: ScenarioConfig) -> list[ResultRow]:
                 energy_ext_mem_j=energy["ext_mem"],
                 energy_comm_j=energy["comm"],
                 energy_static_j=energy["static"],
-                speedup_vs_xpu=_round9(xpu / chosen.per_token_latency),
+                speedup_vs_xpu=_round9(xpu[i] / chosen.per_token_latency),
             ))
     return [row for scheme in cfg.schemes for row in rows[scheme]]
 

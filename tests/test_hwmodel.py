@@ -2,13 +2,16 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from elasticmoe.hwmodel import (
     Arch,
     CommOverlapWarning,
     GIB,
+    HW_FIELDS,
     HwConfig,
+    MAX_VALUE,
+    MIN_POSITIVE,
     PhaseWorkload,
     SdParams,
     StepCost,
@@ -27,6 +30,7 @@ from elasticmoe.hwmodel import (
     pool_update_overlap,
     psum_bytes,
     scatter_bytes,
+    sd_latency_floor,
     step_cost,
 )
 from elasticmoe.runner import ConfigError, scenario_from_dict
@@ -456,6 +460,91 @@ def test_mode_select_tie_goes_to_ar():
     assert mode_select(a, s)[0] == "ar"
     s_fast = StepCost(latency=1.0, tokens=4.0, energy={})
     assert mode_select(a, s_fast)[0] == "sd"
+
+
+@st.composite
+def _ours_hw(draw):
+    """HwConfig fields that price an OURS step, each an end of its
+    HW_FIELDS row or log-uniform inside it, and HB room for any KV."""
+    kw = {"hb_capacity_bytes": MAX_VALUE}
+    for name in ("hb_banks", "hb_bw_per_bank", "ext_bw", "macs_per_pe_per_cycle",
+                 "clock_hz", "aggr_link_bw", "streamline_bw"):
+        _, _, low, high = HW_FIELDS[name]
+        if name in ("hb_banks", "macs_per_pe_per_cycle"):
+            kw[name] = draw(st.integers(1, int(high)))
+            continue
+        low = max(low, MIN_POSITIVE)
+        kw[name] = draw(st.sampled_from([low, high]) | st.floats(
+            math.log10(low), math.log10(high)
+        ).map(lambda e: min(max(10.0**e, low), high)))
+    for name in ("hb_derate", "ext_derate"):
+        kw[name] = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return kw
+
+
+@st.composite
+def _sd_step(draw):
+    """A shape and SdParams that fit it, with transfers up to 1e30 pieces."""
+    n_experts = draw(st.integers(1, 24))
+    shape = MoEShape(
+        d_model=draw(st.sampled_from([32, 64])), d_ff=draw(st.sampled_from([32, 64, 128])),
+        n_experts=n_experts, top_k=draw(st.integers(1, n_experts)),
+        n_layers=draw(st.integers(1, 3)), vocab=draw(st.integers(1, 64)),
+    )
+    width, depth = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    sd = SdParams(
+        width=width, depth=depth,
+        verify_tokens=draw(st.floats(1.0, 1.0 + width * depth)),
+        pool_size=draw(st.integers(1, n_experts)),
+        mean_accept=draw(st.floats(0.0, float(depth))),
+        transfer_pieces_per_step=draw(
+            st.just(0.0) | st.floats(-3, 30).map(lambda e: 10.0**e)
+        ),
+    )
+    return shape, sd
+
+
+# A pool transfer that outlasts verify, and an HB tier far slower than
+# external memory that sets verify's latency: the stall is transfer /
+# ext_bw less that latency, so it falls as the expert count adds HB reads,
+# and step_cost at 0 experts, stall kept, rounds an ulp above the price
+# at 5.36 experts.
+_STALL_FALLS = dict(
+    hw={"hb_capacity_bytes": 1e30, "hb_banks": 1, "hb_bw_per_bank": 1314651.787695818,
+        "ext_bw": 1e30, "macs_per_pe_per_cycle": 16384, "clock_hz": 1e30,
+        "aggr_link_bw": 1e30, "streamline_bw": 1e30, "hb_derate": 0.0, "ext_derate": 0.0},
+    step=(SHAPE, SdParams(
+        width=2, depth=1, verify_tokens=7.0, pool_size=4, mean_accept=0.10522430552060624,
+        transfer_pieces_per_step=1.593783080131782e24,
+    )),
+    batch=1, seq_len=0, kv_coeff=2.0, hit=0.024440106158974406,
+    share=5.355917481446451 / 8,
+)
+
+
+@pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    hw=_ours_hw(), step=_sd_step(), batch=st.integers(1, 64),
+    seq_len=st.integers(0, 2**20), kv_coeff=st.floats(0.0, 1e12),
+    hit=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0),
+)
+@example(**_STALL_FALLS)
+def test_sd_latency_floor_is_at_most_the_sd_price(hw, step, batch, seq_len, kv_coeff, hit, share):
+    # Built at 0 verify unique experts, the floor is at most the SD step's
+    # per-token price at any count in [0, n_experts], bit for bit.
+    cfg = HwConfig(**hw)
+    shape, sd = step
+
+    def workloads(unique):
+        return build_workloads(
+            cfg, Arch.OURS, shape, batch, seq_len=seq_len, ar_hit_rate=0.0,
+            ar_unique_experts=0.0, sd=sd, verify_msb_hit_rate=hit,
+            verify_unique_experts=unique, kv_coeff=kv_coeff,
+        )
+
+    price = step_cost(cfg, Arch.OURS, workloads(share * shape.n_experts), "sd", batch, sd=sd)
+    assert sd_latency_floor(cfg, workloads(0.0), batch, sd) <= price.per_token_latency
 
 
 def test_sdparams_validation():

@@ -7,7 +7,7 @@ import typing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from elasticmoe import expert_cache, hwmodel, runner, toymoe
 from elasticmoe.cli import main as cli_main
@@ -522,18 +522,52 @@ def test_speedup_definition_consistency():
         assert r.speedup_vs_xpu == pytest.approx(1.0, rel=1e-9)
 
 
+# Fast external memory and no KV: FAST's sessions verify 7 tokens a step,
+# so a batch-b row routes 7 * b verify tokens.  With links of 1e5 Gbps the
+# SD floor beats AR in every row but random_pool_sd's at batch 1; at 1e3
+# Gbps only in elastic_sd's at batches 1 and 4.  At trace seed 6
+# random_pool_sd accepts 3.0 tokens a step to elastic_sd's 2.0, and at
+# batch 1 only its floor beats AR.
+_FAST_HW = {"aggr_link_bw_gbps": 1e5, "streamline_bw_gbps": 1e5, "ext_bw_gbps": 1e4}
+
+
+def _fast_sd(links=1e5, trace_seed=3, batch_sizes=(1, 4, 16)):
+    data = json.loads(json.dumps(FAST))
+    data["hw"].update(_FAST_HW, aggr_link_bw_gbps=links, streamline_bw_gbps=links)
+    data.update(schemes=["ar_only", "elastic_sd", "random_pool_sd"], batch_sizes=list(batch_sizes))
+    data["trace"]["seed"] = trace_seed
+    data["run"]["seq_len"] = 0
+    return data
+
+
+def _assert_verify_estimate(cfg, call, draws, needing):
+    """call, the verify estimate's (args, kwargs), covers exactly draws and
+    the verify popularities of the needing sessions, in scheme order."""
+    (batches, _, n_experts), kwargs = call
+    assert list(batches) == draws
+    model, traces, prompt, _ = runner._decode_inputs(cfg)
+    popularity = [
+        runner._popularity(runner._sd_session(cfg, model, prompt, traces, s)[1], n_experts)
+        for s in needing
+    ]
+    assert np.array_equal(kwargs["popularity"], popularity)
+
+
 def test_shared_work_runs_once_per_scenario(monkeypatch):
     calls = {}
 
     def counted(module, name):
         original = getattr(module, name)
-        calls[name] = 0
+        calls[name] = []
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append((args, kwargs))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
+
+    def counts():
+        return {name: len(made) for name, made in calls.items()}
 
     counted(toymoe, "gen_model")
     counted(toymoe, "greedy_decode")
@@ -543,17 +577,55 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     counted(hwmodel, "build_workloads")
     (cfg,) = load_config(example_config_path())
     run_scenario(cfg)
-    # One unique-expert estimate over every AR batch size, and one over
-    # every verify draw count of both sessions' verify popularities; one
-    # access trace per decision stream: AR and the two sessions' verify.
-    # The AR routing is read off the traces, so no AR tokens are decoded.
-    # Per batch (3 of them): one XPU price, one AR replay and price per
-    # cache footprint (4: 1.0 and the three analytic multipliers), and one
-    # verify replay and SD price per session (2).
-    assert calls == {
-        "gen_model": 1, "greedy_decode": 0, "expected_unique_experts": 2,
+    # One unique-expert estimate over every AR batch size; no session's SD
+    # floor beats the AR step at any batch, so there is no verify estimate.
+    # One access trace per decision stream: AR and the two sessions'
+    # verify.  The AR routing is read off the traces, so no AR tokens are
+    # decoded.  Per batch (3 of them): one XPU price, one AR replay and
+    # price per cache footprint (4: 1.0 and the three analytic
+    # multipliers), and one verify replay and SD floor per session (2), but
+    # no SD price.
+    assert counts() == {
+        "gen_model": 1, "greedy_decode": 0, "expected_unique_experts": 1,
         "decisions_to_trace": 3, "simulate_lru": 12 + 6, "build_workloads": 3 + 12 + 6,
     }
+    # Where SD wins: the AR estimate and one verify estimate.  Per batch
+    # (3), one XPU price, one AR replay and price (footprint 1.0 only), one
+    # verify replay and SD floor per session (2), and an SD price in each
+    # of the 5 rows whose floor beats AR.
+    for made in calls.values():
+        made.clear()
+    cfg = scenario_from_dict(_fast_sd())
+    run_scenario(cfg)
+    assert counts() == {
+        "gen_model": 1, "greedy_decode": 0, "expected_unique_experts": 2,
+        "decisions_to_trace": 3, "simulate_lru": 3 + 6, "build_workloads": 3 + 3 + 6 + 5,
+    }
+    _assert_verify_estimate(
+        cfg, calls["expected_unique_experts"][1], [7, 28, 112], ["elastic_sd", "random_pool_sd"]
+    )
+
+
+@pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
+@pytest.mark.parametrize("data, draws, needing", [
+    (_fast_sd(links=1e3), [7, 28], ["elastic_sd"]),
+    (_fast_sd(trace_seed=6, batch_sizes=[1]), [7], ["random_pool_sd"]),
+])
+def test_verify_estimate_skips_rows_whose_floor_does_not_beat_ar(
+    monkeypatch, data, draws, needing
+):
+    calls = []
+    original = expert_cache.expected_unique_experts
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(expert_cache, "expected_unique_experts", spy)
+    cfg = scenario_from_dict(data)
+    run_scenario(cfg)
+    assert len(calls) == 2
+    _assert_verify_estimate(cfg, calls[1], draws, needing)
 
 
 @pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
@@ -563,10 +635,7 @@ def test_batch_rows_do_not_depend_on_the_other_batch_sizes():
     # batch's verify estimate.  One estimate serves every batch size, and
     # each entry equals the call for that batch alone, so a batch's rows
     # equal those of a scenario with that one batch size.
-    data = json.loads(json.dumps(FAST))
-    data["hw"].update(aggr_link_bw_gbps=1e5, streamline_bw_gbps=1e5, ext_bw_gbps=1e4)
-    data.update(schemes=["ar_only", "elastic_sd", "random_pool_sd"], batch_sizes=[1, 4, 16])
-    data["run"]["seq_len"] = 0
+    data = _fast_sd()
     rows = run_scenario(scenario_from_dict(data))
     assert {(r.scheme, r.batch) for r in rows if r.mode == "sd"} == {
         ("elastic_sd", 4), ("elastic_sd", 16), ("random_pool_sd", 16),
@@ -574,6 +643,45 @@ def test_batch_rows_do_not_depend_on_the_other_batch_sizes():
     for batch in data["batch_sizes"]:
         alone = run_scenario(scenario_from_dict({**data, "batch_sizes": [batch]}))
         assert alone == [r for r in rows if r.batch == batch]
+
+
+def _rows_or_error(cfg):
+    try:
+        return run_scenario(cfg)
+    except RunnerError as exc:
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
+@settings(max_examples=15, deadline=None)
+@given(
+    data=_accepted_scenarios(small=True), no_kv=st.booleans(),
+    ext_gbps=st.sampled_from([1e3, 1e4]),
+)
+@example(data=_fast_sd(trace_seed=6, batch_sizes=[1]), no_kv=True, ext_gbps=1e4)
+@example(data=_fast_sd(batch_sizes=[2, 4]), no_kv=True, ext_gbps=1e3)
+def test_rows_equal_those_with_every_verify_estimate_drawn(data, no_kv, ext_gbps):
+    # Fast links and external memory (and, with no_kv, no KV reads) let
+    # the SD step win in some rows.  Skipping the verify estimate and the
+    # SD price where the floor does not beat AR changes no row and no
+    # error: a floor that always does draws and prices every row.  The
+    # first example needs the estimate for random_pool_sd alone; in the
+    # second, elastic_sd's SD step wins where its price at every expert
+    # would not beat AR.
+    data = copy.deepcopy(data)
+    data["hw"].update(_FAST_HW, ext_bw_gbps=ext_gbps)
+    if no_kv:
+        data["run"]["seq_len"] = 0
+    if data.get("arch", "ours") == "ours":
+        data["schemes"] += [s for s in ("elastic_sd", "random_pool_sd") if s not in data["schemes"]]
+    try:
+        cfg = scenario_from_dict(data)
+    except ConfigError:
+        return
+    rows = _rows_or_error(cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hwmodel, "sd_latency_floor", lambda *args: -math.inf)
+        assert _rows_or_error(cfg) == rows
 
 
 def assert_ar_routing_is_greedy_decode_routing(cfg):
@@ -831,11 +939,14 @@ def test_scenario_at_size_bounds_runs_in_seconds():
     # 256-token prefill, 256 new tokens, a 4,096-token trace, a batch of
     # 64 and the largest model shape (top_k stays 2), whose verify
     # unique-expert estimate dominates: 4,000 samples of 64 * 65 tokens'
-    # draws over 24 experts.  The default HB capacity holds that batch's
-    # KV.  5.7-6.9 s on a 2-vCPU x86_64 VM, 3.9-4.4 s of it in that
-    # estimate; 2.5-3.2 s at FAST's 8 experts, 2 layers and vocab 64.
+    # draws over 24 experts.  That estimate is drawn only where the SD
+    # step can beat AR, so fast links, external memory and clock and no
+    # KV let elastic_sd's SD step win.  5.3-6.5 s on a 2-vCPU x86_64 VM,
+    # 4.8-5.0 s of it in that estimate.
     data = json.loads(json.dumps(FAST))
-    data["hw"] = {}
+    data["hw"] = dict(
+        aggr_link_bw_gbps=1e6, streamline_bw_gbps=1e6, ext_bw_gbps=1e4, clock_ghz=10
+    )
     data["model"].update(
         {key: high for (section, key), (_, high) in runner.RANGES.items()
          if section == "model" and key != "top_k"}
@@ -846,10 +957,11 @@ def test_scenario_at_size_bounds_runs_in_seconds():
         prompt_len=runner.MAX_PROMPT_LEN, n_new_tokens=runner.MAX_NEW_TOKENS
     )
     data["trace"]["n_tokens"] = runner.MAX_TRACE_TOKENS
+    data["run"]["seq_len"] = 0
     start = time.perf_counter()
     rows = run_scenario(scenario_from_dict(data))
     assert time.perf_counter() - start < 10.0
-    assert {r.scheme for r in rows} == {"ar_only", "elastic_sd"}
+    assert [(r.scheme, r.mode) for r in rows] == [("ar_only", "ar"), ("elastic_sd", "sd")]
 
 
 def test_cli_run_overflow_is_runtime_error(tmp_path, capsys, unbounded_hw):

@@ -94,16 +94,19 @@ def test_perfbench_hooks_read_real_results(perfbench, tmp_path):
     # session step, an LRU replay, a unique-expert estimate's arguments),
     # so a field they read that the package drops would fail every
     # benchmark run.  A tiny scenario reaches every patch point but the
-    # ones the runner never calls, which run here directly.
+    # ones the runner never calls, which run here directly.  Its fast
+    # links and external memory and no KV let the SD step beat AR, so the
+    # runner draws the verify unique-expert estimate beside the AR one.
     layers, spans = perfbench
     cfg = runner.scenario_from_dict({
         "scenario_id": "tiny",
         "model": {"d_model": 32, "d_ff": 32, "n_experts": 4, "top_k": 2,
                   "n_layers": 1, "vocab": 8},
+        "hw": {"aggr_link_bw_gbps": 1e5, "streamline_bw_gbps": 1e5, "ext_bw_gbps": 1e4},
         "batch_sizes": [1],
         "trace": {"n_tokens": 8},
         "sd": {"pool_capacity": 2},
-        "run": {"n_new_tokens": 3},
+        "run": {"n_new_tokens": 3, "seq_len": 0},
     })
     tracer = spans.Tracer()
     with tracer.patched(layers.ALL_POINTS):
