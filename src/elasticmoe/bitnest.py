@@ -82,8 +82,9 @@ def fp16_scale(amax: float | np.ndarray) -> float | np.ndarray:
     positive fp16 subnormal so the scale stays positive; a scale beyond
     the largest finite fp16 raises ValueError.  The cast runs with numpy
     raising on overflow, so no warning is printed and no pass looks for
-    inf afterwards (the expert kernel runs this once per stage, over all
-    its rows).
+    inf afterwards.  The expert kernel's quantize_rows casts in-range
+    magnitudes itself and calls this only for a stage with a row outside
+    [127 * 2**-14, 65504 * 127).
     """
     try:
         with np.errstate(over="raise"):

@@ -90,13 +90,17 @@ def accumulate_hotness(
     (n_layers, n_experts) float64 array; order-independent."""
     counts = np.array(counts, dtype=np.float64)
     n_layers, n_experts = counts.shape
+    layers, experts = [], []
     for layer, dec in decisions:
         if not 0 <= layer < n_layers:
             raise ValueError(f"layer {layer} out of range")
         for e in dec.selected:
             if not 0 <= e < n_experts:
                 raise ValueError(f"expert {e} out of range")
-            counts[layer, e] += 1.0
+        layers += [layer] * len(dec.selected)
+        experts += dec.selected
+    # One unbuffered add per selection, in decision order, as a loop adds.
+    np.add.at(counts, (np.array(layers, dtype=np.intp), np.array(experts, dtype=np.intp)), 1.0)
     return counts
 
 
@@ -196,17 +200,17 @@ def draft_phase(
             draft_reconstruct=draft_reconstruct,
         )
         calls += len(frontier)
-        for idx, out in zip(frontier, outs):
+        # Each row's log-probabilities and its tokens by descending
+        # log-probability (ties to the lower id, so the first is argmax).
+        lps = log_softmax(np.array([out.logits for out in outs]))
+        tops = np.argsort(-lps, axis=1, kind="stable")[:, :w].tolist()
+        for idx, out, lp, top in zip(frontier, outs, lps.tolist(), tops):
             decisions.extend(enumerate(out.decisions))
             originals.extend(enumerate(out.original_decisions))
-            lp = log_softmax(out.logits)
-            order = np.argsort(-lp, kind="stable")[:w]
-            for tok in order.tolist():
-                candidates.append(
-                    (nodes[idx].score + float(lp[tok]), idx, tok, out.state)
-                )
+            for tok in top:
+                candidates.append((nodes[idx].score + lp[tok], idx, tok, out.state))
             if idx == chain_node:
-                chain_key = (idx, int(np.argmax(lp)))
+                chain_key = (idx, top[0])
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         kept = candidates[:w]
         if chain_key is not None and not any(

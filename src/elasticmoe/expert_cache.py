@@ -11,8 +11,10 @@ per-step activated-expert figure the hardware model consumes.
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from typing import Mapping, Optional, Sequence
 
@@ -177,8 +179,9 @@ def simulate_lru(
     exceed the capacity, the watermark steps over accesses that a later
     access of their key has replaced and evicts the key of the next one.
     Those are the evictions a recency-ordered dict makes from its front,
-    in the same order, so used and miss bytes take the same float
-    additions and subtractions in access order on every run.
+    in the same order.  Bytes used are compared with the capacity exactly
+    (ten 0.03-byte items fill a 0.3-byte cache, though their float sum
+    exceeds it); miss bytes are float sums in access order.
     """
     if phase_map is not None and trace.step is None:
         raise ValueError("phase_map given but trace carries no step ids")
@@ -201,23 +204,34 @@ def simulate_lru(
     del keys, order, repeat
     prev, nxt, kinds = memoryview(prev), memoryview(nxt), memoryview(trace.kind)
     steps = memoryview(trace.step) if phase_map is not None else None
-    capacity = config.capacity_bytes
+    # Every finite float is a dyadic rational, so the sizes and the capacity
+    # scaled by their largest power-of-two denominator are Python ints with
+    # exact sums; the scale is 1 for integer sizes.
+    def exact(x):  # None, inf and NaN stay as they are
+        if isinstance(x, int):
+            return Fraction(x)
+        return x if x is None or not math.isfinite(x) else Fraction(float(x))
+
+    fracs = [exact(x) for x in (*size_of, config.capacity_bytes)]
+    scale = max((f.denominator for f in fracs if isinstance(f, Fraction)), default=1)
+    *unit_of, capacity = (int(f * scale) if isinstance(f, Fraction) else f for f in fracs)
     lru = used = misses = miss_bytes = 0
     by_phase: dict[str, float] = {}
     for t, p in enumerate(prev):
         if p >= lru:
             continue
-        size = size_of[kinds[t]]
+        kind = kinds[t]
+        size = size_of[kind]
         misses += 1
         miss_bytes += size
         if steps is not None:
             phase = phase_map.get(steps[t], "other")
             by_phase[phase] = by_phase.get(phase, 0) + size
-        used += size
+        used += unit_of[kind]
         while used > capacity:
             while nxt[lru] <= t:
                 lru += 1
-            used -= size_of[kinds[lru]]
+            used -= unit_of[kinds[lru]]
             lru += 1
     return LruResult(
         hit_rate=(n - misses) / n if n else 1.0,

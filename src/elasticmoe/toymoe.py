@@ -32,6 +32,7 @@ which; routing and sampling ties break toward lower ids.
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from typing import Optional
@@ -78,9 +79,19 @@ class MoEShape:
 
 def quantize_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row symmetric INT8 by the bitnest.quantize_group rule over each
-    whole row: returns (codes as integer-valued float64, per-row scales)."""
-    # A NaN or inf anywhere makes its row's magnitude non-finite.
+    whole row: returns (codes as integer-valued float64, per-row scales).
+    Only a batch with a row magnitude outside [127 * 2**-14, 65504 * 127)
+    (zero, tiny, huge, NaN or inf) goes through fp16_scale."""
+    # A NaN or inf anywhere makes its row's magnitude non-finite; NaN
+    # fails both range comparisons.
     amax = np.maximum.reduce(np.abs(v), axis=1, initial=0.0)
+    lo, hi = np.minimum.reduce(amax, initial=np.inf), np.maximum.reduce(amax, initial=0.0)
+    if 127.0 * 2.0**-14 <= lo and hi < 65504.0 * 127.0:
+        # Every scale is normal and finite in fp16, so fp16_scale is the
+        # plain cast, within 2**-11 of amax / 127: every |v / scale| rounds
+        # into [-127, 127] unclamped.
+        scales = (amax / 127.0).astype(np.float16).astype(np.float64)
+        return np.rint(v / scales[:, None]), scales
     if not np.isfinite(amax).all():
         raise ValueError("non-finite value to quantize")
     scales = fp16_scale(amax)
@@ -195,8 +206,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z)
-    return shifted - np.log(np.sum(np.exp(shifted)))
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _silu(v: np.ndarray) -> np.ndarray:
@@ -243,14 +254,17 @@ def _select(
     return ids, chosen / np.add.reduce(chosen, axis=1, keepdims=True)
 
 
-def _pool_mask(permitted, n: int, k: int) -> np.ndarray:
-    ids = [int(e) for e in set(permitted)]
+@functools.lru_cache(maxsize=256)
+def _pool_mask(permitted: frozenset, n: int, k: int) -> np.ndarray:
+    # Read-only and kept per pool (by its ids): draft levels share a pool.
+    ids = [int(e) for e in permitted]
     if any(e < 0 or e >= n for e in ids):
         raise ValueError("permitted expert id out of range")
     if len(ids) < k:
         raise ValueError(f"permitted set smaller than k={k}")
     mask = np.zeros(n, dtype=bool)
     mask[ids] = True
+    mask.flags.writeable = False
     return mask
 
 
@@ -270,7 +284,7 @@ def route(
     n = s.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} invalid for {n} experts")
-    mask = None if permitted is None else _pool_mask(permitted, n, k)
+    mask = None if permitted is None else _pool_mask(frozenset(permitted), n, k)
     ids, gates = _select(s[None], k, mask)
     return RoutingDecision(
         scores=s.copy(), selected=tuple(ids[0].tolist()), gates=tuple(gates[0].tolist())
@@ -353,44 +367,47 @@ def _experts(
     n, k = ids.shape
     flat = ids.ravel()
     order = flat.argsort(kind="stable")
-    rows = order // k
     sorted_ids = flat[order].tolist()
-    bounds = [i for i in range(1, len(order)) if sorted_ids[i] != sorted_ids[i - 1]]
-    blocks = [
-        (experts[sorted_ids[lo]], lo, hi)
-        for lo, hi in zip([0] + bounds, bounds + [len(order)])
-    ]
-    acts, act_scales = quantize_rows(x)
-    up_gate = [(w.codes(rec)[0], w.up_gate_scales, lo, hi) for w, lo, hi in blocks]
-    ug = _quant_products(acts[rows], act_scales[rows], up_gate)
+    up_gate, down, lo = [], [], 0
+    for hi in range(1, len(order) + 1):
+        if hi == len(order) or sorted_ids[hi] != sorted_ids[lo]:
+            w = experts[sorted_ids[lo]]
+            ug_codes, down_codes = w.codes(rec)
+            up_gate.append((ug_codes, w.up_gate_scales, lo, hi))
+            down.append((down_codes, w.down_scales, lo, hi))
+            lo = hi
+    # Each pair's row quantized on its own: the same bits as quantizing x.
+    ug = _quant_products(*quantize_rows(x[order // k]), up_gate)
     f = ug.shape[1] // 2
     hq, h_scales = quantize_rows(_silu(ug[:, f:]) * ug[:, :f])
-    down = [(w.codes(rec)[1], w.down_scales, lo, hi) for w, lo, hi in blocks]
     out = _quant_products(hq, h_scales, down)
     unsorted = np.empty_like(out)
     unsorted[order] = out
     return unsorted.reshape(n, k, -1)
 
 
-def _depth_waves(sources) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+def _depth_waves(sources) -> tuple[list[int], list[tuple[np.ndarray, np.ndarray]], list[int]]:
     # Tokens starting from a given DecodeState, then per depth the tokens
-    # continuing an earlier token of the call and those parents, so a
-    # layer's context updates run parent before child.
-    depth, starts, waves = [], [], []
+    # continuing an earlier token of the call and those parents (as index
+    # arrays), so a layer's context updates run parent before child; and
+    # every token's position.
+    depth, starts, waves, pos = [], [], [], []
     for i, src in enumerate(sources):
         if isinstance(src, DecodeState):
             depth.append(0)
             starts.append(i)
+            pos.append(src.pos)
             continue
         p = int(src)
         if not 0 <= p < i:
             raise ValueError(f"token {i} source {p} is not an earlier token")
         depth.append(depth[p] + 1)
+        pos.append(pos[p] + 1)
         if depth[p] == len(waves):
             waves.append(([], []))
         waves[depth[p]][0].append(i)
         waves[depth[p]][1].append(p)
-    return starts, waves
+    return starts, [(np.array(r), np.array(p)) for r, p in waves], pos
 
 
 def _route_rows(scores: np.ndarray, k: int, mask: Optional[np.ndarray]):
@@ -398,22 +415,23 @@ def _route_rows(scores: np.ndarray, k: int, mask: Optional[np.ndarray]):
     ids and gates (T, k) and, per row, the applied and the unrestricted
     RoutingDecision.  A pool holding the whole unrestricted selection has
     the same top-k, in the same order and with the same gates, so such a
-    row's applied decision is its unrestricted one, routed once."""
+    row's applied decision is its unrestricted one, and a call where every
+    row's pool holds it routes once."""
     if not np.isfinite(scores).all():
         raise ValueError("non-finite routing score")
     scores.flags.writeable = False
     ids, gates = _select(scores, k)
     orig = [
-        RoutingDecision(scores=scores[t], selected=tuple(s), gates=tuple(g))
-        for t, (s, g) in enumerate(zip(ids.tolist(), gates.tolist()))
+        RoutingDecision(row, tuple(s), tuple(g))
+        for row, s, g in zip(scores, ids.tolist(), gates.tolist())
     ]
-    dec = list(orig)
-    lacking = [] if mask is None else np.flatnonzero(~mask[ids].all(axis=1))
-    if len(lacking):
-        p_ids, p_gates = _select(scores[lacking], k, mask)
-        ids[lacking], gates[lacking] = p_ids, p_gates
-        for t, s, g in zip(lacking.tolist(), p_ids.tolist(), p_gates.tolist()):
-            dec[t] = RoutingDecision(scores=scores[t], selected=tuple(s), gates=tuple(g))
+    if mask is None or np.logical_and.reduce(mask[ids], axis=None):
+        return ids, gates, orig, orig
+    ids, gates = _select(scores, k, mask)
+    dec = [
+        o if o.selected == tuple(s) else RoutingDecision(o.scores, tuple(s), tuple(g))
+        for o, s, g in zip(orig, ids.tolist(), gates.tolist())
+    ]
     return ids, gates, dec, orig
 
 
@@ -465,7 +483,9 @@ def step(
         permitted = (None,) * n_layers
     elif not isinstance(permitted, Sequence) or len(permitted) != n_layers:
         raise ValueError(f"need one permitted set per layer ({n_layers})")
-    masks = [None if p is None else _pool_mask(p, shape.n_experts, k) for p in permitted]
+    masks = [
+        None if p is None else _pool_mask(frozenset(p), shape.n_experts, k) for p in permitted
+    ]
     rec = _weight_mode(mode, draft_reconstruct)
     traces = None
     if score_traces is not None and len(score_traces):
@@ -476,23 +496,21 @@ def step(
             )
     if n == 0:
         return ()
-    starts, waves = _depth_waves(sources)
-    start_ctx = np.stack([sources[i].ctx for i in starts]) if starts else None
-    pos = np.empty(n, dtype=np.int64)
-    pos[starts] = [sources[i].pos for i in starts]
-    for rows, parents in waves:
-        pos[rows] = pos[parents] + 1
+    starts, waves, pos = _depth_waves(sources)
+    start_ctx = np.array([sources[i].ctx for i in starts])
     if traces is not None:
-        trace_idx = pos % len(traces)
+        trace_idx = np.array(pos) % len(traces)
     x = model.embed[tokens]
     ctx = np.empty((n, n_layers, shape.d_model))
     decisions, originals = [], []
     for layer in range(n_layers):
-        c = np.empty((n, shape.d_model))
-        if starts:
+        if waves:
+            c = np.empty((n, shape.d_model))
             c[starts] = CONTEXT_DECAY * start_ctx[:, layer] + x[starts]
-        for rows, parents in waves:
-            c[rows] = CONTEXT_DECAY * c[parents] + x[rows]
+            for rows, parents in waves:
+                c[rows] = CONTEXT_DECAY * c[parents] + x[rows]
+        else:
+            c = CONTEXT_DECAY * start_ctx[:, layer] + x
         ctx[:, layer] = c
         x = x + _blocked_matmul(model.w_attn[layer], _rmsnorm(c))
         r = _rmsnorm(x)
@@ -504,21 +522,13 @@ def step(
         decisions.append(dec)
         originals.append(orig)
         out = _experts(r, ids, model.experts[layer], rec)
-        ffn = np.zeros((n, shape.d_model))
-        for slot in range(k):
-            ffn = ffn + gates[:, slot, None] * out[:, slot]
-        x = x + ffn
+        # The gated slots added left to right from 0.0, as a slot loop does.
+        x = x + np.add.reduce(gates[:, :, None] * out, axis=1, initial=0.0)
     ctx.flags.writeable = False
     logits = _blocked_matmul(model.w_out, _rmsnorm(x))
-    next_pos = (pos + 1).tolist()
     return tuple(
-        StepOutput(
-            state=DecodeState(ctx=ctx[t], pos=next_pos[t]),
-            logits=logits[t],
-            decisions=tuple(d[t] for d in decisions),
-            original_decisions=tuple(o[t] for o in originals),
-        )
-        for t in range(n)
+        StepOutput(DecodeState(c, p + 1), lg, dec, orig)
+        for c, p, lg, dec, orig in zip(ctx, pos, logits, zip(*decisions), zip(*originals))
     )
 
 

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import warnings
 from collections import OrderedDict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +40,13 @@ def full_trace(ids, step_ids=None):
 
 def _lru_reference(entries, steps, config, phase_map=None):
     """The tuple-keyed OrderedDict replay simulate_lru must reproduce field
-    for field: entries are (layer, expert, kind name) tuples."""
+    for field: entries are (layer, expert, kind name) tuples, and the bytes
+    used are an exact Fraction compared exactly with the capacity."""
     if phase_map is not None and not steps:
         raise ValueError("phase_map given but trace carries no step ids")
     sizes = dict(config.item_bytes)
     cache = OrderedDict()
-    used = 0
+    used = Fraction(0)
     hits = 0
     miss_bytes = 0
     by_phase = {}
@@ -59,10 +61,10 @@ def _lru_reference(entries, steps, config, phase_map=None):
             phase = phase_map.get(steps[i], "other")
             by_phase[phase] = by_phase.get(phase, 0) + size
         cache[entry] = size
-        used += size
+        used += Fraction(size)
         while used > config.capacity_bytes:
             _, evicted = cache.popitem(last=False)
-            used -= evicted
+            used -= Fraction(evicted)
     accesses = len(entries)
     return LruResult(
         hit_rate=hits / accesses if accesses else 1.0,
@@ -150,6 +152,21 @@ def _exact_unique_experts(batch, top_k, popularity):
 
 
 class TestSimulateLru:
+    def test_exact_multiple_of_a_float_size_fills_the_cache(self):
+        # Ten 0.03-byte items are exactly 0.3 bytes, though their float sum
+        # is 0.30000000000000004: cycled ten times, each misses once.
+        # Three 0.1-byte items exceed 0.3 exactly (by 2**-55) and thrash;
+        # the float product 3 * 0.1 holds them, as 3 bytes hold three 1s.
+        def cycled(n_keys, item, capacity):
+            entries = tuple((0, e, "msb") for _ in range(10) for e in range(n_keys))
+            cfg = CacheConfig(capacity_bytes=capacity, item_bytes={"msb": item})
+            return simulate_lru(AccessTrace(entries=entries), cfg).hit_rate
+
+        assert cycled(10, 0.03, 0.3) == 0.9
+        assert cycled(3, 0.1, 3 * 0.1) == 0.9
+        assert cycled(3, 1, 3) == 0.9
+        assert cycled(3, 0.1, 0.3) == 0.0
+
     def test_cold_misses_only(self):
         cfg = CacheConfig(capacity_bytes=100, item_bytes={"full": 10})
         res = simulate_lru(full_trace([1, 2, 1, 2]), cfg)
@@ -308,8 +325,9 @@ def _full(*experts):
 @example(entries=[(0, e, "msb") for e in (0, 1, 2, 3, 4, 5, 1)] + _full(9) + [(0, 1, "msb")],
          with_steps=True, step_ids=list(range(_MAX_ACCESSES)), sizes="mixed",
          size_draw=(3, 1.0, 1.0), capacity_items=2.0, phases={7: "verify"})
-# Capacity 0.3 holds three 0.1 slices, but their float sum exceeds it: the
-# third evicts the first, and the 0.3 item then evicts the rest and itself.
+# Three 0.1 slices exceed capacity 0.3 exactly (by 2**-55), so the third
+# evicts the first; the 0.3 item then evicts the rest and fits exactly, so
+# its second access hits (with float sums it evicted itself).
 @example(entries=[(0, e, "msb") for e in range(3)] + _full(7, 7, 0),
          with_steps=False, step_ids=[0] * _MAX_ACCESSES, sizes="float",
          size_draw=(1, 0.1, 0.3), capacity_items=1.0, phases=None)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,107 @@ class TestQuantizeMatrix:
         edge = np.full((1, GROUP_SIZE), FP16_MAX_AMAX)
         assert quantize_matrix(edge)[1][0, 0, 0] == quantize_group(edge[0]).scale
         assert quantize_vector(edge[0])[1] == 65504.0
+
+
+# quantize_rows casts straight to fp16 when every row magnitude lies in
+# [FP16_NORMAL_AMAX, FP16_MAX_AMAX); these magnitudes sit at, one ulp inside
+# and one ulp outside both bounds, and in each regime outside them.
+FP16_NORMAL_AMAX = 127.0 * 2.0**-14
+EDGE_AMAXES = [
+    FP16_MAX_AMAX,
+    np.nextafter(FP16_MAX_AMAX, 0.0),
+    np.nextafter(FP16_MAX_AMAX, np.inf),
+    FP16_NORMAL_AMAX,
+    np.nextafter(FP16_NORMAL_AMAX, 0.0),
+    np.nextafter(FP16_NORMAL_AMAX, np.inf),
+    0.0,
+    1e-9,  # amax / 127 rounds to 0 in fp16: the subnormal floor
+    1e-4,  # a subnormal fp16 scale
+    np.nextafter(65520.0 * 127.0, 0.0),  # the largest that does not overflow
+    1.0,
+]
+OVERFLOW_AMAXES = [65520.0 * 127.0, 1e7, 1e300]
+
+
+def row_with_amax(rng, amax):
+    # 32 values whose largest magnitude is exactly amax.
+    v = rng.uniform(-1.0, 1.0, GROUP_SIZE) * amax
+    v[rng.integers(GROUP_SIZE)] = rng.choice([-1.0, 1.0]) * amax
+    return v
+
+
+class TestQuantizeRows:
+    @pytest.mark.filterwarnings(LIBCST_IMPORT_WARNING)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amax", EDGE_AMAXES)
+    def test_edge_rows_equal_group_quantizer(self, amax):
+        v = row_with_amax(np.random.default_rng(3), amax)
+        ref = quantize_group(v)
+        codes, scale = quantize_vector(v)
+        assert scale == ref.scale
+        assert np.array_equal(codes, ref.codes)
+
+    @pytest.mark.filterwarnings(LIBCST_IMPORT_WARNING)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amax", OVERFLOW_AMAXES)
+    def test_overflow_rows_raise_the_group_message(self, amax):
+        v = row_with_amax(np.random.default_rng(4), amax)
+        with pytest.raises(ValueError, match="overflows fp16") as want:
+            quantize_group(v)
+        with pytest.raises(ValueError) as got:
+            quantize_vector(v)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.filterwarnings(LIBCST_IMPORT_WARNING)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_raise(self, bad):
+        v = row_with_amax(np.random.default_rng(5), 1.0)
+        v[7] = bad
+        for batch in (v[None], np.stack([np.ones(GROUP_SIZE), v, np.zeros(GROUP_SIZE)])):
+            with pytest.raises(ValueError, match="^non-finite value to quantize$"):
+                toymoe.quantize_rows(batch)
+
+    @pytest.mark.filterwarnings(LIBCST_IMPORT_WARNING)
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mixed_batches_equal_group_quantizer(self, data):
+        # A batch mixing in-range and out-of-range rows quantizes every row
+        # as quantize_group does; one bad row fails the whole batch with
+        # the message it raises alone (the largest overflow's, or the
+        # non-finite one before any overflow).
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        amaxes = data.draw(
+            st.lists(st.sampled_from(EDGE_AMAXES), min_size=1, max_size=9), label="amaxes"
+        )
+        bad = data.draw(
+            st.lists(st.sampled_from(OVERFLOW_AMAXES + [np.nan, np.inf]), max_size=2),
+            label="bad rows",
+        )
+        rows = [row_with_amax(rng, a) for a in amaxes]
+        for b in bad:
+            row = row_with_amax(rng, 1.0 if np.isnan(b) or np.isinf(b) else b)
+            if np.isnan(b) or np.isinf(b):
+                row[3] = b
+            rows.insert(data.draw(st.integers(0, len(rows)), label="at"), row)
+        batch = np.stack(rows)
+        if bad:
+            non_finite = any(np.isnan(b) or np.isinf(b) for b in bad)
+            want = "non-finite value to quantize"
+            if not non_finite:
+                with pytest.raises(ValueError) as err:
+                    quantize_group(rows[int(np.argmax(np.abs(batch).max(axis=1)))])
+                want = str(err.value)
+            with pytest.raises(ValueError) as got:
+                toymoe.quantize_rows(batch)
+            assert str(got.value) == want
+            return
+        codes, scales = toymoe.quantize_rows(batch)
+        for row, c, s in zip(rows, codes, scales):
+            ref = quantize_group(row)
+            assert s == ref.scale
+            assert np.array_equal(c.astype(np.int64), ref.codes)
 
 
 class TestGenModel:
@@ -837,3 +940,66 @@ def test_calls_at_size_bounds_equal_one_at_a_time(mode):
         assert_equals_one_at_a_time(
             outs, model, sources, tokens, mode, permitted, call_traces, rec
         )
+
+
+# Shapes the pinned step digest runs: the example shape, 9 input groups into
+# the experts, top-9 routing over 9-group down projections, a single layer,
+# and three layers of 16 experts.
+DIGEST_SHAPES = [
+    (MoEShape(64, 128, 8, 2, 2, 64), 1),
+    (MoEShape(288, 64, 6, 2, 2, 32), 2),
+    (MoEShape(64, 288, 12, 9, 2, 40), 3),
+    (MoEShape(96, 256, 4, 1, 1, 16), 4),
+    (MoEShape(32, 64, 16, 2, 3, 64), 5),
+]
+# sha256 of every step output below, recorded before the fixed-cost cuts.
+STEP_DIGEST = "36b1c90974d906f23a4e8e0406985498bdaa757b627ff3a39cf7dcd96ea44bbb"
+
+
+def step_digest_update(h, outs):
+    # The logits, next ctx and pos, and each layer's applied and original
+    # selections and gates of every output.
+    for out in outs:
+        h.update(out.logits.tobytes())
+        h.update(out.state.ctx.tobytes())
+        h.update(out.state.pos.to_bytes(8, "little"))
+        for dec in out.decisions + out.original_decisions:
+            h.update(np.array(dec.selected, dtype=np.int64).tobytes())
+            h.update(np.array(dec.gates, dtype=np.float64).tobytes())
+
+
+def test_step_digest_is_pinned():
+    # step's every output bit over the shapes above, both precisions and
+    # all four draft reconstructions, with and without a pool (one that
+    # holds every expert in the last of several layers) and a score trace (5 rows, so
+    # positions wrap), for one token, a level of independent tokens, a
+    # chain and a tree mixing states and earlier tokens.
+    h = hashlib.sha256()
+    modes = [(PrecisionMode.INT8_FULL, ReconstructMode.FULL)] + [
+        (PrecisionMode.MSB4_DRAFT, rec) for rec in ReconstructMode
+    ]
+    for shape, seed in DIGEST_SHAPES:
+        model = gen_model(shape, seed)
+        rng = np.random.default_rng(seed)
+        a = init_state(model)
+        b = prefill(model, [1, 2, 3], PrecisionMode.INT8_FULL)[0]
+        calls = [
+            [a],
+            [b, a],
+            [a, 0, 1, 2, 3],
+            [b, a, 0, 0, 1, 2, b, 4],
+        ]
+        n_pool = min(shape.n_experts, shape.top_k + 2)
+        pool = [set(rng.choice(shape.n_experts, n_pool, replace=False).tolist())
+                for _ in range(shape.n_layers)]
+        if shape.n_layers > 1:
+            pool[-1] = set(range(shape.n_experts))
+        traces = rng.dirichlet(np.ones(shape.n_experts), size=(5, shape.n_layers))
+        for mode, rec in modes:
+            for permitted in (None, pool):
+                for call_traces in (None, traces):
+                    for sources in calls:
+                        tokens = rng.integers(0, shape.vocab, len(sources)).tolist()
+                        outs = step(model, sources, tokens, mode, permitted, call_traces, rec)
+                        step_digest_update(h, outs)
+    assert h.hexdigest() == STEP_DIGEST
