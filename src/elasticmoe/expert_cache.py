@@ -60,7 +60,8 @@ class AccessTrace:
     steps=(...)) builds one from tuples; from_columns from arrays.
     """
 
-    __slots__ = ("layer", "expert", "kind", "step")
+    _COLUMNS = ("layer", "expert", "kind", "step")
+    __slots__ = (*_COLUMNS, "_links")  # _links: see simulate_lru
 
     def __init__(
         self, entries: Sequence[tuple[int, int, str]] = (), steps: Sequence[int] = ()
@@ -101,6 +102,7 @@ class AccessTrace:
             if col is not None:
                 col.flags.writeable = False
             object.__setattr__(self, name, col)
+        object.__setattr__(self, "_links", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AccessTrace is immutable")
@@ -114,7 +116,7 @@ class AccessTrace:
         # A missing step column (None) equals only another missing one.
         return all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__slots__
+            for name in self._COLUMNS
         )
 
 
@@ -182,6 +184,12 @@ def simulate_lru(
     in the same order.  Bytes used are compared with the capacity exactly
     (ten 0.03-byte items fill a 0.3-byte cache, though their float sum
     exceeds it); miss bytes are float sums in access order.
+
+    A trace keeps each access's previous and next access to its key from
+    its first replay on.  The loop visits only first accesses and reuses
+    more than fit = capacity // largest item size accesses apart.  The
+    others hit: until then the cache holds their key and at most fit - 1
+    keys used since, at most capacity bytes, so it cannot evict the key.
     """
     if phase_map is not None and trace.step is None:
         raise ValueError("phase_map given but trace carries no step ids")
@@ -189,21 +197,9 @@ def simulate_lru(
     for code in np.flatnonzero(np.bincount(trace.kind, minlength=len(SLICE_KINDS))):
         if size_of[code] is None:
             raise KeyError(SLICE_KINDS[code])
-    # Each access's previous and next access to its key (-1 or n if none),
-    # from one stable sort of the keys in the narrowest unsigned dtype:
-    # numpy radix-sorts 16-bit keys, about ten times faster than int64.
-    n = len(trace)
-    keys = trace.layer * (int(trace.expert.max(initial=0)) + 1) + trace.expert
-    keys = keys * len(SLICE_KINDS) + trace.kind
-    keys = keys.astype(np.min_scalar_type(keys.max(initial=0)))
-    order = np.argsort(keys, kind="stable")
-    repeat = keys[order[1:]] == keys[order[:-1]]
-    prev, nxt = np.full(n, -1), np.full(n, n)
-    prev[order[1:]] = np.where(repeat, order[:-1], -1)
-    nxt[order[:-1]] = np.where(repeat, order[1:], n)
-    del keys, order, repeat
-    prev, nxt, kinds = memoryview(prev), memoryview(nxt), memoryview(trace.kind)
-    steps = memoryview(trace.step) if phase_map is not None else None
+    if trace._links is None:
+        object.__setattr__(trace, "_links", _key_links(trace))
+    prev, nxt = trace._links
     # Every finite float is a dyadic rational, so the sizes and the capacity
     # scaled by their largest power-of-two denominator are Python ints with
     # exact sums; the scale is 1 for integer sizes.
@@ -215,10 +211,17 @@ def simulate_lru(
     fracs = [exact(x) for x in (*size_of, config.capacity_bytes)]
     scale = max((f.denominator for f in fracs if isinstance(f, Fraction)), default=1)
     *unit_of, capacity = (int(f * scale) if isinstance(f, Fraction) else f for f in fracs)
+    # An inf or NaN capacity, or a NaN-sized item once cached, never evicts.
+    n = len(trace)
+    ints = [unit for unit in unit_of if isinstance(unit, int)]
+    fit = min(n, capacity // max(ints)) if isinstance(capacity, int) and ints else n
+    visit = np.flatnonzero(prev < np.arange(-fit, n - fit))
+    visit, prev, nxt, kinds = map(memoryview, (visit, prev, nxt, trace.kind))
+    steps = memoryview(trace.step) if phase_map is not None else None
     lru = used = misses = miss_bytes = 0
     by_phase: dict[str, float] = {}
-    for t, p in enumerate(prev):
-        if p >= lru:
+    for t in visit:
+        if prev[t] >= lru:
             continue
         kind = kinds[t]
         size = size_of[kind]
@@ -240,6 +243,24 @@ def simulate_lru(
         miss_bytes=miss_bytes,
         miss_bytes_by_phase=by_phase,
     )
+
+
+def _key_links(trace: AccessTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Each access's previous and next access to its key, read-only; a
+    first access's previous is -n - 1 and a last one's next is n.  One
+    stable sort of the keys in the narrowest unsigned dtype finds them:
+    numpy radix-sorts 16-bit keys, about ten times faster than int64."""
+    n = len(trace)
+    keys = trace.layer * (int(trace.expert.max(initial=0)) + 1) + trace.expert
+    keys = keys * len(SLICE_KINDS) + trace.kind
+    keys = keys.astype(np.min_scalar_type(keys.max(initial=0)))
+    order = np.argsort(keys, kind="stable")
+    repeat = keys[order[1:]] == keys[order[:-1]]
+    prev, nxt = np.full(n, -n - 1), np.full(n, n)
+    prev[order[1:]] = np.where(repeat, order[:-1], -n - 1)
+    nxt[order[:-1]] = np.where(repeat, order[1:], n)
+    prev.flags.writeable = nxt.flags.writeable = False
+    return prev, nxt
 
 
 def zipf_popularity(n_items: int, zipf_exponent: float) -> np.ndarray:

@@ -480,12 +480,6 @@ def load_config(path: str) -> list[ScenarioConfig]:
     return parse_config_text(text)
 
 
-def dump_config(configs: list[ScenarioConfig]) -> str:
-    """Serialize scenarios in the fully explicit round-trippable form."""
-    payload = {"scenarios": [scenario_to_dict(c) for c in configs]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Scenario execution
 
@@ -813,11 +807,6 @@ def emit(rows: list[ResultRow], fmt: str, path: str) -> None:
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-
-
-def rows_from_json(text: str) -> list[ResultRow]:
-    data = json.loads(text)
-    return [ResultRow(**item) for item in data]
 
 
 # ---------------------------------------------------------------------------

@@ -257,13 +257,18 @@ class TestSimulateLru:
         )
         phase_map = {s: "verify" if s % 4 == 3 else "draft" for s in range(n // 8)}
         cfg = CacheConfig(capacity_bytes=32, item_bytes={"full": 1})
+        peaks = []
         tracemalloc.start()
         try:
-            simulate_lru(trace, cfg, phase_map=phase_map if phased else None)
-            peak = tracemalloc.get_traced_memory()[1]
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                simulate_lru(trace, cfg, phase_map=phase_map if phased else None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peaks[0] < 8 * 2**20
+        # The second replay reuses the first one's key links: no key sort.
+        assert peaks[1] < peaks[0]
 
     def test_phase_map_requires_steps(self):
         cfg = CacheConfig(capacity_bytes=10, item_bytes={"full": 10})
@@ -283,6 +288,75 @@ class TestSimulateLru:
         trace = AccessTrace(entries=((0, 1, "full"), (0, 1, "msb")))
         with pytest.raises(KeyError):
             simulate_lru(trace, cfg)
+
+
+def _sticky_columns(n, seed):
+    """Columns of an n-access trace that mostly reuses recent keys, with
+    both slice kinds and a step id per four accesses."""
+    rng = np.random.default_rng(seed)
+    pick = np.where(rng.random(n) < 0.7, np.maximum(np.arange(n) - rng.integers(1, 9, n), 0),
+                    np.arange(n))
+    keys = rng.integers(0, 24, n)[pick]
+    return keys // 8, keys % 8 * 3, keys % 2, np.arange(n) // 4
+
+
+class TestReplayLinks:
+    """simulate_lru keeps a trace's key links from its first replay on."""
+
+    CAPACITIES = [2.0, 3.5, 6.0, 11.0, 40.0]
+    ITEM_BYTES = {"msb": 1.0, "full": 2}
+    PHASES = {s: "verify" if s % 4 == 3 else "draft" for s in range(0, 150, 2)}
+
+    @pytest.mark.parametrize("phased", [False, True], ids=["plain", "phased"])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "repeated"])
+    def test_replays_of_one_trace_equal_fresh_replays(self, order, phased):
+        columns = _sticky_columns(600, seed=3)
+        trace = AccessTrace.from_columns(*columns)
+        entries = [(int(l), int(e), SLICE_KINDS[k]) for l, e, k in zip(*columns[:3])]
+        steps = tuple(columns[3].tolist())
+        capacities = {
+            "ascending": self.CAPACITIES,
+            "descending": self.CAPACITIES[::-1],
+            "repeated": [6.0, 2.0, 6.0, 6.0, 40.0, 2.0],
+        }[order]
+        phase_map = self.PHASES if phased else None
+        for capacity in capacities:
+            cfg = CacheConfig(capacity_bytes=capacity, item_bytes=self.ITEM_BYTES)
+            got = simulate_lru(trace, cfg, phase_map=phase_map)
+            fresh = simulate_lru(AccessTrace.from_columns(*columns), cfg, phase_map=phase_map)
+            assert got == fresh == _lru_reference(entries, steps, cfg, phase_map)
+            assert list(got.miss_bytes_by_phase) == list(fresh.miss_bytes_by_phase)
+
+    def test_replayed_trace_keeps_its_equality(self):
+        columns = _sticky_columns(200, seed=4)
+        trace = AccessTrace.from_columns(*columns)
+        simulate_lru(trace, CacheConfig(capacity_bytes=4, item_bytes=self.ITEM_BYTES))
+        assert trace == AccessTrace.from_columns(*columns)
+        assert AccessTrace.from_columns(*columns) == trace
+        for i in range(4):
+            changed = [col.copy() for col in columns]
+            changed[i][7] ^= 1
+            assert trace != AccessTrace.from_columns(*changed)
+        assert trace != AccessTrace.from_columns(*columns[:3])
+
+    def test_one_key_sort_per_trace(self, monkeypatch):
+        built = []
+
+        def counting(trace):
+            built.append(trace)
+            return key_links(trace)
+
+        key_links = expert_cache._key_links
+        monkeypatch.setattr(expert_cache, "_key_links", counting)
+        columns = _sticky_columns(300, seed=5)
+        trace = AccessTrace.from_columns(*columns)
+        for capacity in (2, 40, 6):
+            cfg = CacheConfig(capacity_bytes=capacity, item_bytes=self.ITEM_BYTES)
+            simulate_lru(trace, cfg, phase_map=self.PHASES)
+        assert len(built) == 1 and built[0] is trace
+        other = AccessTrace.from_columns(*columns)
+        simulate_lru(other, CacheConfig(capacity_bytes=6, item_bytes=self.ITEM_BYTES))
+        assert len(built) == 2 and built[1] is other
 
 
 # Few layers and a hot core of experts, so most evictions skip accesses
@@ -335,6 +409,15 @@ def _full(*experts):
 @example(entries=[(0, e, "msb") for e in range(5)] + _full(1, 2) + [(0, 4, "msb")] * 2,
          with_steps=False, step_ids=[0] * _MAX_ACCESSES, sizes="mixed",
          size_draw=(3, 1.5, 1.0), capacity_items=2.0, phases=None)
+# A B C A with room for two: the second A lies fit + 1 = 3 accesses
+# after the first, so the replay must visit it, and it misses.
+@example(entries=_full(1, 2, 3, 1), with_steps=False, step_ids=[0] * _MAX_ACCESSES,
+         sizes="int", size_draw=(4, 1.0, 1.0), capacity_items=2.0, phases=None)
+# Slices of 1 and full items of 3 in capacity 6: fit is 6 // 3 = 2, not
+# 6 // 1, so full 1's reuse three accesses later is visited, and misses.
+@example(entries=_full(1) + [(0, 5, "msb")] + _full(2, 1), with_steps=False,
+         step_ids=[0] * _MAX_ACCESSES, sizes="mixed", size_draw=(3, 1.0, 1.0),
+         capacity_items=2.0, phases=None)
 # Expert 128 packs to key 257, past a uint8 key's range.
 @example(entries=_full(128, 0, 128), with_steps=False, step_ids=[0] * _MAX_ACCESSES,
          sizes="int", size_draw=(1, 1.0, 1.0), capacity_items=4.0, phases=None)

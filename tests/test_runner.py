@@ -18,17 +18,26 @@ from elasticmoe.runner import (
     ResultRow,
     RunnerError,
     ablation_suite,
-    dump_config,
     example_config_path,
     load_config,
     parse_config_text,
     render_csv,
     render_json,
-    rows_from_json,
     run_scenario,
     run_scenarios,
     scenario_from_dict,
 )
+
+
+def dump_config(configs: list[runner.ScenarioConfig]) -> str:
+    """Serialize scenarios in the fully explicit round-trippable form."""
+    payload = {"scenarios": [runner.scenario_to_dict(c) for c in configs]}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def rows_from_json(text: str) -> list[ResultRow]:
+    return [ResultRow(**item) for item in json.loads(text)]
+
 
 FAST = {
     "scenario_id": "fast",
