@@ -140,12 +140,12 @@ class CacheConfig:
     item_bytes: Mapping[str, float]
 
     def __post_init__(self):
-        if self.capacity_bytes < 0:
+        if not self.capacity_bytes >= 0:  # NaN fails too
             raise ValueError("capacity must be nonnegative")
         for kind, size in self.item_bytes.items():
             if kind not in SLICE_KINDS:
                 raise ValueError(f"unknown slice kind {kind!r}")
-            if size <= 0:
+            if not size > 0:
                 raise ValueError("item bytes must be positive")
             if size > self.capacity_bytes:
                 raise ValueError(
@@ -186,16 +186,21 @@ def simulate_lru(
     exceeds it); miss bytes are float sums in access order.
 
     A trace keeps each access's previous and next access to its key from
-    its first replay on.  The loop visits only first accesses and reuses
-    more than fit = capacity // largest item size accesses apart.  The
-    others hit: until then the cache holds their key and at most fit - 1
-    keys used since, at most capacity bytes, so it cannot evict the key.
+    its first replay on.  With fit = capacity // largest item size, the
+    loop visits only first accesses and reuses more than fit accesses
+    apart.  The others hit: until then the cache holds their key and at
+    most fit - 1 keys used since, at most capacity bytes, so it cannot
+    evict the key.  The watermark walks only accesses whose key comes back
+    more than fit accesses later (or never).  The others are always
+    replaced when it reaches them: while an eviction at access t looks at
+    access j, the cached keys' latest accesses lie in [j, t] and exceed
+    the capacity, so there are more than fit of them and t - j >= fit.
     """
     if phase_map is not None and trace.step is None:
         raise ValueError("phase_map given but trace carries no step ids")
     size_of = [config.item_bytes.get(kind) for kind in SLICE_KINDS]
-    for code in np.flatnonzero(np.bincount(trace.kind, minlength=len(SLICE_KINDS))):
-        if size_of[code] is None:
+    for code, size in enumerate(size_of):
+        if size is None and code in trace.kind:
             raise KeyError(SLICE_KINDS[code])
     if trace._links is None:
         object.__setattr__(trace, "_links", _key_links(trace))
@@ -203,21 +208,22 @@ def simulate_lru(
     # Every finite float is a dyadic rational, so the sizes and the capacity
     # scaled by their largest power-of-two denominator are Python ints with
     # exact sums; the scale is 1 for integer sizes.
-    def exact(x):  # None, inf and NaN stay as they are
+    def exact(x):  # None and inf stay as they are
         if isinstance(x, int):
             return Fraction(x)
-        return x if x is None or not math.isfinite(x) else Fraction(float(x))
+        return x if x is None or math.isinf(x) else Fraction(float(x))
 
     fracs = [exact(x) for x in (*size_of, config.capacity_bytes)]
     scale = max((f.denominator for f in fracs if isinstance(f, Fraction)), default=1)
     *unit_of, capacity = (int(f * scale) if isinstance(f, Fraction) else f for f in fracs)
-    # An inf or NaN capacity, or a NaN-sized item once cached, never evicts.
+    # An inf capacity never evicts.
     n = len(trace)
     ints = [unit for unit in unit_of if isinstance(unit, int)]
     fit = min(n, capacity // max(ints)) if isinstance(capacity, int) and ints else n
     visit = np.flatnonzero(prev < np.arange(-fit, n - fit))
     visit, prev, nxt, kinds = map(memoryview, (visit, prev, nxt, trace.kind))
     steps = memoryview(trace.step) if phase_map is not None else None
+    walk = None  # the watermark's stops, built at the first eviction
     lru = used = misses = miss_bytes = 0
     by_phase: dict[str, float] = {}
     for t in visit:
@@ -232,10 +238,14 @@ def simulate_lru(
             by_phase[phase] = by_phase.get(phase, 0) + size
         used += unit_of[kind]
         while used > capacity:
-            while nxt[lru] <= t:
-                lru += 1
-            used -= unit_of[kinds[lru]]
-            lru += 1
+            if walk is None:
+                stops = np.flatnonzero(np.asarray(nxt) > np.arange(fit, n + fit))
+                walk = iter(memoryview(stops))
+            for j in walk:
+                if nxt[j] > t:
+                    break
+            used -= unit_of[kinds[j]]
+            lru = j + 1
     return LruResult(
         hit_rate=(n - misses) / n if n else 1.0,
         accesses=n,

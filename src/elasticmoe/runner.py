@@ -357,14 +357,6 @@ def _hw_from_dict(data: dict) -> HwConfig:
         raise ConfigError(f"hw: {exc}") from exc
 
 
-def _hw_to_dict(hw: HwConfig) -> dict:
-    out = {}
-    for fname, (key, scale, *_) in hwmodel.HW_FIELDS.items():
-        value = getattr(hw, fname)
-        out[key] = value if _HW_TYPES[fname] is int else value / scale
-    return out
-
-
 _SCENARIO_KEYS = (
     "scenario_id", "model", "hw", "arch", "schemes", "batch_sizes",
     "trace", "sd", "run", "analytic",
@@ -423,22 +415,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         run=_build_dataclass("run", RunParams, _sub(data, "run")),
         analytic=analytic,
     )
-
-
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    """Fully explicit form: re-loading it reproduces the same scenario."""
-    return {
-        "scenario_id": cfg.scenario_id,
-        "model": {k: getattr(cfg.shape, k) for k in _MODEL_DEFAULTS},
-        "hw": _hw_to_dict(cfg.hw),
-        "arch": cfg.arch.value,
-        "schemes": list(cfg.schemes),
-        "batch_sizes": list(cfg.batch_sizes),
-        "trace": dataclasses.asdict(cfg.trace),
-        "sd": dataclasses.asdict(cfg.sd),
-        "run": dataclasses.asdict(cfg.run),
-        "analytic": {k: dataclasses.asdict(v) for k, v in sorted(cfg.analytic.items())},
-    }
 
 
 def parse_config_text(text: str) -> list[ScenarioConfig]:

@@ -279,6 +279,20 @@ class TestSimulateLru:
         with pytest.raises(ValueError):
             CacheConfig(capacity_bytes=5, item_bytes={"full": 10})
 
+    @pytest.mark.parametrize(
+        "capacity, size", [(float("nan"), 1), (2, float("nan"))], ids=["capacity", "size"]
+    )
+    def test_nan_config_rejected(self, capacity, size):
+        with pytest.raises(ValueError):
+            CacheConfig(capacity_bytes=capacity, item_bytes={"full": size})
+
+    def test_inf_capacity_never_evicts(self):
+        cfg = CacheConfig(capacity_bytes=float("inf"), item_bytes={"full": 10, "msb": 0.5})
+        entries = [(0, e, kind) for _ in range(3) for e in range(40) for kind in SLICE_KINDS]
+        res = simulate_lru(AccessTrace(entries=entries), cfg)
+        assert res.hits == 2 * 80
+        assert res.miss_bytes == 40 * 10.5
+
     def test_bad_slice_kind_rejected(self):
         with pytest.raises(ValueError):
             AccessTrace(entries=((0, 1, "lsb"),))
@@ -410,7 +424,9 @@ def _full(*experts):
          with_steps=False, step_ids=[0] * _MAX_ACCESSES, sizes="mixed",
          size_draw=(3, 1.5, 1.0), capacity_items=2.0, phases=None)
 # A B C A with room for two: the second A lies fit + 1 = 3 accesses
-# after the first, so the replay must visit it, and it misses.
+# after the first, so the replay must visit it, and it misses.  C evicts
+# the first A, so the watermark must stop there too: it kills the walk
+# bound shifted to fit + 1.
 @example(entries=_full(1, 2, 3, 1), with_steps=False, step_ids=[0] * _MAX_ACCESSES,
          sizes="int", size_draw=(4, 1.0, 1.0), capacity_items=2.0, phases=None)
 # Slices of 1 and full items of 3 in capacity 6: fit is 6 // 3 = 2, not
@@ -418,6 +434,18 @@ def _full(*experts):
 @example(entries=_full(1) + [(0, 5, "msb")] + _full(2, 1), with_steps=False,
          step_ids=[0] * _MAX_ACCESSES, sizes="mixed", size_draw=(3, 1.0, 1.0),
          capacity_items=2.0, phases=None)
+# A B B A C B with room for two: A comes back 3 > fit = 2 accesses later
+# and hits, so when C evicts, the watermark must step over A's first
+# access, which it walks, to B's second, and B misses.
+@example(entries=_full(1, 2, 2, 1, 3, 2), with_steps=False, step_ids=[0] * _MAX_ACCESSES,
+         sizes="int", size_draw=(4, 1.0, 1.0), capacity_items=2.0, phases=None)
+# Slices of 1 and full items of 3 in capacity 6: slice 2 comes back 4
+# accesses later, more than fit = 2 but within 6 // 1, and full 2 evicts
+# it on the way, so only the largest unit makes skipping positions safe.
+@example(entries=[(0, 4, "msb"), (0, 2, "msb"), (0, 0, "full"), (0, 3, "msb"),
+                  (0, 2, "full"), (0, 2, "msb"), (0, 4, "full")],
+         with_steps=False, step_ids=[0] * _MAX_ACCESSES, sizes="mixed",
+         size_draw=(3, 1.0, 1.0), capacity_items=2.0, phases=None)
 # Expert 128 packs to key 257, past a uint8 key's range.
 @example(entries=_full(128, 0, 128), with_steps=False, step_ids=[0] * _MAX_ACCESSES,
          sizes="int", size_draw=(1, 1.0, 1.0), capacity_items=4.0, phases=None)

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,22 @@ def _assert_failure_reported(tmp_path, marks):
     assert "1 failed, 1 passed" in proc.stdout, out
     assert "Falsifying example" in proc.stdout, out
     assert "INTERNALERROR" not in out
+
+
+def test_bench_files_collect():
+    # The pytest-benchmark files are outside tier-1; collecting them
+    # imports them and their perfbench constants, so an API change that
+    # breaks either fails here.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+            "tests/bench_lru.py", "tests/bench_step.py",
+        ],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_failing_property_is_reported_and_the_run_goes_on(tmp_path):
