@@ -23,7 +23,7 @@ by position, so the rows line up with ``greedy_decode``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,15 +32,12 @@ from .toymoe import (
     DecodeState,
     MoEModel,
     PrecisionMode,
-    RoutingDecision,
+    as_index,
     greedy_token,
     log_softmax,
     prefill,
     step,
 )
-
-LayerDecision = tuple[int, RoutingDecision]
-
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -83,24 +80,24 @@ class ExpertPool:
     experts: tuple[frozenset[int], ...]
 
 
-def accumulate_hotness(
-    counts: np.ndarray, decisions: Iterable[LayerDecision]
-) -> np.ndarray:
-    """counts plus one per selected expert per decision, as a new
-    (n_layers, n_experts) float64 array; order-independent."""
+def accumulate_hotness(counts: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """counts plus one per selected expert, as a new (n_layers, n_experts)
+    float64 array: selected is (tokens, layers, k) expert ids, a token's
+    layer-l ids counting into row l; order-independent."""
     counts = np.array(counts, dtype=np.float64)
     n_layers, n_experts = counts.shape
-    layers, experts = [], []
-    for layer, dec in decisions:
-        if not 0 <= layer < n_layers:
-            raise ValueError(f"layer {layer} out of range")
-        for e in dec.selected:
-            if not 0 <= e < n_experts:
-                raise ValueError(f"expert {e} out of range")
-        layers += [layer] * len(dec.selected)
-        experts += dec.selected
-    # One unbuffered add per selection, in decision order, as a loop adds.
-    np.add.at(counts, (np.array(layers, dtype=np.intp), np.array(experts, dtype=np.intp)), 1.0)
+    selected = np.asarray(selected)
+    if selected.ndim != 3 or selected.dtype.kind not in "iu":
+        raise ValueError("selections must be (tokens, layers, k) integer expert ids")
+    if selected.shape[1] > n_layers:
+        raise ValueError(f"layer {n_layers} out of range")
+    bad = selected[(selected < 0) | (selected >= n_experts)]
+    if len(bad):
+        raise ValueError(f"expert {bad[0]} out of range")
+    # One unbuffered add per selection, in (token, layer, slot) order, as a
+    # loop adds.
+    layers = np.arange(selected.shape[1])[:, None]
+    np.add.at(counts, (layers, selected), 1.0)
     return counts
 
 
@@ -153,9 +150,13 @@ def sd_speedup(
 
 @dataclass(frozen=True)
 class DraftResult:
+    """The tree, and the (drafted tokens, n_layers, top_k) expert ids each
+    drafting step was routed to within the pool and unrestricted, in step
+    order."""
+
     tree: DraftTree
-    decisions: tuple[LayerDecision, ...]
-    original_decisions: tuple[LayerDecision, ...]
+    selected: np.ndarray
+    unrestricted: np.ndarray
     step_calls: int
 
 
@@ -177,11 +178,12 @@ def draft_phase(
     """
     if w < 1 or d < 0:
         raise ValueError("need w >= 1 and d >= 0")
-    nodes = [TreeNode(parent=-1, token=int(root_token), score=0.0, depth=0)]
+    root = TreeNode(parent=-1, token=as_index(root_token, "root token"), score=0.0, depth=0)
+    nodes = [root]
     # pre_states[i] is the decode state before node i's token is processed.
     pre_states = [root_state]
-    decisions: list[LayerDecision] = []
-    originals: list[LayerDecision] = []
+    none = np.empty((0, model.shape.n_layers, model.shape.top_k), dtype=np.intp)
+    selected, unrestricted = [none], [none]
     frontier = [0]
     chain = []
     chain_node = 0
@@ -190,7 +192,7 @@ def draft_phase(
         candidates = []
         chain_key = None
         # The whole frontier goes through one step call.
-        outs = step(
+        out = step(
             model,
             [pre_states[idx] for idx in frontier],
             [nodes[idx].token for idx in frontier],
@@ -200,15 +202,15 @@ def draft_phase(
             draft_reconstruct=draft_reconstruct,
         )
         calls += len(frontier)
+        selected.append(out.selected)
+        unrestricted.append(out.unrestricted)
         # Each row's log-probabilities and its tokens by descending
         # log-probability (ties to the lower id, so the first is argmax).
-        lps = log_softmax(np.array([out.logits for out in outs]))
+        lps = log_softmax(out.logits)
         tops = np.argsort(-lps, axis=1, kind="stable")[:, :w].tolist()
-        for idx, out, lp, top in zip(frontier, outs, lps.tolist(), tops):
-            decisions.extend(enumerate(out.decisions))
-            originals.extend(enumerate(out.original_decisions))
+        for idx, state, lp, top in zip(frontier, out.states, lps.tolist(), tops):
             for tok in top:
-                candidates.append((nodes[idx].score + lp[tok], idx, tok, out.state))
+                candidates.append((nodes[idx].score + lp[tok], idx, tok, state))
             if idx == chain_node:
                 chain_key = (idx, top[0])
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
@@ -229,21 +231,23 @@ def draft_phase(
     tree = DraftTree(nodes=tuple(nodes), depth=d, chain=tuple(chain))
     return DraftResult(
         tree=tree,
-        decisions=tuple(decisions),
-        original_decisions=tuple(originals),
+        selected=np.concatenate(selected),
+        unrestricted=np.concatenate(unrestricted),
         step_calls=calls,
     )
 
 
 @dataclass(frozen=True)
 class VerifyResult:
-    """final_state is the decode state after the last accepted token."""
+    """selected holds the (verified tokens, n_layers, top_k) expert ids
+    each verified token was routed to; final_state is the decode state
+    after the last accepted token."""
 
     accept_length: int
     bonus_token: int
     emitted: tuple[int, ...]
     verify_token_count: int
-    verify_decisions: tuple[LayerDecision, ...]
+    selected: np.ndarray
     final_state: DecodeState
 
 
@@ -262,21 +266,20 @@ def verify_phase(
     is emitted as the bonus.  Routing is unrestricted.
     """
     nodes = tree.nodes
-    outs = step(
+    out = step(
         model,
         [root_state] + [n.parent for n in nodes[1:]],
         [n.token for n in nodes],
         PrecisionMode.INT8_FULL,
         score_traces=score_traces,
     )
-    decisions = [pair for out in outs for pair in enumerate(out.decisions)]
     children: dict[int, list[int]] = {}
     for idx, n in enumerate(nodes[1:], 1):
         children.setdefault(n.parent, []).append(idx)
     cur = 0
     accepted: list[int] = []
     while True:
-        want = greedy_token(outs[cur].logits)
+        want = greedy_token(out.logits[cur])
         nxt = None
         for c in children.get(cur, []):
             if nodes[c].token == want:
@@ -286,15 +289,15 @@ def verify_phase(
             break
         accepted.append(nxt)
         cur = nxt
-    bonus = greedy_token(outs[cur].logits)
+    bonus = greedy_token(out.logits[cur])
     emitted = tuple(nodes[i].token for i in accepted) + (bonus,)
     return VerifyResult(
         accept_length=len(accepted),
         bonus_token=bonus,
         emitted=emitted,
         verify_token_count=len(nodes),
-        verify_decisions=tuple(decisions),
-        final_state=outs[cur].state,
+        selected=out.selected,
+        final_state=out.states[cur],
     )
 
 
@@ -320,13 +323,16 @@ class SdConfig:
 
 @dataclass(frozen=True)
 class SdStepResult:
-    """One session step: its verify outcome, draft side and pool refresh."""
+    """One session step: its verify outcome, draft side and pool refresh.
+    draft_selected and verify_selected are the expert ids the drafted and
+    the verified tokens were routed to (DraftResult.selected and
+    VerifyResult.selected)."""
 
     accept_length: int
     verify_token_count: int
     emitted: tuple[int, ...]
-    draft_decisions: tuple[LayerDecision, ...]
-    verify_decisions: tuple[LayerDecision, ...]
+    draft_selected: np.ndarray
+    verify_selected: np.ndarray
     pool: ExpertPool
     next_pool: ExpertPool
     transfers: tuple[tuple[int, int], ...]
@@ -365,14 +371,13 @@ class SdSession:
         shape = model.shape
         # The last prompt token is the first draft root, so only the
         # tokens before it are ingested here.
-        self.root_state, _, prompt_decisions = prefill(
+        self.root_state, _, prompt_selected = prefill(
             model, prompt[:-1], PrecisionMode.INT8_FULL, score_traces
         )
         self.hotness = accumulate_hotness(
-            np.zeros((shape.n_layers, shape.n_experts)),
-            [pair for decs in prompt_decisions for pair in enumerate(decs)],
+            np.zeros((shape.n_layers, shape.n_experts)), prompt_selected
         )
-        self.root_token = int(prompt[-1])
+        self.root_token = as_index(prompt[-1], "prompt token")
         self.pool = self._pick_pool()
 
     def _pick_pool(self) -> ExpertPool:
@@ -397,7 +402,7 @@ class SdSession:
             score_traces=self.score_traces,
         )
         self.hotness = accumulate_hotness(
-            self.hotness * cfg.hotness_decay, draft.original_decisions
+            self.hotness * cfg.hotness_decay, draft.unrestricted
         )
         next_pool = self._pick_pool()
         verify = verify_phase(
@@ -406,13 +411,13 @@ class SdSession:
             self.root_state,
             score_traces=self.score_traces,
         )
-        self.hotness = accumulate_hotness(self.hotness, verify.verify_decisions)
+        self.hotness = accumulate_hotness(self.hotness, verify.selected)
         result = SdStepResult(
             accept_length=verify.accept_length,
             verify_token_count=verify.verify_token_count,
             emitted=verify.emitted,
-            draft_decisions=draft.decisions,
-            verify_decisions=verify.verify_decisions,
+            draft_selected=draft.selected,
+            verify_selected=verify.selected,
             pool=self.pool,
             next_pool=next_pool,
             transfers=tuple(pool_update_plan(next_pool, self.pool)),

@@ -471,14 +471,18 @@ def _popularity(trace: expert_cache.AccessTrace, n_experts: int) -> np.ndarray:
 
 
 def _access_trace(
-    steps: list[list[elastic_sd.LayerDecision]], slice_kind: str
+    selected: np.ndarray, steps: np.ndarray, slice_kind: str
 ) -> expert_cache.AccessTrace:
-    """The decision stream as one slice_kind access per selected expert."""
-    records = [
-        (i, [(layer, e) for layer, d in step for e in d.selected])
-        for i, step in enumerate(steps)
-    ]
-    return expert_cache.decisions_to_trace(records, slice_kind)
+    """One slice_kind access per selected expert of (tokens, n_layers,
+    top_k) expert ids, in token, layer, slot order, each tagged with its
+    token's step id."""
+    _, n_layers, k = selected.shape
+    return expert_cache.AccessTrace.from_columns(
+        np.tile(np.repeat(np.arange(n_layers), k), len(selected)),
+        selected.ravel(),
+        np.full(selected.size, expert_cache.SLICE_KINDS.index(slice_kind)),
+        np.repeat(steps, n_layers * k),
+    )
 
 
 def _lru_hit_rate(
@@ -507,13 +511,13 @@ def _footprint(cfg: ScenarioConfig, scheme: str) -> float:
 
 def _decode_inputs(
     cfg: ScenarioConfig,
-) -> tuple[toymoe.MoEModel, np.ndarray, list[int], list[list[elastic_sd.LayerDecision]]]:
-    """The scenario's model, routing-trace scores and prompt, and the AR
-    decode's routing decisions: position p of the prompt and new tokens
-    routes on trace row p modulo the trace length, as greedy_decode would,
-    so no AR token is decoded."""
+) -> tuple[toymoe.MoEModel, np.ndarray, list[int], np.ndarray]:
+    """The scenario's model, routing-trace scores and prompt, and the
+    (positions, n_layers, top_k) expert ids the AR decode routes to:
+    position p of the prompt and new tokens routes on trace row p modulo
+    the trace length, as greedy_decode would, so no AR token is decoded."""
     model = toymoe.gen_model(cfg.shape, seed=cfg.run.model_seed)
-    layer_traces = [
+    traces = toymoe.trace_scores([
         toymoe.gen_routing_trace(
             cfg.trace.n_tokens,
             cfg.shape.n_experts,
@@ -523,12 +527,10 @@ def _decode_inputs(
             cfg.trace.seed + 17 * layer,
         )
         for layer in range(cfg.shape.n_layers)
-    ]
-    ar_steps = [
-        [(layer, t[pos % len(t)]) for layer, t in enumerate(layer_traces)]
-        for pos in range(cfg.run.prompt_len + cfg.run.n_new_tokens)
-    ]
-    return model, toymoe.trace_scores(layer_traces), _make_prompt(cfg), ar_steps
+    ])
+    rows = traces[np.arange(cfg.run.prompt_len + cfg.run.n_new_tokens) % len(traces)]
+    ar_ids, _ = toymoe._select(rows.reshape(-1, cfg.shape.n_experts), cfg.shape.top_k)
+    return model, traces, _make_prompt(cfg), ar_ids.reshape(len(rows), cfg.shape.n_layers, -1)
 
 
 def _sd_session(
@@ -539,7 +541,7 @@ def _sd_session(
     scheme: str,
 ) -> tuple[hwmodel.SdParams, expert_cache.AccessTrace]:
     """Run the scheme's speculative session once.  Returns its SD step
-    parameters and its verify decisions as an MSB access trace."""
+    parameters and its verified tokens' routing as an MSB access trace."""
     sd_config = elastic_sd.SdConfig(
         width=cfg.sd.width,
         depth=cfg.sd.depth,
@@ -552,7 +554,6 @@ def _sd_session(
     run = elastic_sd.SdSession(
         model, sd_config, prompt, score_traces=traces
     ).run(cfg.run.n_new_tokens)
-    verify_steps = [list(step.verify_decisions) for step in run.steps]
     sd = hwmodel.SdParams(
         width=cfg.sd.width,
         depth=cfg.sd.depth,
@@ -561,7 +562,9 @@ def _sd_session(
         mean_accept=run.mean_accept_length,
         transfer_pieces_per_step=float(np.mean([len(s.transfers) for s in run.steps])),
     )
-    return sd, _access_trace(verify_steps, "msb")
+    verify = [s.verify_selected for s in run.steps]
+    steps = np.repeat(np.arange(len(verify)), [len(v) for v in verify])
+    return sd, _access_trace(np.concatenate(verify), steps, "msb")
 
 
 def _workloads(
@@ -606,8 +609,8 @@ def _step_cost(
 def _scenario_rows(cfg: ScenarioConfig) -> list[ResultRow]:
     """Every scheme's rows, ordered by (scheme, batch) as configured, from
     one pass over the scenario (see the module docstring)."""
-    model, traces, prompt, ar_steps = _decode_inputs(cfg)
-    ar_trace = _access_trace(ar_steps, "full")
+    model, traces, prompt, ar_selected = _decode_inputs(cfg)
+    ar_trace = _access_trace(ar_selected, np.arange(len(ar_selected)), "full")
     ar_unique = expert_cache.expected_unique_experts(
         cfg.batch_sizes, cfg.shape.top_k, cfg.shape.n_experts,
         popularity=_popularity(ar_trace, cfg.shape.n_experts), seed=cfg.trace.seed,

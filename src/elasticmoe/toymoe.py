@@ -14,11 +14,12 @@ head) stay real in both modes.
 ``step`` is one layer-major forward over T tokens, each continuing a given
 decode state or an earlier token of the same call, so a prompt chain, a
 draft level or a whole verify tree is one call and a single token is the
-T = 1 call.  ``prefill`` feeds a token sequence from a fresh state.  A
-decode state carries its position, the number of tokens fed so far, and
-``step`` alone maps a token's position to the row of a routing trace it
-routes on: one (positions, layers, experts) score array, from
-``trace_scores``, read modulo its length.
+T = 1 call.  Routing choices leave ``step`` as (T, n_layers, top_k) expert
+id arrays; gates never do.  ``prefill`` feeds a token sequence from a
+fresh state.  A decode state carries its position, the number of tokens
+fed so far, and ``step`` alone maps a token's position to the row of a
+routing trace it routes on: one (positions, layers, experts) score array,
+from ``trace_scores``, read modulo its length.
 
 Determinism rules: every matrix product works on fixed 32-wide input
 groups: an index-ordered einsum (dense parts) or an exact integer dot
@@ -153,16 +154,6 @@ class ExpertWeights:
 
 
 @dataclass(frozen=True)
-class RoutingDecision:
-    """Post-softmax scores, the selected expert ids (score order, ties to
-    lower id), and their renormalized gates."""
-
-    scores: np.ndarray
-    selected: tuple[int, ...]
-    gates: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class MoEModel:
     shape: MoEShape
     embed: np.ndarray
@@ -183,10 +174,15 @@ class DecodeState:
 
 @dataclass(frozen=True)
 class StepOutput:
-    state: DecodeState
+    """One step call over T tokens: each token's next state, the (T, vocab)
+    logits for the following positions, and the (T, n_layers, top_k)
+    expert ids each token was routed to (selected, within the pool) and
+    would have been routed to without one (unrestricted)."""
+
+    states: tuple[DecodeState, ...]
     logits: np.ndarray
-    decisions: tuple[RoutingDecision, ...]
-    original_decisions: tuple[RoutingDecision, ...]
+    selected: np.ndarray
+    unrestricted: np.ndarray
 
 
 # Row-wise helpers: each row is reduced on its own, along a contiguous last
@@ -266,29 +262,6 @@ def _pool_mask(permitted: frozenset, n: int, k: int) -> np.ndarray:
     mask[ids] = True
     mask.flags.writeable = False
     return mask
-
-
-def route(
-    scores: np.ndarray, k: int, permitted: Optional[Sequence[int]] = None
-) -> RoutingDecision:
-    """Top-k selection by score with gates renormalized over the selection.
-
-    With a permitted set, selection is the top-k within it only; scores are
-    never modified.  Ties break toward the lower expert id.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError("scores must be one-dimensional")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("non-finite routing score")
-    n = s.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} invalid for {n} experts")
-    mask = None if permitted is None else _pool_mask(frozenset(permitted), n, k)
-    ids, gates = _select(s[None], k, mask)
-    return RoutingDecision(
-        scores=s.copy(), selected=tuple(ids[0].tolist()), gates=tuple(gates[0].tolist())
-    )
 
 
 def gen_model(shape: MoEShape, seed: int) -> MoEModel:
@@ -386,6 +359,14 @@ def _experts(
     return unsorted.reshape(n, k, -1)
 
 
+def as_index(value, what: str) -> int:
+    """value as an int: a Python or numpy integer, not a bool, float or str
+    (which int() would truncate or parse); anything else raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def _depth_waves(sources) -> tuple[list[int], list[tuple[np.ndarray, np.ndarray]], list[int]]:
     # Tokens starting from a given DecodeState, then per depth the tokens
     # continuing an earlier token of the call and those parents (as index
@@ -398,7 +379,7 @@ def _depth_waves(sources) -> tuple[list[int], list[tuple[np.ndarray, np.ndarray]
             starts.append(i)
             pos.append(src.pos)
             continue
-        p = int(src)
+        p = as_index(src, "source")
         if not 0 <= p < i:
             raise ValueError(f"token {i} source {p} is not an earlier token")
         depth.append(depth[p] + 1)
@@ -408,31 +389,6 @@ def _depth_waves(sources) -> tuple[list[int], list[tuple[np.ndarray, np.ndarray]
         waves[depth[p]][0].append(i)
         waves[depth[p]][1].append(p)
     return starts, [(np.array(r), np.array(p)) for r, p in waves], pos
-
-
-def _route_rows(scores: np.ndarray, k: int, mask: Optional[np.ndarray]):
-    """The router over rows of scores (T, n_experts): returns the applied
-    ids and gates (T, k) and, per row, the applied and the unrestricted
-    RoutingDecision.  A pool holding the whole unrestricted selection has
-    the same top-k, in the same order and with the same gates, so such a
-    row's applied decision is its unrestricted one, and a call where every
-    row's pool holds it routes once."""
-    if not np.isfinite(scores).all():
-        raise ValueError("non-finite routing score")
-    scores.flags.writeable = False
-    ids, gates = _select(scores, k)
-    orig = [
-        RoutingDecision(row, tuple(s), tuple(g))
-        for row, s, g in zip(scores, ids.tolist(), gates.tolist())
-    ]
-    if mask is None or np.logical_and.reduce(mask[ids], axis=None):
-        return ids, gates, orig, orig
-    ids, gates = _select(scores, k, mask)
-    dec = [
-        o if o.selected == tuple(s) else RoutingDecision(o.scores, tuple(s), tuple(g))
-        for o, s, g in zip(orig, ids.tolist(), gates.tolist())
-    ]
-    return ids, gates, dec, orig
 
 
 def init_state(model: MoEModel) -> DecodeState:
@@ -449,10 +405,10 @@ def step(
     permitted: Optional[Sequence[Optional[AbstractSet[int]]]] = None,
     score_traces=None,
     draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
-) -> tuple[StepOutput, ...]:
-    """Process T tokens; return, per token, the next state, the logits for
-    the following position, and the per-layer routing decisions (both the
-    ones applied and the unrestricted originals).
+) -> StepOutput:
+    """Process T tokens; return each token's next state, the logits for
+    its following position, and the expert ids it was routed to at each
+    layer, within the pool and unrestricted.
 
     A token's source is a DecodeState or the index of an earlier token of
     the same call, whose next state the token continues from, so a single
@@ -461,7 +417,10 @@ def step(
     chained token).  score_traces is None, or (positions, n_layers,
     n_experts) scores: when nonempty, every token routes on row position
     modulo their length instead of the router's scores.  permitted is None
-    or one expert-id set (or None) per layer, shared by every token.
+    or one expert-id set (or None) per layer, shared by every token; a pool
+    holding a token's whole unrestricted selection selects the same top-k
+    in the same order, with the same gates, and a layer where every token's
+    does routes once.
 
     The forward pass is layer-major over all T rows.  A token depends on
     its parent only through the parent's context at the same layer, so
@@ -471,7 +430,7 @@ def step(
     """
     shape = model.shape
     n_layers, k = shape.n_layers, shape.top_k
-    tokens = [int(t) for t in tokens]
+    tokens = [as_index(t, "token") for t in tokens]
     sources = list(sources)
     n = len(tokens)
     if len(sources) != n:
@@ -495,14 +454,16 @@ def step(
                 f"score traces must have shape (positions, {n_layers}, {shape.n_experts})"
             )
     if n == 0:
-        return ()
+        none = np.empty((0, n_layers, k), dtype=np.intp)
+        return StepOutput((), np.empty((0, shape.vocab)), none, none)
     starts, waves, pos = _depth_waves(sources)
     start_ctx = np.array([sources[i].ctx for i in starts])
     if traces is not None:
         trace_idx = np.array(pos) % len(traces)
     x = model.embed[tokens]
     ctx = np.empty((n, n_layers, shape.d_model))
-    decisions, originals = [], []
+    selected = np.empty((n, n_layers, k), dtype=np.intp)
+    unrestricted = np.empty_like(selected)
     for layer in range(n_layers):
         if waves:
             c = np.empty((n, shape.d_model))
@@ -518,18 +479,22 @@ def step(
             scores = _softmax(_blocked_matmul(model.w_router[layer], r))
         else:
             scores = traces[trace_idx, layer]
-        ids, gates, dec, orig = _route_rows(scores, k, masks[layer])
-        decisions.append(dec)
-        originals.append(orig)
+        if not np.isfinite(scores).all():
+            raise ValueError("non-finite routing score")
+        ids, gates = _select(scores, k)
+        unrestricted[:, layer] = ids
+        mask = masks[layer]
+        if mask is not None and not np.logical_and.reduce(mask[ids], axis=None):
+            ids, gates = _select(scores, k, mask)
+        selected[:, layer] = ids
         out = _experts(r, ids, model.experts[layer], rec)
         # The gated slots added left to right from 0.0, as a slot loop does.
         x = x + np.add.reduce(gates[:, :, None] * out, axis=1, initial=0.0)
-    ctx.flags.writeable = False
+    for a in (ctx, selected, unrestricted):
+        a.flags.writeable = False
     logits = _blocked_matmul(model.w_out, _rmsnorm(x))
-    return tuple(
-        StepOutput(DecodeState(c, p + 1), lg, dec, orig)
-        for c, p, lg, dec, orig in zip(ctx, pos, logits, zip(*decisions), zip(*originals))
-    )
+    states = tuple(DecodeState(c, p + 1) for c, p in zip(ctx, pos))
+    return StepOutput(states, logits, selected, unrestricted)
 
 
 def greedy_token(logits: np.ndarray) -> int:
@@ -542,18 +507,18 @@ def prefill(
     tokens: Sequence[int],
     mode: PrecisionMode,
     score_traces=None,
-) -> tuple[DecodeState, Optional[np.ndarray], list[tuple[RoutingDecision, ...]]]:
+) -> tuple[DecodeState, Optional[np.ndarray], np.ndarray]:
     """Feed tokens from a fresh state at positions 0, 1, ... as one chain
     through one step call; return the last state, its logits (None when
-    tokens is empty), and each position's routing decisions.  score_traces
-    is as for step."""
+    tokens is empty), and the (len(tokens), n_layers, top_k) expert ids
+    each position was routed to.  score_traces is as for step."""
     state = init_state(model)
-    if len(tokens) == 0:
-        return state, None, []
-    outs = step(
-        model, [state] + list(range(len(tokens) - 1)), tokens, mode, None, score_traces
+    out = step(
+        model, [state, *range(len(tokens) - 1)][: len(tokens)], tokens, mode, None, score_traces
     )
-    return outs[-1].state, outs[-1].logits, [out.decisions for out in outs]
+    if not out.states:
+        return state, None, out.selected
+    return out.states[-1], out.logits[-1], out.selected
 
 
 def greedy_decode(
@@ -562,20 +527,21 @@ def greedy_decode(
     n_new: int,
     mode: PrecisionMode,
     score_traces=None,
-) -> tuple[list[int], list[tuple[RoutingDecision, ...]]]:
-    """Pure greedy autoregressive decoding; returns (new tokens, per-step
-    routing decisions for every processed position)."""
+) -> tuple[list[int], np.ndarray]:
+    """Pure greedy autoregressive decoding; returns (new tokens, the
+    (positions, n_layers, top_k) expert ids every processed position was
+    routed to)."""
     if len(prompt) == 0:
         raise ValueError("prompt must be nonempty")
-    state, logits, decisions_log = prefill(model, prompt, mode, score_traces)
-    tokens = []
+    state, logits, prompt_selected = prefill(model, prompt, mode, score_traces)
+    tokens, selected = [], [prompt_selected]
     for _ in range(n_new):
         nxt = greedy_token(logits)
         tokens.append(nxt)
-        (out,) = step(model, [state], [nxt], mode, None, score_traces)
-        state, logits = out.state, out.logits
-        decisions_log.append(out.decisions)
-    return tokens, decisions_log
+        out = step(model, [state], [nxt], mode, None, score_traces)
+        state, logits = out.states[0], out.logits[0]
+        selected.append(out.selected)
+    return tokens, np.concatenate(selected)
 
 
 def gen_routing_trace(
@@ -585,15 +551,15 @@ def gen_routing_trace(
     zipf_exponent: float,
     correlation: float,
     seed: int,
-) -> list[RoutingDecision]:
-    """Synthetic routing decisions with tunable skew and stickiness.
+) -> np.ndarray:
+    """Synthetic (n_tokens, n_experts) routing scores with tunable skew and
+    stickiness, for a router whose top-k is k.
 
     Expert id doubles as popularity rank: base popularity is proportional
     to 1/(id+1)^zipf_exponent.  Each token draws fresh scores by an
     exponential race over the popularities, then blends them with the
     previous token's scores by the correlation factor.  All tokens' fresh
-    scores are one draw; only the blend runs token by token.  The top-k of
-    all tokens is one _select call, equal to routing each token alone.
+    scores are one draw; only the blend runs token by token.
     """
     if zipf_exponent < 0:
         raise ValueError("zipf_exponent must be >= 0")
@@ -606,34 +572,24 @@ def gen_routing_trace(
     rng = np.random.default_rng(seed)
     pop = 1.0 / np.arange(1, n_experts + 1, dtype=np.float64) ** zipf_exponent
     pop /= pop.sum()
-    fresh = pop * rng.exponential(1.0, size=(n_tokens, n_experts))
-    fresh /= fresh.sum(axis=1, keepdims=True)
-    prev = None
-    rows = []
-    for f in fresh:
-        s = f if prev is None else (1.0 - correlation) * f + correlation * prev
-        s = s / s.sum()
-        prev = s
-        rows.append(s)
-    if not rows:
-        return []
-    scores = np.array(rows)
+    scores = pop * rng.exponential(1.0, size=(n_tokens, n_experts))
+    scores /= scores.sum(axis=1, keepdims=True)
+    for i in range(n_tokens):
+        s = scores[i] if i == 0 else (1.0 - correlation) * scores[i] + correlation * scores[i - 1]
+        scores[i] = s / s.sum()
     if not np.isfinite(scores).all():
         raise ValueError("non-finite routing score")
-    ids, gates = _select(scores, k)
-    return [
-        RoutingDecision(scores=s, selected=tuple(sel), gates=tuple(g))
-        for s, sel, g in zip(rows, ids.tolist(), gates.tolist())
-    ]
+    return scores
 
 
-def trace_scores(trace: Sequence[Sequence[RoutingDecision]]) -> np.ndarray:
-    """Per-layer traces [layer][pos] as the score_traces of step: one
-    read-only float64 array (positions, layers, experts), as long as the
-    shortest layer's trace, so [pos][layer] is that decision's scores."""
-    n_tokens = min(len(t) for t in trace)
-    scores = np.array(
-        [[t[pos].scores for t in trace] for pos in range(n_tokens)], dtype=np.float64
-    )
+def trace_scores(traces: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-layer (positions, n_experts) score traces, as from
+    gen_routing_trace, stacked into the score_traces of step: one read-only
+    float64 array (positions, layers, experts), as long as the shortest
+    layer's trace."""
+    if len(traces) == 0:
+        raise ValueError("need one score trace per layer, got none")
+    n_tokens = min(len(t) for t in traces)
+    scores = np.stack([np.asarray(t, dtype=np.float64)[:n_tokens] for t in traces], axis=1)
     scores.flags.writeable = False
     return scores

@@ -42,7 +42,7 @@ def test_step(benchmark, model, n_tokens, mode, pooled):
     hotness = np.random.default_rng(0).random((SD_SHAPE.n_layers, SD_SHAPE.n_experts))
     permitted = select_pool(hotness, 8, SD_SHAPE.top_k).experts if pooled else None
     outs = benchmark(step, model, sources, tokens, mode, permitted)
-    assert len(outs) == n_tokens
+    assert len(outs.states) == n_tokens
 
 
 def test_session_step(benchmark, model):

@@ -190,10 +190,11 @@ def test_criterion_6_draft_routing_never_leaves_pool(seeded_runs):
         def audit(run):
             nonlocal checked, violations
             for step_res in run.steps:
-                for layer, dec in step_res.draft_decisions:
-                    checked += 1
-                    if not set(dec.selected) <= step_res.pool.experts[layer]:
-                        violations += 1
+                for layer, experts in enumerate(step_res.pool.experts):
+                    for ids in step_res.draft_selected[:, layer].tolist():
+                        checked += 1
+                        if not set(ids) <= experts:
+                            violations += 1
 
         for run, _ in seeded_runs:
             audit(run)

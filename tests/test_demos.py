@@ -1,5 +1,6 @@
 """Every narrative demo and every python block of README.md runs to
-completion, its own asserts included."""
+completion, its own asserts included, and every demo prints exactly its
+recorded stdout, tests/golden/demos/<stem>.txt."""
 
 import re
 import runpy
@@ -12,6 +13,7 @@ from elasticmoe.hwmodel import CommOverlapWarning
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -20,7 +22,11 @@ def test_demo_runs(path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CommOverlapWarning)
         runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out
+    assert capsys.readouterr().out == (GOLDEN / f"{path.stem}.txt").read_text()
+
+
+def test_every_golden_has_its_demo():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 def test_readme_code_runs(capsys):

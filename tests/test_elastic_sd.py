@@ -35,66 +35,68 @@ from elasticmoe.toymoe import (
 SHAPE = MoEShape(d_model=64, d_ff=128, n_experts=8, top_k=2, n_layers=2, vocab=64)
 
 
-def make_decision(selected, n=4):
-    # Minimal stand-in with the fields hotness accounting reads.
-    from elasticmoe.toymoe import RoutingDecision
-
-    scores = np.full(n, 1.0 / n)
-    k = len(selected)
-    return RoutingDecision(
-        scores=scores, selected=tuple(selected), gates=tuple([1.0 / k] * k)
-    )
-
-
 def zeros(n_layers, n_experts):
     return np.zeros((n_layers, n_experts))
 
 
+def selections(*rows):
+    """(tokens, layers, k) expert ids, one row of per-layer id lists per
+    token."""
+    return np.array(rows, dtype=np.intp)
+
+
 class TestHotness:
     def test_one_hot_sums(self):
-        counts = accumulate_hotness(
-            zeros(1, 4), [(0, make_decision([0, 2])), (0, make_decision([0, 1]))]
-        )
+        counts = accumulate_hotness(zeros(1, 4), selections([[0, 2]], [[0, 1]]))
         assert counts[0].tolist() == [2.0, 1.0, 1.0, 0.0]
 
     def test_empty_is_noop(self):
         counts = zeros(2, 4)
         counts[1, 3] = 0.5
-        again = accumulate_hotness(counts, [])
+        again = accumulate_hotness(counts, np.empty((0, 2, 2), dtype=np.intp))
         assert np.array_equal(counts, again)
         assert again is not counts
 
     def test_order_independent(self):
         rng = np.random.default_rng(3)
-        pairs = [
-            (int(rng.integers(0, 2)), make_decision(sorted(rng.choice(4, 2, replace=False).tolist())))
+        selected = np.array([
+            [sorted(rng.choice(4, 2, replace=False).tolist()) for _ in range(2)]
             for _ in range(30)
-        ]
-        a = accumulate_hotness(zeros(2, 4), pairs)
-        perm = [pairs[i] for i in rng.permutation(len(pairs))]
-        b = accumulate_hotness(zeros(2, 4), perm)
+        ])
+        a = accumulate_hotness(zeros(2, 4), selected)
+        b = accumulate_hotness(zeros(2, 4), selected[rng.permutation(len(selected))])
         assert np.array_equal(a, b)
+        # One count per selected id, as a loop over the selections adds.
+        want = zeros(2, 4)
+        for token in selected:
+            for layer, ids in enumerate(token):
+                for e in ids:
+                    want[layer, e] += 1.0
+        assert np.array_equal(a, want)
 
     def test_out_of_range_rejected(self):
         counts = zeros(1, 4)
-        with pytest.raises(ValueError):
-            accumulate_hotness(counts, [(1, make_decision([0]))])
-        with pytest.raises(ValueError):
-            accumulate_hotness(counts, [(0, make_decision([4]))])
+        with pytest.raises(ValueError, match="layer 1 out of range"):
+            accumulate_hotness(counts, selections([[0], [1]]))
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match=f"expert {bad} out of range"):
+                accumulate_hotness(counts, selections([[0]], [[bad]]))
+        for malformed in (selections([0, 1]), np.array([[[0.0]]])):
+            with pytest.raises(ValueError, match="integer expert ids"):
+                accumulate_hotness(counts, malformed)
         assert not counts.any()
 
 
 class TestSelectPool:
     def test_top_by_count(self):
-        counts = accumulate_hotness(zeros(1, 4), [(0, make_decision([0, 2]))] * 5)
+        counts = accumulate_hotness(zeros(1, 4), selections(*[[[0, 2]]] * 5))
         # counts [5, 0, 5, 0]
         pool = select_pool(counts, 2)
         assert pool.experts[0] == frozenset({0, 2})
 
     def test_tie_breaks_low_id(self):
-        counts = accumulate_hotness(
-            zeros(1, 3), [(0, make_decision([0, 1], 3))] * 3 + [(0, make_decision([2], 3))]
-        )
+        counts = accumulate_hotness(zeros(1, 3), selections(*[[[0, 1]]] * 3))
+        counts = accumulate_hotness(counts, selections([[2]]))
         # counts [3, 3, 1]
         pool = select_pool(counts, 1)
         assert pool.experts[0] == frozenset({0})
@@ -191,8 +193,8 @@ class TestDraftPhase:
 
     def test_single_chain_node_is_greedy(self):
         st = init_state(self.model)
-        (out,) = step(self.model, [st], [4], PrecisionMode.MSB4_DRAFT)
-        expected = greedy_token(out.logits)
+        out = step(self.model, [st], [4], PrecisionMode.MSB4_DRAFT)
+        expected = greedy_token(out.logits[0])
         res = draft_phase(self.model, 4, st, self.full_pool, w=1, d=1)
         assert len(res.tree.nodes) == 2
         assert res.tree.nodes[1].token == expected
@@ -204,14 +206,17 @@ class TestDraftPhase:
         assert len(res.tree.nodes) == 1
         assert res.tree.chain == ()
         assert res.step_calls == 0
+        for ids in (res.selected, res.unrestricted):
+            assert ids.shape == (0, SHAPE.n_layers, SHAPE.top_k)
 
     def test_throttling_audit(self):
         pool = ExpertPool(experts=(frozenset({0, 1, 2, 3}), frozenset({2, 3, 4, 5})))
         st = init_state(self.model)
         res = draft_phase(self.model, 9, st, pool, w=2, d=3)
-        assert res.decisions
-        for layer, dec in res.decisions:
-            assert set(dec.selected) <= pool.experts[layer]
+        assert res.selected.shape == (res.step_calls, SHAPE.n_layers, SHAPE.top_k)
+        assert res.step_calls
+        for layer, experts in enumerate(pool.experts):
+            assert set(res.selected[:, layer].ravel().tolist()) <= experts
 
     def test_node_count_and_width(self):
         st = init_state(self.model)
@@ -256,8 +261,8 @@ class TestVerifyPhase:
 
     def test_adversarial_tree_accepts_nothing(self):
         st = init_state(self.model)
-        (out,) = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
-        wrong = (greedy_token(out.logits) + 1) % SHAPE.vocab
+        out = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
+        wrong = (greedy_token(out.logits[0]) + 1) % SHAPE.vocab
         tree = DraftTree(
             nodes=(TreeNode(-1, 5, 0.0, 0), TreeNode(0, wrong, -0.5, 1)),
             depth=1,
@@ -265,17 +270,18 @@ class TestVerifyPhase:
         )
         ver = verify_phase(self.model, tree, st)
         assert ver.accept_length == 0
-        assert ver.bonus_token == greedy_token(out.logits)
+        assert ver.bonus_token == greedy_token(out.logits[0])
         assert ver.emitted == (ver.bonus_token,)
 
     def test_empty_tree_degenerates_to_ar(self):
         st = init_state(self.model)
         res = draft_phase(self.model, 5, st, self.full_pool, w=2, d=0)
         ver = verify_phase(self.model, res.tree, st)
-        (out,) = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
+        out = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
         assert ver.accept_length == 0
         assert ver.verify_token_count == 1
-        assert ver.bonus_token == greedy_token(out.logits)
+        assert ver.bonus_token == greedy_token(out.logits[0])
+        assert np.array_equal(ver.selected, out.selected)
 
     def test_accept_matches_path_replay_oracle(self):
         pool = ExpertPool(experts=(frozenset({0, 1, 2, 5}), frozenset({1, 3, 4, 6})))
@@ -304,14 +310,14 @@ class TestVerifyPhase:
 
         best = 0
         for path in paths_from(0):
-            (out,) = step(model, [root_state], [tree.nodes[0].token], PrecisionMode.INT8_FULL)
+            out = step(model, [root_state], [tree.nodes[0].token], PrecisionMode.INT8_FULL)
             matched = 0
             for node in path:
-                if greedy_token(out.logits) != tree.nodes[node].token:
+                if greedy_token(out.logits[0]) != tree.nodes[node].token:
                     break
                 matched += 1
-                (out,) = step(
-                    model, [out.state], [tree.nodes[node].token], PrecisionMode.INT8_FULL
+                out = step(
+                    model, [out.states[0]], [tree.nodes[node].token], PrecisionMode.INT8_FULL
                 )
             best = max(best, matched)
         return best
@@ -376,9 +382,9 @@ class TestSdSession:
         run = session.run(30)
         checked = 0
         for s in run.steps:
-            for layer, dec in s.draft_decisions:
-                assert set(dec.selected) <= s.pool.experts[layer]
-                checked += 1
+            for layer, experts in enumerate(s.pool.experts):
+                assert set(s.draft_selected[:, layer].ravel().tolist()) <= experts
+                checked += s.draft_selected[:, layer].size
         assert checked > 0
 
     def test_pool_stable_under_frozen_trace(self):
@@ -534,3 +540,47 @@ def test_stream_equals_greedy_property(data):
         model, prompt, n_new, PrecisionMode.INT8_FULL, score_traces=traces
     )
     assert list(got) == ar
+
+
+# Values int() would truncate or parse into a token id or a source index.
+NON_INTEGERS = [True, False, np.bool_(True), 2.7, 1.0, np.float64(2.0), "3"]
+
+
+def _call_with(where, value):
+    model = gen_model(SHAPE, seed=30)
+    st = init_state(model)
+    if where == "step token":
+        step(model, [st], [value], PrecisionMode.INT8_FULL)
+    elif where == "step source":
+        step(model, [st, value], [1, 2], PrecisionMode.INT8_FULL)
+    elif where == "greedy_decode prompt":
+        greedy_decode(model, [value], 3, PrecisionMode.INT8_FULL)
+    elif where == "session prompt":
+        SdSession(model, SdConfig(), prompt=[value, 1]).run(3)
+    elif where == "session last prompt token":
+        SdSession(model, SdConfig(), prompt=[3, value]).run(3)
+    else:
+        pool = ExpertPool(experts=(frozenset(range(8)),) * SHAPE.n_layers)
+        draft_phase(model, value, st, pool, w=2, d=1)
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("where", [
+    "step token", "step source", "greedy_decode prompt", "session prompt",
+    "session last prompt token", "draft root",
+])
+def test_non_integer_token_or_source_rejected(where, value):
+    with pytest.raises(ValueError, match="is not an integer"):
+        _call_with(where, value)
+
+
+def test_numpy_integer_tokens_accepted():
+    model = gen_model(SHAPE, seed=30)
+    prompt = np.array([3, 1], dtype=np.int32)
+    ar, _ = greedy_decode(model, [3, 1], 6, PrecisionMode.INT8_FULL)
+    assert greedy_decode(model, list(prompt), 6, PrecisionMode.INT8_FULL)[0] == ar
+    assert list(SdSession(model, SdConfig(), prompt=prompt).run(6).tokens) == ar
+    sources = [init_state(model), np.int64(0)]
+    out = step(model, sources, [np.uint8(3), np.int16(1)], PrecisionMode.INT8_FULL)
+    assert np.array_equal(out.logits, step(model, sources[:1] + [0], [3, 1],
+                                           PrecisionMode.INT8_FULL).logits)

@@ -601,7 +601,7 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     counted(toymoe, "gen_model")
     counted(toymoe, "greedy_decode")
     counted(expert_cache, "expected_unique_experts")
-    counted(expert_cache, "decisions_to_trace")
+    counted(expert_cache.AccessTrace, "from_columns")
     counted(expert_cache, "simulate_lru")
     counted(hwmodel, "build_workloads")
     (cfg,) = load_config(example_config_path())
@@ -616,7 +616,7 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     # no SD price.
     assert counts() == {
         "gen_model": 1, "greedy_decode": 0, "expected_unique_experts": 1,
-        "decisions_to_trace": 3, "simulate_lru": 12 + 6, "build_workloads": 3 + 12 + 6,
+        "from_columns": 3, "simulate_lru": 12 + 6, "build_workloads": 3 + 12 + 6,
     }
     # Where SD wins: the AR estimate and one verify estimate.  Per batch
     # (3), one XPU price, one AR replay and price (footprint 1.0 only), one
@@ -628,7 +628,7 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     run_scenario(cfg)
     assert counts() == {
         "gen_model": 1, "greedy_decode": 0, "expected_unique_experts": 2,
-        "decisions_to_trace": 3, "simulate_lru": 3 + 6, "build_workloads": 3 + 3 + 6 + 5,
+        "from_columns": 3, "simulate_lru": 3 + 6, "build_workloads": 3 + 3 + 6 + 5,
     }
     _assert_verify_estimate(
         cfg, calls["expected_unique_experts"][1], [7, 28, 112], ["elastic_sd", "random_pool_sd"]
@@ -717,17 +717,22 @@ def assert_ar_routing_is_greedy_decode_routing(cfg):
     """_decode_inputs' AR decision stream (the one the runner prices) is,
     position by position, the routing greedy_decode applies to the
     scenario's prompt and new tokens under the scenario's traces."""
-    model, traces, prompt, steps = runner._decode_inputs(cfg)
-    _, decisions = toymoe.greedy_decode(
+    model, traces, prompt, selected = runner._decode_inputs(cfg)
+    _, want = toymoe.greedy_decode(
         model, prompt, cfg.run.n_new_tokens, toymoe.PrecisionMode.INT8_FULL,
         score_traces=traces,
     )
-    assert len(steps) == len(decisions) == cfg.run.prompt_len + cfg.run.n_new_tokens
-    for step, decs in zip(steps, decisions):
-        assert [layer for layer, _ in step] == list(range(cfg.shape.n_layers))
-        for (_, got), want in zip(step, decs):
-            assert (got.selected, got.gates) == (want.selected, want.gates)
-            assert np.array_equal(got.scores, want.scores)
+    n_positions = cfg.run.prompt_len + cfg.run.n_new_tokens
+    assert selected.shape == want.shape == (n_positions, cfg.shape.n_layers, cfg.shape.top_k)
+    assert np.array_equal(selected, want)
+    # Its access trace is the one the tuple records of that routing give:
+    # one step per position, in layer then slot order.
+    records = [
+        (pos, [(layer, e) for layer, ids in enumerate(row) for e in ids])
+        for pos, row in enumerate(want.tolist())
+    ]
+    got = runner._access_trace(selected, np.arange(n_positions), "full")
+    assert got == expert_cache.decisions_to_trace(records, "full")
 
 
 # These tests price nothing they check; the AR step's comm-overlap

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -81,28 +82,52 @@ def test_failing_property_under_error_mark_is_reported(tmp_path):
     _assert_failure_reported(tmp_path, marks=ERROR_MARKS)
 
 
+PERFBENCH_MODULES = ("layers", "spans", "workloads")
+
+
 @pytest.fixture
 def perfbench(monkeypatch):
     """perfbench's layers and spans modules, imported fresh and dropped
-    afterwards."""
+    afterwards (with its workloads module, when a test imports it)."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    for name in ("layers", "spans"):
+    for name in PERFBENCH_MODULES:
         monkeypatch.delitem(sys.modules, name, raising=False)
     try:
         yield importlib.import_module("layers"), importlib.import_module("spans")
     finally:
-        for name in ("layers", "spans"):
+        for name in PERFBENCH_MODULES:
             sys.modules.pop(name, None)
 
 
 def test_perfbench_hooks_exist(perfbench):
-    # perfbench/run.py --trace 1 wraps these attributes and reads step's
-    # mode as its fourth positional argument; an API change that breaks
-    # either fails here.
+    # perfbench/run.py --trace 1 wraps these attributes, reading each from
+    # its owner's own __dict__ (Tracer.patched), and reads step's mode as
+    # its fourth positional argument; an API change that breaks either
+    # fails here.
     layers, _ = perfbench
     for point in layers.ALL_POINTS:
-        assert hasattr(point.owner, point.attr), point.name
+        assert point.attr in vars(point.owner), point.name
     assert list(inspect.signature(toymoe.step).parameters)[3] == "mode"
+
+
+@pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
+def test_perfbench_workloads_pass_their_checks(perfbench, tmp_path):
+    # perfbench/test_perfbench.py is not tier-1 and takes minutes; this
+    # builds every benchmark workload at seed 0 against its recorded
+    # references and checks one untraced pass, so a package change that
+    # breaks a workload's calls or outputs fails here.
+    _, spans = perfbench
+    workloads = importlib.import_module("workloads")
+    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    assert set(workloads.WORKLOADS) == {"example_sweep", "sd_decode", "trace_replay"}
+    for name, cls in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        wl = cls(0, workloads.Context(ROOT, references.get(name, {}), workdir))
+        assert wl.expected is not None, name
+        out = wl.run_pass(spans.Tracer())
+        assert wl.items(out) > 0, name
+        assert wl.check(out) == 0, name
 
 
 @pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")

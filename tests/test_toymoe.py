@@ -18,7 +18,6 @@ from elasticmoe.toymoe import (
     init_state,
     prefill,
     quantize_matrix,
-    route,
     step,
     trace_scores,
 )
@@ -105,62 +104,70 @@ def mirror_expert_int8(x, e):
     return blocked_real_matvec(dequant(e.down, e.down_scales), hq.astype(np.float64) * sh)
 
 
+def route(scores, k, permitted=None):
+    """The (ids, gates) step's router gives one row of scores: its top-k
+    by the one selection rule, toymoe._select, within the mask of a
+    permitted pool when one is given."""
+    s = np.asarray(scores, dtype=np.float64)[None]
+    mask = None if permitted is None else toymoe._pool_mask(frozenset(permitted), s.shape[1], k)
+    ids, gates = toymoe._select(s, k, mask)
+    return tuple(ids[0].tolist()), tuple(gates[0].tolist())
+
+
 class TestRoute:
     def test_basic_topk(self):
-        d = route(np.array([0.5, 0.3, 0.15, 0.05]), 2)
-        assert d.selected == (0, 1)
-        assert d.gates == pytest.approx((0.625, 0.375))
+        selected, gates = route(np.array([0.5, 0.3, 0.15, 0.05]), 2)
+        assert selected == (0, 1)
+        assert gates == pytest.approx((0.625, 0.375))
 
     def test_permitted_subset(self):
-        d = route(np.array([0.5, 0.3, 0.15, 0.05]), 2, permitted={1, 3})
-        assert d.selected == (1, 3)
-        assert d.gates == pytest.approx((0.3 / 0.35, 0.05 / 0.35))
+        selected, gates = route(np.array([0.5, 0.3, 0.15, 0.05]), 2, permitted={1, 3})
+        assert selected == (1, 3)
+        assert gates == pytest.approx((0.3 / 0.35, 0.05 / 0.35))
 
     def test_k_equals_n(self):
         s = np.array([0.4, 0.3, 0.2, 0.1])
-        d = route(s, 4)
-        assert d.selected == (0, 1, 2, 3)
-        assert d.gates == pytest.approx(tuple(s))
+        selected, gates = route(s, 4)
+        assert selected == (0, 1, 2, 3)
+        assert gates == pytest.approx(tuple(s))
 
     def test_tie_breaks_to_lower_id(self):
-        d = route(np.array([0.2, 0.4, 0.4]), 1)
-        assert d.selected == (1,)
-        d = route(np.array([0.4, 0.2, 0.4]), 2)
-        assert d.selected == (0, 2)
+        assert route(np.array([0.2, 0.4, 0.4]), 1)[0] == (1,)
+        assert route(np.array([0.4, 0.2, 0.4]), 2)[0] == (0, 2)
 
     def test_gates_sum_to_one(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             s = rng.dirichlet(np.ones(16))
-            d = route(s, 4)
-            assert sum(d.gates) == pytest.approx(1.0)
+            assert sum(route(s, 4)[1]) == pytest.approx(1.0)
 
     def test_throttle_superset_is_noop(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             s = rng.dirichlet(np.ones(12))
             base = route(s, 3)
-            permitted = set(base.selected) | {0, 5, 11}
-            again = route(s, 3, permitted=permitted)
-            assert again.selected == base.selected
-            assert again.gates == base.gates
+            permitted = set(base[0]) | {0, 5, 11}
+            assert route(s, 3, permitted=permitted) == base
 
     def test_selection_is_topk_of_original_scores_within_pool(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             s = rng.dirichlet(np.ones(12))
             pool = sorted(rng.choice(12, size=6, replace=False).tolist())
-            d = route(s, 3, permitted=pool)
             expected = sorted(pool, key=lambda e: (-s[e], e))[:3]
-            assert list(d.selected) == expected
+            assert list(route(s, 3, permitted=pool)[0]) == expected
 
     def test_permitted_too_small(self):
         with pytest.raises(ValueError):
             route(np.array([0.5, 0.5]), 2, permitted={0})
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            route(np.array([0.5, float("nan")]), 1)
+        # step checks every row it routes on, the router's or a trace's.
+        model = gen_model(SHAPE, seed=21)
+        traces = np.full((1, SHAPE.n_layers, SHAPE.n_experts), 1.0 / SHAPE.n_experts)
+        traces[0, -1, 1] = float("nan")
+        with pytest.raises(ValueError, match="non-finite routing score"):
+            step(model, [init_state(model)], [1], PrecisionMode.INT8_FULL, score_traces=traces)
 
 
 class TestQuantizeMatrix:
@@ -473,26 +480,42 @@ class TestExpertForward:
         assert max(diffs) < 0.05
 
 
+def step_with_scores(*args, **kwargs):
+    """step(*args, **kwargs), and the (T, n_experts) scores each layer
+    routed on, recorded from the router's unrestricted _select calls."""
+    scores = []
+    select = toymoe._select
+
+    def recording(layer_scores, k, permitted=None):
+        if permitted is None:
+            scores.append(layer_scores.copy())
+        return select(layer_scores, k, permitted)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toymoe, "_select", recording)
+        return step(*args, **kwargs), scores
+
+
 class TestStep:
     def setup_method(self):
         self.model = gen_model(SHAPE, seed=21)
 
     def test_full_permitted_equals_absent(self):
         st = init_state(self.model)
-        (a,) = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
-        (b,) = step(
+        a = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
+        b = step(
             self.model, [st], [5], PrecisionMode.INT8_FULL,
             permitted=[set(range(8))] * SHAPE.n_layers,
         )
         assert np.array_equal(a.logits, b.logits)
-        assert a.decisions[0].selected == b.decisions[0].selected
+        assert np.array_equal(a.selected[0, 0], b.selected[0, 0])
 
     def test_deterministic(self):
         st = init_state(self.model)
-        (a,) = step(self.model, [st], [9], PrecisionMode.MSB4_DRAFT)
-        (b,) = step(self.model, [st], [9], PrecisionMode.MSB4_DRAFT)
+        a = step(self.model, [st], [9], PrecisionMode.MSB4_DRAFT)
+        b = step(self.model, [st], [9], PrecisionMode.MSB4_DRAFT)
         assert np.array_equal(a.logits, b.logits)
-        assert np.array_equal(a.state.ctx, b.state.ctx)
+        assert np.array_equal(a.states[0].ctx, b.states[0].ctx)
 
     def test_greedy_next_token_deterministic(self):
         _, logits, _ = prefill(self.model, [3, 1, 4], PrecisionMode.INT8_FULL)
@@ -503,12 +526,11 @@ class TestStep:
     def test_throttled_decisions_stay_in_pool(self):
         st = init_state(self.model)
         pool = {0, 2, 4, 6}
-        (out,) = step(
+        out = step(
             self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
             permitted=[pool] * SHAPE.n_layers,
         )
-        for dec in out.decisions:
-            assert set(dec.selected) <= pool
+        assert set(out.selected.ravel().tolist()) <= pool
 
     def test_permitted_needs_one_set_per_layer(self):
         st = init_state(self.model)
@@ -521,20 +543,20 @@ class TestStep:
 
     def test_original_decisions_unrestricted(self):
         st = init_state(self.model)
-        (out_free,) = step(self.model, [st], [7], PrecisionMode.MSB4_DRAFT)
-        (out_pool,) = step(
+        out_free = step(self.model, [st], [7], PrecisionMode.MSB4_DRAFT)
+        out_pool, scores = step_with_scores(
             self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
             permitted=[{0, 2, 4, 6}] * SHAPE.n_layers,
         )
         # Layer 0 sees identical input in both runs, so its unrestricted
         # selection matches the free run exactly.
-        assert out_pool.original_decisions[0].selected == out_free.decisions[0].selected
-        # Every layer's original decision is the unrestricted top-k of the
-        # scores that run actually computed (later layers diverge because
-        # earlier FFN outputs differ under the pool).
-        for layer, orig in enumerate(out_pool.original_decisions):
-            scores = out_pool.decisions[layer].scores
-            assert orig.selected == route(scores, SHAPE.top_k).selected
+        assert np.array_equal(out_pool.unrestricted[0, 0], out_free.selected[0, 0])
+        # Every layer's unrestricted selection is the top-k of the scores
+        # that run actually computed (later layers diverge because earlier
+        # FFN outputs differ under the pool).
+        assert len(scores) == SHAPE.n_layers
+        for layer, layer_scores in enumerate(scores):
+            assert tuple(out_pool.unrestricted[0, layer]) == route(layer_scores[0], SHAPE.top_k)[0]
 
     def test_pool_holding_selection_routes_once(self, monkeypatch):
         calls = []
@@ -546,24 +568,25 @@ class TestStep:
 
         monkeypatch.setattr(toymoe, "_select", counting_select)
         st = init_state(self.model)
-        (full,) = step(
+        full = step(
             self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
             permitted=[set(range(8))] * SHAPE.n_layers,
         )
         assert len(calls) == SHAPE.n_layers
-        assert all(d is o for d, o in zip(full.decisions, full.original_decisions))
-        (free,) = step(self.model, [st], [7], PrecisionMode.MSB4_DRAFT)
+        assert np.array_equal(full.selected, full.unrestricted)
+        free = step(self.model, [st], [7], PrecisionMode.MSB4_DRAFT)
         assert np.array_equal(full.logits, free.logits)
         # A pool missing part of the selection still gets its own top-k.
+        monkeypatch.undo()
         pool = {0, 2, 4, 6}
-        (out,) = step(
+        out, scores = step_with_scores(
             self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
             permitted=[pool] * SHAPE.n_layers,
         )
-        for dec, orig in zip(out.decisions, out.original_decisions):
-            again = route(dec.scores, SHAPE.top_k, pool)
-            assert (dec.selected, dec.gates) == (again.selected, again.gates)
-            assert (dec is orig) == (set(orig.selected) <= pool)
+        for layer, layer_scores in enumerate(scores):
+            sel, orig = out.selected[0, layer], out.unrestricted[0, layer]
+            assert tuple(sel) == route(layer_scores[0], SHAPE.top_k, pool)[0]
+            assert np.array_equal(sel, orig) == (set(orig.tolist()) <= pool)
 
     def test_score_override_controls_routing(self):
         # A traced token routes on the trace row at its position modulo the
@@ -573,20 +596,20 @@ class TestStep:
         traces[1, :, 3] = 0.7
         traces[1, :, 5] = 0.3
         st = init_state(self.model)
-        outs = step(
+        outs, scores = step_with_scores(
             self.model, [st, 0, 1, 2], [2, 4, 6, 8], PrecisionMode.INT8_FULL,
             score_traces=traces,
         )
-        assert [out.state.pos for out in outs] == [1, 2, 3, 4]
-        for out, row in zip(outs, [0, 1, 0, 1]):
-            for layer, dec in enumerate(out.decisions):
-                assert dec.selected == ((0, 1), (3, 5))[row]
-                assert np.array_equal(dec.scores, traces[row, layer])
-        (out,) = step(
-            self.model, [outs[2].state], [1], PrecisionMode.INT8_FULL,
+        assert [state.pos for state in outs.states] == [1, 2, 3, 4]
+        for t, row in enumerate([0, 1, 0, 1]):
+            for layer in range(SHAPE.n_layers):
+                assert tuple(outs.selected[t, layer]) == ((0, 1), (3, 5))[row]
+                assert np.array_equal(scores[layer][t], traces[row, layer])
+        out = step(
+            self.model, [outs.states[2]], [1], PrecisionMode.INT8_FULL,
             score_traces=traces,
         )
-        assert [dec.selected for dec in out.decisions] == [(3, 5)] * SHAPE.n_layers
+        assert out.selected.tolist() == [[[3, 5]] * SHAPE.n_layers]
 
     def test_token_range(self):
         st = init_state(self.model)
@@ -600,7 +623,11 @@ class TestStep:
                 step(self.model, sources, [1, 2], PrecisionMode.INT8_FULL)
         with pytest.raises(ValueError, match="one source"):
             step(self.model, [st], [1, 2], PrecisionMode.INT8_FULL)
-        assert step(self.model, [], [], PrecisionMode.INT8_FULL) == ()
+        none = step(self.model, [], [], PrecisionMode.INT8_FULL)
+        assert none.states == ()
+        assert none.logits.shape == (0, SHAPE.vocab)
+        for ids in (none.selected, none.unrestricted):
+            assert ids.shape == (0, SHAPE.n_layers, SHAPE.top_k)
 
     def test_score_override_needs_one_score_per_expert(self):
         # A trace needs one row of n_experts scores per layer; an empty
@@ -611,9 +638,9 @@ class TestStep:
             with pytest.raises(ValueError, match="score traces must have shape"):
                 step(self.model, [st], [2], PrecisionMode.INT8_FULL,
                      score_traces=np.full(shape, 0.5))
-        (free,) = step(self.model, [st], [2], PrecisionMode.INT8_FULL)
+        free = step(self.model, [st], [2], PrecisionMode.INT8_FULL)
         for empty in ([], np.empty((0, n, e))):
-            (out,) = step(self.model, [st], [2], PrecisionMode.INT8_FULL, score_traces=empty)
+            out = step(self.model, [st], [2], PrecisionMode.INT8_FULL, score_traces=empty)
             assert np.array_equal(out.logits, free.logits)
 
     def test_prefill_is_one_chained_call(self, monkeypatch):
@@ -625,16 +652,17 @@ class TestStep:
             return batched(model, state, token, mode, *args, **kwargs)
 
         monkeypatch.setattr(toymoe, "step", counting)
-        state, logits, decisions = prefill(self.model, [3, 1, 4, 1, 5], PrecisionMode.INT8_FULL)
+        state, logits, selected = prefill(self.model, [3, 1, 4, 1, 5], PrecisionMode.INT8_FULL)
         assert calls == [[3, 1, 4, 1, 5]]
         monkeypatch.undo()
+        assert selected.shape == (5, SHAPE.n_layers, SHAPE.top_k)
         out_state = init_state(self.model)
         for pos, tok in enumerate([3, 1, 4, 1, 5]):
-            (out,) = step(self.model, [out_state], [tok], PrecisionMode.INT8_FULL)
-            out_state = out.state
-            assert [d.selected for d in decisions[pos]] == [d.selected for d in out.decisions]
-        assert np.array_equal(out.logits, logits)
-        assert np.array_equal(out.state.ctx, state.ctx)
+            out = step(self.model, [out_state], [tok], PrecisionMode.INT8_FULL)
+            out_state = out.states[0]
+            assert np.array_equal(selected[pos], out.selected[0])
+        assert np.array_equal(out.logits[0], logits)
+        assert np.array_equal(out_state.ctx, state.ctx)
 
     def test_greedy_decode_reproducible(self):
         toks1, _ = greedy_decode(self.model, [1, 2], 12, PrecisionMode.INT8_FULL)
@@ -643,9 +671,9 @@ class TestStep:
         assert len(toks1) == 12
 
 
-def _routing_trace_reference(n_tokens, n_experts, k, zipf_exponent, correlation, seed):
-    """The per-token loop gen_routing_trace must reproduce: the same blend,
-    each token routed alone through route."""
+def _routing_trace_reference(n_tokens, n_experts, zipf_exponent, correlation, seed):
+    """The per-token loop gen_routing_trace must reproduce: the same draws
+    and the same blend, one token at a time."""
     rng = np.random.default_rng(seed)
     pop = 1.0 / np.arange(1, n_experts + 1, dtype=np.float64) ** zipf_exponent
     pop /= pop.sum()
@@ -657,14 +685,27 @@ def _routing_trace_reference(n_tokens, n_experts, k, zipf_exponent, correlation,
         s = fresh if prev is None else (1.0 - correlation) * fresh + correlation * prev
         s = s / s.sum()
         prev = s
-        out.append(route(s, k))
+        out.append(s)
     return out
+
+
+def trace_ids(trace, k):
+    """The (tokens, k) expert ids a router whose scores are the trace's
+    rows selects."""
+    return toymoe._select(trace, k)[0]
+
+
+def expert_frequencies(trace, k):
+    counts = np.bincount(trace_ids(trace, k).ravel(), minlength=trace.shape[1])
+    return counts / counts.sum()
 
 
 class TestRoutingTrace:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_batched_top_k_equals_per_token_route(self, data):
+        # The blend over all tokens gives the per-token loop's scores bit
+        # for bit, and their top-k in one call is each row's top-k alone.
         n_experts = data.draw(st.integers(1, 64), label="n_experts")
         k = data.draw(st.integers(1, n_experts), label="k")
         n_tokens = data.draw(st.integers(0, 120), label="n_tokens")
@@ -672,50 +713,37 @@ class TestRoutingTrace:
         corr = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), label="corr")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         got = gen_routing_trace(n_tokens, n_experts, k, zipf, corr, seed)
-        want = _routing_trace_reference(n_tokens, n_experts, k, zipf, corr, seed)
-        assert len(got) == len(want)
+        want = _routing_trace_reference(n_tokens, n_experts, zipf, corr, seed)
+        assert got.shape == (n_tokens, n_experts)
+        assert got.dtype == np.float64
         for g, w in zip(got, want):
-            assert g.selected == w.selected
-            assert g.gates == w.gates
-            assert np.array_equal(g.scores, w.scores)
-        # Each decision owns its scores array, as route's copy did.
-        assert all(d.scores.flags.owndata for d in got)
+            assert g.tobytes() == w.tobytes()
+        ids = trace_ids(got, k)
+        assert ids.shape == (n_tokens, k)
+        for row, w in zip(ids, want):
+            assert tuple(row) == route(w, k)[0]
+        # The trace owns its scores.
+        assert got.flags.owndata
 
     def test_full_correlation_freezes_selection(self):
-        trace = gen_routing_trace(50, 8, 2, 1.0, 1.0, seed=33)
-        first = trace[0].selected
-        assert all(d.selected == first for d in trace)
+        ids = trace_ids(gen_routing_trace(50, 8, 2, 1.0, 1.0, seed=33), 2)
+        assert (ids == ids[0]).all()
 
     def test_deterministic_per_seed(self):
         a = gen_routing_trace(100, 8, 2, 0.8, 0.5, seed=44)
         b = gen_routing_trace(100, 8, 2, 0.8, 0.5, seed=44)
-        assert [d.selected for d in a] == [d.selected for d in b]
+        assert np.array_equal(trace_ids(a, 2), trace_ids(b, 2))
 
     def test_uniform_when_flat_and_uncorrelated(self):
-        trace = gen_routing_trace(100_000, 8, 2, 0.0, 0.0, seed=55)
-        counts = np.zeros(8)
-        for d in trace:
-            for e in d.selected:
-                counts[e] += 1
-        freq = counts / counts.sum()
+        freq = expert_frequencies(gen_routing_trace(100_000, 8, 2, 0.0, 0.0, seed=55), 2)
         assert np.all(np.abs(freq - 1 / 8) < 0.01)
 
     def test_zipf_concentrates_on_low_ids(self):
-        trace = gen_routing_trace(20_000, 8, 2, 1.0, 0.0, seed=66)
-        counts = np.zeros(8)
-        for d in trace:
-            for e in d.selected:
-                counts[e] += 1
-        freq = counts / counts.sum()
+        freq = expert_frequencies(gen_routing_trace(20_000, 8, 2, 1.0, 0.0, seed=66), 2)
         assert freq[0] > 1 / 8
 
     def test_marginals_monotone_in_rank(self):
-        trace = gen_routing_trace(20_000, 8, 2, 1.2, 0.0, seed=77)
-        counts = np.zeros(8)
-        for d in trace:
-            for e in d.selected:
-                counts[e] += 1
-        freq = counts / counts.sum()
+        freq = expert_frequencies(gen_routing_trace(20_000, 8, 2, 1.2, 0.0, seed=77), 2)
         assert np.all(np.diff(freq) <= 0.01)
 
     def test_parameter_validation(self):
@@ -732,9 +760,21 @@ class TestRoutingTrace:
             for layer in range(2)
         ]
         per_pos = trace_scores(layer_traces)
-        assert len(per_pos) == 30
-        assert len(per_pos[0]) == 2
-        assert np.array_equal(per_pos[4][1], layer_traces[1][4].scores)
+        assert per_pos.shape == (30, 2, 8)
+        assert np.array_equal(per_pos[4][1], layer_traces[1][4])
+        assert not per_pos.flags.writeable
+        # As long as the shortest layer's trace.
+        short = trace_scores([layer_traces[0], layer_traces[1][:12]])
+        assert np.array_equal(short, per_pos[:12])
+
+    def test_trace_scores_keeps_three_axes_for_empty_traces(self):
+        for lengths in ((0, 0), (0, 5), (5, 0)):
+            traces = [gen_routing_trace(n, 8, 2, 1.0, 0.5, seed=n) for n in lengths]
+            assert trace_scores(traces).shape == (0, 2, 8)
+
+    def test_trace_scores_rejects_no_layers(self):
+        with pytest.raises(ValueError, match="got none"):
+            trace_scores([])
 
 
 class TestOverrideIntegration:
@@ -745,12 +785,13 @@ class TestOverrideIntegration:
             for i in range(SHAPE.n_layers)
         ]
         per_pos = trace_scores(layer_traces)
-        _, _, decisions = prefill(
+        _, _, selected = prefill(
             model, [1, 2, 3], PrecisionMode.INT8_FULL, score_traces=per_pos
         )
         for pos in range(3):
             for layer in range(SHAPE.n_layers):
-                assert decisions[pos][layer].selected == layer_traces[layer][pos].selected
+                want = trace_ids(layer_traces[layer][pos : pos + 1], SHAPE.top_k)[0]
+                assert np.array_equal(selected[pos, layer], want)
 
 
 def test_group_sum_rounds_as_numpy_sum():
@@ -879,7 +920,7 @@ def test_batched_step_equals_one_at_a_time(data):
     if n_rows is not None:
         traces = rng.dirichlet(np.ones(n_experts), size=(n_rows, shape.n_layers))
     outs = step(model, sources, tokens, mode, permitted, traces, rec)
-    assert len(outs) == n
+    assert len(outs.states) == n
     assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, traces, rec)
 
 
@@ -891,26 +932,22 @@ def assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, t
     ref, positions = [], []
     for src, tok in zip(sources, tokens):
         if isinstance(src, int):
-            state, pos = ref[src].state, positions[src] + 1
+            state, pos = ref[src].states[0], positions[src] + 1
         else:
             state, pos = src, src.pos
         row = None if traces is None or not len(traces) else traces[[pos % len(traces)]]
-        ref.extend(step(model, [state], [tok], mode, permitted, row, rec))
+        ref.append(step(model, [state], [tok], mode, permitted, row, rec))
         positions.append(pos)
-    for got, want, pos in zip(outs, ref, positions):
-        assert got.state.pos == want.state.pos == pos + 1
-        assert same_bits(got.logits, want.logits)
-        assert same_bits(got.state.ctx, want.state.ctx)
-        pairs = zip(
-            got.decisions, want.decisions, got.original_decisions, want.original_decisions
-        )
-        for layer, (dec, dec_ref, orig, orig_ref) in enumerate(pairs):
-            for a, b in ((dec, dec_ref), (orig, orig_ref)):
-                assert a.selected == b.selected
-                assert same_bits(a.gates, b.gates)
-                assert same_bits(a.scores, b.scores)
+    for t, (want, pos) in enumerate(zip(ref, positions)):
+        got = outs.states[t]
+        assert got.pos == want.states[0].pos == pos + 1
+        assert same_bits(outs.logits[t], want.logits[0])
+        assert same_bits(got.ctx, want.states[0].ctx)
+        assert same_bits(outs.selected[t], want.selected[0])
+        assert same_bits(outs.unrestricted[t], want.unrestricted[0])
+        for layer, (sel, orig) in enumerate(zip(outs.selected[t], outs.unrestricted[t])):
             pool = None if permitted is None else permitted[layer]
-            assert (dec is orig) == (pool is None or set(orig.selected) <= pool)
+            assert np.array_equal(sel, orig) == (pool is None or set(orig.tolist()) <= pool)
 
 
 @pytest.mark.parametrize("mode", list(PrecisionMode))
@@ -936,7 +973,7 @@ def test_calls_at_size_bounds_equal_one_at_a_time(mode):
     for sources, permitted, call_traces in ((tree, pool, None), (chain, None, traces)):
         tokens = rng.integers(0, 64, size=len(sources)).tolist()
         outs = step(model, sources, tokens, mode, permitted, call_traces, rec)
-        assert len(outs) in (1 + w * d, runner.MAX_PROMPT_LEN)
+        assert len(outs.states) in (1 + w * d, runner.MAX_PROMPT_LEN)
         assert_equals_one_at_a_time(
             outs, model, sources, tokens, mode, permitted, call_traces, rec
         )
@@ -952,20 +989,20 @@ DIGEST_SHAPES = [
     (MoEShape(96, 256, 4, 1, 1, 16), 4),
     (MoEShape(32, 64, 16, 2, 3, 64), 5),
 ]
-# sha256 of every step output below, recorded before the fixed-cost cuts.
-STEP_DIGEST = "36b1c90974d906f23a4e8e0406985498bdaa757b627ff3a39cf7dcd96ea44bbb"
+# sha256 of every step output below, recorded from the per-token routing
+# objects step returned before selections became arrays.
+STEP_DIGEST = "59b31a3a91fb86c4d14e9f11e8f57354afa8306f98033618a299f1a34bdef0e2"
 
 
-def step_digest_update(h, outs):
-    # The logits, next ctx and pos, and each layer's applied and original
-    # selections and gates of every output.
-    for out in outs:
-        h.update(out.logits.tobytes())
-        h.update(out.state.ctx.tobytes())
-        h.update(out.state.pos.to_bytes(8, "little"))
-        for dec in out.decisions + out.original_decisions:
-            h.update(np.array(dec.selected, dtype=np.int64).tobytes())
-            h.update(np.array(dec.gates, dtype=np.float64).tobytes())
+def step_digest_update(h, out):
+    # A call's logits, every token's next ctx and pos, then its selected
+    # and unrestricted expert ids.
+    h.update(out.logits.tobytes())
+    for state in out.states:
+        h.update(state.ctx.tobytes())
+        h.update(state.pos.to_bytes(8, "little"))
+    h.update(np.asarray(out.selected, dtype=np.int64).tobytes())
+    h.update(np.asarray(out.unrestricted, dtype=np.int64).tobytes())
 
 
 def test_step_digest_is_pinned():
