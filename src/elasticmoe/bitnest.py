@@ -152,24 +152,33 @@ def reconstruct(pair: BitSlicePair, mode: ReconstructMode) -> int:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def split_slices_array(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized split: (msb, lsb) arrays for an int code array."""
+def _code_array(codes) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.size and (codes.min() < CODE_MIN or codes.max() > CODE_MAX):
         raise ValueError("code outside [-127, 127]")
+    return codes
+
+
+def split_slices_array(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized split: (msb, lsb) arrays for an int code array."""
+    codes = _code_array(codes)
     return codes >> 4, codes & 0x0F
 
 
 def surrogate_codes(codes: np.ndarray, mode: ReconstructMode) -> np.ndarray:
     """Vectorized reconstruct() over a code array, returning new int64 codes."""
-    msb, _ = split_slices_array(codes)
-    msb, codes = msb.astype(np.int64), np.array(codes, dtype=np.int64)
+    codes = _code_array(codes)
+    # Every rebuilt code lies in [-128, 120], so the arithmetic runs in the
+    # input's own integer type (int8 for stored codes) and only the result
+    # is widened.
     if mode is ReconstructMode.TRUNCATE:
-        return 16 * msb
-    if mode is ReconstructMode.LSB_AUGMENT:
-        return 16 * msb + 8
-    if mode is ReconstructMode.FULL:
-        return codes
-    if mode is ReconstructMode.MSB_ROUND:
-        return 16 * np.clip(np.rint(codes / 16.0).astype(np.int64), -8, 7)
-    raise ValueError(f"unknown mode {mode!r}")
+        out = 16 * (codes >> 4)
+    elif mode is ReconstructMode.LSB_AUGMENT:
+        out = 16 * (codes >> 4) + 8
+    elif mode is ReconstructMode.FULL:
+        out = codes
+    elif mode is ReconstructMode.MSB_ROUND:
+        out = 16 * np.clip(np.rint(codes / 16.0), -8, 7)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return out.astype(np.int64)

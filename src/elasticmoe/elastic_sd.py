@@ -18,6 +18,11 @@ session ingests its prompt through ``toymoe.prefill``.  Decode states
 carry their position, and every phase hands its routing trace (one
 score array) straight to ``toymoe.step``, which picks each token's row
 by position, so the rows line up with ``greedy_decode``.
+
+Sessions of one model and draft geometry can step in lockstep
+(``run_sessions``): each draft depth of all their trees is one
+``toymoe.step`` call and all their verify trees one more, as a serving
+system batches its requests' draft and verify passes.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .toymoe import (
     MoEModel,
     PrecisionMode,
     as_index,
-    greedy_token,
     log_softmax,
     prefill,
     step,
@@ -160,81 +164,100 @@ class DraftResult:
     step_calls: int
 
 
+def _grow(nodes, frontier, chain, w, depth, rows, sources, tokens):
+    # One depth of one tree: append the top-w children of its frontier to
+    # nodes, forcing in the draft-greedy chain child, whose index goes onto
+    # chain, and each child's state and token to the next call's sources
+    # and tokens; rows yields each frontier node's next state,
+    # log-probabilities and top-w tokens.  Returns the new frontier.
+    chain_node = chain[-1] if chain else 0
+    candidates = []
+    chain_key = None
+    # zip reads frontier first, so it takes no row past this tree's.
+    for idx, (state, lp, top) in zip(frontier, rows):
+        for tok in top:
+            candidates.append((nodes[idx].score + lp[tok], idx, tok, state))
+        if idx == chain_node:
+            chain_key = (idx, top[0])
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+    kept = candidates[:w]
+    if chain_key is not None and not any(
+        (c[1], c[2]) == chain_key for c in kept
+    ):
+        forced = next(c for c in candidates if (c[1], c[2]) == chain_key)
+        kept = kept[:-1] + [forced]
+    frontier = []
+    for score, parent, tok, state in kept:
+        nodes.append(TreeNode(parent=parent, token=tok, score=score, depth=depth))
+        sources.append(state)
+        tokens.append(tok)
+        frontier.append(len(nodes) - 1)
+        if chain_key is not None and (parent, tok) == chain_key:
+            chain_node = len(nodes) - 1
+    chain.append(chain_node)
+    return frontier
+
+
 def draft_phase(
     model: MoEModel,
-    root_token: int,
-    root_state: DecodeState,
-    pool: ExpertPool,
+    root_tokens: Sequence[int],
+    root_states: Sequence[DecodeState],
+    pools: Sequence[ExpertPool],
     w: int,
     d: int,
     draft_mode: PrecisionMode = PrecisionMode.MSB4_DRAFT,
     draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
     score_traces=None,
-) -> DraftResult:
-    """Expand a width-w depth-d tree with throttled draft-precision steps.
+) -> list[DraftResult]:
+    """Expand one width-w depth-d tree from each root token and state, with
+    throttled draft-precision steps confined to that tree's pool; returns
+    one DraftResult per root.
 
     Node scores are cumulative log-probabilities; each depth keeps the
-    top-w candidates, always retaining the draft-greedy chain node.
+    top-w candidates, always retaining the draft-greedy chain node.  The
+    frontiers of every tree at a depth go through one step call, each
+    token with its own tree's pool; no tree reads another's rows.
     """
     if w < 1 or d < 0:
         raise ValueError("need w >= 1 and d >= 0")
-    root = TreeNode(parent=-1, token=as_index(root_token, "root token"), score=0.0, depth=0)
-    nodes = [root]
-    # pre_states[i] is the decode state before node i's token is processed.
-    pre_states = [root_state]
+    tokens = [as_index(token, "root token") for token in root_tokens]
+    sources = list(root_states)
+    pools = [pool.experts for pool in pools]
+    if not len(tokens) == len(sources) == len(pools):
+        raise ValueError("need one root state and one pool per root token")
     none = np.empty((0, model.shape.n_layers, model.shape.top_k), dtype=np.intp)
-    selected, unrestricted = [none], [none]
-    frontier = [0]
-    chain = []
-    chain_node = 0
-    calls = 0
+    # Per tree: its nodes, frontier and chain, and its rows of every call.
+    nodes = [[TreeNode(-1, token, 0.0, 0)] for token in tokens]
+    frontiers = [[0] for _ in tokens]
+    chains = [[] for _ in tokens]
+    selected = [[none] for _ in tokens]
+    unrestricted = [[none] for _ in tokens]
+    permitted = pools
     for depth in range(1, d + 1):
-        candidates = []
-        chain_key = None
-        # The whole frontier goes through one step call.
-        out = step(
-            model,
-            [pre_states[idx] for idx in frontier],
-            [nodes[idx].token for idx in frontier],
-            draft_mode,
-            permitted=pool.experts,
-            score_traces=score_traces,
-            draft_reconstruct=draft_reconstruct,
-        )
-        calls += len(frontier)
-        selected.append(out.selected)
-        unrestricted.append(out.unrestricted)
+        out = step(model, sources, tokens, draft_mode, permitted, score_traces, draft_reconstruct)
         # Each row's log-probabilities and its tokens by descending
         # log-probability (ties to the lower id, so the first is argmax).
         lps = log_softmax(out.logits)
         tops = np.argsort(-lps, axis=1, kind="stable")[:, :w].tolist()
-        for idx, state, lp, top in zip(frontier, out.states, lps.tolist(), tops):
-            for tok in top:
-                candidates.append((nodes[idx].score + lp[tok], idx, tok, state))
-            if idx == chain_node:
-                chain_key = (idx, top[0])
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        kept = candidates[:w]
-        if chain_key is not None and not any(
-            (c[1], c[2]) == chain_key for c in kept
-        ):
-            forced = next(c for c in candidates if (c[1], c[2]) == chain_key)
-            kept = kept[:-1] + [forced]
-        frontier = []
-        for score, parent, tok, state in kept:
-            nodes.append(TreeNode(parent=parent, token=tok, score=score, depth=depth))
-            pre_states.append(state)
-            frontier.append(len(nodes) - 1)
-            if chain_key is not None and (parent, tok) == chain_key:
-                chain_node = len(nodes) - 1
-        chain.append(chain_node)
-    tree = DraftTree(nodes=tuple(nodes), depth=d, chain=tuple(chain))
-    return DraftResult(
-        tree=tree,
-        selected=np.concatenate(selected),
-        unrestricted=np.concatenate(unrestricted),
-        step_calls=calls,
-    )
+        rows = zip(out.states, lps.tolist(), tops)
+        sources, tokens, permitted = [], [], []
+        lo = 0
+        for j, frontier in enumerate(frontiers):
+            hi = lo + len(frontier)
+            selected[j].append(out.selected[lo:hi])
+            unrestricted[j].append(out.unrestricted[lo:hi])
+            frontiers[j] = _grow(nodes[j], frontier, chains[j], w, depth, rows, sources, tokens)
+            permitted += [pools[j]] * len(frontiers[j])
+            lo = hi
+    return [
+        DraftResult(
+            tree=DraftTree(nodes=tuple(tree_nodes), depth=d, chain=tuple(chain)),
+            selected=np.concatenate(sel),
+            unrestricted=np.concatenate(orig),
+            step_calls=sum(map(len, sel)),
+        )
+        for tree_nodes, chain, sel, orig in zip(nodes, chains, selected, unrestricted)
+    ]
 
 
 @dataclass(frozen=True)
@@ -253,52 +276,59 @@ class VerifyResult:
 
 def verify_phase(
     model: MoEModel,
-    tree: DraftTree,
-    root_state: DecodeState,
+    trees: Sequence[DraftTree],
+    root_states: Sequence[DecodeState],
     score_traces=None,
-) -> VerifyResult:
-    """Verify the whole tree with the full-precision model.
+) -> list[VerifyResult]:
+    """Verify each tree, from its own root state, with the full-precision
+    model; returns one VerifyResult per tree.
 
-    The root and every tree node go through one step call in index order,
-    each node continuing from its parent.  Acceptance walks from the root,
-    following at each node the unique child whose token equals the
-    target's greedy token; the greedy token after the last accepted node
-    is emitted as the bonus.  Routing is unrestricted.
+    Every tree's root and nodes go through one step call, tree by tree in
+    index order, each node continuing from its parent.  Acceptance walks
+    from the root, following at each node the unique child whose token
+    equals the target's greedy token; the greedy token after the last
+    accepted node is emitted as the bonus.  Routing is unrestricted.
     """
-    nodes = tree.nodes
-    out = step(
-        model,
-        [root_state] + [n.parent for n in nodes[1:]],
-        [n.token for n in nodes],
-        PrecisionMode.INT8_FULL,
-        score_traces=score_traces,
-    )
-    children: dict[int, list[int]] = {}
-    for idx, n in enumerate(nodes[1:], 1):
-        children.setdefault(n.parent, []).append(idx)
-    cur = 0
-    accepted: list[int] = []
-    while True:
-        want = greedy_token(out.logits[cur])
-        nxt = None
-        for c in children.get(cur, []):
-            if nodes[c].token == want:
-                nxt = c
+    sources: list = []
+    tokens: list[int] = []
+    bases = []
+    for tree, state in zip(trees, root_states, strict=True):
+        base = len(tokens)
+        bases.append(base)
+        sources += [state] + [base + n.parent for n in tree.nodes[1:]]
+        tokens += [n.token for n in tree.nodes]
+    out = step(model, sources, tokens, PrecisionMode.INT8_FULL, None, score_traces)
+    # Every row's greedy token (greedy_token's argmax, ties to the lower id).
+    greedy = np.argmax(out.logits, axis=1).tolist()
+    results = []
+    for tree, base in zip(trees, bases):
+        nodes = tree.nodes
+        children: dict[int, list[int]] = {}
+        for idx, n in enumerate(nodes[1:], 1):
+            children.setdefault(n.parent, []).append(idx)
+        cur = 0
+        accepted: list[int] = []
+        while True:
+            want = greedy[base + cur]
+            nxt = None
+            for c in children.get(cur, []):
+                if nodes[c].token == want:
+                    nxt = c
+                    break
+            if nxt is None:
                 break
-        if nxt is None:
-            break
-        accepted.append(nxt)
-        cur = nxt
-    bonus = greedy_token(out.logits[cur])
-    emitted = tuple(nodes[i].token for i in accepted) + (bonus,)
-    return VerifyResult(
-        accept_length=len(accepted),
-        bonus_token=bonus,
-        emitted=emitted,
-        verify_token_count=len(nodes),
-        selected=out.selected,
-        final_state=out.states[cur],
-    )
+            accepted.append(nxt)
+            cur = nxt
+        bonus = greedy[base + cur]
+        results.append(VerifyResult(
+            accept_length=len(accepted),
+            bonus_token=bonus,
+            emitted=tuple(nodes[i].token for i in accepted) + (bonus,),
+            verify_token_count=len(nodes),
+            selected=out.selected[base:base + len(nodes)],
+            final_state=out.states[base + cur],
+        ))
+    return results
 
 
 @dataclass
@@ -313,8 +343,15 @@ class SdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.width < 1 or self.depth < 0:
+        width, depth = as_index(self.width, "width"), as_index(self.depth, "depth")
+        if width < 1 or depth < 0:
             raise ValueError("need width >= 1 and depth >= 0")
+        if as_index(self.pool_capacity, "pool_capacity") < 1:
+            raise ValueError("need pool_capacity >= 1")
+        if not isinstance(self.draft_reconstruct, ReconstructMode):
+            raise ValueError(f"draft_reconstruct {self.draft_reconstruct!r} is not a ReconstructMode")
+        if not isinstance(self.draft_mode, PrecisionMode):
+            raise ValueError(f"draft_mode {self.draft_mode!r} is not a PrecisionMode")
         if self.pool_strategy not in ("hotness", "random"):
             raise ValueError(f"unknown pool strategy {self.pool_strategy!r}")
         if not 0.0 <= self.hotness_decay <= 1.0:
@@ -389,57 +426,100 @@ class SdSession:
         return select_pool(self.hotness, capacity, shape.top_k)
 
     def step(self) -> SdStepResult:
-        cfg = self.config
-        draft = draft_phase(
-            self.model,
-            self.root_token,
-            self.root_state,
-            self.pool,
-            cfg.width,
-            cfg.depth,
-            draft_mode=cfg.draft_mode,
-            draft_reconstruct=cfg.draft_reconstruct,
-            score_traces=self.score_traces,
-        )
-        self.hotness = accumulate_hotness(
-            self.hotness * cfg.hotness_decay, draft.unrestricted
-        )
-        next_pool = self._pick_pool()
-        verify = verify_phase(
-            self.model,
-            draft.tree,
-            self.root_state,
-            score_traces=self.score_traces,
-        )
-        self.hotness = accumulate_hotness(self.hotness, verify.selected)
-        result = SdStepResult(
+        """One draft/verify step: run_sessions' step for this session alone."""
+        return _step_together([self])[0]
+
+    def run(self, n_tokens: int) -> SdRunResult:
+        """Emit at least n_tokens, truncated to exactly n_tokens."""
+        return run_sessions([self], n_tokens)[0]
+
+
+def _step_together(sessions: Sequence[SdSession]) -> list[SdStepResult]:
+    # One draft/verify step of every session: each draft depth of all their
+    # trees is one step call, and all their verify trees one more.  Each
+    # session picks its next pool after its own draft and before its
+    # verify, so its hotness and pool RNG see what stepping alone shows.
+    first, cfg = sessions[0], sessions[0].config
+    drafts = draft_phase(
+        first.model,
+        [s.root_token for s in sessions],
+        [s.root_state for s in sessions],
+        [s.pool for s in sessions],
+        cfg.width,
+        cfg.depth,
+        draft_mode=cfg.draft_mode,
+        draft_reconstruct=cfg.draft_reconstruct,
+        score_traces=first.score_traces,
+    )
+    next_pools = []
+    for s, draft in zip(sessions, drafts):
+        s.hotness = accumulate_hotness(s.hotness * s.config.hotness_decay, draft.unrestricted)
+        next_pools.append(s._pick_pool())
+    verifies = verify_phase(
+        first.model,
+        [draft.tree for draft in drafts],
+        [s.root_state for s in sessions],
+        score_traces=first.score_traces,
+    )
+    results = []
+    for s, draft, verify, next_pool in zip(sessions, drafts, verifies, next_pools):
+        s.hotness = accumulate_hotness(s.hotness, verify.selected)
+        results.append(SdStepResult(
             accept_length=verify.accept_length,
             verify_token_count=verify.verify_token_count,
             emitted=verify.emitted,
             draft_selected=draft.selected,
             verify_selected=verify.selected,
-            pool=self.pool,
+            pool=s.pool,
             next_pool=next_pool,
-            transfers=tuple(pool_update_plan(next_pool, self.pool)),
+            transfers=tuple(pool_update_plan(next_pool, s.pool)),
             draft_step_calls=draft.step_calls,
-        )
-        self.root_state = verify.final_state
-        self.root_token = verify.bonus_token
-        self.pool = next_pool
-        return result
+        ))
+        s.root_state = verify.final_state
+        s.root_token = verify.bonus_token
+        s.pool = next_pool
+    return results
 
-    def run(self, n_tokens: int) -> SdRunResult:
-        """Emit at least n_tokens, truncated to exactly n_tokens."""
-        tokens: list[int] = []
-        accepts: list[int] = []
-        steps: list[SdStepResult] = []
-        while len(tokens) < n_tokens:
-            res = self.step()
-            tokens.extend(res.emitted)
-            accepts.append(res.accept_length)
-            steps.append(res)
-        return SdRunResult(
-            tokens=tuple(tokens[:n_tokens]),
-            accept_lengths=tuple(accepts),
-            steps=tuple(steps),
+
+def run_sessions(sessions: Sequence[SdSession], n_tokens: int) -> list[SdRunResult]:
+    """Run several sessions in lockstep until each has emitted at least
+    n_tokens; return each one's run, truncated to exactly n_tokens.
+
+    Each round steps the sessions still short of n_tokens together, so
+    every draft depth of all their trees is one toymoe.step call and all
+    their verify trees one more.  Every result equals the session's own
+    SdSession.run, field for field.  The sessions must be distinct and
+    share the model, the score-trace array (the same object, or None),
+    width, depth, draft mode and draft reconstruct mode; otherwise
+    ValueError.
+    """
+    sessions = list(sessions)
+    if len({id(s) for s in sessions}) != len(sessions):
+        raise ValueError("a session cannot be stepped twice in one round")
+    # Every tree has the same depths, and one step call per depth reads
+    # one model, trace and code set.
+    shared = {
+        (id(s.model), id(s.score_traces), s.config.width, s.config.depth,
+         s.config.draft_mode, s.config.draft_reconstruct)
+        for s in sessions
+    }
+    if len(shared) > 1:
+        raise ValueError(
+            "sessions stepped together must share the model, score traces, "
+            "width, depth, draft mode and draft reconstruct mode"
         )
+    tokens: list[list[int]] = [[] for _ in sessions]
+    steps: list[list[SdStepResult]] = [[] for _ in sessions]
+    active = range(len(sessions))
+    while active := [i for i in active if len(tokens[i]) < n_tokens]:
+        for i, res in zip(active, _step_together([sessions[i] for i in active])):
+            tokens[i].extend(res.emitted)
+            steps[i].append(res)
+    return [
+        SdRunResult(
+            tokens=tuple(emitted[:n_tokens]),
+            accept_lengths=tuple(res.accept_length for res in done),
+            steps=tuple(done),
+        )
+        for emitted, done in zip(tokens, steps)
+    ]

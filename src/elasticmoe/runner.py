@@ -4,9 +4,10 @@ A scenario bundles a toy model, a routing trace, a hardware config, and a
 list of decoding schemes priced over a list of batch sizes.  One pass
 evaluates it.  It builds the model, routing traces and prompt, and reads
 the AR decode's routing off the traces (no AR token is decoded).  It runs
-each functional SD scheme's SdSession once (accept lengths, verify
-routing, pool transfers) and makes one Monte Carlo unique-expert estimate
-for the AR step at every batch size.  Then, per batch size, it prices the
+each functional SD scheme's SdSession once, all of them in lockstep
+through elastic_sd.run_sessions (accept lengths, verify routing, pool
+transfers), and makes one Monte Carlo unique-expert estimate for the AR
+step at every batch size.  Then, per batch size, it prices the
 XPU baseline and the AR step at each cache footprint the schemes use,
 through the cache simulator and the hardware model, and a floor on each
 session's SD step (hwmodel.sd_latency_floor: its price at 0 verify unique
@@ -533,38 +534,43 @@ def _decode_inputs(
     return model, traces, _make_prompt(cfg), ar_ids.reshape(len(rows), cfg.shape.n_layers, -1)
 
 
-def _sd_session(
+def _sd_sessions(
     cfg: ScenarioConfig,
     model: toymoe.MoEModel,
     prompt: list[int],
     traces: np.ndarray,
-    scheme: str,
-) -> tuple[hwmodel.SdParams, expert_cache.AccessTrace]:
-    """Run the scheme's speculative session once.  Returns its SD step
-    parameters and its verified tokens' routing as an MSB access trace."""
-    sd_config = elastic_sd.SdConfig(
-        width=cfg.sd.width,
-        depth=cfg.sd.depth,
-        pool_capacity=cfg.sd.pool_capacity,
-        hotness_decay=cfg.sd.hotness_decay_factor,
-        draft_reconstruct=ReconstructMode(cfg.sd.draft_reconstruct),
-        pool_strategy="random" if scheme == "random_pool_sd" else "hotness",
-        seed=cfg.sd.seed,
-    )
-    run = elastic_sd.SdSession(
-        model, sd_config, prompt, score_traces=traces
-    ).run(cfg.run.n_new_tokens)
-    sd = hwmodel.SdParams(
-        width=cfg.sd.width,
-        depth=cfg.sd.depth,
-        verify_tokens=float(np.mean([s.verify_token_count for s in run.steps])),
-        pool_size=cfg.sd.pool_capacity,
-        mean_accept=run.mean_accept_length,
-        transfer_pieces_per_step=float(np.mean([len(s.transfers) for s in run.steps])),
-    )
-    verify = [s.verify_selected for s in run.steps]
-    steps = np.repeat(np.arange(len(verify)), [len(v) for v in verify])
-    return sd, _access_trace(np.concatenate(verify), steps, "msb")
+    schemes: list[str],
+) -> dict[str, tuple[hwmodel.SdParams, expert_cache.AccessTrace]]:
+    """Run each scheme's speculative session once, all of them in lockstep
+    (elastic_sd.run_sessions; they differ only in pool strategy).  Returns
+    each scheme's SD step parameters and its verified tokens' routing as
+    an MSB access trace."""
+    sessions = [
+        elastic_sd.SdSession(model, elastic_sd.SdConfig(
+            width=cfg.sd.width,
+            depth=cfg.sd.depth,
+            pool_capacity=cfg.sd.pool_capacity,
+            hotness_decay=cfg.sd.hotness_decay_factor,
+            draft_reconstruct=ReconstructMode(cfg.sd.draft_reconstruct),
+            pool_strategy="random" if scheme == "random_pool_sd" else "hotness",
+            seed=cfg.sd.seed,
+        ), prompt, score_traces=traces)
+        for scheme in schemes
+    ]
+    measured = {}
+    for scheme, run in zip(schemes, elastic_sd.run_sessions(sessions, cfg.run.n_new_tokens)):
+        sd = hwmodel.SdParams(
+            width=cfg.sd.width,
+            depth=cfg.sd.depth,
+            verify_tokens=float(np.mean([s.verify_token_count for s in run.steps])),
+            pool_size=cfg.sd.pool_capacity,
+            mean_accept=run.mean_accept_length,
+            transfer_pieces_per_step=float(np.mean([len(s.transfers) for s in run.steps])),
+        )
+        verify = [s.verify_selected for s in run.steps]
+        steps = np.repeat(np.arange(len(verify)), [len(v) for v in verify])
+        measured[scheme] = sd, _access_trace(np.concatenate(verify), steps, "msb")
+    return measured
 
 
 def _workloads(
@@ -616,10 +622,10 @@ def _scenario_rows(cfg: ScenarioConfig) -> list[ResultRow]:
         popularity=_popularity(ar_trace, cfg.shape.n_experts), seed=cfg.trace.seed,
     ).tolist()
     schemes = dict.fromkeys(cfg.schemes)  # a scheme listed twice is evaluated once
-    sessions = {
-        s: _sd_session(cfg, model, prompt, traces, s)
-        for s in schemes if s in FUNCTIONAL_SCHEMES and s != "ar_only"
-    }
+    sessions = _sd_sessions(
+        cfg, model, prompt, traces,
+        [s for s in schemes if s in FUNCTIONAL_SCHEMES and s != "ar_only"],
+    )
     full_item = hwmodel.expert_bytes_full(cfg.shape)
     msb_item = hwmodel.expert_bytes_msb(cfg.shape)
     footprints = sorted({_footprint(cfg, s) for s in schemes})

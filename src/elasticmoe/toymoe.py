@@ -13,7 +13,8 @@ head) stay real in both modes.
 
 ``step`` is one layer-major forward over T tokens, each continuing a given
 decode state or an earlier token of the same call, so a prompt chain, a
-draft level or a whole verify tree is one call and a single token is the
+draft level or a whole verify tree (of one decode, or of several, each
+token with its own expert pool) is one call and a single token is the
 T = 1 call.  Routing choices leave ``step`` as (T, n_layers, top_k) expert
 id arrays; gates never do.  ``prefill`` feeds a token sequence from a
 fresh state.  A decode state carries its position, the number of tokens
@@ -251,17 +252,54 @@ def _select(
 
 
 @functools.lru_cache(maxsize=256)
-def _pool_mask(permitted: frozenset, n: int, k: int) -> np.ndarray:
-    # Read-only and kept per pool (by its ids): draft levels share a pool.
-    ids = [int(e) for e in permitted]
-    if any(e < 0 or e >= n for e in ids):
-        raise ValueError("permitted expert id out of range")
-    if len(ids) < k:
-        raise ValueError(f"permitted set smaller than k={k}")
-    mask = np.zeros(n, dtype=bool)
-    mask[ids] = True
+def _pool_mask(pool: tuple, n: int, k: int) -> np.ndarray:
+    # A pool, one frozenset of expert ids (or None, every expert) per
+    # layer, as a read-only (layers, n) mask; kept per pool, since every
+    # draft level of a decode reads the same one.
+    mask = np.ones((len(pool), n), dtype=bool)
+    for layer, permitted in enumerate(pool):
+        if permitted is None:
+            continue
+        ids = [int(e) for e in permitted]
+        if any(e < 0 or e >= n for e in ids):
+            raise ValueError("permitted expert id out of range")
+        if len(ids) < k:
+            raise ValueError(f"permitted set smaller than k={k}")
+        mask[layer] = False
+        mask[layer, ids] = True
     mask.flags.writeable = False
     return mask
+
+
+def _layer_masks(pool, shape: MoEShape) -> np.ndarray:
+    # One token's pool (None, or one id set or None per layer) as its
+    # (layers, n_experts) mask.
+    if pool is None:
+        pool = (None,) * shape.n_layers
+    elif not isinstance(pool, Sequence) or len(pool) != shape.n_layers:
+        raise ValueError(f"need one permitted set per layer ({shape.n_layers})")
+    key = tuple([None if p is None else frozenset(p) for p in pool])
+    return _pool_mask(key, shape.n_experts, shape.top_k)
+
+
+def _pool_masks(permitted, n: int, shape: MoEShape) -> tuple[Optional[np.ndarray], int | np.ndarray]:
+    # step's permitted pools as flat per-layer masks and each token's
+    # offset into them: (layers, n_experts) and 0 when every token has an
+    # equal pool (the tokens of one decode), else (layers, T * n_experts)
+    # and a (T, 1) offset array, one _layer_masks per distinct pool (told
+    # apart by identity); (None, 0) when no token has a pool.
+    if permitted is None:
+        return None, 0
+    if not isinstance(permitted, Sequence) or len(permitted) != n:
+        raise ValueError(f"need one permitted pool (or None) per token ({n})")
+    first = permitted[0] if n else None
+    if permitted.count(first) == n:
+        return (None, 0) if first is None else (_layer_masks(first, shape), 0)
+    distinct = {id(pool): pool for pool in permitted}
+    masks = {key: _layer_masks(pool, shape) for key, pool in distinct.items()}
+    per_token = np.stack([masks[id(pool)] for pool in permitted], axis=1)
+    offsets = np.arange(n)[:, None] * shape.n_experts
+    return per_token.reshape(shape.n_layers, -1), offsets
 
 
 def gen_model(shape: MoEShape, seed: int) -> MoEModel:
@@ -402,7 +440,7 @@ def step(
     sources: Sequence[DecodeState | int],
     tokens: Sequence[int],
     mode: PrecisionMode,
-    permitted: Optional[Sequence[Optional[AbstractSet[int]]]] = None,
+    permitted: Optional[Sequence[Optional[Sequence[Optional[AbstractSet[int]]]]]] = None,
     score_traces=None,
     draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
 ) -> StepOutput:
@@ -417,10 +455,11 @@ def step(
     chained token).  score_traces is None, or (positions, n_layers,
     n_experts) scores: when nonempty, every token routes on row position
     modulo their length instead of the router's scores.  permitted is None
-    or one expert-id set (or None) per layer, shared by every token; a pool
-    holding a token's whole unrestricted selection selects the same top-k
-    in the same order, with the same gates, and a layer where every token's
-    does routes once.
+    (no token's routing is confined) or one pool per token: None, or one
+    expert-id set (or None) per layer, so tokens of several decodes, each
+    with its own pool, can share one call.  A pool holding a token's whole
+    unrestricted selection selects the same top-k in the same order, with
+    the same gates, and a layer where every token's pool does routes once.
 
     The forward pass is layer-major over all T rows.  A token depends on
     its parent only through the parent's context at the same layer, so
@@ -438,13 +477,7 @@ def step(
     for t in tokens:
         if not 0 <= t < shape.vocab:
             raise ValueError(f"token {t} outside vocab {shape.vocab}")
-    if permitted is None:
-        permitted = (None,) * n_layers
-    elif not isinstance(permitted, Sequence) or len(permitted) != n_layers:
-        raise ValueError(f"need one permitted set per layer ({n_layers})")
-    masks = [
-        None if p is None else _pool_mask(frozenset(p), shape.n_experts, k) for p in permitted
-    ]
+    masks, offsets = _pool_masks(permitted, n, shape)
     rec = _weight_mode(mode, draft_reconstruct)
     traces = None
     if score_traces is not None and len(score_traces):
@@ -483,9 +516,10 @@ def step(
             raise ValueError("non-finite routing score")
         ids, gates = _select(scores, k)
         unrestricted[:, layer] = ids
-        mask = masks[layer]
-        if mask is not None and not np.logical_and.reduce(mask[ids], axis=None):
-            ids, gates = _select(scores, k, mask)
+        if masks is not None:
+            mask = masks[layer]
+            if not np.logical_and.reduce(mask[ids + offsets], axis=None):
+                ids, gates = _select(scores, k, mask.reshape(-1, shape.n_experts))
         selected[:, layer] = ids
         out = _experts(r, ids, model.experts[layer], rec)
         # The gated slots added left to right from 0.0, as a slot loop does.

@@ -8,7 +8,8 @@ it.  Run it from the root of a checkout:
 step runs at T = 1 and 2 (draft levels of independent tokens) and T = 7
 (a width-2, depth-3 verify tree), in both precisions, with and without an
 8-expert pool; the session step is one draft/verify step of perfbench's
-sd_decode geometry.  Each case reports min and median host time per call.
+sd_decode geometry, alone and for two sessions stepped together.  Each
+case reports min and median host time per call.
 """
 
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elasticmoe.elastic_sd import SdConfig, SdSession, select_pool
+from elasticmoe.elastic_sd import SdConfig, SdSession, run_sessions, select_pool
 from elasticmoe.toymoe import PrecisionMode, gen_model, prefill, step
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -40,8 +41,8 @@ def test_step(benchmark, model, n_tokens, mode, pooled):
     sources = [root if src is None else src for src in SOURCES[n_tokens]]
     tokens = list(range(3, 3 + n_tokens))
     hotness = np.random.default_rng(0).random((SD_SHAPE.n_layers, SD_SHAPE.n_experts))
-    permitted = select_pool(hotness, 8, SD_SHAPE.top_k).experts if pooled else None
-    outs = benchmark(step, model, sources, tokens, mode, permitted)
+    pool = select_pool(hotness, 8, SD_SHAPE.top_k).experts if pooled else None
+    outs = benchmark(step, model, sources, tokens, mode, [pool] * n_tokens)
     assert len(outs.states) == n_tokens
 
 
@@ -56,3 +57,18 @@ def test_session_step(benchmark, model):
         warmup_rounds=5,
     )
     assert res.emitted
+
+
+def test_sessions_step_together(benchmark, model):
+    # One lockstep round of two fresh sessions with different prompts: every
+    # session emits at least one token per step, so run_sessions(..., 1)
+    # steps each once, with one step call per draft depth and one verify.
+    cfg = SdConfig(width=2, depth=3, pool_capacity=8, hotness_decay=0.5)
+    prompts = [list(range(1, 1 + SD_PROMPT_LEN)), list(range(11, 11 + SD_PROMPT_LEN))]
+    runs = benchmark.pedantic(
+        run_sessions,
+        setup=lambda: (([SdSession(model, cfg, p) for p in prompts], 1), {}),
+        rounds=300,
+        warmup_rounds=5,
+    )
+    assert [len(run.steps) for run in runs] == [1, 1]

@@ -233,11 +233,15 @@ class TestReconstruct:
                 assert abs(code - rec) <= 8
 
     def test_surrogate_codes_match_scalar(self):
-        codes = np.array(ALL_CODES, dtype=np.int64)
-        for mode in ReconstructMode:
-            vec = surrogate_codes(codes, mode)
-            for i, code in enumerate(ALL_CODES):
-                assert vec[i] == reconstruct(split_slices(code), mode)
+        # On int64 codes and on int8 ones, as experts store them: the result
+        # is always new int64 codes.
+        for dtype in (np.int64, np.int8):
+            codes = np.array(ALL_CODES, dtype=dtype)
+            for mode in ReconstructMode:
+                vec = surrogate_codes(codes, mode)
+                assert vec.dtype == np.int64 and not np.shares_memory(vec, codes)
+                for i, code in enumerate(ALL_CODES):
+                    assert vec[i] == reconstruct(split_slices(code), mode)
 
 
 class TestTypeInvariants:

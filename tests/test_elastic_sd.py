@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from elasticmoe.elastic_sd import (
     draft_phase,
     pool_update_plan,
     random_pool,
+    run_sessions,
     sd_speedup,
     select_pool,
     verify_phase,
@@ -195,14 +197,14 @@ class TestDraftPhase:
         st = init_state(self.model)
         out = step(self.model, [st], [4], PrecisionMode.MSB4_DRAFT)
         expected = greedy_token(out.logits[0])
-        res = draft_phase(self.model, 4, st, self.full_pool, w=1, d=1)
+        res = draft_phase(self.model, [4], [st], [self.full_pool], w=1, d=1)[0]
         assert len(res.tree.nodes) == 2
         assert res.tree.nodes[1].token == expected
         assert res.tree.chain == (1,)
 
     def test_depth_zero_gives_root_only(self):
         st = init_state(self.model)
-        res = draft_phase(self.model, 4, st, self.full_pool, w=2, d=0)
+        res = draft_phase(self.model, [4], [st], [self.full_pool], w=2, d=0)[0]
         assert len(res.tree.nodes) == 1
         assert res.tree.chain == ()
         assert res.step_calls == 0
@@ -212,7 +214,7 @@ class TestDraftPhase:
     def test_throttling_audit(self):
         pool = ExpertPool(experts=(frozenset({0, 1, 2, 3}), frozenset({2, 3, 4, 5})))
         st = init_state(self.model)
-        res = draft_phase(self.model, 9, st, pool, w=2, d=3)
+        res = draft_phase(self.model, [9], [st], [pool], w=2, d=3)[0]
         assert res.selected.shape == (res.step_calls, SHAPE.n_layers, SHAPE.top_k)
         assert res.step_calls
         for layer, experts in enumerate(pool.experts):
@@ -220,16 +222,26 @@ class TestDraftPhase:
 
     def test_node_count_and_width(self):
         st = init_state(self.model)
-        res = draft_phase(self.model, 7, st, self.full_pool, w=3, d=4)
+        res = draft_phase(self.model, [7], [st], [self.full_pool], w=3, d=4)[0]
         per_depth = {}
         for n in res.tree.nodes[1:]:
             per_depth[n.depth] = per_depth.get(n.depth, 0) + 1
         assert per_depth == {1: 3, 2: 3, 3: 3, 4: 3}
         assert len(res.tree.chain) == 4
 
+    def test_one_root_state_and_pool_per_root(self):
+        st = init_state(self.model)
+        with pytest.raises(ValueError, match="one root state and one pool"):
+            draft_phase(self.model, [4, 5], [st], [self.full_pool] * 2, w=2, d=1)
+        with pytest.raises(ValueError, match="one root state and one pool"):
+            draft_phase(self.model, [4], [st], [self.full_pool] * 2, w=2, d=1)
+        (res,) = draft_phase(self.model, [4], [st], [self.full_pool], w=2, d=1)
+        with pytest.raises(ValueError):
+            verify_phase(self.model, [res.tree], [st, st])
+
     def test_scores_nonincreasing_along_paths(self):
         st = init_state(self.model)
-        res = draft_phase(self.model, 2, st, self.full_pool, w=2, d=3)
+        res = draft_phase(self.model, [2], [st], [self.full_pool], w=2, d=3)[0]
         for i, n in enumerate(res.tree.nodes):
             if n.parent >= 0:
                 assert n.score <= res.tree.nodes[n.parent].score + 1e-12
@@ -245,16 +257,16 @@ class TestVerifyPhase:
         # the greedy chain must be accepted whole.
         st = init_state(self.model)
         for d in (1, 2, 4):
-            res = draft_phase(
+            (res,) = draft_phase(
                 self.model,
-                5,
-                st,
-                self.full_pool,
+                [5],
+                [st],
+                [self.full_pool],
                 w=2,
                 d=d,
                 draft_mode=PrecisionMode.INT8_FULL,
             )
-            ver = verify_phase(self.model, res.tree, st)
+            (ver,) = verify_phase(self.model, [res.tree], [st])
             assert ver.accept_length == d
             # The root and every drafted node are verified.
             assert ver.verify_token_count == len(res.tree.nodes) == 1 + 2 * d
@@ -268,15 +280,15 @@ class TestVerifyPhase:
             depth=1,
             chain=(1,),
         )
-        ver = verify_phase(self.model, tree, st)
+        (ver,) = verify_phase(self.model, [tree], [st])
         assert ver.accept_length == 0
         assert ver.bonus_token == greedy_token(out.logits[0])
         assert ver.emitted == (ver.bonus_token,)
 
     def test_empty_tree_degenerates_to_ar(self):
         st = init_state(self.model)
-        res = draft_phase(self.model, 5, st, self.full_pool, w=2, d=0)
-        ver = verify_phase(self.model, res.tree, st)
+        (res,) = draft_phase(self.model, [5], [st], [self.full_pool], w=2, d=0)
+        (ver,) = verify_phase(self.model, [res.tree], [st])
         out = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
         assert ver.accept_length == 0
         assert ver.verify_token_count == 1
@@ -288,8 +300,8 @@ class TestVerifyPhase:
         for seed in (1, 2, 3, 4):
             model = gen_model(SHAPE, seed=seed)
             st = init_state(model)
-            res = draft_phase(model, seed, st, pool, w=2, d=3)
-            ver = verify_phase(model, res.tree, st)
+            (res,) = draft_phase(model, [seed], [st], [pool], w=2, d=3)
+            (ver,) = verify_phase(model, [res.tree], [st])
             assert ver.accept_length == self._oracle_accept(model, res.tree, st)
 
     def _oracle_accept(self, model, tree, root_state):
@@ -439,6 +451,18 @@ class TestSdSession:
         with pytest.raises(ValueError):
             SdSession(model, SdConfig(), prompt=[])
 
+    @pytest.mark.parametrize("field, value", [
+        ("width", 2.0), ("width", True), ("depth", True), ("depth", 1.5),
+        ("pool_capacity", 2.5), ("pool_capacity", 0), ("pool_capacity", "8"),
+        ("draft_reconstruct", "lsb_augment"), ("draft_reconstruct", PrecisionMode.MSB4_DRAFT),
+        ("draft_mode", "msb4_draft"), ("draft_mode", ReconstructMode.FULL),
+    ], ids=repr)
+    def test_config_rejects_non_integer_sizes_and_unknown_modes(self, field, value):
+        # Each of these once failed deep in a session, or ran as another
+        # value (depth=True as depth 1).
+        with pytest.raises(ValueError, match=field):
+            SdConfig(**{field: value})
+
     def test_draft_steps_reuse_surrogate_codes(self, monkeypatch):
         calls = Counter()
         build = toymoe.surrogate_codes
@@ -494,6 +518,127 @@ class TestSdSession:
             assert sizes[:-1] == [(cfg.draft_mode, 1)] + [(cfg.draft_mode, 2)] * 2
             assert sizes[-1] == (PrecisionMode.INT8_FULL, res.verify_token_count)
             assert res.draft_step_calls == 1 + cfg.width * (cfg.depth - 1)
+
+
+def assert_same_runs(got, want):
+    """Two runs of one session equal field for field, arrays bit for bit."""
+    assert (got.tokens, got.accept_lengths) == (want.tokens, want.accept_lengths)
+    assert len(got.steps) == len(want.steps)
+    for a, b in zip(got.steps, want.steps):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+            else:
+                assert x == y, f.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sessions_stepped_together_equal_sessions_alone(data):
+    # 1-4 sessions of one model, geometry, draft mode and trace, each with
+    # its own prompt, pool strategy, capacity, decay and seed, so that they
+    # hold different pools and finish at different steps.
+    n_experts = data.draw(st.integers(2, 6), label="n_experts")
+    shape = MoEShape(
+        d_model=32,
+        d_ff=data.draw(st.sampled_from([32, 64]), label="d_ff"),
+        n_experts=n_experts,
+        top_k=data.draw(st.integers(1, min(n_experts, 3)), label="top_k"),
+        n_layers=data.draw(st.integers(1, 2), label="n_layers"),
+        vocab=data.draw(st.integers(2, 24), label="vocab"),
+    )
+    model = gen_model(shape, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    shared = dict(
+        width=data.draw(st.integers(1, 3), label="width"),
+        depth=data.draw(st.integers(0, 3), label="depth"),
+        draft_reconstruct=data.draw(st.sampled_from(list(ReconstructMode)), label="reconstruct"),
+        draft_mode=data.draw(st.sampled_from(list(PrecisionMode)), label="draft_mode"),
+    )
+    traces = None
+    n_trace = data.draw(st.integers(0, 8), label="trace_tokens")
+    if n_trace:
+        traces = trace_scores([
+            gen_routing_trace(n_trace, n_experts, shape.top_k, 1.0, 0.5, seed=layer)
+            for layer in range(shape.n_layers)
+        ])
+    configs, prompts = [], []
+    for i in range(data.draw(st.integers(1, 4), label="sessions")):
+        configs.append(SdConfig(
+            **shared,
+            pool_capacity=data.draw(st.integers(shape.top_k, n_experts), label=f"capacity{i}"),
+            hotness_decay=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label=f"decay{i}"),
+            pool_strategy=data.draw(st.sampled_from(["hotness", "random"]), label=f"pools{i}"),
+            seed=data.draw(st.integers(0, 3), label=f"pool seed{i}"),
+        ))
+        prompts.append(data.draw(
+            st.lists(st.integers(0, shape.vocab - 1), min_size=1, max_size=4),
+            label=f"prompt{i}",
+        ))
+    n_new = data.draw(st.integers(0, 10), label="n_new")
+
+    def sessions():
+        return [
+            SdSession(model, cfg, prompt, score_traces=traces)
+            for cfg, prompt in zip(configs, prompts)
+        ]
+
+    together, alone = sessions(), sessions()
+    runs = run_sessions(together, n_new)
+    assert len(runs) == len(alone)
+    for run, lone, session in zip(runs, alone, together):
+        assert_same_runs(run, lone.run(n_new))
+        assert session.root_token == lone.root_token
+        assert session.root_state.pos == lone.root_state.pos
+        assert session.root_state.ctx.tobytes() == lone.root_state.ctx.tobytes()
+        assert session.hotness.tobytes() == lone.hotness.tobytes()
+        assert session.pool == lone.pool
+
+
+def test_sessions_that_finish_at_different_steps_run_as_alone():
+    # Three sessions of 6, 8 and 8 steps: the first stops stepping after
+    # its sixth round while the others go on.
+    model = gen_model(SHAPE, seed=32)
+    configs = [
+        SdConfig(pool_capacity=4),
+        SdConfig(pool_capacity=4, pool_strategy="random", seed=3),
+        SdConfig(pool_capacity=2, hotness_decay=0.0),
+    ]
+    prompts = [[3, 5], [1], [7, 7, 2]]
+    alone = [SdSession(model, cfg, prompt).run(20) for cfg, prompt in zip(configs, prompts)]
+    assert [len(run.steps) for run in alone] == [6, 8, 8]
+    sessions = [SdSession(model, cfg, prompt) for cfg, prompt in zip(configs, prompts)]
+    for run, lone in zip(run_sessions(sessions, 20), alone):
+        assert_same_runs(run, lone)
+
+
+@pytest.mark.parametrize("change", [
+    "width", "depth", "draft_mode", "draft_reconstruct", "model", "traces", "twice",
+])
+def test_run_sessions_rejects_sessions_that_cannot_step_together(change):
+    model = gen_model(SHAPE, seed=31)
+    traces = trace_scores([
+        gen_routing_trace(20, SHAPE.n_experts, SHAPE.top_k, 1.0, 0.5, seed=layer)
+        for layer in range(SHAPE.n_layers)
+    ])
+    first = SdSession(model, SdConfig(), [1, 2], score_traces=traces)
+    fields = {
+        "width": {"width": 3},
+        "depth": {"depth": 2},
+        "draft_mode": {"draft_mode": PrecisionMode.INT8_FULL},
+        "draft_reconstruct": {"draft_reconstruct": ReconstructMode.TRUNCATE},
+    }
+    other = SdSession(
+        gen_model(SHAPE, seed=31) if change == "model" else model,
+        SdConfig(**fields.get(change, {})),
+        [3],
+        score_traces=traces.copy() if change == "traces" else traces,
+    )
+    with pytest.raises(ValueError, match="stepped"):
+        run_sessions([first, first if change == "twice" else other], 4)
+    # Pool strategy, capacity, decay, seed and prompt may differ.
+    mixed = SdConfig(pool_capacity=4, hotness_decay=0.25, pool_strategy="random", seed=5)
+    run_sessions([first, SdSession(model, mixed, [3], score_traces=traces)], 4)
 
 
 @settings(max_examples=100, deadline=None)
@@ -561,7 +706,7 @@ def _call_with(where, value):
         SdSession(model, SdConfig(), prompt=[3, value]).run(3)
     else:
         pool = ExpertPool(experts=(frozenset(range(8)),) * SHAPE.n_layers)
-        draft_phase(model, value, st, pool, w=2, d=1)
+        draft_phase(model, [value], [st], [pool], w=2, d=1)
 
 
 @pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from elasticmoe import expert_cache, hwmodel, runner, toymoe
+from elasticmoe import elastic_sd, expert_cache, hwmodel, runner, toymoe
 from elasticmoe.cli import main as cli_main
 from elasticmoe.hwmodel import Arch, GIB
 from elasticmoe.runner import (
@@ -575,10 +575,8 @@ def _assert_verify_estimate(cfg, call, draws, needing):
     (batches, _, n_experts), kwargs = call
     assert list(batches) == draws
     model, traces, prompt, _ = runner._decode_inputs(cfg)
-    popularity = [
-        runner._popularity(runner._sd_session(cfg, model, prompt, traces, s)[1], n_experts)
-        for s in needing
-    ]
+    sessions = runner._sd_sessions(cfg, model, prompt, traces, needing)
+    popularity = [runner._popularity(sessions[s][1], n_experts) for s in needing]
     assert np.array_equal(kwargs["popularity"], popularity)
 
 
@@ -600,6 +598,10 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
 
     counted(toymoe, "gen_model")
     counted(toymoe, "greedy_decode")
+    # Every model step, as perfbench counts them: the sessions' prefills
+    # call toymoe.step and their phases elastic_sd.step, both into "step".
+    counted(toymoe, "step")
+    counted(elastic_sd, "step")
     counted(expert_cache, "expected_unique_experts")
     counted(expert_cache.AccessTrace, "from_columns")
     counted(expert_cache, "simulate_lru")
@@ -613,21 +615,26 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     # decoded.  Per batch (3 of them): one XPU price, one AR replay and
     # price per cache footprint (4: 1.0 and the three analytic
     # multipliers), and one verify replay and SD floor per session (2), but
-    # no SD price.
+    # no SD price.  The two sessions step in lockstep: one prefill each,
+    # then per round one call per draft depth (3) and one verify call for
+    # both; the random-pool session needs 8 rounds and the hotness one 6,
+    # where stepping them apart took 56 calls after the prefills.
     assert counts() == {
-        "gen_model": 1, "greedy_decode": 0, "expected_unique_experts": 1,
-        "from_columns": 3, "simulate_lru": 12 + 6, "build_workloads": 3 + 12 + 6,
+        "gen_model": 1, "greedy_decode": 0, "step": 2 + 8 * (3 + 1),
+        "expected_unique_experts": 1, "from_columns": 3, "simulate_lru": 12 + 6,
+        "build_workloads": 3 + 12 + 6,
     }
     # Where SD wins: the AR estimate and one verify estimate.  Per batch
     # (3), one XPU price, one AR replay and price (footprint 1.0 only), one
     # verify replay and SD floor per session (2), and an SD price in each
-    # of the 5 rows whose floor beats AR.
+    # of the 5 rows whose floor beats AR.  Both sessions take 3 rounds.
     for made in calls.values():
         made.clear()
     cfg = scenario_from_dict(_fast_sd())
     run_scenario(cfg)
     assert counts() == {
-        "gen_model": 1, "greedy_decode": 0, "expected_unique_experts": 2,
+        "gen_model": 1, "greedy_decode": 0, "step": 2 + 3 * (3 + 1),
+        "expected_unique_experts": 2,
         "from_columns": 3, "simulate_lru": 3 + 6, "build_workloads": 3 + 3 + 6 + 5,
     }
     _assert_verify_estimate(

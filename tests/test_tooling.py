@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from elasticmoe import expert_cache, runner, toymoe
+from elasticmoe import elastic_sd, expert_cache, runner, toymoe
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -139,6 +139,8 @@ def test_perfbench_hooks_read_real_results(perfbench, tmp_path):
     # ones the runner never calls, which run here directly.  Its fast
     # links and external memory and no KV let the SD step beat AR, so the
     # runner draws the verify unique-expert estimate beside the AR one.
+    # The runner steps its sessions together through run_sessions, so
+    # SdSession.step is one of the points run here directly.
     layers, spans = perfbench
     cfg = runner.scenario_from_dict({
         "scenario_id": "tiny",
@@ -155,6 +157,7 @@ def test_perfbench_hooks_read_real_results(perfbench, tmp_path):
         runner.run_scenario(cfg)
         model = toymoe.gen_model(cfg.shape, seed=0)
         toymoe.greedy_decode(model, [1], 2, toymoe.PrecisionMode.INT8_FULL)
+        elastic_sd.SdSession(model, elastic_sd.SdConfig(pool_capacity=2), [1, 2]).step()
         trace = expert_cache.decisions_to_trace([(0, [(0, 1), (0, 2)])], "full")
         expert_cache.write_trace(trace, tmp_path / "trace.csv")
         expert_cache.read_trace(tmp_path / "trace.csv")

@@ -109,7 +109,7 @@ def route(scores, k, permitted=None):
     by the one selection rule, toymoe._select, within the mask of a
     permitted pool when one is given."""
     s = np.asarray(scores, dtype=np.float64)[None]
-    mask = None if permitted is None else toymoe._pool_mask(frozenset(permitted), s.shape[1], k)
+    mask = None if permitted is None else toymoe._pool_mask((frozenset(permitted),), s.shape[1], k)[0]
     ids, gates = toymoe._select(s, k, mask)
     return tuple(ids[0].tolist()), tuple(gates[0].tolist())
 
@@ -505,7 +505,7 @@ class TestStep:
         a = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
         b = step(
             self.model, [st], [5], PrecisionMode.INT8_FULL,
-            permitted=[set(range(8))] * SHAPE.n_layers,
+            permitted=[[set(range(8))] * SHAPE.n_layers],
         )
         assert np.array_equal(a.logits, b.logits)
         assert np.array_equal(a.selected[0, 0], b.selected[0, 0])
@@ -528,25 +528,31 @@ class TestStep:
         pool = {0, 2, 4, 6}
         out = step(
             self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
-            permitted=[pool] * SHAPE.n_layers,
+            permitted=[[pool] * SHAPE.n_layers],
         )
         assert set(out.selected.ravel().tolist()) <= pool
 
     def test_permitted_needs_one_set_per_layer(self):
         st = init_state(self.model)
         with pytest.raises(ValueError, match="one permitted set per layer"):
-            step(self.model, [st], [7], PrecisionMode.MSB4_DRAFT, permitted=[{0, 2}])
+            step(self.model, [st], [7], PrecisionMode.MSB4_DRAFT, permitted=[[{0, 2}]])
         # A bare set as long as the layer count is not one set per layer.
         assert SHAPE.n_layers == 2
         with pytest.raises(ValueError, match="one permitted set per layer"):
-            step(self.model, [st], [3], PrecisionMode.MSB4_DRAFT, {0, 2})
+            step(self.model, [st], [3], PrecisionMode.MSB4_DRAFT, [{0, 2}])
+        # One pool per token, not one set per layer shared by every token.
+        pool = [{0, 2}, {1, 3}]
+        with pytest.raises(ValueError, match="one permitted pool"):
+            step(self.model, [st], [3], PrecisionMode.MSB4_DRAFT, pool)
+        with pytest.raises(ValueError, match="one permitted pool"):
+            step(self.model, [st, st], [3, 4], PrecisionMode.MSB4_DRAFT, [pool])
 
     def test_original_decisions_unrestricted(self):
         st = init_state(self.model)
         out_free = step(self.model, [st], [7], PrecisionMode.MSB4_DRAFT)
         out_pool, scores = step_with_scores(
             self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
-            permitted=[{0, 2, 4, 6}] * SHAPE.n_layers,
+            permitted=[[{0, 2, 4, 6}] * SHAPE.n_layers],
         )
         # Layer 0 sees identical input in both runs, so its unrestricted
         # selection matches the free run exactly.
@@ -570,7 +576,7 @@ class TestStep:
         st = init_state(self.model)
         full = step(
             self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
-            permitted=[set(range(8))] * SHAPE.n_layers,
+            permitted=[[set(range(8))] * SHAPE.n_layers],
         )
         assert len(calls) == SHAPE.n_layers
         assert np.array_equal(full.selected, full.unrestricted)
@@ -581,7 +587,7 @@ class TestStep:
         pool = {0, 2, 4, 6}
         out, scores = step_with_scores(
             self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
-            permitted=[pool] * SHAPE.n_layers,
+            permitted=[[pool] * SHAPE.n_layers],
         )
         for layer, layer_scores in enumerate(scores):
             sel, orig = out.selected[0, layer], out.unrestricted[0, layer]
@@ -907,11 +913,21 @@ def test_batched_step_equals_one_at_a_time(data):
         else:
             sources.append(roots[data.draw(st.integers(0, len(roots) - 1))])
     tokens = data.draw(st.lists(token_st, min_size=n, max_size=n), label="tokens")
+    # Each token's pool is None or one of up to three drawn pools (each
+    # None or one set or None per layer), so one call mixes tokens that
+    # share a pool, carry different pools or have none.
     pool_st = st.none() | st.sets(
         st.integers(0, n_experts - 1), min_size=shape.top_k, max_size=n_experts
     )
+    pools = data.draw(
+        st.lists(
+            st.none() | st.lists(pool_st, min_size=shape.n_layers, max_size=shape.n_layers),
+            min_size=1, max_size=3,
+        ),
+        label="pools",
+    )
     permitted = data.draw(
-        st.none() | st.lists(pool_st, min_size=shape.n_layers, max_size=shape.n_layers),
+        st.none() | st.lists(st.sampled_from(pools), min_size=n, max_size=n),
         label="permitted",
     )
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="score seed"))
@@ -928,15 +944,17 @@ def assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, t
     """The outputs of one batched step call equal stepping every token
     alone from its parent's state, bit for bit, in every field.  A token's
     position is its source state's, or one past its parent token's, and it
-    routes on the trace row at that position modulo the trace length."""
+    routes on the trace row at that position modulo the trace length, and
+    within its own pool."""
+    pools = [None] * len(tokens) if permitted is None else permitted
     ref, positions = [], []
-    for src, tok in zip(sources, tokens):
+    for src, tok, pool in zip(sources, tokens, pools):
         if isinstance(src, int):
             state, pos = ref[src].states[0], positions[src] + 1
         else:
             state, pos = src, src.pos
         row = None if traces is None or not len(traces) else traces[[pos % len(traces)]]
-        ref.append(step(model, [state], [tok], mode, permitted, row, rec))
+        ref.append(step(model, [state], [tok], mode, [pool], row, rec))
         positions.append(pos)
     for t, (want, pos) in enumerate(zip(ref, positions)):
         got = outs.states[t]
@@ -946,7 +964,7 @@ def assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, t
         assert same_bits(outs.selected[t], want.selected[0])
         assert same_bits(outs.unrestricted[t], want.unrestricted[0])
         for layer, (sel, orig) in enumerate(zip(outs.selected[t], outs.unrestricted[t])):
-            pool = None if permitted is None else permitted[layer]
+            pool = None if pools[t] is None else pools[t][layer]
             assert np.array_equal(sel, orig) == (pool is None or set(orig.tolist()) <= pool)
 
 
@@ -967,10 +985,13 @@ def test_calls_at_size_bounds_equal_one_at_a_time(mode):
         for _ in range(w)
     ]
     chain = [init_state(model)] + list(range(runner.MAX_PROMPT_LEN - 1))
-    pool = [{0, 2, 4, 6}, set(range(8))]
+    # The tree's tokens carry three pools in turn: two pools and none.
+    pools = ([{0, 2, 4, 6}, set(range(8))], [{1, 3}, {5, 6, 7}], None)
     rec = ReconstructMode.LSB_AUGMENT
     traces = rng.dirichlet(np.ones(8), size=(100, 2))
-    for sources, permitted, call_traces in ((tree, pool, None), (chain, None, traces)):
+    for sources, permitted, call_traces in (
+        (tree, [pools[i % 3] for i in range(len(tree))], None), (chain, None, traces)
+    ):
         tokens = rng.integers(0, 64, size=len(sources)).tolist()
         outs = step(model, sources, tokens, mode, permitted, call_traces, rec)
         assert len(outs.states) in (1 + w * d, runner.MAX_PROMPT_LEN)
@@ -1037,6 +1058,7 @@ def test_step_digest_is_pinned():
                 for call_traces in (None, traces):
                     for sources in calls:
                         tokens = rng.integers(0, shape.vocab, len(sources)).tolist()
-                        outs = step(model, sources, tokens, mode, permitted, call_traces, rec)
+                        pools = None if permitted is None else [permitted] * len(sources)
+                        outs = step(model, sources, tokens, mode, pools, call_traces, rec)
                         step_digest_update(h, outs)
     assert h.hexdigest() == STEP_DIGEST
