@@ -159,12 +159,6 @@ def _code_array(codes) -> np.ndarray:
     return codes
 
 
-def split_slices_array(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized split: (msb, lsb) arrays for an int code array."""
-    codes = _code_array(codes)
-    return codes >> 4, codes & 0x0F
-
-
 def surrogate_codes(codes: np.ndarray, mode: ReconstructMode) -> np.ndarray:
     """Vectorized reconstruct() over a code array, returning new int64 codes."""
     codes = _code_array(codes)

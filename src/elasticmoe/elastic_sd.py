@@ -4,6 +4,8 @@ A width-w, depth-d token tree is drafted with the 4-bit MSB weight
 surrogate while routing is confined to a per-layer expert pool; the full
 INT8 model then verifies the whole tree in one pass and accepts the longest
 root path that matches its own greedy choices, emitting one bonus token.
+A tree is two int tuples, (parents, tokens): node 0 is the root (the last
+accepted token, parent -1), and nodes run depth by depth, parents[i] < i.
 The pool's MSB pieces are pinned, so the pool is both the draft model's
 expert set and an expert cache.  Expert hotness, a session-owned
 (n_layers, n_experts) count of unrestricted routing selections decayed
@@ -42,40 +44,6 @@ from .toymoe import (
     prefill,
     step,
 )
-
-@dataclass(frozen=True)
-class TreeNode:
-    parent: int
-    token: int
-    score: float
-    depth: int
-
-
-@dataclass(frozen=True)
-class DraftTree:
-    """Candidate token tree; nodes[0] is the root (last accepted token).
-
-    chain holds the node indices of the draft model's own greedy path,
-    one per depth, always retained through expansion.
-    """
-
-    nodes: tuple[TreeNode, ...]
-    depth: int
-    chain: tuple[int, ...]
-
-    def __post_init__(self):
-        for i, n in enumerate(self.nodes):
-            if i == 0:
-                if n.parent != -1 or n.depth != 0:
-                    raise ValueError("node 0 must be the depth-0 root")
-                continue
-            if not 0 <= n.parent < i:
-                raise ValueError(f"node {i} parent {n.parent} out of order")
-            if n.depth != self.nodes[n.parent].depth + 1:
-                raise ValueError(f"node {i} depth inconsistent with parent")
-            if n.depth > self.depth:
-                raise ValueError(f"node {i} deeper than tree depth {self.depth}")
-
 
 @dataclass(frozen=True)
 class ExpertPool:
@@ -154,48 +122,46 @@ def sd_speedup(
 
 @dataclass(frozen=True)
 class DraftResult:
-    """The tree, and the (drafted tokens, n_layers, top_k) expert ids each
-    drafting step was routed to within the pool and unrestricted, in step
-    order."""
+    """The tree's (parents, tokens), and the (drafted tokens, n_layers,
+    top_k) expert ids each drafting step was routed to within the pool and
+    unrestricted, in step order."""
 
-    tree: DraftTree
+    parents: tuple[int, ...]
+    tokens: tuple[int, ...]
     selected: np.ndarray
     unrestricted: np.ndarray
     step_calls: int
 
 
-def _grow(nodes, frontier, chain, w, depth, rows, sources, tokens):
-    # One depth of one tree: append the top-w children of its frontier to
-    # nodes, forcing in the draft-greedy chain child, whose index goes onto
-    # chain, and each child's state and token to the next call's sources
-    # and tokens; rows yields each frontier node's next state,
-    # log-probabilities and top-w tokens.  Returns the new frontier.
-    chain_node = chain[-1] if chain else 0
+def _grow(parents, tree_tokens, frontier, chain, w, rows, sources, tokens):
+    # One depth of one tree: append the top-w children of its frontier's
+    # (node, cumulative log-probability) pairs to parents and tree_tokens,
+    # the child extending the draft-greedy chain at node chain forced into
+    # the last kept place, and each child's state and token to the next
+    # call's sources and tokens; rows yields each frontier node's next
+    # state, log-probabilities and top-w tokens.  Returns the new frontier
+    # and chain node.
     candidates = []
-    chain_key = None
-    # zip reads frontier first, so it takes no row past this tree's.
-    for idx, (state, lp, top) in zip(frontier, rows):
-        for tok in top:
-            candidates.append((nodes[idx].score + lp[tok], idx, tok, state))
-        if idx == chain_node:
+    # zip reads frontier first, so it takes no row past this tree's.  The
+    # chain node is always kept, so the loop sets chain_key.
+    for (idx, score), (state, lp, top) in zip(frontier, rows):
+        candidates += [(score + lp[tok], idx, tok, state) for tok in top]
+        if idx == chain:
             chain_key = (idx, top[0])
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
     kept = candidates[:w]
-    if chain_key is not None and not any(
-        (c[1], c[2]) == chain_key for c in kept
-    ):
-        forced = next(c for c in candidates if (c[1], c[2]) == chain_key)
-        kept = kept[:-1] + [forced]
+    if not any((c[1], c[2]) == chain_key for c in kept):
+        kept[-1] = next(c for c in candidates if (c[1], c[2]) == chain_key)
     frontier = []
     for score, parent, tok, state in kept:
-        nodes.append(TreeNode(parent=parent, token=tok, score=score, depth=depth))
+        if (parent, tok) == chain_key:
+            chain = len(tree_tokens)
+        frontier.append((len(tree_tokens), score))
+        parents.append(parent)
+        tree_tokens.append(tok)
         sources.append(state)
         tokens.append(tok)
-        frontier.append(len(nodes) - 1)
-        if chain_key is not None and (parent, tok) == chain_key:
-            chain_node = len(nodes) - 1
-    chain.append(chain_node)
-    return frontier
+    return frontier, chain
 
 
 def draft_phase(
@@ -213,11 +179,12 @@ def draft_phase(
     throttled draft-precision steps confined to that tree's pool; returns
     one DraftResult per root.
 
-    Node scores are cumulative log-probabilities; each depth keeps the
-    top-w candidates, always retaining the draft-greedy chain node.  The
+    Each depth keeps the top-w children by cumulative log-probability (then
+    parent, then token), always retaining the draft-greedy chain node.  The
     frontiers of every tree at a depth go through one step call, each
     token with its own tree's pool; no tree reads another's rows.
     """
+    w, d = as_index(w, "w"), as_index(d, "d")
     if w < 1 or d < 0:
         raise ValueError("need w >= 1 and d >= 0")
     tokens = [as_index(token, "root token") for token in root_tokens]
@@ -226,14 +193,15 @@ def draft_phase(
     if not len(tokens) == len(sources) == len(pools):
         raise ValueError("need one root state and one pool per root token")
     none = np.empty((0, model.shape.n_layers, model.shape.top_k), dtype=np.intp)
-    # Per tree: its nodes, frontier and chain, and its rows of every call.
-    nodes = [[TreeNode(-1, token, 0.0, 0)] for token in tokens]
-    frontiers = [[0] for _ in tokens]
-    chains = [[] for _ in tokens]
+    # Per tree: its parents and tokens, frontier and chain node, and its
+    # rows of every call.
+    trees = [([-1], [token]) for token in tokens]
+    frontiers = [[(0, 0.0)] for _ in tokens]
+    chains = [0] * len(tokens)
     selected = [[none] for _ in tokens]
     unrestricted = [[none] for _ in tokens]
     permitted = pools
-    for depth in range(1, d + 1):
+    for _ in range(d):
         out = step(model, sources, tokens, draft_mode, permitted, score_traces, draft_reconstruct)
         # Each row's log-probabilities and its tokens by descending
         # log-probability (ties to the lower id, so the first is argmax).
@@ -246,17 +214,20 @@ def draft_phase(
             hi = lo + len(frontier)
             selected[j].append(out.selected[lo:hi])
             unrestricted[j].append(out.unrestricted[lo:hi])
-            frontiers[j] = _grow(nodes[j], frontier, chains[j], w, depth, rows, sources, tokens)
+            frontiers[j], chains[j] = _grow(
+                *trees[j], frontier, chains[j], w, rows, sources, tokens
+            )
             permitted += [pools[j]] * len(frontiers[j])
             lo = hi
     return [
         DraftResult(
-            tree=DraftTree(nodes=tuple(tree_nodes), depth=d, chain=tuple(chain)),
+            parents=tuple(parents),
+            tokens=tuple(tree_tokens),
             selected=np.concatenate(sel),
             unrestricted=np.concatenate(orig),
             step_calls=sum(map(len, sel)),
         )
-        for tree_nodes, chain, sel, orig in zip(nodes, chains, selected, unrestricted)
+        for (parents, tree_tokens), sel, orig in zip(trees, selected, unrestricted)
     ]
 
 
@@ -276,57 +247,50 @@ class VerifyResult:
 
 def verify_phase(
     model: MoEModel,
-    trees: Sequence[DraftTree],
+    trees: Sequence[tuple[Sequence[int], Sequence[int]]],
     root_states: Sequence[DecodeState],
     score_traces=None,
 ) -> list[VerifyResult]:
-    """Verify each tree, from its own root state, with the full-precision
-    model; returns one VerifyResult per tree.
+    """Verify each (parents, tokens) tree, from its own root state, with
+    the full-precision model; returns one VerifyResult per tree.
 
-    Every tree's root and nodes go through one step call, tree by tree in
-    index order, each node continuing from its parent.  Acceptance walks
-    from the root, following at each node the unique child whose token
-    equals the target's greedy token; the greedy token after the last
-    accepted node is emitted as the bonus.  Routing is unrestricted.
+    Every tree's nodes go through one step call, tree by tree in index
+    order, each node continuing from its parent; a parent that is not an
+    earlier node raises ValueError.  One pass in index order finds the
+    accepted path: node i extends it when parents[i] is the path's last
+    node and tokens[i] equals the target's greedy token at that node's
+    row.  The greedy token after the last accepted node is emitted as the
+    bonus.  Routing is unrestricted.
     """
     sources: list = []
     tokens: list[int] = []
     bases = []
-    for tree, state in zip(trees, root_states, strict=True):
+    for (parents, tree_tokens), state in zip(trees, root_states, strict=True):
+        # A negative parent would index an earlier tree's rows.
+        if len(parents) != len(tree_tokens) or min(parents[1:], default=0) < 0:
+            raise ValueError("a tree needs one parent per token, each an earlier node")
         base = len(tokens)
         bases.append(base)
-        sources += [state] + [base + n.parent for n in tree.nodes[1:]]
-        tokens += [n.token for n in tree.nodes]
+        sources += [state] + [base + p for p in parents[1:]]
+        tokens += tree_tokens
     out = step(model, sources, tokens, PrecisionMode.INT8_FULL, None, score_traces)
     # Every row's greedy token (greedy_token's argmax, ties to the lower id).
     greedy = np.argmax(out.logits, axis=1).tolist()
     results = []
-    for tree, base in zip(trees, bases):
-        nodes = tree.nodes
-        children: dict[int, list[int]] = {}
-        for idx, n in enumerate(nodes[1:], 1):
-            children.setdefault(n.parent, []).append(idx)
-        cur = 0
-        accepted: list[int] = []
-        while True:
-            want = greedy[base + cur]
-            nxt = None
-            for c in children.get(cur, []):
-                if nodes[c].token == want:
-                    nxt = c
-                    break
-            if nxt is None:
-                break
-            accepted.append(nxt)
-            cur = nxt
-        bonus = greedy[base + cur]
+    for (parents, tree_tokens), base in zip(trees, bases):
+        last, accepted = 0, []
+        for i in range(1, len(tree_tokens)):
+            if parents[i] == last and tree_tokens[i] == greedy[base + last]:
+                last = i
+                accepted.append(tree_tokens[i])
+        bonus = greedy[base + last]
         results.append(VerifyResult(
             accept_length=len(accepted),
             bonus_token=bonus,
-            emitted=tuple(nodes[i].token for i in accepted) + (bonus,),
-            verify_token_count=len(nodes),
-            selected=out.selected[base:base + len(nodes)],
-            final_state=out.states[base + cur],
+            emitted=tuple(accepted) + (bonus,),
+            verify_token_count=len(tree_tokens),
+            selected=out.selected[base:base + len(tree_tokens)],
+            final_state=out.states[base + last],
         ))
     return results
 
@@ -457,7 +421,7 @@ def _step_together(sessions: Sequence[SdSession]) -> list[SdStepResult]:
         next_pools.append(s._pick_pool())
     verifies = verify_phase(
         first.model,
-        [draft.tree for draft in drafts],
+        [(draft.parents, draft.tokens) for draft in drafts],
         [s.root_state for s in sessions],
         score_traces=first.score_traces,
     )

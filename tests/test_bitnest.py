@@ -11,7 +11,6 @@ from elasticmoe.bitnest import (
     quantize_group,
     reconstruct,
     split_slices,
-    split_slices_array,
     surrogate_codes,
 )
 
@@ -156,20 +155,6 @@ class TestSplitSlices:
             split_slices(-128)
         with pytest.raises(ValueError):
             split_slices(128)
-
-    def test_array_split_matches_scalar(self):
-        codes = np.array(ALL_CODES, dtype=np.int64)
-        msb, lsb = split_slices_array(codes)
-        for i, code in enumerate(ALL_CODES):
-            pair = split_slices(code)
-            assert msb[i] == pair.msb
-            assert lsb[i] == pair.lsb
-
-    def test_array_split_signed_dtype(self):
-        codes = np.array([-127, -1, 127], dtype=np.int8)
-        msb, lsb = split_slices_array(codes)
-        assert list(msb) == [-8, -1, 7]
-        assert list(lsb) == [1, 15, 15]
 
 
 class TestReconstruct:

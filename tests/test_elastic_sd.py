@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 from elasticmoe import elastic_sd, toymoe
 from elasticmoe.bitnest import ReconstructMode
 from elasticmoe.elastic_sd import (
-    DraftTree,
     ExpertPool,
     SdConfig,
     SdSession,
-    TreeNode,
     accumulate_hotness,
     draft_phase,
     pool_update_plan,
@@ -30,6 +28,8 @@ from elasticmoe.toymoe import (
     greedy_decode,
     greedy_token,
     init_state,
+    log_softmax,
+    prefill,
     step,
     trace_scores,
 )
@@ -164,28 +164,44 @@ class TestSdSpeedup:
             sd_speedup(-1, 10, 2, 1, 8)
 
 
+def tree_of(res):
+    return res.parents, res.tokens
+
+
+def draft_greedy_path(model, root, state, pool, d):
+    """The draft model's own greedy tokens after root: d one-token steps at
+    draft precision within pool."""
+    path = []
+    for _ in range(d):
+        out = step(model, [state], [root], PrecisionMode.MSB4_DRAFT, [pool.experts])
+        state, root = out.states[0], greedy_token(out.logits[0])
+        path.append(root)
+    return path
+
+
+def is_root_path(res, path):
+    node = 0
+    for token in path:
+        children = [
+            i for i in range(node + 1, len(res.tokens))
+            if res.parents[i] == node and res.tokens[i] == token
+        ]
+        if not children:
+            return False
+        node = children[0]
+    return True
+
+
 class TestDraftTreeInvariants:
     def test_bad_parent_order(self):
-        with pytest.raises(ValueError):
-            DraftTree(
-                nodes=(
-                    TreeNode(-1, 0, 0.0, 0),
-                    TreeNode(2, 1, -0.1, 1),
-                ),
-                depth=1,
-                chain=(),
-            )
-
-    def test_depth_consistency(self):
-        with pytest.raises(ValueError):
-            DraftTree(
-                nodes=(
-                    TreeNode(-1, 0, 0.0, 0),
-                    TreeNode(0, 1, -0.1, 2),
-                ),
-                depth=2,
-                chain=(),
-            )
+        # Every parent must be an earlier node of its own tree.
+        model = gen_model(SHAPE, seed=11)
+        st = init_state(model)
+        root_only = ((-1,), (3,))
+        for bad in (((-1, 2), (0, 1)), ((-1, 1), (0, 1)), ((-1, -1), (0, 1)), ((-1, 0), (0,))):
+            for trees in ([bad], [root_only, bad]):
+                with pytest.raises(ValueError, match="earlier"):
+                    verify_phase(model, trees, [st] * len(trees))
 
 
 class TestDraftPhase:
@@ -198,15 +214,13 @@ class TestDraftPhase:
         out = step(self.model, [st], [4], PrecisionMode.MSB4_DRAFT)
         expected = greedy_token(out.logits[0])
         res = draft_phase(self.model, [4], [st], [self.full_pool], w=1, d=1)[0]
-        assert len(res.tree.nodes) == 2
-        assert res.tree.nodes[1].token == expected
-        assert res.tree.chain == (1,)
+        assert tree_of(res) == ((-1, 0), (4, expected))
+        assert is_root_path(res, draft_greedy_path(self.model, 4, st, self.full_pool, 1))
 
     def test_depth_zero_gives_root_only(self):
         st = init_state(self.model)
         res = draft_phase(self.model, [4], [st], [self.full_pool], w=2, d=0)[0]
-        assert len(res.tree.nodes) == 1
-        assert res.tree.chain == ()
+        assert tree_of(res) == ((-1,), (4,))
         assert res.step_calls == 0
         for ids in (res.selected, res.unrestricted):
             assert ids.shape == (0, SHAPE.n_layers, SHAPE.top_k)
@@ -223,11 +237,27 @@ class TestDraftPhase:
     def test_node_count_and_width(self):
         st = init_state(self.model)
         res = draft_phase(self.model, [7], [st], [self.full_pool], w=3, d=4)[0]
-        per_depth = {}
-        for n in res.tree.nodes[1:]:
-            per_depth[n.depth] = per_depth.get(n.depth, 0) + 1
-        assert per_depth == {1: 3, 2: 3, 3: 3, 4: 3}
-        assert len(res.tree.chain) == 4
+        depths = [0]
+        for parent in res.parents[1:]:
+            depths.append(depths[parent] + 1)
+        # Nodes run depth by depth, w to a depth.
+        assert depths == [0] + [1] * 3 + [2] * 3 + [3] * 3 + [4] * 3
+        assert is_root_path(res, draft_greedy_path(self.model, 7, st, self.full_pool, 4))
+
+    def test_tied_scores_rank_by_parent_then_token(self):
+        # With every logit equal, all children at a depth tie on score, so
+        # the lower parent, then the lower token, is kept.
+        flat = dataclasses.replace(self.model, w_out=np.zeros_like(self.model.w_out))
+        st = init_state(flat)
+        (res,) = draft_phase(flat, [4], [st], [self.full_pool], w=2, d=2)
+        assert tree_of(res) == ((-1, 0, 0, 1, 1), (4, 0, 1, 0, 1))
+
+    def test_width_and_depth_must_be_integers(self):
+        st = init_state(self.model)
+        # w=2.0 once failed in a slice, d=1.0 in range, and w=True ran as 1.
+        for w, d in ((2.0, 1), (2, 1.0), (True, 1)):
+            with pytest.raises(ValueError, match="is not an integer"):
+                draft_phase(self.model, [4], [st], [self.full_pool], w=w, d=d)
 
     def test_one_root_state_and_pool_per_root(self):
         st = init_state(self.model)
@@ -237,14 +267,114 @@ class TestDraftPhase:
             draft_phase(self.model, [4], [st], [self.full_pool] * 2, w=2, d=1)
         (res,) = draft_phase(self.model, [4], [st], [self.full_pool], w=2, d=1)
         with pytest.raises(ValueError):
-            verify_phase(self.model, [res.tree], [st, st])
+            verify_phase(self.model, [tree_of(res)], [st, st])
 
-    def test_scores_nonincreasing_along_paths(self):
-        st = init_state(self.model)
-        res = draft_phase(self.model, [2], [st], [self.full_pool], w=2, d=3)[0]
-        for i, n in enumerate(res.tree.nodes):
-            if n.parent >= 0:
-                assert n.score <= res.tree.nodes[n.parent].score + 1e-12
+
+def reference_tree(model, root, state, pool, w, d, mode, reconstruct, traces):
+    """draft_phase's tree from one root, rebuilt without its batched calls:
+    each depth replays every frontier node's root path with one-token
+    steps, ranks the nodes' top-w children by the recomputed cumulative
+    log-probability, then parent, then token, and forces the draft-greedy
+    chain child into the last kept place.  Returns the tree and how many
+    children it forced."""
+    parents, tokens = [-1], [root]
+
+    def replay(node):
+        # node's cumulative log-probability and its next log-probabilities.
+        path = []
+        while node >= 0:
+            path.append(node)
+            node = parents[node]
+        st, score, lp = state, 0.0, None
+        for node in reversed(path):
+            if lp is not None:
+                score += lp[tokens[node]]
+            out = step(model, [st], [tokens[node]], mode, [pool.experts], traces, reconstruct)
+            st, lp = out.states[0], log_softmax(out.logits)[0].tolist()
+        return score, lp
+
+    frontier, chain, forced = [0], 0, 0
+    for _ in range(d):
+        candidates = []
+        for node in frontier:
+            score, lp = replay(node)
+            top = sorted(range(len(lp)), key=lambda t: (-lp[t], t))[:w]
+            candidates += [(score + lp[t], node, t) for t in top]
+            if node == chain:
+                chain_child = (node, top[0])
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        kept = [(node, t) for _, node, t in candidates[:w]]
+        if chain_child not in kept:
+            kept[-1] = chain_child
+            forced += 1
+        frontier = []
+        for node, t in kept:
+            if (node, t) == chain_child:
+                chain = len(tokens)
+            frontier.append(len(tokens))
+            parents.append(node)
+            tokens.append(t)
+    return (tuple(parents), tuple(tokens)), forced
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_draft_trees_equal_path_replay_reference(data):
+    # Vocab below width leaves ragged frontiers; each tree of one call has
+    # its own root state and a pool no other tree has.
+    n_experts = data.draw(st.integers(2, 6), label="n_experts")
+    shape = MoEShape(
+        d_model=32,
+        d_ff=32,
+        n_experts=n_experts,
+        top_k=data.draw(st.integers(1, 2), label="top_k"),
+        n_layers=data.draw(st.integers(1, 2), label="n_layers"),
+        vocab=data.draw(st.integers(1, 6), label="vocab"),
+    )
+    model = gen_model(shape, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    w = data.draw(st.integers(1, 8), label="w")
+    d = data.draw(st.integers(0, 3), label="d")
+    mode = data.draw(st.sampled_from(list(PrecisionMode)), label="draft_mode")
+    reconstruct = data.draw(st.sampled_from(list(ReconstructMode)), label="reconstruct")
+    traces = None
+    if data.draw(st.booleans(), label="traced"):
+        traces = trace_scores([
+            gen_routing_trace(5, n_experts, shape.top_k, 1.0, 0.5, seed=layer)
+            for layer in range(shape.n_layers)
+        ])
+    layer_pool = st.frozensets(st.integers(0, n_experts - 1), min_size=shape.top_k)
+    pools = data.draw(st.lists(
+        st.tuples(*[layer_pool] * shape.n_layers), min_size=1, max_size=3, unique=True,
+    ), label="pools")
+    pools = [ExpertPool(experts=experts) for experts in pools]
+    token = st.integers(0, shape.vocab - 1)
+    roots, states = [], []
+    for i in range(len(pools)):
+        prompt = data.draw(st.lists(token, max_size=2), label=f"prompt{i}")
+        states.append(prefill(model, prompt, PrecisionMode.INT8_FULL, traces)[0])
+        roots.append(data.draw(token, label=f"root{i}"))
+    results = draft_phase(model, roots, states, pools, w, d, mode, reconstruct, traces)
+    for res, root, state, pool in zip(results, roots, states, pools, strict=True):
+        want, _ = reference_tree(model, root, state, pool, w, d, mode, reconstruct, traces)
+        assert tree_of(res) == want
+
+
+def test_forced_chain_child_equals_reference():
+    # Few drawn cases force the chain child in; this call's first tree
+    # forces one, beside a second tree with another pool and root state.
+    shape = MoEShape(d_model=32, d_ff=32, n_experts=4, top_k=2, n_layers=2, vocab=4)
+    model = gen_model(shape, seed=35)
+    pools = [
+        ExpertPool(experts=(frozenset(range(4)), frozenset({0, 2, 3}))),
+        ExpertPool(experts=(frozenset({0, 1}), frozenset({2, 3}))),
+    ]
+    states = [init_state(model), prefill(model, [3], PrecisionMode.INT8_FULL)[0]]
+    mode, reconstruct = PrecisionMode.MSB4_DRAFT, ReconstructMode.LSB_AUGMENT
+    results = draft_phase(model, [1, 2], states, pools, w=2, d=3)
+    want, forced = reference_tree(model, 1, states[0], pools[0], 2, 3, mode, reconstruct, None)
+    assert forced and tree_of(results[0]) == want
+    want, _ = reference_tree(model, 2, states[1], pools[1], 2, 3, mode, reconstruct, None)
+    assert tree_of(results[1]) == want
 
 
 class TestVerifyPhase:
@@ -266,21 +396,16 @@ class TestVerifyPhase:
                 d=d,
                 draft_mode=PrecisionMode.INT8_FULL,
             )
-            (ver,) = verify_phase(self.model, [res.tree], [st])
+            (ver,) = verify_phase(self.model, [tree_of(res)], [st])
             assert ver.accept_length == d
             # The root and every drafted node are verified.
-            assert ver.verify_token_count == len(res.tree.nodes) == 1 + 2 * d
+            assert ver.verify_token_count == len(res.tokens) == 1 + 2 * d
 
     def test_adversarial_tree_accepts_nothing(self):
         st = init_state(self.model)
         out = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
         wrong = (greedy_token(out.logits[0]) + 1) % SHAPE.vocab
-        tree = DraftTree(
-            nodes=(TreeNode(-1, 5, 0.0, 0), TreeNode(0, wrong, -0.5, 1)),
-            depth=1,
-            chain=(1,),
-        )
-        (ver,) = verify_phase(self.model, [tree], [st])
+        (ver,) = verify_phase(self.model, [((-1, 0), (5, wrong))], [st])
         assert ver.accept_length == 0
         assert ver.bonus_token == greedy_token(out.logits[0])
         assert ver.emitted == (ver.bonus_token,)
@@ -288,7 +413,7 @@ class TestVerifyPhase:
     def test_empty_tree_degenerates_to_ar(self):
         st = init_state(self.model)
         (res,) = draft_phase(self.model, [5], [st], [self.full_pool], w=2, d=0)
-        (ver,) = verify_phase(self.model, [res.tree], [st])
+        (ver,) = verify_phase(self.model, [tree_of(res)], [st])
         out = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
         assert ver.accept_length == 0
         assert ver.verify_token_count == 1
@@ -301,15 +426,16 @@ class TestVerifyPhase:
             model = gen_model(SHAPE, seed=seed)
             st = init_state(model)
             (res,) = draft_phase(model, [seed], [st], [pool], w=2, d=3)
-            (ver,) = verify_phase(model, [res.tree], [st])
-            assert ver.accept_length == self._oracle_accept(model, res.tree, st)
+            (ver,) = verify_phase(model, [tree_of(res)], [st])
+            assert ver.accept_length == self._oracle_accept(model, tree_of(res), st)
 
     def _oracle_accept(self, model, tree, root_state):
         # Independent re-derivation: enumerate every root path of the tree
         # and replay target greedy decoding along it.
+        parents, tokens = tree
         children = {}
-        for i in range(1, len(tree.nodes)):
-            children.setdefault(tree.nodes[i].parent, []).append(i)
+        for i in range(1, len(tokens)):
+            children.setdefault(parents[i], []).append(i)
 
         def paths_from(node):
             kids = children.get(node, [])
@@ -322,15 +448,13 @@ class TestVerifyPhase:
 
         best = 0
         for path in paths_from(0):
-            out = step(model, [root_state], [tree.nodes[0].token], PrecisionMode.INT8_FULL)
+            out = step(model, [root_state], [tokens[0]], PrecisionMode.INT8_FULL)
             matched = 0
             for node in path:
-                if greedy_token(out.logits[0]) != tree.nodes[node].token:
+                if greedy_token(out.logits[0]) != tokens[node]:
                     break
                 matched += 1
-                out = step(
-                    model, [out.states[0]], [tree.nodes[node].token], PrecisionMode.INT8_FULL
-                )
+                out = step(model, [out.states[0]], [tokens[node]], PrecisionMode.INT8_FULL)
             best = max(best, matched)
         return best
 

@@ -1,5 +1,6 @@
 """Checks on the test and benchmark tooling around the package."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -80,6 +81,48 @@ def test_failing_property_under_error_mark_is_reported(tmp_path):
     # A test's own "error" mark overrides pyproject's ignore; the ignore
     # repeated above the mark keeps the report from aborting the run.
     _assert_failure_reported(tmp_path, marks=ERROR_MARKS)
+
+
+# Top-level names in src/elasticmoe/ that only tests reach, each with the
+# reason it stays: {"module.name": "reason"}.
+TEST_ONLY = {}
+
+
+def unreferenced_names(root):
+    """module.name for each top-level function and class in
+    src/elasticmoe/ that no ast.Name or ast.Attribute in src/, demos/ or
+    perfbench/ refers to outside its own definition (a docstring mention
+    or an import does not count)."""
+    defined, used = set(), set()
+
+    def visit(node, own):
+        if isinstance(node, ast.Name) and node.id != own:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr != own:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    for folder in ("src", "demos", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            package = path.parent == root / "src" / "elasticmoe"
+            for node in tree.body:
+                own = None
+                if package and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    own = node.name
+                    defined.add((path.stem, own))
+                visit(node, own)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+def test_no_package_code_is_left_to_tests_alone():
+    # Code that only tests read is dead weight in the package: move it into
+    # the tests, delete it, or list it in TEST_ONLY with its reason.
+    unused = unreferenced_names(ROOT)
+    assert sorted(set(unused) - set(TEST_ONLY)) == []
+    # An entry whose name the package now reads, or no longer has, goes.
+    assert sorted(set(TEST_ONLY) - set(unused)) == []
 
 
 PERFBENCH_MODULES = ("layers", "spans", "workloads")
