@@ -9,6 +9,8 @@ plain autoregressive decoding; the pool only changes how many draft
 tokens survive per step.
 """
 
+import numpy as np
+
 from elasticmoe.toymoe import (
     MoEShape,
     PrecisionMode,
@@ -43,8 +45,8 @@ print("mean accept length:", run.mean_accept_length)
 
 # The pool follows expert hotness; transfers stage next step's pool.
 first, last = run.steps[0], run.steps[-1]
-print("\npool at first step:", [sorted(e) for e in first.pool.experts])
-print("pool at last step: ", [sorted(e) for e in last.pool.experts])
+print("\npool at first step:", [np.flatnonzero(row).tolist() for row in first.pool])
+print("pool at last step: ", [np.flatnonzero(row).tolist() for row in last.pool])
 print("pieces transferred on step 0:", list(first.transfers))
 
 # Feed the measured accept length into the closed-form speedup: a step

@@ -45,13 +45,6 @@ from .toymoe import (
     step,
 )
 
-@dataclass(frozen=True)
-class ExpertPool:
-    """Per-layer expert id sets, each of size min(capacity, n_experts)."""
-
-    experts: tuple[frozenset[int], ...]
-
-
 def accumulate_hotness(counts: np.ndarray, selected: np.ndarray) -> np.ndarray:
     """counts plus one per selected expert, as a new (n_layers, n_experts)
     float64 array: selected is (tokens, layers, k) expert ids, a token's
@@ -73,35 +66,39 @@ def accumulate_hotness(counts: np.ndarray, selected: np.ndarray) -> np.ndarray:
     return counts
 
 
-def select_pool(counts: np.ndarray, capacity: int, top_k: int = 1) -> ExpertPool:
-    """Per layer, the capacity highest-count experts; ties to lower id."""
+def _pool(ids: np.ndarray, n_experts: int) -> np.ndarray:
+    # One row of expert ids per layer as a read-only (n_layers, n_experts) mask.
+    pool = np.zeros((len(ids), n_experts), dtype=bool)
+    pool[np.arange(len(ids))[:, None], ids] = True
+    pool.flags.writeable = False
+    return pool
+
+
+def select_pool(counts: np.ndarray, capacity: int, top_k: int = 1) -> np.ndarray:
+    """Per layer, the capacity highest-count experts (ties to lower id), as
+    a read-only (n_layers, n_experts) bool pool mask."""
     if capacity < top_k:
         raise ValueError(f"pool capacity {capacity} below top_k {top_k}")
     order = np.argsort(-np.asarray(counts), axis=1, kind="stable")
-    return ExpertPool(
-        experts=tuple(frozenset(row[:capacity].tolist()) for row in order)
-    )
+    return _pool(order[:, :capacity], order.shape[1])
 
 
 def random_pool(
     n_layers: int, n_experts: int, capacity: int, rng: np.random.Generator, top_k: int = 1
-) -> ExpertPool:
+) -> np.ndarray:
     """Uniformly random per-layer pools; the paired baseline to hotness."""
     if capacity < top_k:
         raise ValueError(f"pool capacity {capacity} below top_k {top_k}")
     size = min(capacity, n_experts)
-    pools = (rng.choice(n_experts, size=size, replace=False) for _ in range(n_layers))
-    return ExpertPool(experts=tuple(frozenset(p.tolist()) for p in pools))
+    ids = [rng.choice(n_experts, size=size, replace=False) for _ in range(n_layers)]
+    return _pool(ids, n_experts)
 
 
-def pool_update_plan(next_pool: ExpertPool, pool: ExpertPool) -> list[tuple[int, int]]:
-    """(layer, expert) MSB pieces next_pool needs that pool does not hold,
-    by layer, then expert id."""
-    return [
-        (layer, e)
-        for layer, (experts, held) in enumerate(zip(next_pool.experts, pool.experts))
-        for e in sorted(experts - held)
-    ]
+def pool_update_plan(next_pool: np.ndarray, pool: np.ndarray) -> list[tuple[int, int]]:
+    """(layer, expert) MSB pieces the next_pool mask needs that the pool
+    mask does not hold, by layer, then expert id."""
+    layers, experts = (next_pool & ~pool).nonzero()
+    return list(zip(layers.tolist(), experts.tolist()))
 
 
 def sd_speedup(
@@ -168,7 +165,7 @@ def draft_phase(
     model: MoEModel,
     root_tokens: Sequence[int],
     root_states: Sequence[DecodeState],
-    pools: Sequence[ExpertPool],
+    pools: Sequence[np.ndarray],
     w: int,
     d: int,
     draft_mode: PrecisionMode = PrecisionMode.MSB4_DRAFT,
@@ -176,8 +173,8 @@ def draft_phase(
     score_traces=None,
 ) -> list[DraftResult]:
     """Expand one width-w depth-d tree from each root token and state, with
-    throttled draft-precision steps confined to that tree's pool; returns
-    one DraftResult per root.
+    throttled draft-precision steps confined to that tree's pool (an
+    (n_layers, n_experts) bool mask); returns one DraftResult per root.
 
     Each depth keeps the top-w children by cumulative log-probability (then
     parent, then token), always retaining the draft-greedy chain node.  The
@@ -189,9 +186,14 @@ def draft_phase(
         raise ValueError("need w >= 1 and d >= 0")
     tokens = [as_index(token, "root token") for token in root_tokens]
     sources = list(root_states)
-    pools = [pool.experts for pool in pools]
+    # step would read an int root state as another tree's row.
+    if not all(isinstance(state, DecodeState) for state in sources):
+        raise ValueError("every root state must be a DecodeState")
     if not len(tokens) == len(sources) == len(pools):
         raise ValueError("need one root state and one pool per root token")
+    if not tokens:
+        return []
+    masks = np.array(pools)
     none = np.empty((0, model.shape.n_layers, model.shape.top_k), dtype=np.intp)
     # Per tree: its parents and tokens, frontier and chain node, and its
     # rows of every call.
@@ -200,15 +202,15 @@ def draft_phase(
     chains = [0] * len(tokens)
     selected = [[none] for _ in tokens]
     unrestricted = [[none] for _ in tokens]
-    permitted = pools
     for _ in range(d):
+        permitted = np.repeat(masks, [len(frontier) for frontier in frontiers], axis=0)
         out = step(model, sources, tokens, draft_mode, permitted, score_traces, draft_reconstruct)
         # Each row's log-probabilities and its tokens by descending
         # log-probability (ties to the lower id, so the first is argmax).
         lps = log_softmax(out.logits)
         tops = np.argsort(-lps, axis=1, kind="stable")[:, :w].tolist()
         rows = zip(out.states, lps.tolist(), tops)
-        sources, tokens, permitted = [], [], []
+        sources, tokens = [], []
         lo = 0
         for j, frontier in enumerate(frontiers):
             hi = lo + len(frontier)
@@ -217,7 +219,6 @@ def draft_phase(
             frontiers[j], chains[j] = _grow(
                 *trees[j], frontier, chains[j], w, rows, sources, tokens
             )
-            permitted += [pools[j]] * len(frontiers[j])
             lo = hi
     return [
         DraftResult(
@@ -266,6 +267,8 @@ def verify_phase(
     tokens: list[int] = []
     bases = []
     for (parents, tree_tokens), state in zip(trees, root_states, strict=True):
+        if not isinstance(state, DecodeState):
+            raise ValueError("every root state must be a DecodeState")
         # A negative parent would index an earlier tree's rows.
         if len(parents) != len(tree_tokens) or min(parents[1:], default=0) < 0:
             raise ValueError("a tree needs one parent per token, each an earlier node")
@@ -327,15 +330,16 @@ class SdStepResult:
     """One session step: its verify outcome, draft side and pool refresh.
     draft_selected and verify_selected are the expert ids the drafted and
     the verified tokens were routed to (DraftResult.selected and
-    VerifyResult.selected)."""
+    VerifyResult.selected); pool and next_pool are the (n_layers,
+    n_experts) bool masks drafted with and picked for the next step."""
 
     accept_length: int
     verify_token_count: int
     emitted: tuple[int, ...]
     draft_selected: np.ndarray
     verify_selected: np.ndarray
-    pool: ExpertPool
-    next_pool: ExpertPool
+    pool: np.ndarray
+    next_pool: np.ndarray
     transfers: tuple[tuple[int, int], ...]
     draft_step_calls: int
 
@@ -381,7 +385,7 @@ class SdSession:
         self.root_token = as_index(prompt[-1], "prompt token")
         self.pool = self._pick_pool()
 
-    def _pick_pool(self) -> ExpertPool:
+    def _pick_pool(self) -> np.ndarray:
         shape, capacity = self.model.shape, self.config.pool_capacity
         if self.config.pool_strategy == "random":
             return random_pool(

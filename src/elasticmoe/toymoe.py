@@ -34,8 +34,7 @@ which; routing and sampling ties break toward lower ids.
 from __future__ import annotations
 
 import enum
-import functools
-from collections.abc import Sequence, Set as AbstractSet
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -251,57 +250,6 @@ def _select(
     return ids, chosen / np.add.reduce(chosen, axis=1, keepdims=True)
 
 
-@functools.lru_cache(maxsize=256)
-def _pool_mask(pool: tuple, n: int, k: int) -> np.ndarray:
-    # A pool, one frozenset of expert ids (or None, every expert) per
-    # layer, as a read-only (layers, n) mask; kept per pool, since every
-    # draft level of a decode reads the same one.
-    mask = np.ones((len(pool), n), dtype=bool)
-    for layer, permitted in enumerate(pool):
-        if permitted is None:
-            continue
-        ids = [int(e) for e in permitted]
-        if any(e < 0 or e >= n for e in ids):
-            raise ValueError("permitted expert id out of range")
-        if len(ids) < k:
-            raise ValueError(f"permitted set smaller than k={k}")
-        mask[layer] = False
-        mask[layer, ids] = True
-    mask.flags.writeable = False
-    return mask
-
-
-def _layer_masks(pool, shape: MoEShape) -> np.ndarray:
-    # One token's pool (None, or one id set or None per layer) as its
-    # (layers, n_experts) mask.
-    if pool is None:
-        pool = (None,) * shape.n_layers
-    elif not isinstance(pool, Sequence) or len(pool) != shape.n_layers:
-        raise ValueError(f"need one permitted set per layer ({shape.n_layers})")
-    key = tuple([None if p is None else frozenset(p) for p in pool])
-    return _pool_mask(key, shape.n_experts, shape.top_k)
-
-
-def _pool_masks(permitted, n: int, shape: MoEShape) -> tuple[Optional[np.ndarray], int | np.ndarray]:
-    # step's permitted pools as flat per-layer masks and each token's
-    # offset into them: (layers, n_experts) and 0 when every token has an
-    # equal pool (the tokens of one decode), else (layers, T * n_experts)
-    # and a (T, 1) offset array, one _layer_masks per distinct pool (told
-    # apart by identity); (None, 0) when no token has a pool.
-    if permitted is None:
-        return None, 0
-    if not isinstance(permitted, Sequence) or len(permitted) != n:
-        raise ValueError(f"need one permitted pool (or None) per token ({n})")
-    first = permitted[0] if n else None
-    if permitted.count(first) == n:
-        return (None, 0) if first is None else (_layer_masks(first, shape), 0)
-    distinct = {id(pool): pool for pool in permitted}
-    masks = {key: _layer_masks(pool, shape) for key, pool in distinct.items()}
-    per_token = np.stack([masks[id(pool)] for pool in permitted], axis=1)
-    offsets = np.arange(n)[:, None] * shape.n_experts
-    return per_token.reshape(shape.n_layers, -1), offsets
-
-
 def gen_model(shape: MoEShape, seed: int) -> MoEModel:
     """Build a model with fixed random weights; same seed, same model."""
     rng = np.random.default_rng(seed)
@@ -440,7 +388,7 @@ def step(
     sources: Sequence[DecodeState | int],
     tokens: Sequence[int],
     mode: PrecisionMode,
-    permitted: Optional[Sequence[Optional[Sequence[Optional[AbstractSet[int]]]]]] = None,
+    permitted: Optional[np.ndarray] = None,
     score_traces=None,
     draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
 ) -> StepOutput:
@@ -455,11 +403,13 @@ def step(
     chained token).  score_traces is None, or (positions, n_layers,
     n_experts) scores: when nonempty, every token routes on row position
     modulo their length instead of the router's scores.  permitted is None
-    (no token's routing is confined) or one pool per token: None, or one
-    expert-id set (or None) per layer, so tokens of several decodes, each
-    with its own pool, can share one call.  A pool holding a token's whole
-    unrestricted selection selects the same top-k in the same order, with
-    the same gates, and a layer where every token's pool does routes once.
+    (no token's routing is confined) or a (T, n_layers, n_experts) bool
+    array, each token's pool: at layer l token t routes only among the
+    experts permitted[t, l] holds, at least top_k of them, so tokens of
+    several decodes, each with its own pool, can share one call.  A pool
+    holding a token's whole unrestricted selection selects the same top-k
+    in the same order, with the same gates, and a layer where every
+    token's pool does routes once.
 
     The forward pass is layer-major over all T rows.  A token depends on
     its parent only through the parent's context at the same layer, so
@@ -477,7 +427,13 @@ def step(
     for t in tokens:
         if not 0 <= t < shape.vocab:
             raise ValueError(f"token {t} outside vocab {shape.vocab}")
-    masks, offsets = _pool_masks(permitted, n, shape)
+    if permitted is not None:
+        permitted = np.asarray(permitted)
+        if permitted.dtype != bool or permitted.shape != (n, n_layers, shape.n_experts):
+            raise ValueError(f"permitted must be a bool ({n}, {n_layers}, {shape.n_experts}) array")
+        if np.minimum.reduce(np.add.reduce(permitted, axis=2), axis=None, initial=k) < k:
+            raise ValueError(f"a permitted pool holds fewer than top_k={k} experts")
+        token_idx = np.arange(n)[:, None]
     rec = _weight_mode(mode, draft_reconstruct)
     traces = None
     if score_traces is not None and len(score_traces):
@@ -516,10 +472,10 @@ def step(
             raise ValueError("non-finite routing score")
         ids, gates = _select(scores, k)
         unrestricted[:, layer] = ids
-        if masks is not None:
-            mask = masks[layer]
-            if not np.logical_and.reduce(mask[ids + offsets], axis=None):
-                ids, gates = _select(scores, k, mask.reshape(-1, shape.n_experts))
+        if permitted is not None:
+            mask = permitted[:, layer]
+            if not np.logical_and.reduce(mask[token_idx, ids], axis=None):
+                ids, gates = _select(scores, k, mask)
         selected[:, layer] = ids
         out = _experts(r, ids, model.experts[layer], rec)
         # The gated slots added left to right from 0.0, as a slot loop does.

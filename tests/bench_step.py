@@ -41,8 +41,9 @@ def test_step(benchmark, model, n_tokens, mode, pooled):
     sources = [root if src is None else src for src in SOURCES[n_tokens]]
     tokens = list(range(3, 3 + n_tokens))
     hotness = np.random.default_rng(0).random((SD_SHAPE.n_layers, SD_SHAPE.n_experts))
-    pool = select_pool(hotness, 8, SD_SHAPE.top_k).experts if pooled else None
-    outs = benchmark(step, model, sources, tokens, mode, [pool] * n_tokens)
+    pool = select_pool(hotness, 8, SD_SHAPE.top_k)
+    permitted = np.repeat(pool[None], n_tokens, axis=0) if pooled else None
+    outs = benchmark(step, model, sources, tokens, mode, permitted)
     assert len(outs.states) == n_tokens
 
 

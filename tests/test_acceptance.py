@@ -190,10 +190,10 @@ def test_criterion_6_draft_routing_never_leaves_pool(seeded_runs):
         def audit(run):
             nonlocal checked, violations
             for step_res in run.steps:
-                for layer, experts in enumerate(step_res.pool.experts):
+                for layer, pool in enumerate(step_res.pool):
                     for ids in step_res.draft_selected[:, layer].tolist():
                         checked += 1
-                        if not set(ids) <= experts:
+                        if not pool[ids].all():
                             violations += 1
 
         for run, _ in seeded_runs:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from elasticmoe import elastic_sd, toymoe
 from elasticmoe.bitnest import ReconstructMode
 from elasticmoe.elastic_sd import (
-    ExpertPool,
     SdConfig,
     SdSession,
     accumulate_hotness,
@@ -39,6 +38,19 @@ SHAPE = MoEShape(d_model=64, d_ff=128, n_experts=8, top_k=2, n_layers=2, vocab=6
 
 def zeros(n_layers, n_experts):
     return np.zeros((n_layers, n_experts))
+
+
+def pool_of(n_experts, *layers):
+    """A pool mask holding one set of expert ids per layer."""
+    pool = np.zeros((len(layers), n_experts), dtype=bool)
+    for layer, ids in enumerate(layers):
+        pool[layer, list(ids)] = True
+    return pool
+
+
+def pool_sets(pool):
+    """A pool mask's expert ids, one set per layer."""
+    return [set(np.flatnonzero(row).tolist()) for row in pool]
 
 
 def selections(*rows):
@@ -94,21 +106,22 @@ class TestSelectPool:
         counts = accumulate_hotness(zeros(1, 4), selections(*[[[0, 2]]] * 5))
         # counts [5, 0, 5, 0]
         pool = select_pool(counts, 2)
-        assert pool.experts[0] == frozenset({0, 2})
+        assert pool_sets(pool) == [{0, 2}]
+        assert pool.dtype == bool and not pool.flags.writeable
 
     def test_tie_breaks_low_id(self):
         counts = accumulate_hotness(zeros(1, 3), selections(*[[[0, 1]]] * 3))
         counts = accumulate_hotness(counts, selections([[2]]))
         # counts [3, 3, 1]
         pool = select_pool(counts, 1)
-        assert pool.experts[0] == frozenset({0})
+        assert pool_sets(pool) == [{0}]
         # Unseen experts tie at zero and fill the pool from the lowest id.
-        assert select_pool(zeros(1, 5), 3).experts[0] == frozenset({0, 1, 2})
+        assert pool_sets(select_pool(zeros(1, 5), 3)) == [{0, 1, 2}]
 
     def test_full_capacity(self):
         pool = select_pool(zeros(2, 4), 4)
-        assert all(p == frozenset(range(4)) for p in pool.experts)
-        assert select_pool(zeros(2, 4), 9).experts == pool.experts
+        assert pool.all() and pool.shape == (2, 4)
+        assert np.array_equal(select_pool(zeros(2, 4), 9), pool)
 
     def test_capacity_below_topk(self):
         with pytest.raises(ValueError):
@@ -117,13 +130,56 @@ class TestSelectPool:
     def test_random_pool_sized_and_seeded(self):
         rng = np.random.default_rng(7)
         p1 = random_pool(2, 8, 3, rng)
-        assert all(len(p) == 3 for p in p1.experts)
+        assert p1.shape == (2, 8) and p1.sum(axis=1).tolist() == [3, 3]
+        assert p1.dtype == bool and not p1.flags.writeable
         p2 = random_pool(2, 8, 3, np.random.default_rng(7))
-        assert p1.experts == p2.experts
+        assert np.array_equal(p1, p2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pools_and_update_plan_equal_set_reference(data):
+    # select_pool, random_pool and pool_update_plan against the frozenset
+    # rules they replaced: the capacity highest counts with ties to the
+    # lower id, the generator's choice draws per layer, and the missing
+    # (layer, expert) pieces by layer, then expert id.
+    n_layers = data.draw(st.integers(1, 4), label="n_layers")
+    n_experts = data.draw(st.integers(1, 12), label="n_experts")
+    top_k = data.draw(st.integers(1, n_experts), label="top_k")
+    capacity = data.draw(st.integers(top_k, n_experts + 2), label="capacity")
+    counts = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.5]), min_size=n_experts, max_size=n_experts),
+        min_size=n_layers, max_size=n_layers,
+    ), label="counts"))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    hot = select_pool(counts, capacity, top_k)
+    rnd = random_pool(n_layers, n_experts, capacity, np.random.default_rng(seed), top_k)
+    want_hot = [
+        set(sorted(range(n_experts), key=lambda e: (-row[e], e))[:capacity]) for row in counts
+    ]
+    rng = np.random.default_rng(seed)
+    want_rnd = [
+        set(rng.choice(n_experts, size=min(capacity, n_experts), replace=False).tolist())
+        for _ in range(n_layers)
+    ]
+    for pool, want in ((hot, want_hot), (rnd, want_rnd)):
+        assert pool.shape == (n_layers, n_experts) and pool.dtype == bool
+        assert not pool.flags.writeable
+        assert pool_sets(pool) == want
+    for new, held, new_sets, held_sets in (
+        (hot, rnd, want_hot, want_rnd), (rnd, hot, want_rnd, want_hot)
+    ):
+        plan = pool_update_plan(new, held)
+        assert plan == [
+            (layer, e)
+            for layer, (experts, have) in enumerate(zip(new_sets, held_sets))
+            for e in sorted(experts - have)
+        ]
+        assert all(type(layer) is int and type(e) is int for layer, e in plan)
 
 
 def one_layer_pool(*experts):
-    return ExpertPool(experts=(frozenset(experts),))
+    return pool_of(4, experts)
 
 
 class TestPoolUpdatePlan:
@@ -132,8 +188,8 @@ class TestPoolUpdatePlan:
         assert plan == []
 
     def test_disjoint_fetches_everything(self):
-        pool = ExpertPool(experts=(frozenset({1, 2}), frozenset({0, 3})))
-        held = ExpertPool(experts=(frozenset({0, 3}), frozenset({1, 2})))
+        pool = pool_of(4, {1, 2}, {0, 3})
+        held = pool_of(4, {0, 3}, {1, 2})
         assert pool_update_plan(pool, held) == [(0, 1), (0, 2), (1, 0), (1, 3)]
 
     def test_partial(self):
@@ -173,7 +229,7 @@ def draft_greedy_path(model, root, state, pool, d):
     draft precision within pool."""
     path = []
     for _ in range(d):
-        out = step(model, [state], [root], PrecisionMode.MSB4_DRAFT, [pool.experts])
+        out = step(model, [state], [root], PrecisionMode.MSB4_DRAFT, pool[None])
         state, root = out.states[0], greedy_token(out.logits[0])
         path.append(root)
     return path
@@ -207,7 +263,7 @@ class TestDraftTreeInvariants:
 class TestDraftPhase:
     def setup_method(self):
         self.model = gen_model(SHAPE, seed=11)
-        self.full_pool = ExpertPool(experts=(frozenset(range(8)),) * 2)
+        self.full_pool = np.ones((2, 8), dtype=bool)
 
     def test_single_chain_node_is_greedy(self):
         st = init_state(self.model)
@@ -226,12 +282,12 @@ class TestDraftPhase:
             assert ids.shape == (0, SHAPE.n_layers, SHAPE.top_k)
 
     def test_throttling_audit(self):
-        pool = ExpertPool(experts=(frozenset({0, 1, 2, 3}), frozenset({2, 3, 4, 5})))
+        pool = pool_of(8, {0, 1, 2, 3}, {2, 3, 4, 5})
         st = init_state(self.model)
         res = draft_phase(self.model, [9], [st], [pool], w=2, d=3)[0]
         assert res.selected.shape == (res.step_calls, SHAPE.n_layers, SHAPE.top_k)
         assert res.step_calls
-        for layer, experts in enumerate(pool.experts):
+        for layer, experts in enumerate(pool_sets(pool)):
             assert set(res.selected[:, layer].ravel().tolist()) <= experts
 
     def test_node_count_and_width(self):
@@ -269,6 +325,16 @@ class TestDraftPhase:
         with pytest.raises(ValueError):
             verify_phase(self.model, [tree_of(res)], [st, st])
 
+    def test_root_states_must_be_decode_states(self):
+        # step reads an int source as an earlier token of its call, so an
+        # int root state would continue the other tree's root row.
+        st = init_state(self.model)
+        with pytest.raises(ValueError, match="must be a DecodeState"):
+            draft_phase(self.model, [1, 2], [st, 0], [self.full_pool] * 2, w=2, d=1)
+        tree = ((-1, 0), (3, 4))
+        with pytest.raises(ValueError, match="must be a DecodeState"):
+            verify_phase(self.model, [tree, tree], [st, 0])
+
 
 def reference_tree(model, root, state, pool, w, d, mode, reconstruct, traces):
     """draft_phase's tree from one root, rebuilt without its batched calls:
@@ -289,7 +355,7 @@ def reference_tree(model, root, state, pool, w, d, mode, reconstruct, traces):
         for node in reversed(path):
             if lp is not None:
                 score += lp[tokens[node]]
-            out = step(model, [st], [tokens[node]], mode, [pool.experts], traces, reconstruct)
+            out = step(model, [st], [tokens[node]], mode, pool[None], traces, reconstruct)
             st, lp = out.states[0], log_softmax(out.logits)[0].tolist()
         return score, lp
 
@@ -346,7 +412,7 @@ def test_draft_trees_equal_path_replay_reference(data):
     pools = data.draw(st.lists(
         st.tuples(*[layer_pool] * shape.n_layers), min_size=1, max_size=3, unique=True,
     ), label="pools")
-    pools = [ExpertPool(experts=experts) for experts in pools]
+    pools = [pool_of(n_experts, *experts) for experts in pools]
     token = st.integers(0, shape.vocab - 1)
     roots, states = [], []
     for i in range(len(pools)):
@@ -365,8 +431,8 @@ def test_forced_chain_child_equals_reference():
     shape = MoEShape(d_model=32, d_ff=32, n_experts=4, top_k=2, n_layers=2, vocab=4)
     model = gen_model(shape, seed=35)
     pools = [
-        ExpertPool(experts=(frozenset(range(4)), frozenset({0, 2, 3}))),
-        ExpertPool(experts=(frozenset({0, 1}), frozenset({2, 3}))),
+        pool_of(4, range(4), {0, 2, 3}),
+        pool_of(4, {0, 1}, {2, 3}),
     ]
     states = [init_state(model), prefill(model, [3], PrecisionMode.INT8_FULL)[0]]
     mode, reconstruct = PrecisionMode.MSB4_DRAFT, ReconstructMode.LSB_AUGMENT
@@ -380,7 +446,7 @@ def test_forced_chain_child_equals_reference():
 class TestVerifyPhase:
     def setup_method(self):
         self.model = gen_model(SHAPE, seed=11)
-        self.full_pool = ExpertPool(experts=(frozenset(range(8)),) * 2)
+        self.full_pool = np.ones((2, 8), dtype=bool)
 
     def test_self_agreement_reaches_full_depth(self):
         # Full-precision draft with the full pool is the target model, so
@@ -421,7 +487,7 @@ class TestVerifyPhase:
         assert np.array_equal(ver.selected, out.selected)
 
     def test_accept_matches_path_replay_oracle(self):
-        pool = ExpertPool(experts=(frozenset({0, 1, 2, 5}), frozenset({1, 3, 4, 6})))
+        pool = pool_of(8, {0, 1, 2, 5}, {1, 3, 4, 6})
         for seed in (1, 2, 3, 4):
             model = gen_model(SHAPE, seed=seed)
             st = init_state(model)
@@ -518,7 +584,7 @@ class TestSdSession:
         run = session.run(30)
         checked = 0
         for s in run.steps:
-            for layer, experts in enumerate(s.pool.experts):
+            for layer, experts in enumerate(pool_sets(s.pool)):
                 assert set(s.draft_selected[:, layer].ravel().tolist()) <= experts
                 checked += s.draft_selected[:, layer].size
         assert checked > 0
@@ -533,8 +599,8 @@ class TestSdSession:
         cfg = SdConfig(width=2, depth=2, pool_capacity=4)
         session = SdSession(model, cfg, prompt=[5, 6], score_traces=traces)
         run = session.run(25)
-        pools = [s.next_pool.experts for s in run.steps]
-        assert all(p == pools[0] for p in pools[1:])
+        pools = [s.next_pool for s in run.steps]
+        assert all(np.array_equal(p, pools[0]) for p in pools[1:])
 
     def test_emitted_count_is_accept_plus_one(self):
         model = gen_model(SHAPE, seed=22)
@@ -551,12 +617,12 @@ class TestSdSession:
         res = session.step()
         resident_before = {
             (layer, e)
-            for layer, experts in enumerate(res.pool.experts)
+            for layer, experts in enumerate(pool_sets(res.pool))
             for e in experts
         }
         expected = [
             (layer, e)
-            for layer, experts in enumerate(res.next_pool.experts)
+            for layer, experts in enumerate(pool_sets(res.next_pool))
             for e in sorted(experts)
             if (layer, e) not in resident_before
         ]
@@ -716,7 +782,7 @@ def test_sessions_stepped_together_equal_sessions_alone(data):
         assert session.root_state.pos == lone.root_state.pos
         assert session.root_state.ctx.tobytes() == lone.root_state.ctx.tobytes()
         assert session.hotness.tobytes() == lone.hotness.tobytes()
-        assert session.pool == lone.pool
+        assert session.pool.tobytes() == lone.pool.tobytes()
 
 
 def test_sessions_that_finish_at_different_steps_run_as_alone():
@@ -829,7 +895,7 @@ def _call_with(where, value):
     elif where == "session last prompt token":
         SdSession(model, SdConfig(), prompt=[3, value]).run(3)
     else:
-        pool = ExpertPool(experts=(frozenset(range(8)),) * SHAPE.n_layers)
+        pool = np.ones((SHAPE.n_layers, SHAPE.n_experts), dtype=bool)
         draft_phase(model, [value], [st], [pool], w=2, d=1)
 
 

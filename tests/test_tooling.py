@@ -55,14 +55,14 @@ def _assert_failure_reported(tmp_path, marks):
 
 
 def test_bench_files_collect():
-    # The pytest-benchmark files are outside tier-1; collecting them
-    # imports them and their perfbench constants, so an API change that
-    # breaks either fails here.
+    # The pytest-benchmark files are outside tier-1; running every case
+    # once, untimed, imports them and their perfbench constants and calls
+    # the API as the benches do, so a change that breaks either fails here.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
-            sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+            sys.executable, "-m", "pytest", "--benchmark-disable", "-q", "-p", "no:cacheprovider",
             "tests/bench_lru.py", "tests/bench_step.py",
         ],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,

@@ -106,12 +106,27 @@ def mirror_expert_int8(x, e):
 
 def route(scores, k, permitted=None):
     """The (ids, gates) step's router gives one row of scores: its top-k
-    by the one selection rule, toymoe._select, within the mask of a
-    permitted pool when one is given."""
+    by the one selection rule, toymoe._select, within a permitted set of
+    expert ids when one is given."""
     s = np.asarray(scores, dtype=np.float64)[None]
-    mask = None if permitted is None else toymoe._pool_mask((frozenset(permitted),), s.shape[1], k)[0]
+    mask = None
+    if permitted is not None:
+        mask = np.zeros(s.shape, dtype=bool)
+        mask[0, list(permitted)] = True
     ids, gates = toymoe._select(s, k, mask)
     return tuple(ids[0].tolist()), tuple(gates[0].tolist())
+
+
+def pools_mask(shape, pools):
+    """step's permitted array for one pool per token, each pool None (every
+    expert) or one set of expert ids (or None, every expert) per layer."""
+    mask = np.ones((len(pools), shape.n_layers, shape.n_experts), dtype=bool)
+    for t, pool in enumerate(pools):
+        for layer, ids in enumerate(pool or ()):
+            if ids is not None:
+                mask[t, layer] = False
+                mask[t, layer, list(ids)] = True
+    return mask
 
 
 class TestRoute:
@@ -158,8 +173,14 @@ class TestRoute:
             assert list(route(s, 3, permitted=pool)[0]) == expected
 
     def test_permitted_too_small(self):
-        with pytest.raises(ValueError):
-            route(np.array([0.5, 0.5]), 2, permitted={0})
+        # step rejects a pool that leaves any token fewer than top_k
+        # experts at any layer.
+        model = gen_model(SHAPE, seed=21)
+        st = init_state(model)
+        for pools in ([[{0}, None]], [None, [set(range(8)), {5}]], [[set(), set()]]):
+            with pytest.raises(ValueError, match="fewer than top_k"):
+                step(model, [st] * len(pools), [1] * len(pools), PrecisionMode.MSB4_DRAFT,
+                     pools_mask(SHAPE, pools))
 
     def test_rejects_nonfinite(self):
         # step checks every row it routes on, the router's or a trace's.
@@ -505,7 +526,7 @@ class TestStep:
         a = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
         b = step(
             self.model, [st], [5], PrecisionMode.INT8_FULL,
-            permitted=[[set(range(8))] * SHAPE.n_layers],
+            permitted=pools_mask(SHAPE, [[set(range(8))] * SHAPE.n_layers]),
         )
         assert np.array_equal(a.logits, b.logits)
         assert np.array_equal(a.selected[0, 0], b.selected[0, 0])
@@ -528,31 +549,44 @@ class TestStep:
         pool = {0, 2, 4, 6}
         out = step(
             self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
-            permitted=[[pool] * SHAPE.n_layers],
+            permitted=pools_mask(SHAPE, [[pool] * SHAPE.n_layers]),
         )
         assert set(out.selected.ravel().tolist()) <= pool
 
     def test_permitted_needs_one_set_per_layer(self):
+        # permitted is one (n_layers, n_experts) row of experts per token.
         st = init_state(self.model)
-        with pytest.raises(ValueError, match="one permitted set per layer"):
-            step(self.model, [st], [7], PrecisionMode.MSB4_DRAFT, permitted=[[{0, 2}]])
-        # A bare set as long as the layer count is not one set per layer.
-        assert SHAPE.n_layers == 2
-        with pytest.raises(ValueError, match="one permitted set per layer"):
-            step(self.model, [st], [3], PrecisionMode.MSB4_DRAFT, [{0, 2}])
-        # One pool per token, not one set per layer shared by every token.
-        pool = [{0, 2}, {1, 3}]
-        with pytest.raises(ValueError, match="one permitted pool"):
-            step(self.model, [st], [3], PrecisionMode.MSB4_DRAFT, pool)
-        with pytest.raises(ValueError, match="one permitted pool"):
-            step(self.model, [st, st], [3, 4], PrecisionMode.MSB4_DRAFT, [pool])
+        pool = pools_mask(SHAPE, [[{0, 2}, {1, 3}]])
+        for bad in (
+            pool[:, :1],  # one layer of two
+            pool[0],  # no token axis
+            np.repeat(pool, 2, axis=0),  # two tokens' pools for one token
+            pool[:, :, :4],  # four experts of eight
+            [[{0, 2}, {1, 3}]],  # id sets, not a mask
+        ):
+            with pytest.raises(ValueError, match="permitted must be a bool"):
+                step(self.model, [st], [3], PrecisionMode.MSB4_DRAFT, bad)
+        # One pool per token, not one pool shared by every token.
+        with pytest.raises(ValueError, match="permitted must be a bool"):
+            step(self.model, [st, st], [3, 4], PrecisionMode.MSB4_DRAFT, pool)
+
+    def test_permitted_must_be_bool(self):
+        # A 0/1 integer or float mask of the right shape is rejected, not
+        # read as expert ids or truth values.
+        st = init_state(self.model)
+        pool = pools_mask(SHAPE, [[{0, 2}, {1, 3}]])
+        for dtype in (np.int8, np.intp, np.float64):
+            with pytest.raises(ValueError, match="permitted must be a bool"):
+                step(self.model, [st], [3], PrecisionMode.MSB4_DRAFT, pool.astype(dtype))
+        out = step(self.model, [st], [3], PrecisionMode.MSB4_DRAFT, pool)
+        assert set(out.selected[0, 0].tolist()) <= {0, 2}
 
     def test_original_decisions_unrestricted(self):
         st = init_state(self.model)
         out_free = step(self.model, [st], [7], PrecisionMode.MSB4_DRAFT)
         out_pool, scores = step_with_scores(
             self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
-            permitted=[[{0, 2, 4, 6}] * SHAPE.n_layers],
+            permitted=pools_mask(SHAPE, [[{0, 2, 4, 6}] * SHAPE.n_layers]),
         )
         # Layer 0 sees identical input in both runs, so its unrestricted
         # selection matches the free run exactly.
@@ -576,7 +610,7 @@ class TestStep:
         st = init_state(self.model)
         full = step(
             self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
-            permitted=[[set(range(8))] * SHAPE.n_layers],
+            permitted=pools_mask(SHAPE, [[set(range(8))] * SHAPE.n_layers]),
         )
         assert len(calls) == SHAPE.n_layers
         assert np.array_equal(full.selected, full.unrestricted)
@@ -587,7 +621,7 @@ class TestStep:
         pool = {0, 2, 4, 6}
         out, scores = step_with_scores(
             self.model, [st], [7], PrecisionMode.MSB4_DRAFT,
-            permitted=[[pool] * SHAPE.n_layers],
+            permitted=pools_mask(SHAPE, [[pool] * SHAPE.n_layers]),
         )
         for layer, layer_scores in enumerate(scores):
             sel, orig = out.selected[0, layer], out.unrestricted[0, layer]
@@ -926,10 +960,11 @@ def test_batched_step_equals_one_at_a_time(data):
         ),
         label="pools",
     )
-    permitted = data.draw(
+    token_pools = data.draw(
         st.none() | st.lists(st.sampled_from(pools), min_size=n, max_size=n),
         label="permitted",
     )
+    permitted = None if token_pools is None else pools_mask(shape, token_pools)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="score seed"))
     n_rows = data.draw(st.none() | st.integers(0, 8), label="trace rows")
     traces = None
@@ -946,15 +981,15 @@ def assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, t
     position is its source state's, or one past its parent token's, and it
     routes on the trace row at that position modulo the trace length, and
     within its own pool."""
-    pools = [None] * len(tokens) if permitted is None else permitted
     ref, positions = [], []
-    for src, tok, pool in zip(sources, tokens, pools):
+    for t, (src, tok) in enumerate(zip(sources, tokens)):
         if isinstance(src, int):
             state, pos = ref[src].states[0], positions[src] + 1
         else:
             state, pos = src, src.pos
         row = None if traces is None or not len(traces) else traces[[pos % len(traces)]]
-        ref.append(step(model, [state], [tok], mode, [pool], row, rec))
+        pool = None if permitted is None else permitted[t : t + 1]
+        ref.append(step(model, [state], [tok], mode, pool, row, rec))
         positions.append(pos)
     for t, (want, pos) in enumerate(zip(ref, positions)):
         got = outs.states[t]
@@ -964,8 +999,8 @@ def assert_equals_one_at_a_time(outs, model, sources, tokens, mode, permitted, t
         assert same_bits(outs.selected[t], want.selected[0])
         assert same_bits(outs.unrestricted[t], want.unrestricted[0])
         for layer, (sel, orig) in enumerate(zip(outs.selected[t], outs.unrestricted[t])):
-            pool = None if pools[t] is None else pools[t][layer]
-            assert np.array_equal(sel, orig) == (pool is None or set(orig.tolist()) <= pool)
+            held = permitted is None or permitted[t, layer, orig].all()
+            assert np.array_equal(sel, orig) == held
 
 
 @pytest.mark.parametrize("mode", list(PrecisionMode))
@@ -990,7 +1025,8 @@ def test_calls_at_size_bounds_equal_one_at_a_time(mode):
     rec = ReconstructMode.LSB_AUGMENT
     traces = rng.dirichlet(np.ones(8), size=(100, 2))
     for sources, permitted, call_traces in (
-        (tree, [pools[i % 3] for i in range(len(tree))], None), (chain, None, traces)
+        (tree, pools_mask(model.shape, [pools[i % 3] for i in range(len(tree))]), None),
+        (chain, None, traces),
     ):
         tokens = rng.integers(0, 64, size=len(sources)).tolist()
         outs = step(model, sources, tokens, mode, permitted, call_traces, rec)
@@ -1058,7 +1094,9 @@ def test_step_digest_is_pinned():
                 for call_traces in (None, traces):
                     for sources in calls:
                         tokens = rng.integers(0, shape.vocab, len(sources)).tolist()
-                        pools = None if permitted is None else [permitted] * len(sources)
+                        pools = None
+                        if permitted is not None:
+                            pools = pools_mask(shape, [permitted] * len(sources))
                         outs = step(model, sources, tokens, mode, pools, call_traces, rec)
                         step_digest_update(h, outs)
     assert h.hexdigest() == STEP_DIGEST
