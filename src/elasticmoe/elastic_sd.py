@@ -96,7 +96,10 @@ def random_pool(
 
 def pool_update_plan(next_pool: np.ndarray, pool: np.ndarray) -> list[tuple[int, int]]:
     """(layer, expert) MSB pieces the next_pool mask needs that the pool
-    mask does not hold, by layer, then expert id."""
+    mask does not hold, by layer, then expert id.  The masks must have
+    one shape (ValueError otherwise)."""
+    if next_pool.shape != pool.shape:
+        raise ValueError(f"pool shapes differ: {next_pool.shape} and {pool.shape}")
     layers, experts = (next_pool & ~pool).nonzero()
     return list(zip(layers.tolist(), experts.tolist()))
 

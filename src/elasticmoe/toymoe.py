@@ -9,7 +9,9 @@ exist only as group-quantized INT8 codes, one stored layout per expert
 reads from them: the stored 8-bit codes (INT8_FULL) or the 4-bit MSB
 surrogate used for drafting (MSB4_DRAFT), rebuilt by surrogate_codes once
 per expert and mode.  Dense parts (embedding, context map, router, output
-head) stay real in both modes.
+head) stay real in both modes.  gen_model keeps its most recently used
+models, so a (shape, seed) built again in the process is the same
+read-only object, its code sets built once.
 
 ``step`` is one layer-major forward over T tokens, each continuing a given
 decode state or an earlier token of the same call, so a prompt chain, a
@@ -34,6 +36,7 @@ which; routing and sampling ties break toward lower ids.
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
@@ -250,8 +253,21 @@ def _select(
     return ids, chosen / np.add.reduce(chosen, axis=1, keepdims=True)
 
 
+# Models kept built, by (shape, seed): every workload and suite uses one
+# key, and a second slot keeps a sweep that alternates two from rebuilding.
+MODEL_CACHE_SIZE = 2
+
+
 def gen_model(shape: MoEShape, seed: int) -> MoEModel:
-    """Build a model with fixed random weights; same seed, same model."""
+    """The model with fixed random weights for a shape and an integer seed:
+    same seed, same model.  The MODEL_CACHE_SIZE most recently used models
+    are kept, so a repeated (shape, seed) returns the same read-only object
+    (and its draft code sets, built once)."""
+    return _build_model(shape, as_index(seed, "model seed"))
+
+
+@functools.lru_cache(maxsize=MODEL_CACHE_SIZE)
+def _build_model(shape: MoEShape, seed: int) -> MoEModel:
     rng = np.random.default_rng(seed)
     d, f = shape.d_model, shape.d_ff
     embed = rng.normal(0.0, 1.0, size=(shape.vocab, d))
@@ -269,6 +285,8 @@ def gen_model(shape: MoEShape, seed: int) -> MoEModel:
             down = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f)))
             experts.append(ExpertWeights(*up_gate, *down))
         layers.append(tuple(experts))
+    for a in (embed, w_attn, w_router, w_out):
+        a.flags.writeable = False
     return MoEModel(
         shape=shape,
         embed=embed,

@@ -195,6 +195,12 @@ class TestPoolUpdatePlan:
     def test_partial(self):
         assert pool_update_plan(one_layer_pool(1, 2), one_layer_pool(2)) == [(0, 1)]
 
+    @pytest.mark.parametrize("next_shape, held_shape", [((1, 4), (2, 4)), ((2, 4), (1, 4))])
+    def test_shapes_must_match(self, next_shape, held_shape):
+        # Broadcasting would plan 8 pieces over two layers for a 1-layer pool.
+        with pytest.raises(ValueError, match="pool shapes differ"):
+            pool_update_plan(np.ones(next_shape, bool), np.zeros(held_shape, bool))
+
 
 class TestSdSpeedup:
     def test_worked_example(self):
@@ -662,6 +668,8 @@ class TestSdSession:
             return build(codes, mode)
 
         monkeypatch.setattr(toymoe, "surrogate_codes", counting)
+        # A cleared store, so no earlier call built this model's code sets.
+        toymoe._build_model.cache_clear()
         model = gen_model(SHAPE, seed=25)
         modes = (ReconstructMode.LSB_AUGMENT, ReconstructMode.TRUNCATE)
         for mode in modes:
@@ -819,7 +827,7 @@ def test_run_sessions_rejects_sessions_that_cannot_step_together(change):
         "draft_reconstruct": {"draft_reconstruct": ReconstructMode.TRUNCATE},
     }
     other = SdSession(
-        gen_model(SHAPE, seed=31) if change == "model" else model,
+        gen_model(SHAPE, seed=33) if change == "model" else model,
         SdConfig(**fields.get(change, {})),
         [3],
         score_traces=traces.copy() if change == "traces" else traces,

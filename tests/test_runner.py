@@ -4,6 +4,7 @@ import json
 import math
 import time
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -640,6 +641,44 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
     _assert_verify_estimate(
         cfg, calls["expected_unique_experts"][1], [7, 28, 112], ["elastic_sd", "random_pool_sd"]
     )
+
+
+@pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
+def test_suites_build_each_model_once(monkeypatch):
+    # The store is cleared first, so each miss is one run of the uncached
+    # builder for these suites: 23 scenarios share one (shape, model seed).
+    configs = [c for which in runner.ABLATION_SUITES for c in runner._ablation_configs(which)]
+    keys = {(c.shape, c.run.model_seed) for c in configs}
+    assert (len(configs), len(keys)) == (23, 1)
+    made = []
+    gen_model = toymoe.gen_model
+
+    def recording(shape, seed):
+        made.append(gen_model(shape, seed))
+        return made[-1]
+
+    monkeypatch.setattr(toymoe, "gen_model", recording)
+    toymoe._build_model.cache_clear()
+    for which in runner.ABLATION_SUITES:
+        ablation_suite(which)
+    info = toymoe._build_model.cache_info()
+    assert (info.misses, info.hits) == (len(keys), len(configs) - len(keys))
+    assert info.currsize <= toymoe.MODEL_CACHE_SIZE
+    assert len(made) == len(configs)
+    assert len({id(model) for model in made}) == len(keys)
+
+
+@pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")
+def test_second_run_on_the_shared_model_renders_the_golden_csv():
+    # The second run reuses the first run's model and its draft code sets,
+    # which carry no state into the results.
+    golden = (Path(__file__).with_name("golden") / "example_sweep.csv").read_bytes()
+    configs = load_config(example_config_path())
+    toymoe._build_model.cache_clear()
+    for _ in range(2):
+        assert render_csv(run_scenarios(configs)).encode() == golden
+    info = toymoe._build_model.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.filterwarnings("ignore::elasticmoe.hwmodel.CommOverlapWarning")

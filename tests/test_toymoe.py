@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -398,18 +399,53 @@ class TestQuantizeRows:
             assert np.array_equal(c.astype(np.int64), ref.codes)
 
 
+def model_arrays(model) -> list[tuple[str, np.ndarray]]:
+    """(path, array) for every array reachable from a model: its fields,
+    its experts' fields and each expert's code set in every mode."""
+    def walk(path, value):
+        if isinstance(value, np.ndarray):
+            yield path, value
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                yield from walk(f"{path}[{i}]", item)
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                yield from walk(f"{path}.{f.name}", getattr(value, f.name))
+            if isinstance(value, ExpertWeights):
+                for mode in ReconstructMode:
+                    yield from walk(f"{path}.codes({mode.name})", value.codes(mode))
+
+    return list(walk("model", model))
+
+
 class TestGenModel:
     def test_determinism(self):
+        # Same seed, same model, also when rebuilt after the store evicted it.
         m1 = gen_model(SHAPE, seed=42)
+        for seed in range(toymoe.MODEL_CACHE_SIZE):
+            gen_model(MoEShape(32, 32, 1, 1, 1, 8), seed=seed)
+        assert toymoe._build_model.cache_info().currsize <= toymoe.MODEL_CACHE_SIZE
         m2 = gen_model(SHAPE, seed=42)
-        assert np.array_equal(m1.embed, m2.embed)
-        assert np.array_equal(m1.w_out, m2.w_out)
-        e1 = m1.experts[1][3]
-        e2 = m2.experts[1][3]
-        assert np.array_equal(e1.up_gate, e2.up_gate)
-        assert np.array_equal(e1.up_gate_scales, e2.up_gate_scales)
-        assert np.array_equal(e1.down, e2.down)
-        assert np.array_equal(e1.down_scales, e2.down_scales)
+        assert m2 is not m1
+        arrays1, arrays2 = model_arrays(m1), model_arrays(m2)
+        assert [path for path, _ in arrays1] == [path for path, _ in arrays2]
+        assert len(arrays1) == 4 + SHAPE.n_layers * SHAPE.n_experts * (4 + 2 * len(ReconstructMode))
+        for (path, a1), (_, a2) in zip(arrays1, arrays2):
+            assert a1.dtype == a2.dtype and np.array_equal(a1, a2), path
+
+    def test_repeated_key_shares_one_read_only_model(self):
+        model = gen_model(SHAPE, seed=42)
+        assert gen_model(SHAPE, seed=np.int64(42)) is model
+        for path, a in model_arrays(model):
+            # Rewrites the same values, so a writeable array stays intact.
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a
+                pytest.fail(f"{path} is writeable")
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="model seed"):
+            gen_model(SHAPE, seed)
 
     @pytest.mark.parametrize(
         "shape",
