@@ -9,9 +9,9 @@ exist only as group-quantized INT8 codes, one stored layout per expert
 reads from them: the stored 8-bit codes (INT8_FULL) or the 4-bit MSB
 surrogate used for drafting (MSB4_DRAFT), rebuilt by surrogate_codes once
 per expert and mode.  Dense parts (embedding, context map, router, output
-head) stay real in both modes.  gen_model keeps its most recently used
-models, so a (shape, seed) built again in the process is the same
-read-only object, its code sets built once.
+head) stay real in both modes.  gen_model keeps its last model, so a
+(shape, seed) asked for again in the process is the same read-only
+object, its code sets built once.
 
 ``step`` is one layer-major forward over T tokens, each continuing a given
 decode state or an earlier token of the same call, so a prompt chain, a
@@ -253,16 +253,15 @@ def _select(
     return ids, chosen / np.add.reduce(chosen, axis=1, keepdims=True)
 
 
-# Models kept built, by (shape, seed): every workload and suite uses one
-# key, and a second slot keeps a sweep that alternates two from rebuilding.
-MODEL_CACHE_SIZE = 2
+# Models kept built, by (shape, seed): every workload and suite uses one key.
+MODEL_CACHE_SIZE = 1
 
 
 def gen_model(shape: MoEShape, seed: int) -> MoEModel:
     """The model with fixed random weights for a shape and an integer seed:
-    same seed, same model.  The MODEL_CACHE_SIZE most recently used models
-    are kept, so a repeated (shape, seed) returns the same read-only object
-    (and its draft code sets, built once)."""
+    same seed, same model.  The last model is kept, so a repeated
+    (shape, seed) returns the same read-only object (and its draft code
+    sets, built once)."""
     return _build_model(shape, as_index(seed, "model seed"))
 
 
