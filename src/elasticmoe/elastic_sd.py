@@ -1,9 +1,11 @@
 """Elastic self-speculative decoding over the toy MoE model.
 
-A width-w, depth-d token tree is drafted with the 4-bit MSB weight
-surrogate while routing is confined to a per-layer expert pool; the full
-INT8 model then verifies the whole tree in one pass and accepts the longest
-root path that matches its own greedy choices, emitting one bonus token.
+A width-w, depth-d token tree is drafted on the model's own bit-nested
+expert codes, read at the draft reconstruction mode (ReconstructMode.FULL
+reads the stored INT8 codes, the others a 4-bit MSB surrogate), while
+routing is confined to a per-layer expert pool; the full INT8 model then
+verifies the whole tree in one pass and accepts the longest root path
+that matches its own greedy choices, emitting one bonus token.
 A tree is two int tuples, (parents, tokens): node 0 is the root (the last
 accepted token, parent -1), and nodes run depth by depth, parents[i] < i.
 The pool's MSB pieces are pinned, so the pool is both the draft model's
@@ -123,14 +125,13 @@ def sd_speedup(
 @dataclass(frozen=True)
 class DraftResult:
     """The tree's (parents, tokens), and the (drafted tokens, n_layers,
-    top_k) expert ids each drafting step was routed to within the pool and
+    top_k) expert ids each drafted token was routed to within the pool and
     unrestricted, in step order."""
 
     parents: tuple[int, ...]
     tokens: tuple[int, ...]
     selected: np.ndarray
     unrestricted: np.ndarray
-    step_calls: int
 
 
 def _grow(parents, tree_tokens, frontier, chain, w, rows, sources, tokens):
@@ -139,13 +140,13 @@ def _grow(parents, tree_tokens, frontier, chain, w, rows, sources, tokens):
     # the child extending the draft-greedy chain at node chain forced into
     # the last kept place, and each child's state and token to the next
     # call's sources and tokens; rows yields each frontier node's next
-    # state, log-probabilities and top-w tokens.  Returns the new frontier
-    # and chain node.
+    # state, its top-w tokens and their log-probabilities.  Returns the new
+    # frontier and chain node.
     candidates = []
     # zip reads frontier first, so it takes no row past this tree's.  The
     # chain node is always kept, so the loop sets chain_key.
-    for (idx, score), (state, lp, top) in zip(frontier, rows):
-        candidates += [(score + lp[tok], idx, tok, state) for tok in top]
+    for (idx, score), (state, top, lps) in zip(frontier, rows):
+        candidates += [(score + lp, idx, tok, state) for tok, lp in zip(top, lps)]
         if idx == chain:
             chain_key = (idx, top[0])
     candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
@@ -171,13 +172,13 @@ def draft_phase(
     pools: Sequence[np.ndarray],
     w: int,
     d: int,
-    draft_mode: PrecisionMode = PrecisionMode.MSB4_DRAFT,
     draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT,
     score_traces=None,
 ) -> list[DraftResult]:
     """Expand one width-w depth-d tree from each root token and state, with
-    throttled draft-precision steps confined to that tree's pool (an
-    (n_layers, n_experts) bool mask); returns one DraftResult per root.
+    throttled draft steps on the draft_reconstruct code set (FULL: the
+    stored INT8 codes) confined to that tree's pool (an (n_layers,
+    n_experts) bool mask); returns one DraftResult per root.
 
     Each depth keeps the top-w children by cumulative log-probability (then
     parent, then token), always retaining the draft-greedy chain node.  The
@@ -207,12 +208,13 @@ def draft_phase(
     unrestricted = [[none] for _ in tokens]
     for _ in range(d):
         permitted = np.repeat(masks, [len(frontier) for frontier in frontiers], axis=0)
-        out = step(model, sources, tokens, draft_mode, permitted, score_traces, draft_reconstruct)
-        # Each row's log-probabilities and its tokens by descending
-        # log-probability (ties to the lower id, so the first is argmax).
+        out = step(model, sources, tokens, PrecisionMode.MSB4_DRAFT, permitted,
+                   score_traces, draft_reconstruct)
+        # Each row's top-w tokens by descending log-probability (ties to the
+        # lower id, so the first is argmax), and those log-probabilities.
         lps = log_softmax(out.logits)
-        tops = np.argsort(-lps, axis=1, kind="stable")[:, :w].tolist()
-        rows = zip(out.states, lps.tolist(), tops)
+        tops = np.argsort(-lps, axis=1, kind="stable")[:, :w]
+        rows = zip(out.states, tops.tolist(), lps[np.arange(len(lps))[:, None], tops].tolist())
         sources, tokens = [], []
         lo = 0
         for j, frontier in enumerate(frontiers):
@@ -229,7 +231,6 @@ def draft_phase(
             tokens=tuple(tree_tokens),
             selected=np.concatenate(sel),
             unrestricted=np.concatenate(orig),
-            step_calls=sum(map(len, sel)),
         )
         for (parents, tree_tokens), sel, orig in zip(trees, selected, unrestricted)
     ]
@@ -244,7 +245,6 @@ class VerifyResult:
     accept_length: int
     bonus_token: int
     emitted: tuple[int, ...]
-    verify_token_count: int
     selected: np.ndarray
     final_state: DecodeState
 
@@ -294,7 +294,6 @@ def verify_phase(
             accept_length=len(accepted),
             bonus_token=bonus,
             emitted=tuple(accepted) + (bonus,),
-            verify_token_count=len(tree_tokens),
             selected=out.selected[base:base + len(tree_tokens)],
             final_state=out.states[base + last],
         ))
@@ -308,7 +307,6 @@ class SdConfig:
     pool_capacity: int = 8
     hotness_decay: float = 0.5
     draft_reconstruct: ReconstructMode = ReconstructMode.LSB_AUGMENT
-    draft_mode: PrecisionMode = PrecisionMode.MSB4_DRAFT
     pool_strategy: str = "hotness"
     seed: int = 0
 
@@ -320,8 +318,6 @@ class SdConfig:
             raise ValueError("need pool_capacity >= 1")
         if not isinstance(self.draft_reconstruct, ReconstructMode):
             raise ValueError(f"draft_reconstruct {self.draft_reconstruct!r} is not a ReconstructMode")
-        if not isinstance(self.draft_mode, PrecisionMode):
-            raise ValueError(f"draft_mode {self.draft_mode!r} is not a PrecisionMode")
         if self.pool_strategy not in ("hotness", "random"):
             raise ValueError(f"unknown pool strategy {self.pool_strategy!r}")
         if not 0.0 <= self.hotness_decay <= 1.0:
@@ -333,8 +329,9 @@ class SdStepResult:
     """One session step: its verify outcome, draft side and pool refresh.
     draft_selected and verify_selected are the expert ids the drafted and
     the verified tokens were routed to (DraftResult.selected and
-    VerifyResult.selected); pool and next_pool are the (n_layers,
-    n_experts) bool masks drafted with and picked for the next step."""
+    VerifyResult.selected), and draft_step_calls and verify_token_count
+    their lengths; pool and next_pool are the (n_layers, n_experts) bool
+    masks drafted with and picked for the next step."""
 
     accept_length: int
     verify_token_count: int
@@ -418,7 +415,6 @@ def _step_together(sessions: Sequence[SdSession]) -> list[SdStepResult]:
         [s.pool for s in sessions],
         cfg.width,
         cfg.depth,
-        draft_mode=cfg.draft_mode,
         draft_reconstruct=cfg.draft_reconstruct,
         score_traces=first.score_traces,
     )
@@ -437,14 +433,14 @@ def _step_together(sessions: Sequence[SdSession]) -> list[SdStepResult]:
         s.hotness = accumulate_hotness(s.hotness, verify.selected)
         results.append(SdStepResult(
             accept_length=verify.accept_length,
-            verify_token_count=verify.verify_token_count,
+            verify_token_count=len(verify.selected),
             emitted=verify.emitted,
             draft_selected=draft.selected,
             verify_selected=verify.selected,
             pool=s.pool,
             next_pool=next_pool,
             transfers=tuple(pool_update_plan(next_pool, s.pool)),
-            draft_step_calls=draft.step_calls,
+            draft_step_calls=len(draft.selected),
         ))
         s.root_state = verify.final_state
         s.root_token = verify.bonus_token
@@ -461,8 +457,7 @@ def run_sessions(sessions: Sequence[SdSession], n_tokens: int) -> list[SdRunResu
     their verify trees one more.  Every result equals the session's own
     SdSession.run, field for field.  The sessions must be distinct and
     share the model, the score-trace array (the same object, or None),
-    width, depth, draft mode and draft reconstruct mode; otherwise
-    ValueError.
+    width, depth and draft reconstruct mode; otherwise ValueError.
     """
     sessions = list(sessions)
     if len({id(s) for s in sessions}) != len(sessions):
@@ -471,13 +466,13 @@ def run_sessions(sessions: Sequence[SdSession], n_tokens: int) -> list[SdRunResu
     # one model, trace and code set.
     shared = {
         (id(s.model), id(s.score_traces), s.config.width, s.config.depth,
-         s.config.draft_mode, s.config.draft_reconstruct)
+         s.config.draft_reconstruct)
         for s in sessions
     }
     if len(shared) > 1:
         raise ValueError(
             "sessions stepped together must share the model, score traces, "
-            "width, depth, draft mode and draft reconstruct mode"
+            "width, depth and draft reconstruct mode"
         )
     tokens: list[list[int]] = [[] for _ in sessions]
     steps: list[list[SdStepResult]] = [[] for _ in sessions]

@@ -471,18 +471,15 @@ def _popularity(trace: expert_cache.AccessTrace, n_experts: int) -> np.ndarray:
     return np.bincount(trace.expert, minlength=n_experts) / len(trace)
 
 
-def _access_trace(
-    selected: np.ndarray, steps: np.ndarray, slice_kind: str
-) -> expert_cache.AccessTrace:
+def _access_trace(selected: np.ndarray, slice_kind: str) -> expert_cache.AccessTrace:
     """One slice_kind access per selected expert of (tokens, n_layers,
-    top_k) expert ids, in token, layer, slot order, each tagged with its
-    token's step id."""
+    top_k) expert ids, in token, layer, slot order, with no step ids: the
+    runner replays its traces without a phase map."""
     _, n_layers, k = selected.shape
     return expert_cache.AccessTrace.from_columns(
         np.tile(np.repeat(np.arange(n_layers), k), len(selected)),
         selected.ravel(),
         np.full(selected.size, expert_cache.SLICE_KINDS.index(slice_kind)),
-        np.repeat(steps, n_layers * k),
     )
 
 
@@ -567,9 +564,8 @@ def _sd_sessions(
             mean_accept=run.mean_accept_length,
             transfer_pieces_per_step=float(np.mean([len(s.transfers) for s in run.steps])),
         )
-        verify = [s.verify_selected for s in run.steps]
-        steps = np.repeat(np.arange(len(verify)), [len(v) for v in verify])
-        measured[scheme] = sd, _access_trace(np.concatenate(verify), steps, "msb")
+        verify = np.concatenate([s.verify_selected for s in run.steps])
+        measured[scheme] = sd, _access_trace(verify, "msb")
     return measured
 
 
@@ -616,7 +612,7 @@ def _scenario_rows(cfg: ScenarioConfig) -> list[ResultRow]:
     """Every scheme's rows, ordered by (scheme, batch) as configured, from
     one pass over the scenario (see the module docstring)."""
     model, traces, prompt, ar_selected = _decode_inputs(cfg)
-    ar_trace = _access_trace(ar_selected, np.arange(len(ar_selected)), "full")
+    ar_trace = _access_trace(ar_selected, "full")
     ar_unique = expert_cache.expected_unique_experts(
         cfg.batch_sizes, cfg.shape.top_k, cfg.shape.n_experts,
         popularity=_popularity(ar_trace, cfg.shape.n_experts), seed=cfg.trace.seed,

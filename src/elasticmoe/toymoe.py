@@ -581,9 +581,10 @@ def gen_routing_trace(
     pop /= pop.sum()
     scores = pop * rng.exponential(1.0, size=(n_tokens, n_experts))
     scores /= scores.sum(axis=1, keepdims=True)
+    fresh = (1.0 - correlation) * scores
     for i in range(n_tokens):
-        s = scores[i] if i == 0 else (1.0 - correlation) * scores[i] + correlation * scores[i - 1]
-        scores[i] = s / s.sum()
+        s = scores[0] if i == 0 else fresh[i] + correlation * scores[i - 1]
+        np.divide(s, np.add.reduce(s), out=scores[i])
     if not np.isfinite(scores).all():
         raise ValueError("non-finite routing score")
     return scores

@@ -5,11 +5,13 @@ it.  Run it from the root of a checkout:
 
     PYTHONPATH=src python -m pytest tests/bench_step.py
 
-step runs at T = 1 and 2 (draft levels of independent tokens) and T = 7
-(a width-2, depth-3 verify tree), in both precisions, with and without an
-8-expert pool; the session step is one draft/verify step of perfbench's
-sd_decode geometry, alone and for two sessions stepped together.  Each
-case reports min and median host time per call.
+step runs at T = 1 and 2 (draft levels of independent tokens), T = 7
+(a width-2, depth-3 verify tree) and T = 14 (two such trees from two
+roots: the bundled example's verify call, its largest step call), in
+both precisions, with and without an 8-expert pool; the session step is
+one draft/verify step of perfbench's sd_decode geometry, alone and for
+two sessions stepped together.  Each case reports min and median host
+time per call.
 """
 
 import sys
@@ -25,7 +27,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import SD_PROMPT_LEN, SD_SHAPE  # noqa: E402
 
 # Each token's source: a state or an earlier token of the call.
-SOURCES = {1: [None], 2: [None, None], 7: [None, 0, 0, 1, 2, 3, 4]}
+SOURCES = {
+    1: [None],
+    2: [None, None],
+    7: [None, 0, 0, 1, 2, 3, 4],
+    14: [None, 0, 0, 1, 2, 3, 4, None, 7, 7, 8, 9, 10, 11],
+}
 
 
 @pytest.fixture(scope="module")

@@ -258,7 +258,7 @@ def test_criterion_7_ablation_directions():
             width=2,
             depth=3,
             pool_capacity=TOY.n_experts,
-            draft_mode=PrecisionMode.INT8_FULL,
+            draft_reconstruct=ReconstructMode.FULL,
         )
         run = SdSession(model, cfg, prompt=[2, 5], score_traces=_toy_traces(700)).run(20)
         assert run.steps

@@ -283,7 +283,6 @@ class TestDraftPhase:
         st = init_state(self.model)
         res = draft_phase(self.model, [4], [st], [self.full_pool], w=2, d=0)[0]
         assert tree_of(res) == ((-1,), (4,))
-        assert res.step_calls == 0
         for ids in (res.selected, res.unrestricted):
             assert ids.shape == (0, SHAPE.n_layers, SHAPE.top_k)
 
@@ -291,8 +290,9 @@ class TestDraftPhase:
         pool = pool_of(8, {0, 1, 2, 3}, {2, 3, 4, 5})
         st = init_state(self.model)
         res = draft_phase(self.model, [9], [st], [pool], w=2, d=3)[0]
-        assert res.selected.shape == (res.step_calls, SHAPE.n_layers, SHAPE.top_k)
-        assert res.step_calls
+        # Drafted rows: the root at depth 1, then the w frontier nodes at
+        # each later depth, 1 + w * (d - 1).
+        assert res.selected.shape == (1 + 2 * (3 - 1), SHAPE.n_layers, SHAPE.top_k)
         for layer, experts in enumerate(pool_sets(pool)):
             assert set(res.selected[:, layer].ravel().tolist()) <= experts
 
@@ -342,7 +342,7 @@ class TestDraftPhase:
             verify_phase(self.model, [tree, tree], [st, 0])
 
 
-def reference_tree(model, root, state, pool, w, d, mode, reconstruct, traces):
+def reference_tree(model, root, state, pool, w, d, reconstruct, traces):
     """draft_phase's tree from one root, rebuilt without its batched calls:
     each depth replays every frontier node's root path with one-token
     steps, ranks the nodes' top-w children by the recomputed cumulative
@@ -361,7 +361,8 @@ def reference_tree(model, root, state, pool, w, d, mode, reconstruct, traces):
         for node in reversed(path):
             if lp is not None:
                 score += lp[tokens[node]]
-            out = step(model, [st], [tokens[node]], mode, pool[None], traces, reconstruct)
+            out = step(model, [st], [tokens[node]], PrecisionMode.MSB4_DRAFT, pool[None], traces,
+                       reconstruct)
             st, lp = out.states[0], log_softmax(out.logits)[0].tolist()
         return score, lp
 
@@ -406,7 +407,6 @@ def test_draft_trees_equal_path_replay_reference(data):
     model = gen_model(shape, seed=data.draw(st.integers(0, 2**16), label="seed"))
     w = data.draw(st.integers(1, 8), label="w")
     d = data.draw(st.integers(0, 3), label="d")
-    mode = data.draw(st.sampled_from(list(PrecisionMode)), label="draft_mode")
     reconstruct = data.draw(st.sampled_from(list(ReconstructMode)), label="reconstruct")
     traces = None
     if data.draw(st.booleans(), label="traced"):
@@ -425,9 +425,9 @@ def test_draft_trees_equal_path_replay_reference(data):
         prompt = data.draw(st.lists(token, max_size=2), label=f"prompt{i}")
         states.append(prefill(model, prompt, PrecisionMode.INT8_FULL, traces)[0])
         roots.append(data.draw(token, label=f"root{i}"))
-    results = draft_phase(model, roots, states, pools, w, d, mode, reconstruct, traces)
+    results = draft_phase(model, roots, states, pools, w, d, reconstruct, traces)
     for res, root, state, pool in zip(results, roots, states, pools, strict=True):
-        want, _ = reference_tree(model, root, state, pool, w, d, mode, reconstruct, traces)
+        want, _ = reference_tree(model, root, state, pool, w, d, reconstruct, traces)
         assert tree_of(res) == want
 
 
@@ -441,11 +441,11 @@ def test_forced_chain_child_equals_reference():
         pool_of(4, {0, 1}, {2, 3}),
     ]
     states = [init_state(model), prefill(model, [3], PrecisionMode.INT8_FULL)[0]]
-    mode, reconstruct = PrecisionMode.MSB4_DRAFT, ReconstructMode.LSB_AUGMENT
+    reconstruct = ReconstructMode.LSB_AUGMENT
     results = draft_phase(model, [1, 2], states, pools, w=2, d=3)
-    want, forced = reference_tree(model, 1, states[0], pools[0], 2, 3, mode, reconstruct, None)
+    want, forced = reference_tree(model, 1, states[0], pools[0], 2, 3, reconstruct, None)
     assert forced and tree_of(results[0]) == want
-    want, _ = reference_tree(model, 2, states[1], pools[1], 2, 3, mode, reconstruct, None)
+    want, _ = reference_tree(model, 2, states[1], pools[1], 2, 3, reconstruct, None)
     assert tree_of(results[1]) == want
 
 
@@ -466,12 +466,12 @@ class TestVerifyPhase:
                 [self.full_pool],
                 w=2,
                 d=d,
-                draft_mode=PrecisionMode.INT8_FULL,
+                draft_reconstruct=ReconstructMode.FULL,
             )
             (ver,) = verify_phase(self.model, [tree_of(res)], [st])
             assert ver.accept_length == d
             # The root and every drafted node are verified.
-            assert ver.verify_token_count == len(res.tokens) == 1 + 2 * d
+            assert len(ver.selected) == len(res.tokens) == 1 + 2 * d
 
     def test_adversarial_tree_accepts_nothing(self):
         st = init_state(self.model)
@@ -488,7 +488,7 @@ class TestVerifyPhase:
         (ver,) = verify_phase(self.model, [tree_of(res)], [st])
         out = step(self.model, [st], [5], PrecisionMode.INT8_FULL)
         assert ver.accept_length == 0
-        assert ver.verify_token_count == 1
+        assert len(ver.selected) == 1
         assert ver.bonus_token == greedy_token(out.logits[0])
         assert np.array_equal(ver.selected, out.selected)
 
@@ -651,7 +651,6 @@ class TestSdSession:
         ("width", 2.0), ("width", True), ("depth", True), ("depth", 1.5),
         ("pool_capacity", 2.5), ("pool_capacity", 0), ("pool_capacity", "8"),
         ("draft_reconstruct", "lsb_augment"), ("draft_reconstruct", PrecisionMode.MSB4_DRAFT),
-        ("draft_mode", "msb4_draft"), ("draft_mode", ReconstructMode.FULL),
     ], ids=repr)
     def test_config_rejects_non_integer_sizes_and_unknown_modes(self, field, value):
         # Each of these once failed deep in a session, or ran as another
@@ -713,7 +712,8 @@ class TestSdSession:
             # the root and every verified node.
             assert len(calls) == cfg.depth + 1
             sizes = [(mode, len(tokens)) for mode, tokens in calls]
-            assert sizes[:-1] == [(cfg.draft_mode, 1)] + [(cfg.draft_mode, 2)] * 2
+            draft = PrecisionMode.MSB4_DRAFT
+            assert sizes[:-1] == [(draft, 1)] + [(draft, 2)] * 2
             assert sizes[-1] == (PrecisionMode.INT8_FULL, res.verify_token_count)
             assert res.draft_step_calls == 1 + cfg.width * (cfg.depth - 1)
 
@@ -734,9 +734,9 @@ def assert_same_runs(got, want):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sessions_stepped_together_equal_sessions_alone(data):
-    # 1-4 sessions of one model, geometry, draft mode and trace, each with
-    # its own prompt, pool strategy, capacity, decay and seed, so that they
-    # hold different pools and finish at different steps.
+    # 1-4 sessions of one model, geometry, draft reconstruct mode and
+    # trace, each with its own prompt, pool strategy, capacity, decay and
+    # seed, so that they hold different pools and finish at different steps.
     n_experts = data.draw(st.integers(2, 6), label="n_experts")
     shape = MoEShape(
         d_model=32,
@@ -751,7 +751,6 @@ def test_sessions_stepped_together_equal_sessions_alone(data):
         width=data.draw(st.integers(1, 3), label="width"),
         depth=data.draw(st.integers(0, 3), label="depth"),
         draft_reconstruct=data.draw(st.sampled_from(list(ReconstructMode)), label="reconstruct"),
-        draft_mode=data.draw(st.sampled_from(list(PrecisionMode)), label="draft_mode"),
     )
     traces = None
     n_trace = data.draw(st.integers(0, 8), label="trace_tokens")
@@ -811,7 +810,7 @@ def test_sessions_that_finish_at_different_steps_run_as_alone():
 
 
 @pytest.mark.parametrize("change", [
-    "width", "depth", "draft_mode", "draft_reconstruct", "model", "traces", "twice",
+    "width", "depth", "draft_reconstruct", "model", "traces", "twice",
 ])
 def test_run_sessions_rejects_sessions_that_cannot_step_together(change):
     model = gen_model(SHAPE, seed=31)
@@ -823,7 +822,6 @@ def test_run_sessions_rejects_sessions_that_cannot_step_together(change):
     fields = {
         "width": {"width": 3},
         "depth": {"depth": 2},
-        "draft_mode": {"draft_mode": PrecisionMode.INT8_FULL},
         "draft_reconstruct": {"draft_reconstruct": ReconstructMode.TRUNCATE},
     }
     other = SdSession(

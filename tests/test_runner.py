@@ -625,6 +625,9 @@ def test_shared_work_runs_once_per_scenario(monkeypatch):
         "expected_unique_experts": 1, "from_columns": 3, "simulate_lru": 12 + 6,
         "build_workloads": 3 + 12 + 6,
     }
+    # The runner replays its traces without a phase map, so it builds them
+    # from layer, expert and kind columns alone: no step ids.
+    assert [(len(args), kwargs) for args, kwargs in calls["from_columns"]] == [(3, {})] * 3
     # Where SD wins: the AR estimate and one verify estimate.  Per batch
     # (3), one XPU price, one AR replay and price (footprint 1.0 only), one
     # verify replay and SD floor per session (2), and an SD price in each
@@ -771,14 +774,18 @@ def assert_ar_routing_is_greedy_decode_routing(cfg):
     n_positions = cfg.run.prompt_len + cfg.run.n_new_tokens
     assert selected.shape == want.shape == (n_positions, cfg.shape.n_layers, cfg.shape.top_k)
     assert np.array_equal(selected, want)
-    # Its access trace is the one the tuple records of that routing give:
-    # one step per position, in layer then slot order.
+    # Its access trace holds the (layer, expert, kind) columns the tuple
+    # records of that routing give, in position, layer, then slot order,
+    # and no step ids.
     records = [
         (pos, [(layer, e) for layer, ids in enumerate(row) for e in ids])
         for pos, row in enumerate(want.tolist())
     ]
-    got = runner._access_trace(selected, np.arange(n_positions), "full")
-    assert got == expert_cache.decisions_to_trace(records, "full")
+    got = runner._access_trace(selected, "full")
+    ref = expert_cache.decisions_to_trace(records, "full")
+    assert got.step is None
+    for name in ("layer", "expert", "kind"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 # These tests price nothing they check; the AR step's comm-overlap

@@ -776,6 +776,18 @@ def expert_frequencies(trace, k):
     return counts / counts.sum()
 
 
+# sha256 of gen_routing_trace's scores per (n_tokens, n_experts, k, zipf,
+# correlation, seed), recorded from the row-at-a-time blend.
+TRACE_DIGESTS = {
+    (0, 16, 2, 1.0, 0.5, 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 16, 2, 1.0, 0.5, 1): "a6df8393aa3d921197de3fffb12e4a75c9ca75fc594f753331d5d5a03814575d",
+    (50, 16, 2, 1.2, 0.0, 2): "215cbb8b2c5b1b637884569183067d7abea34dceb6ec040ad13674d0bd94204b",
+    (160, 16, 2, 1.0, 0.5, 3): "68dfbf1b7b63abb33e16d35d5732b09847be692dcb3d0e2e814a2dbd8d82dc20",
+    (160, 16, 2, 0.8, 1.0, 4): "b4941a3a6eebc73b25db7691dd336e5871b7f2fa42326d63dd27c3299335c4b2",
+    (4096, 8, 2, 1.5, 0.3, 5): "9ee884d4df707a4da380d4b39da783e14ba8581e537a1f39c5a4a1348acce544",
+}
+
+
 class TestRoutingTrace:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -804,6 +816,13 @@ class TestRoutingTrace:
     def test_full_correlation_freezes_selection(self):
         ids = trace_ids(gen_routing_trace(50, 8, 2, 1.0, 1.0, seed=33), 2)
         assert (ids == ids[0]).all()
+
+    @pytest.mark.parametrize("args", list(TRACE_DIGESTS), ids=lambda a: "-".join(map(str, a)))
+    def test_trace_bytes_are_pinned(self, args):
+        # The blend loop's bits, checked directly and not only through the
+        # golden CSV.
+        trace = gen_routing_trace(*args)
+        assert hashlib.sha256(trace.tobytes()).hexdigest() == TRACE_DIGESTS[args]
 
     def test_deterministic_per_seed(self):
         a = gen_routing_trace(100, 8, 2, 0.8, 0.5, seed=44)
