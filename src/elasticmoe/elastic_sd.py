@@ -61,10 +61,15 @@ def accumulate_hotness(counts: np.ndarray, selected: np.ndarray) -> np.ndarray:
     bad = selected[(selected < 0) | (selected >= n_experts)]
     if len(bad):
         raise ValueError(f"expert {bad[0]} out of range")
-    # One unbuffered add per selection, in (token, layer, slot) order, as a
-    # loop adds.
-    layers = np.arange(selected.shape[1])[:, None]
-    np.add.at(counts, (layers, selected), 1.0)
+    return _add_hotness(counts, selected)
+
+
+def _add_hotness(counts: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    # accumulate_hotness without its checks, adding into counts (a float64
+    # array the caller owns) in place, for selections toymoe.step built:
+    # one unbuffered add per selection, in (token, layer, slot) order, as
+    # a loop adds.
+    np.add.at(counts, (np.arange(selected.shape[1])[:, None], selected), 1.0)
     return counts
 
 
@@ -420,7 +425,7 @@ def _step_together(sessions: Sequence[SdSession]) -> list[SdStepResult]:
     )
     next_pools = []
     for s, draft in zip(sessions, drafts):
-        s.hotness = accumulate_hotness(s.hotness * s.config.hotness_decay, draft.unrestricted)
+        s.hotness = _add_hotness(s.hotness * s.config.hotness_decay, draft.unrestricted)
         next_pools.append(s._pick_pool())
     verifies = verify_phase(
         first.model,
@@ -430,7 +435,8 @@ def _step_together(sessions: Sequence[SdSession]) -> list[SdStepResult]:
     )
     results = []
     for s, draft, verify, next_pool in zip(sessions, drafts, verifies, next_pools):
-        s.hotness = accumulate_hotness(s.hotness, verify.selected)
+        # In place: the draft update above made this array.
+        _add_hotness(s.hotness, verify.selected)
         results.append(SdStepResult(
             accept_length=verify.accept_length,
             verify_token_count=len(verify.selected),

@@ -5,13 +5,14 @@ random fixed weights, a decayed-context stand-in for attention (each layer
 keeps CONTEXT_DECAY times its previous context plus the new input), top-k
 routed SiLU-gated experts, and greedy sampling everywhere.  Expert weights
 exist only as group-quantized INT8 codes, one stored layout per expert
-(ExpertWeights); the precision mode picks the code set ExpertWeights.codes
-reads from them: the stored 8-bit codes (INT8_FULL) or the 4-bit MSB
-surrogate used for drafting (MSB4_DRAFT), rebuilt by surrogate_codes once
-per expert and mode.  Dense parts (embedding, context map, router, output
-head) stay real in both modes.  gen_model keeps its last model, so a
-(shape, seed) asked for again in the process is the same read-only
-object, its code sets built once.
+(ExpertWeights), whose fp16 scales are views into one (groups, n_experts,
+out) stack per layer and stage; the precision mode picks the code set
+ExpertWeights.codes reads from them: the stored 8-bit codes (INT8_FULL)
+or the 4-bit MSB surrogate used for drafting (MSB4_DRAFT), rebuilt by
+surrogate_codes once per expert and mode.  Dense parts (embedding,
+context map, router, output head) stay real in both modes.  gen_model
+keeps its last model, so a (shape, seed) asked for again in the process
+is the same read-only object, its code sets built once.
 
 ``step`` is one layer-major forward over T tokens, each continuing a given
 decode state or an earlier token of the same call, so a prompt chain, a
@@ -28,9 +29,14 @@ Determinism rules: every matrix product works on fixed 32-wide input
 groups: an index-ordered einsum (dense parts) or an exact integer dot
 (quantized experts) per group, into group-major partials (groups, rows,
 out), then a sum across groups with np.sum's rounding over a contiguous
-group axis; every row is normalized, quantized and routed on its own.  So
-results never depend on how many tokens are evaluated together, or with
-which; routing and sampling ties break toward lower ids.
+group axis; every row is normalized, quantized and routed on its own.  The
+expert kernel runs one integer matmul per expert block and one
+weight-scale multiply per stage over all (token, slot) rows, its scales
+gathered from the layer's stack: each partial is an integer below 2^24
+times two fp16 scales, at most 46 significant bits, so the float64
+product is exact however the multiplies are split.  So results never
+depend on how many tokens are evaluated together, or with which; routing
+and sampling ties break toward lower ids.
 """
 
 from __future__ import annotations
@@ -136,7 +142,8 @@ def _float_codes(codes: np.ndarray, mode: ReconstructMode) -> np.ndarray:
 @dataclass(frozen=True)
 class ExpertWeights:
     """One expert's bit-nested INT8 codes and fp16 scales, as quantize_matrix
-    lays them out: up and gate stacked into one 2 * d_ff output, and down."""
+    lays them out: up and gate stacked into one 2 * d_ff output, and down.
+    In a model the scales are read-only views into its layer's stacks."""
 
     up_gate: np.ndarray
     up_gate_scales: np.ndarray
@@ -163,6 +170,8 @@ class MoEModel:
     w_attn: np.ndarray
     w_router: np.ndarray
     experts: tuple[tuple[ExpertWeights, ...], ...]
+    # Per layer, the (up_gate, down) scale stacks of _stack_scales.
+    expert_scales: tuple[tuple[np.ndarray, np.ndarray], ...]
     w_out: np.ndarray
 
 
@@ -253,6 +262,25 @@ def _select(
     return ids, chosen / np.add.reduce(chosen, axis=1, keepdims=True)
 
 
+def _stack_scales(
+    experts: Sequence[ExpertWeights],
+) -> tuple[tuple[ExpertWeights, ...], tuple[np.ndarray, np.ndarray]]:
+    """One layer's experts with their scales moved into one read-only
+    (groups, n_experts, out) stack per stage, (up_gate, down), which the
+    expert kernel gathers from; each returned expert's scales are
+    (groups, 1, out) views into them, so the scales are held once."""
+    ug, dn = (
+        np.concatenate([getattr(e, name) for e in experts], axis=1)
+        for name in ("up_gate_scales", "down_scales")
+    )
+    ug.flags.writeable = dn.flags.writeable = False
+    views = tuple(
+        ExpertWeights(e.up_gate, ug[:, i : i + 1], e.down, dn[:, i : i + 1])
+        for i, e in enumerate(experts)
+    )
+    return views, (ug, dn)
+
+
 # Models kept built, by (shape, seed): every workload and suite uses one key.
 MODEL_CACHE_SIZE = 1
 
@@ -273,7 +301,7 @@ def _build_model(shape: MoEShape, seed: int) -> MoEModel:
     w_out = rng.normal(0.0, 1.0 / np.sqrt(d), size=(shape.vocab, d))
     w_attn = np.empty((shape.n_layers, d, d))
     w_router = np.empty((shape.n_layers, shape.n_experts, d))
-    layers = []
+    layers, scales = [], []
     for layer in range(shape.n_layers):
         w_attn[layer] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
         w_router[layer] = rng.normal(0.0, 2.0 / np.sqrt(d), size=(shape.n_experts, d))
@@ -283,7 +311,9 @@ def _build_model(shape: MoEShape, seed: int) -> MoEModel:
             up_gate = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(2 * f, d)))
             down = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f)))
             experts.append(ExpertWeights(*up_gate, *down))
-        layers.append(tuple(experts))
+        experts, stacks = _stack_scales(experts)
+        layers.append(experts)
+        scales.append(stacks)
     for a in (embed, w_attn, w_router, w_out):
         a.flags.writeable = False
     return MoEModel(
@@ -292,6 +322,7 @@ def _build_model(shape: MoEShape, seed: int) -> MoEModel:
         w_attn=w_attn,
         w_router=w_router,
         experts=tuple(layers),
+        expert_scales=tuple(scales),
         w_out=w_out,
     )
 
@@ -305,58 +336,68 @@ def _weight_mode(mode: PrecisionMode, draft_reconstruct: ReconstructMode) -> Rec
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _quant_products(acts: np.ndarray, act_scales: np.ndarray, blocks: list) -> np.ndarray:
+def _quant_products(
+    acts: np.ndarray, act_scales: np.ndarray, blocks: list, scales: np.ndarray
+) -> np.ndarray:
     # Rows of the integer-valued acts (P, in), with per-row scales, each
     # times the codes of its block: blocks are (float32 codes (groups, 32,
-    # out), their (groups, 1, out) scales, lo, hi) over rows [lo, hi).
-    # Every group dot is a sum of 32 products of magnitude <= 128 * 127,
-    # so every partial sum is an integer below 2^24 and exact in float32
-    # whatever rows BLAS sees together or order it adds in.  Each group
-    # partial (ints * weight scale) * row scale is then an exact float64
-    # product (<= 42 significant bits), and the group sum gives the exact
-    # real value of the dequantized blocked product.
+    # out), lo, hi) over rows [lo, hi), and scales (groups, P, out) is each
+    # row's weight scales, a fresh gather this scales in place.  Every
+    # group dot is a sum of 32 products of magnitude <= 128 * 127, so every
+    # partial sum is an integer below 2^24 and exact in float32 whatever
+    # rows BLAS sees together or order it adds in.  Each group partial,
+    # that integer times two fp16 scales, has at most 46 significant bits,
+    # so it is the exact float64 product in any order, and one multiply
+    # over all rows gives what one per block would; the group sum then
+    # gives the exact real value of the dequantized blocked product.
     n = acts.shape[0]
     grouped = acts.astype(np.float32).reshape(n, -1, GROUP_SIZE).transpose(1, 0, 2)
-    ints = np.empty((len(grouped), n, blocks[0][0].shape[2]), dtype=np.float32)
-    parts = np.empty(ints.shape)
-    for codes, scales, lo, hi in blocks:
+    ints = np.empty(scales.shape, dtype=np.float32)
+    for codes, lo, hi in blocks:
         np.matmul(grouped[:, lo:hi], codes, out=ints[:, lo:hi])
-        np.multiply(ints[:, lo:hi], scales, out=parts[:, lo:hi])
-    parts *= act_scales[:, None]
-    return _group_sum(parts)
+    scales *= act_scales[:, None]
+    scales *= ints
+    return _group_sum(scales)
 
 
 def _experts(
     x: np.ndarray,
     ids: np.ndarray,
     experts: Sequence[ExpertWeights],
+    scales: tuple[np.ndarray, np.ndarray],
     rec: ReconstructMode,
 ) -> np.ndarray:
     """The expert kernel: out[t, slot] = expert experts[ids[t, slot]] on row
     x[t], for rows x (T, d_model) and expert ids (T, k), on the code set
-    ExpertWeights.codes(rec).  The (token, slot) pairs are sorted by
-    expert, and each stage (the fused up-and-gate product, then down) runs
-    over all pairs at once: one integer matmul and one weight-scale
-    multiply per expert block into group-major partials (groups, pairs,
-    out), then the row scales and the group sum once.  Activations are
-    quantized per row, and SiLU gating runs once, between the stages."""
+    ExpertWeights.codes(rec) and the layer's (up_gate, down) scale stacks
+    from _stack_scales.  The (token, slot) pairs are sorted by expert, and
+    each stage (the fused up-and-gate product, then down) runs over all
+    pairs at once: one integer matmul per expert block into group-major
+    partials (groups, pairs, out), then one multiply by the pairs' weight
+    scales, gathered from the stack in sorted order, one by the row
+    scales, and the group sum.  The T rows are quantized once and each
+    pair takes its token's codes; SiLU gating runs once, between the
+    stages."""
     n, k = ids.shape
     flat = ids.ravel()
     order = flat.argsort(kind="stable")
-    sorted_ids = flat[order].tolist()
+    sorted_flat = flat[order]
+    sorted_ids = sorted_flat.tolist()
     up_gate, down, lo = [], [], 0
     for hi in range(1, len(order) + 1):
         if hi == len(order) or sorted_ids[hi] != sorted_ids[lo]:
-            w = experts[sorted_ids[lo]]
-            ug_codes, down_codes = w.codes(rec)
-            up_gate.append((ug_codes, w.up_gate_scales, lo, hi))
-            down.append((down_codes, w.down_scales, lo, hi))
+            ug_codes, down_codes = experts[sorted_ids[lo]].codes(rec)
+            up_gate.append((ug_codes, lo, hi))
+            down.append((down_codes, lo, hi))
             lo = hi
-    # Each pair's row quantized on its own: the same bits as quantizing x.
-    ug = _quant_products(*quantize_rows(x[order // k]), up_gate)
+    xq, x_scales = quantize_rows(x)
+    rows = order // k
+    ug = _quant_products(
+        xq[rows], x_scales[rows], up_gate, np.take(scales[0], sorted_flat, axis=1)
+    )
     f = ug.shape[1] // 2
     hq, h_scales = quantize_rows(_silu(ug[:, f:]) * ug[:, :f])
-    out = _quant_products(hq, h_scales, down)
+    out = _quant_products(hq, h_scales, down, np.take(scales[1], sorted_flat, axis=1))
     unsorted = np.empty_like(out)
     unsorted[order] = out
     return unsorted.reshape(n, k, -1)
@@ -494,7 +535,7 @@ def step(
             if not np.logical_and.reduce(mask[token_idx, ids], axis=None):
                 ids, gates = _select(scores, k, mask)
         selected[:, layer] = ids
-        out = _experts(r, ids, model.experts[layer], rec)
+        out = _experts(r, ids, model.experts[layer], model.expert_scales[layer], rec)
         # The gated slots added left to right from 0.0, as a slot loop does.
         x = x + np.add.reduce(gates[:, :, None] * out, axis=1, initial=0.0)
     for a in (ctx, selected, unrestricted):

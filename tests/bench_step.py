@@ -8,10 +8,14 @@ it.  Run it from the root of a checkout:
 step runs at T = 1 and 2 (draft levels of independent tokens), T = 7
 (a width-2, depth-3 verify tree) and T = 14 (two such trees from two
 roots: the bundled example's verify call, its largest step call), in
-both precisions, with and without an 8-expert pool; the session step is
-one draft/verify step of perfbench's sd_decode geometry, alone and for
-two sessions stepped together.  Each case reports min and median host
-time per call.
+both precisions, with and without an 8-expert pool; the expert kernel
+toymoe._experts runs alone on the same T rows' layer-0 routing, on the
+stored codes (FULL) and the draft's LSB_AUGMENT code set; the session
+step is one draft/verify step of perfbench's sd_decode geometry, alone
+and for two sessions stepped together.  Each case reports min and median
+host time per call.  Only the expert kernel cases:
+
+    PYTHONPATH=src python -m pytest tests/bench_step.py -k experts
 """
 
 import sys
@@ -20,6 +24,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from elasticmoe import toymoe
+from elasticmoe.bitnest import ReconstructMode
 from elasticmoe.elastic_sd import SdConfig, SdSession, run_sessions, select_pool
 from elasticmoe.toymoe import PrecisionMode, gen_model, prefill, step
 
@@ -40,18 +46,38 @@ def model():
     return gen_model(SD_SHAPE, seed=0)
 
 
+def step_inputs(model, n_tokens):
+    # The sources and tokens of a T-token call from a 3-token prompt.
+    root = prefill(model, [1, 2, 3], PrecisionMode.INT8_FULL)[0]
+    sources = [root if src is None else src for src in SOURCES[n_tokens]]
+    return sources, list(range(3, 3 + n_tokens))
+
+
 @pytest.mark.parametrize("pooled", [False, True], ids=["free", "pool"])
 @pytest.mark.parametrize("mode", list(PrecisionMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("n_tokens", sorted(SOURCES))
 def test_step(benchmark, model, n_tokens, mode, pooled):
-    root = prefill(model, [1, 2, 3], PrecisionMode.INT8_FULL)[0]
-    sources = [root if src is None else src for src in SOURCES[n_tokens]]
-    tokens = list(range(3, 3 + n_tokens))
+    sources, tokens = step_inputs(model, n_tokens)
     hotness = np.random.default_rng(0).random((SD_SHAPE.n_layers, SD_SHAPE.n_experts))
     pool = select_pool(hotness, 8, SD_SHAPE.top_k)
     permitted = np.repeat(pool[None], n_tokens, axis=0) if pooled else None
     outs = benchmark(step, model, sources, tokens, mode, permitted)
     assert len(outs.states) == n_tokens
+
+
+@pytest.mark.parametrize(
+    "rec", [ReconstructMode.FULL, ReconstructMode.LSB_AUGMENT], ids=lambda m: m.value
+)
+@pytest.mark.parametrize("n_tokens", sorted(SOURCES))
+def test_experts(benchmark, model, n_tokens, rec):
+    # The T tokens' layer-0 expert ids, on random rows of the kernel's
+    # width; one untimed call builds the routed experts' code sets.
+    ids = step(model, *step_inputs(model, n_tokens), PrecisionMode.INT8_FULL).selected[:, 0]
+    x = np.random.default_rng(0).normal(size=(n_tokens, SD_SHAPE.d_model))
+    args = (x, ids, model.experts[0], model.expert_scales[0], rec)
+    toymoe._experts(*args)
+    out = benchmark(toymoe._experts, *args)
+    assert out.shape == (n_tokens, SD_SHAPE.top_k, SD_SHAPE.d_model)
 
 
 def test_session_step(benchmark, model):

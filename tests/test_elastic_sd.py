@@ -557,6 +557,31 @@ class TestSdSession:
         )
         assert list(got) == ar
 
+    def test_hotness_counts_draft_unrestricted_then_verify_selected(self):
+        # Each step decays the counts and adds the draft's unrestricted ids,
+        # picks the next pool from them, then adds the verify call's
+        # selected ids, into a new array: the previous counts stay as they
+        # were.
+        model = gen_model(SHAPE, seed=29)
+        cfg = SdConfig(width=2, depth=3, pool_capacity=4, hotness_decay=0.5)
+        session = SdSession(model, cfg, prompt=[1, 2, 3])
+        for _ in range(4):
+            before = session.hotness
+            before_bytes = before.tobytes()
+            (draft,) = draft_phase(
+                model, [session.root_token], [session.root_state], [session.pool],
+                cfg.width, cfg.depth, cfg.draft_reconstruct,
+            )
+            res = session.step()
+            assert np.array_equal(res.draft_selected, draft.selected)
+            drafted = accumulate_hotness(before * cfg.hotness_decay, draft.unrestricted)
+            assert np.array_equal(
+                res.next_pool, select_pool(drafted, cfg.pool_capacity, SHAPE.top_k)
+            )
+            want = accumulate_hotness(drafted, res.verify_selected)
+            assert session.hotness.tobytes() == want.tobytes()
+            assert before.tobytes() == before_bytes
+
     def test_root_state_position_counts_emitted_tokens(self):
         # The root state follows the prompt minus its last token (the first
         # draft root) and every token emitted so far, traced or not.

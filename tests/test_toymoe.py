@@ -88,7 +88,8 @@ def quantize_vector(v):
 def expert_on_row(x, e, rec=ReconstructMode.FULL):
     # The expert kernel on one row routed to the one expert e.
     x = np.asarray(x, dtype=np.float64)[None]
-    return toymoe._experts(x, np.zeros((1, 1), dtype=np.int64), (e,), rec)[0, 0]
+    ids = np.zeros((1, 1), dtype=np.int64)
+    return toymoe._experts(x, ids, *toymoe._stack_scales((e,)), rec)[0, 0]
 
 
 def mirror_expert_int8(x, e):
@@ -429,7 +430,11 @@ class TestGenModel:
         assert m2 is not m1
         arrays1, arrays2 = model_arrays(m1), model_arrays(m2)
         assert [path for path, _ in arrays1] == [path for path, _ in arrays2]
-        assert len(arrays1) == 4 + SHAPE.n_layers * SHAPE.n_experts * (4 + 2 * len(ReconstructMode))
+        # The four dense arrays, two scale stacks per layer, and per expert
+        # its four fields and two code arrays per mode.
+        assert len(arrays1) == 4 + SHAPE.n_layers * (
+            2 + SHAPE.n_experts * (4 + 2 * len(ReconstructMode))
+        )
         for (path, a1), (_, a2) in zip(arrays1, arrays2):
             assert a1.dtype == a2.dtype and np.array_equal(a1, a2), path
 
@@ -441,6 +446,13 @@ class TestGenModel:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = a
                 pytest.fail(f"{path} is writeable")
+        # One copy of the scales: every expert's are read-only views into
+        # its layer's stacks.
+        for layer, (experts, stacks) in enumerate(zip(model.experts, model.expert_scales)):
+            for i, e in enumerate(experts):
+                for scales, stack in zip((e.up_gate_scales, e.down_scales), stacks):
+                    assert not scales.flags.writeable, (layer, i)
+                    assert np.shares_memory(scales, stack), (layer, i)
 
     @pytest.mark.parametrize("seed", [None, 1.5, True])
     def test_seed_must_be_an_integer(self, seed):
@@ -941,20 +953,23 @@ def test_kernels_equal_per_row_reference(data):
     n = data.draw(st.integers(1, 65), label="T")
     k = data.draw(st.integers(1, 3), label="k")
     rec = data.draw(st.sampled_from(list(ReconstructMode)), label="reconstruct")
-    experts = [
+    # The reference reads each expert as quantize_matrix made it; the
+    # kernel reads the stacks and views the model's helper builds.
+    originals = [
         quantized_expert(
             *rng.normal(0.0, 1.0 / np.sqrt(d), size=(2, f, d)),
             rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f)),
         )
         for _ in range(n_experts)
     ]
+    experts, scales = toymoe._stack_scales(originals)
     x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 1, size=(n, 1))
     x[data.draw(st.integers(0, n - 1), label="zero row")] = 0.0
     ids = rng.integers(0, n_experts, size=(n, k))
-    out = toymoe._experts(x, ids, experts, rec)
+    out = toymoe._experts(x, ids, experts, scales, rec)
     for t in range(n):
         for slot in range(k):
-            want = expert_row_reference(x[t], experts[ids[t, slot]], rec)
+            want = expert_row_reference(x[t], originals[ids[t, slot]], rec)
             assert same_bits(out[t, slot], want), (t, slot)
     w = rng.normal(size=(f, d))
     dense = toymoe._blocked_matmul(w, x)
