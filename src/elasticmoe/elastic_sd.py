@@ -335,8 +335,8 @@ class SdStepResult:
     draft_selected and verify_selected are the expert ids the drafted and
     the verified tokens were routed to (DraftResult.selected and
     VerifyResult.selected), and draft_step_calls and verify_token_count
-    their lengths; pool and next_pool are the (n_layers, n_experts) bool
-    masks drafted with and picked for the next step."""
+    their lengths; pool is the (n_layers, n_experts) bool mask drafted
+    with, and transfers the pieces the next step's pool adds to it."""
 
     accept_length: int
     verify_token_count: int
@@ -344,7 +344,6 @@ class SdStepResult:
     draft_selected: np.ndarray
     verify_selected: np.ndarray
     pool: np.ndarray
-    next_pool: np.ndarray
     transfers: tuple[tuple[int, int], ...]
     draft_step_calls: int
 
@@ -444,7 +443,6 @@ def _step_together(sessions: Sequence[SdSession]) -> list[SdStepResult]:
             draft_selected=draft.selected,
             verify_selected=verify.selected,
             pool=s.pool,
-            next_pool=next_pool,
             transfers=tuple(pool_update_plan(next_pool, s.pool)),
             draft_step_calls=len(draft.selected),
         ))

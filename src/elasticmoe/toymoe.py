@@ -5,14 +5,15 @@ random fixed weights, a decayed-context stand-in for attention (each layer
 keeps CONTEXT_DECAY times its previous context plus the new input), top-k
 routed SiLU-gated experts, and greedy sampling everywhere.  Expert weights
 exist only as group-quantized INT8 codes, one stored layout per expert
-(ExpertWeights), whose fp16 scales are views into one (groups, n_experts,
-out) stack per layer and stage; the precision mode picks the code set
-ExpertWeights.codes reads from them: the stored 8-bit codes (INT8_FULL)
-or the 4-bit MSB surrogate used for drafting (MSB4_DRAFT), rebuilt by
-surrogate_codes once per expert and mode.  Dense parts (embedding,
-context map, router, output head) stay real in both modes.  gen_model
-keeps its last model, so a (shape, seed) asked for again in the process
-is the same read-only object, its code sets built once.
+(ExpertWeights), and their fp16 scales, held only in one (groups,
+n_experts, out) stack per layer and stage (MoEModel.expert_scales).  The
+precision mode picks the code set ExpertWeights.codes reads: the stored
+8-bit codes (INT8_FULL) or the 4-bit MSB surrogate used for drafting
+(MSB4_DRAFT), rebuilt by surrogate_codes once per expert and mode.  Dense
+parts (embedding, context map, router, output head) stay real in both
+modes.  gen_model keeps its last model, so a (shape, seed) asked for
+again in the process is the same read-only object, its code sets built
+once.
 
 ``step`` is one layer-major forward over T tokens, each continuing a given
 decode state or an earlier token of the same call, so a prompt chain, a
@@ -141,14 +142,12 @@ def _float_codes(codes: np.ndarray, mode: ReconstructMode) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExpertWeights:
-    """One expert's bit-nested INT8 codes and fp16 scales, as quantize_matrix
-    lays them out: up and gate stacked into one 2 * d_ff output, and down.
-    In a model the scales are read-only views into its layer's stacks."""
+    """One expert's bit-nested INT8 codes, as quantize_matrix lays them out:
+    up and gate stacked into one 2 * d_ff output, and down.  Its fp16
+    scales are held only in its layer's stacks (MoEModel.expert_scales)."""
 
     up_gate: np.ndarray
-    up_gate_scales: np.ndarray
     down: np.ndarray
-    down_scales: np.ndarray
     _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def codes(self, mode: ReconstructMode) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +169,9 @@ class MoEModel:
     w_attn: np.ndarray
     w_router: np.ndarray
     experts: tuple[tuple[ExpertWeights, ...], ...]
-    # Per layer, the (up_gate, down) scale stacks of _stack_scales.
+    # Per layer, the (up_gate, down) fp16 scales of every expert, as one
+    # read-only (groups, n_experts, out) stack per stage: the one scale
+    # store, which the expert kernel gathers from.
     expert_scales: tuple[tuple[np.ndarray, np.ndarray], ...]
     w_out: np.ndarray
 
@@ -262,25 +263,6 @@ def _select(
     return ids, chosen / np.add.reduce(chosen, axis=1, keepdims=True)
 
 
-def _stack_scales(
-    experts: Sequence[ExpertWeights],
-) -> tuple[tuple[ExpertWeights, ...], tuple[np.ndarray, np.ndarray]]:
-    """One layer's experts with their scales moved into one read-only
-    (groups, n_experts, out) stack per stage, (up_gate, down), which the
-    expert kernel gathers from; each returned expert's scales are
-    (groups, 1, out) views into them, so the scales are held once."""
-    ug, dn = (
-        np.concatenate([getattr(e, name) for e in experts], axis=1)
-        for name in ("up_gate_scales", "down_scales")
-    )
-    ug.flags.writeable = dn.flags.writeable = False
-    views = tuple(
-        ExpertWeights(e.up_gate, ug[:, i : i + 1], e.down, dn[:, i : i + 1])
-        for i, e in enumerate(experts)
-    )
-    return views, (ug, dn)
-
-
 # Models kept built, by (shape, seed): every workload and suite uses one key.
 MODEL_CACHE_SIZE = 1
 
@@ -305,16 +287,17 @@ def _build_model(shape: MoEShape, seed: int) -> MoEModel:
     for layer in range(shape.n_layers):
         w_attn[layer] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
         w_router[layer] = rng.normal(0.0, 2.0 / np.sqrt(d), size=(shape.n_experts, d))
-        experts = []
+        experts, ug_scales, down_scales = [], [], []
         for _ in range(shape.n_experts):
             # Up then gate, one (2f, d) draw: the same values as two (f, d).
-            up_gate = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(2 * f, d)))
-            down = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f)))
-            experts.append(ExpertWeights(*up_gate, *down))
-        experts, stacks = _stack_scales(experts)
-        layers.append(experts)
-        scales.append(stacks)
-    for a in (embed, w_attn, w_router, w_out):
+            up_gate, ug_s = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(d), size=(2 * f, d)))
+            down, down_s = quantize_matrix(rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f)))
+            experts.append(ExpertWeights(up_gate, down))
+            ug_scales.append(ug_s)
+            down_scales.append(down_s)
+        layers.append(tuple(experts))
+        scales.append((np.concatenate(ug_scales, axis=1), np.concatenate(down_scales, axis=1)))
+    for a in (embed, w_attn, w_router, w_out, *(s for stacks in scales for s in stacks)):
         a.flags.writeable = False
     return MoEModel(
         shape=shape,
@@ -370,14 +353,14 @@ def _experts(
     """The expert kernel: out[t, slot] = expert experts[ids[t, slot]] on row
     x[t], for rows x (T, d_model) and expert ids (T, k), on the code set
     ExpertWeights.codes(rec) and the layer's (up_gate, down) scale stacks
-    from _stack_scales.  The (token, slot) pairs are sorted by expert, and
-    each stage (the fused up-and-gate product, then down) runs over all
-    pairs at once: one integer matmul per expert block into group-major
-    partials (groups, pairs, out), then one multiply by the pairs' weight
-    scales, gathered from the stack in sorted order, one by the row
-    scales, and the group sum.  The T rows are quantized once and each
-    pair takes its token's codes; SiLU gating runs once, between the
-    stages."""
+    (MoEModel.expert_scales, the one store of expert scales).  The (token,
+    slot) pairs are sorted by expert, and each stage (the fused
+    up-and-gate product, then down) runs over all pairs at once: one
+    integer matmul per expert block into group-major partials (groups,
+    pairs, out), then one multiply by the pairs' weight scales, gathered
+    from the stack in sorted order, one by the row scales, and the group
+    sum.  The T rows are quantized once and each pair takes its token's
+    codes; SiLU gating runs once, between the stages."""
     n, k = ids.shape
     flat = ids.ravel()
     order = flat.argsort(kind="stable")

@@ -576,7 +576,7 @@ class TestSdSession:
             assert np.array_equal(res.draft_selected, draft.selected)
             drafted = accumulate_hotness(before * cfg.hotness_decay, draft.unrestricted)
             assert np.array_equal(
-                res.next_pool, select_pool(drafted, cfg.pool_capacity, SHAPE.top_k)
+                session.pool, select_pool(drafted, cfg.pool_capacity, SHAPE.top_k)
             )
             want = accumulate_hotness(drafted, res.verify_selected)
             assert session.hotness.tobytes() == want.tobytes()
@@ -630,7 +630,9 @@ class TestSdSession:
         cfg = SdConfig(width=2, depth=2, pool_capacity=4)
         session = SdSession(model, cfg, prompt=[5, 6], score_traces=traces)
         run = session.run(25)
-        pools = [s.next_pool for s in run.steps]
+        # Each step's next pool: the following step's pool, then the
+        # session's after the last step.
+        pools = [s.pool for s in run.steps[1:]] + [session.pool]
         assert all(np.array_equal(p, pools[0]) for p in pools[1:])
 
     def test_emitted_count_is_accept_plus_one(self):
@@ -653,7 +655,7 @@ class TestSdSession:
         }
         expected = [
             (layer, e)
-            for layer, experts in enumerate(pool_sets(res.next_pool))
+            for layer, experts in enumerate(pool_sets(session.pool))
             for e in sorted(experts)
             if (layer, e) not in resident_before
         ]

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -830,13 +831,93 @@ def test_ablation_suite_names():
         ablation_suite("no_such_suite")
 
 
+@functools.cache
+def suite_rows(which: str) -> list[ResultRow]:
+    # One run of a bundled suite, shared by the tests that read its rows.
+    return ablation_suite(which)
+
+
 def test_ablation_cache_capacity_monotone_hit_rate():
-    rows = ablation_suite("cache_capacity")
+    rows = suite_rows("cache_capacity")
     ar_rows = [r for r in rows if r.scheme == "ar_only"]
     ar_rows.sort(key=lambda r: r.scenario_id)
     hits = [r.ar_hit_rate for r in ar_rows]
     assert hits == sorted(hits)
     assert hits[-1] > hits[0]
+
+
+@_NO_COMM_WARNINGS
+@pytest.mark.parametrize("which", runner.ABLATION_SUITES)
+def test_ablation_suite_renders_its_golden_csv(which):
+    # Every suite's CSV is pinned byte for byte, as the example sweep's is.
+    golden = Path(__file__).with_name("golden") / "ablation" / f"{which}.csv"
+    assert render_csv(suite_rows(which)).encode() == golden.read_bytes()
+
+
+# (model, model seed) keys: drawn scenarios share a model or do not.
+_TINY_MODEL = {"d_model": 32, "d_ff": 32, "n_experts": 4, "top_k": 2, "n_layers": 1, "vocab": 16}
+_TINY_MODELS = [
+    (_TINY_MODEL, 0),
+    (_TINY_MODEL, 1),
+    ({"d_model": 32, "d_ff": 64, "n_experts": 6, "top_k": 1, "n_layers": 2, "vocab": 12}, 0),
+]
+
+
+@_NO_COMM_WARNINGS
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_scenarios_of_one_file_equal_each_run_alone(data):
+    # A multi-scenario file's rows equal the rows of each of its scenarios
+    # run alone, in scenario-id order, each on a freshly built model: no
+    # scenario's rows depend on the scenarios run before it on the same
+    # model.  A scenario may repeat the one before it under a new id, so
+    # the file is likely to step the same sessions twice on one model.
+    scenarios = []
+    for i in range(data.draw(st.integers(2, 4), label="scenarios")):
+        if scenarios and data.draw(st.booleans(), label="repeat"):
+            scenario = copy.deepcopy(scenarios[-1])
+        else:
+            model, model_seed = data.draw(st.sampled_from(_TINY_MODELS), label="model")
+            scenario = {
+                "model": model,
+                "schemes": data.draw(
+                    st.lists(
+                        st.sampled_from(["ar_only", "elastic_sd", "random_pool_sd"]),
+                        min_size=1, max_size=3, unique=True,
+                    ),
+                    label="schemes",
+                ),
+                "batch_sizes": [1],
+                "trace": {
+                    "n_tokens": data.draw(st.integers(4, 24), label="trace tokens"),
+                    "seed": data.draw(st.integers(0, 1), label="trace seed"),
+                },
+                "sd": {
+                    "width": data.draw(st.integers(1, 2), label="width"),
+                    "depth": data.draw(st.integers(1, 3), label="depth"),
+                    "pool_capacity": data.draw(
+                        st.integers(model["top_k"], model["n_experts"]), label="pool"
+                    ),
+                    "hotness_decay_factor": data.draw(
+                        st.sampled_from([0.0, 0.5, 1.0]), label="decay"
+                    ),
+                    "seed": data.draw(st.integers(0, 1), label="sd seed"),
+                },
+                "run": {
+                    "n_new_tokens": data.draw(st.integers(1, 16), label="new tokens"),
+                    "model_seed": model_seed,
+                },
+            }
+        scenario["scenario_id"] = f"s{data.draw(st.integers(0, 99), label='id')}_{i}"
+        scenarios.append(scenario)
+    configs = parse_config_text(json.dumps({"scenarios": scenarios}))
+    toymoe._build_model.cache_clear()
+    together = run_scenarios(configs)
+    alone = []
+    for cfg in sorted(configs, key=lambda c: c.scenario_id):
+        toymoe._build_model.cache_clear()
+        alone.extend(run_scenario(cfg))
+    assert together == alone
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,64 @@ def test_no_package_code_is_left_to_tests_alone():
     assert sorted(set(TEST_ONLY) - set(unused)) == []
 
 
+# Public dataclass fields in src/elasticmoe/ that only tests read, each
+# with the reason it stays: {"module.Class.field": "reason"}.
+TEST_ONLY_FIELDS = {
+    "elastic_sd.SdStepResult.draft_selected": (
+        "acceptance criterion 6 audits every drafted token's routing against "
+        "the pool the step drafted with"
+    ),
+}
+
+
+def unread_fields(root):
+    """module.Class.field for each public field of a dataclass in
+    src/elasticmoe/ that nothing in src/, demos/ or perfbench/ reads: no
+    attribute load and no string constant (a getattr name) spells it, and
+    its class is not passed by name to dataclasses.fields or asdict, which
+    read every field.  The match is by name alone, so a field counts as
+    read when any attribute of that name is."""
+    defined, read, whole = set(), set(), set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            if path.parent == root / "src" / "elasticmoe":
+                for node in tree.body:
+                    if isinstance(node, ast.ClassDef) and any(
+                        "dataclass" in ast.unparse(d) for d in node.decorator_list
+                    ):
+                        defined.update(
+                            (path.stem, node.name, stmt.target.id)
+                            for stmt in node.body
+                            if isinstance(stmt, ast.AnnAssign)
+                            and not stmt.target.id.startswith("_")
+                        )
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+                elif isinstance(node, ast.Call) and node.args:
+                    func = node.func
+                    name = getattr(func, "attr", getattr(func, "id", None))
+                    if name in ("fields", "asdict") and isinstance(node.args[0], ast.Name):
+                        whole.add(node.args[0].id)
+    return sorted(
+        f"{module}.{cls}.{name}"
+        for module, cls, name in defined
+        if name not in read and cls not in whole
+    )
+
+
+def test_no_dataclass_field_is_left_to_tests_alone():
+    # A field that only tests read is dead weight in the package: drop it,
+    # or list it in TEST_ONLY_FIELDS with its reason.
+    unread = unread_fields(ROOT)
+    assert sorted(set(unread) - set(TEST_ONLY_FIELDS)) == []
+    # An entry whose field the package now reads, or no longer has, goes.
+    assert sorted(set(TEST_ONLY_FIELDS) - set(unread)) == []
+
+
 PERFBENCH_MODULES = ("layers", "spans", "workloads")
 
 

@@ -75,8 +75,18 @@ def dequant(codes, scales):
 
 
 def quantized_expert(up, gate, down):
-    # An ExpertWeights holding the codes of real up, gate and down matrices.
-    return ExpertWeights(*quantize_matrix(np.concatenate([up, gate])), *quantize_matrix(down))
+    # An ExpertWeights holding the codes of real up, gate and down matrices,
+    # and its (up_gate, down) scales as quantize_matrix gives them: the
+    # expert's one-expert scale stacks.
+    (up_gate, ug_scales), (down, down_scales) = (
+        quantize_matrix(np.concatenate([up, gate])), quantize_matrix(down)
+    )
+    return ExpertWeights(up_gate, down), (ug_scales, down_scales)
+
+
+def model_expert(model, layer, i):
+    # Expert i of a model layer, and its scales: its column of each stack.
+    return model.experts[layer][i], tuple(s[:, i : i + 1] for s in model.expert_scales[layer])
 
 
 def quantize_vector(v):
@@ -85,25 +95,26 @@ def quantize_vector(v):
     return codes[0].astype(np.int64), float(scales[0])
 
 
-def expert_on_row(x, e, rec=ReconstructMode.FULL):
-    # The expert kernel on one row routed to the one expert e.
+def expert_on_row(x, e, scales, rec=ReconstructMode.FULL):
+    # The expert kernel on one row routed to the one expert e, whose
+    # (up_gate, down) scales are a one-expert layer's stacks.
     x = np.asarray(x, dtype=np.float64)[None]
     ids = np.zeros((1, 1), dtype=np.int64)
-    return toymoe._experts(x, ids, *toymoe._stack_scales((e,)), rec)[0, 0]
+    return toymoe._experts(x, ids, (e,), scales, rec)[0, 0]
 
 
-def mirror_expert_int8(x, e):
+def mirror_expert_int8(x, e, scales):
     # Real-arithmetic mirror of the fused integer path: dequantized weights,
     # dequantized activations, identical accumulation structure.
     a, sa = quantize_vector(x)
     xa = a.astype(np.float64) * sa
-    w_up_gate = dequant(e.up_gate, e.up_gate_scales)
+    w_up_gate = dequant(e.up_gate, scales[0])
     f = w_up_gate.shape[0] // 2
     u = blocked_real_matvec(w_up_gate[:f], xa)
     g = blocked_real_matvec(w_up_gate[f:], xa)
     h = silu(g) * u
     hq, sh = quantize_vector(h)
-    return blocked_real_matvec(dequant(e.down, e.down_scales), hq.astype(np.float64) * sh)
+    return blocked_real_matvec(dequant(e.down, scales[1]), hq.astype(np.float64) * sh)
 
 
 def route(scores, k, permitted=None):
@@ -240,7 +251,7 @@ class TestQuantizeMatrix:
 
         monkeypatch.setattr(toymoe, "surrogate_codes", unexpected)
         rng = np.random.default_rng(9)
-        e = quantized_expert(*rng.normal(size=(3, 2 * GROUP_SIZE, GROUP_SIZE)))
+        e, _ = quantized_expert(*rng.normal(size=(3, 2 * GROUP_SIZE, GROUP_SIZE)))
         up_gate, down = e.codes(ReconstructMode.FULL)
         assert up_gate.dtype == down.dtype == np.float32
         assert np.array_equal(up_gate, e.up_gate)
@@ -263,7 +274,7 @@ class TestQuantizeMatrix:
 
     def test_surrogate_lsb_augment(self):
         rng = np.random.default_rng(11)
-        e = quantized_expert(*rng.normal(size=(3, 2 * GROUP_SIZE, 2 * GROUP_SIZE)))
+        e, _ = quantized_expert(*rng.normal(size=(3, 2 * GROUP_SIZE, 2 * GROUP_SIZE)))
         up_gate, down = e.codes(ReconstructMode.LSB_AUGMENT)
         assert np.array_equal(up_gate, 16 * (e.up_gate >> 4) + 8)
         assert np.array_equal(down, 16 * (e.down >> 4) + 8)
@@ -431,9 +442,9 @@ class TestGenModel:
         arrays1, arrays2 = model_arrays(m1), model_arrays(m2)
         assert [path for path, _ in arrays1] == [path for path, _ in arrays2]
         # The four dense arrays, two scale stacks per layer, and per expert
-        # its four fields and two code arrays per mode.
+        # its two code fields and two code arrays per mode.
         assert len(arrays1) == 4 + SHAPE.n_layers * (
-            2 + SHAPE.n_experts * (4 + 2 * len(ReconstructMode))
+            2 + SHAPE.n_experts * (2 + 2 * len(ReconstructMode))
         )
         for (path, a1), (_, a2) in zip(arrays1, arrays2):
             assert a1.dtype == a2.dtype and np.array_equal(a1, a2), path
@@ -446,13 +457,15 @@ class TestGenModel:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = a
                 pytest.fail(f"{path} is writeable")
-        # One copy of the scales: every expert's are read-only views into
-        # its layer's stacks.
-        for layer, (experts, stacks) in enumerate(zip(model.experts, model.expert_scales)):
-            for i, e in enumerate(experts):
-                for scales, stack in zip((e.up_gate_scales, e.down_scales), stacks):
-                    assert not scales.flags.writeable, (layer, i)
-                    assert np.shares_memory(scales, stack), (layer, i)
+        # One copy of the scales: each layer's two (groups, n_experts, out)
+        # stacks, while an expert holds only codes.
+        d, f = SHAPE.d_model, SHAPE.d_ff
+        for ug, down in model.expert_scales:
+            assert ug.shape == (d // GROUP_SIZE, SHAPE.n_experts, 2 * f)
+            assert down.shape == (f // GROUP_SIZE, SHAPE.n_experts, d)
+        for path, a in model_arrays(model):
+            if ".experts" in path:
+                assert a.dtype in (np.int8, np.float32), path
 
     @pytest.mark.parametrize("seed", [None, 1.5, True])
     def test_seed_must_be_an_integer(self, seed):
@@ -486,34 +499,31 @@ class TestGenModel:
 class TestExpertForward:
     def setup_method(self):
         self.model = gen_model(SHAPE, seed=3)
-        self.e = self.model.experts[0][0]
+        self.e, self.scales = model_expert(self.model, 0, 0)
 
     def test_zero_input_gives_zero_output(self):
         x = np.zeros(SHAPE.d_model)
         for rec in ReconstructMode:
-            assert np.all(expert_on_row(x, self.e, rec) == 0.0)
+            assert np.all(expert_on_row(x, self.e, self.scales, rec) == 0.0)
 
     def test_int8_matches_dequantized_mirror_bitwise(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             x = rng.normal(size=SHAPE.d_model)
-            got = expert_on_row(x, self.e)
-            ref = mirror_expert_int8(x, self.e)
+            got = expert_on_row(x, self.e, self.scales)
+            ref = mirror_expert_int8(x, self.e, self.scales)
             assert np.array_equal(got, ref)
 
     def test_draft_equals_int8_on_surrogate_codes(self):
         rng = np.random.default_rng(14)
         lsb = ReconstructMode.LSB_AUGMENT
         sur = ExpertWeights(
-            surrogate_codes(self.e.up_gate, lsb),
-            self.e.up_gate_scales,
-            surrogate_codes(self.e.down, lsb),
-            self.e.down_scales,
+            surrogate_codes(self.e.up_gate, lsb), surrogate_codes(self.e.down, lsb)
         )
         for _ in range(5):
             x = rng.normal(size=SHAPE.d_model)
-            draft = expert_on_row(x, self.e, ReconstructMode.LSB_AUGMENT)
-            full_on_sur = expert_on_row(x, sur)
+            draft = expert_on_row(x, self.e, self.scales, ReconstructMode.LSB_AUGMENT)
+            full_on_sur = expert_on_row(x, sur, self.scales)
             assert np.array_equal(draft, full_on_sur)
 
     def test_on_grid_weights_dequantize_exactly(self):
@@ -536,14 +546,14 @@ class TestExpertForward:
         up = rng.normal(0.0, 1.0 / np.sqrt(d), size=(f, d))
         gate = rng.normal(0.0, 1.0 / np.sqrt(d), size=(f, d))
         down = rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f))
-        e = quantized_expert(up, gate, down)
+        e, scales = quantized_expert(up, gate, down)
         diffs = []
         for _ in range(10):
             x = rng.normal(size=d)
             a = blocked_real_matvec(
                 down, silu(blocked_real_matvec(gate, x)) * blocked_real_matvec(up, x)
             )
-            b = expert_on_row(x, e)
+            b = expert_on_row(x, e, scales)
             denom = np.linalg.norm(a)
             diffs.append(np.linalg.norm(a - b) / denom)
         assert max(diffs) < 0.05
@@ -930,13 +940,14 @@ def quant_product_reference(codes, scales, v):
     return np.sum(ints * scales[:, 0, :].T * sa, axis=1)
 
 
-def expert_row_reference(x, e, rec):
-    # One (token, slot) pair through expert e on its own: up and gate,
-    # SiLU gating, requantization and down, per row.
+def expert_row_reference(x, e, scales, rec):
+    # One (token, slot) pair through expert e, with its (up_gate, down)
+    # scales, on its own: up and gate, SiLU gating, requantization and
+    # down, per row.
     up_gate, down = e.codes(rec)
-    ug = quant_product_reference(up_gate, e.up_gate_scales, x)
+    ug = quant_product_reference(up_gate, scales[0], x)
     f = len(ug) // 2
-    return quant_product_reference(down, e.down_scales, silu(ug[f:]) * ug[:f])
+    return quant_product_reference(down, scales[1], silu(ug[f:]) * ug[:f])
 
 
 @settings(max_examples=40, deadline=None)
@@ -953,23 +964,25 @@ def test_kernels_equal_per_row_reference(data):
     n = data.draw(st.integers(1, 65), label="T")
     k = data.draw(st.integers(1, 3), label="k")
     rec = data.draw(st.sampled_from(list(ReconstructMode)), label="reconstruct")
-    # The reference reads each expert as quantize_matrix made it; the
-    # kernel reads the stacks and views the model's helper builds.
-    originals = [
+    # The reference reads each expert's scales as quantize_matrix made
+    # them; the kernel reads them concatenated into stacks, as the model
+    # holds them.
+    experts, own_scales = zip(*(
         quantized_expert(
             *rng.normal(0.0, 1.0 / np.sqrt(d), size=(2, f, d)),
             rng.normal(0.0, 1.0 / np.sqrt(f), size=(d, f)),
         )
         for _ in range(n_experts)
-    ]
-    experts, scales = toymoe._stack_scales(originals)
+    ))
+    scales = tuple(np.concatenate(stage, axis=1) for stage in zip(*own_scales))
     x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 1, size=(n, 1))
     x[data.draw(st.integers(0, n - 1), label="zero row")] = 0.0
     ids = rng.integers(0, n_experts, size=(n, k))
     out = toymoe._experts(x, ids, experts, scales, rec)
     for t in range(n):
         for slot in range(k):
-            want = expert_row_reference(x[t], originals[ids[t, slot]], rec)
+            e = ids[t, slot]
+            want = expert_row_reference(x[t], experts[e], own_scales[e], rec)
             assert same_bits(out[t, slot], want), (t, slot)
     w = rng.normal(size=(f, d))
     dense = toymoe._blocked_matmul(w, x)
